@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import tempfile
 import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -27,7 +28,14 @@ from .query import (
     render_skeleton,
     search,
 )
-from .repository import SchemaViolation, make_repository, merge_update, parse, serialize
+from .repository import (
+    SchemaViolation,
+    make_repository,
+    merge_update,
+    parse,
+    serialize,
+    two_dp,
+)
 from .transactions import build_sequence_db
 
 _DOMAIN_ERRORS = (
@@ -75,8 +83,20 @@ def _created_stamp() -> str:
     return when.strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def _two_dp(x: Fraction) -> str:
-    return f"{float(x):.2f}"
+def _write_atomic(path: str, data: bytes) -> None:
+    """Replace path with data in one step: a failure at any point leaves the
+    previous file whole and no temporary file behind."""
+    target = Path(path)
+    fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as f:
+            f.write(data)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _require_corpus(config: RunConfig) -> None:
@@ -110,7 +130,7 @@ def _cmd_mine(config: RunConfig) -> str:
     repo = make_repository(patterns, corpus_label=label, created_at=_created_stamp(),
                            min_support_used=config.min_support)
     path = config.resolved_repo_path()
-    Path(path).write_bytes(serialize(repo))
+    _write_atomic(path, serialize(repo))
     return (f"mined {len(repo.patterns)} patterns from {len(db.records)} "
             f"method sequences -> {path}")
 
@@ -121,7 +141,7 @@ def _cmd_update(config: RunConfig) -> str:
     patterns, db = _mine_patterns(config)
     repo = merge_update(existing, patterns, created_at=_created_stamp(),
                         min_support_used=config.min_support)
-    Path(path).write_bytes(serialize(repo))
+    _write_atomic(path, serialize(repo))
     return (f"updated {path}: {len(existing.patterns)} -> {len(repo.patterns)} patterns "
             f"({len(db.records)} fresh method sequences)")
 
@@ -133,8 +153,10 @@ def _format_rec_rows(recs) -> list[list[str]]:
         head = " ".join(name for _, name in p.elements[:3])
         if p.k > 3:
             head += " ..."
-        rows.append([str(rank), str(p.k), _two_dp(p.support_ratio),
-                     _two_dp(p.confidence), _two_dp(p.ranking), head])
+        rows.append([str(rank), str(p.k),
+                     *(two_dp(*x.as_integer_ratio())
+                       for x in (p.support_ratio, p.confidence, p.ranking)),
+                     head])
     return rows
 
 
@@ -150,10 +172,10 @@ def _render_table(header: list[str], rows: list[list[str]]) -> str:
 def _cmd_query(config: RunConfig) -> str:
     if not config.statement:
         raise ValueError("no query statement given")
+    started = time.perf_counter()
     repo = parse(Path(config.resolved_repo_path()).read_bytes())
     ctx = QueryContext(variables=dict(config.context_vars),
                        imports=list(config.context_imports))
-    started = time.perf_counter()
     q = abstract_query(config.statement, ctx)
     recs = search(q, repo, config.top_n)
     elapsed = time.perf_counter() - started
@@ -239,25 +261,26 @@ def _cmd_eval(config: RunConfig) -> str:
         if recs:
             recommended = [name for _, name in recs[0].pattern.elements]
             p, r = metrics.sequence_pr(recommended, gold_items)
-            score = float(recs[0].score)
+            score = recs[0].score
         else:
-            p, r, score = Fraction(0), Fraction(0), 0.0
+            p, r, score = Fraction(0), Fraction(0), Fraction(0)
         prs.append((p, r))
         if label is not None:
-            labeled_scores.append((score, label))
-        rows.append([statement, str(len(recs)), _two_dp(p), _two_dp(r), f"{score:.2f}"])
+            labeled_scores.append((float(score), label))
+        rows.append([statement, str(len(recs)),
+                     *(two_dp(*x.as_integer_ratio()) for x in (p, r, score))])
     if not rows:
         raise ValueError("gold file holds no queries")
-    mean_p, mean_r = metrics.average_pr(prs)
+    mean_p, mean_r = (two_dp(*x.as_integer_ratio()) for x in metrics.average_pr(prs))
     out = []
     header = ["query", "matched", "precision", "recall", "score"]
     if config.fmt == "csv":
         out.append(",".join(header))
         out += [",".join(f'"{c}"' if "," in c else c for c in row) for row in rows]
-        out.append(f"mean,,{_two_dp(mean_p)},{_two_dp(mean_r)},")
+        out.append(f"mean,,{mean_p},{mean_r},")
     else:
         out.append(_render_table(header, rows))
-        out.append(f"mean precision {_two_dp(mean_p)}  mean recall {_two_dp(mean_r)}")
+        out.append(f"mean precision {mean_p}  mean recall {mean_r}")
     if labeled_scores and len({lab for _, lab in labeled_scores}) == 2:
         points = metrics.roc_points(labeled_scores)
         auc = metrics.auc_trapezoid(points)

@@ -2,16 +2,17 @@
 serialized so identical repositories produce identical bytes.
 
 Numbers display at two decimals (half-up) while exact rational num/den
-attributes make the round trip lossless. The parser is strict: any
-deviation from the schema grammar is a SchemaViolation naming the element
-path.
+attributes make the round trip lossless. The reader accepts only the
+canonical bytes ``serialize`` writes: UTF-8, LF line ends, the fixed
+indentation and attribute order, numbers without leading zeros, and only
+the escapes ``serialize`` uses. It reads line by line; any other byte is a
+SchemaViolation naming the line and the element path.
 """
 
 from __future__ import annotations
 
-import xml.etree.ElementTree as ET
+import re
 from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 from typing import Iterable
 
@@ -51,9 +52,10 @@ def make_repository(patterns: Iterable[SequentialPattern], corpus_label: str = "
 
 # --- rendering -----------------------------------------------------------------
 
-def _two_dp(value: Fraction) -> str:
-    d = Decimal(value.numerator) / Decimal(value.denominator)
-    return str(d.quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
+def two_dp(num: int, den: int) -> str:
+    """num/den (>= 0) rounded half-up to two decimals, exactly: 1/8 -> "0.13"."""
+    q = (200 * num + den) // (2 * den)
+    return f"{q // 100}.{q % 100:02d}"
 
 
 def _esc(text: str) -> str:
@@ -62,6 +64,11 @@ def _esc(text: str) -> str:
 
 def _esc_attr(text: str) -> str:
     return _esc(text).replace('"', "&quot;")
+
+
+def _unesc(text: str) -> str:
+    return (text.replace("&lt;", "<").replace("&gt;", ">").replace("&quot;", '"')
+            .replace("&amp;", "&"))
 
 
 def _rational_parts(p: SequentialPattern) -> tuple[int, int, int, int]:
@@ -77,7 +84,14 @@ def _rational_parts(p: SequentialPattern) -> tuple[int, int, int, int]:
 
 
 def serialize(repo: MinedRepository) -> bytes:
-    """Canonical document bytes: UTF-8, LF, 2-space indent, fixed attribute order."""
+    """Canonical document bytes: UTF-8, LF, 2-space indent, fixed attribute order.
+
+    ValueError when the corpus label or the creation stamp holds a control
+    character, which the reader refuses.
+    """
+    for value in (repo.corpus_label, repo.created_at):
+        if re.fullmatch(_ATTR, _esc_attr(value)) is None:
+            raise ValueError(f"repository metadata {value!r} holds a control character")
     out: list[str] = []
     out.append(
         f'<esdp-repository version="1" corpus="{_esc_attr(repo.corpus_label)}"'
@@ -91,9 +105,10 @@ def serialize(repo: MinedRepository) -> bytes:
         for p in repo.patterns:
             num, den, cnum, cden = _rational_parts(p)
             out.append(f'    <pattern kind="{p.kind}" k="{p.k}">')
-            out.append(f'      <support num="{num}" den="{den}">{_two_dp(p.support_ratio)}</support>')
-            out.append(f'      <confidence num="{cnum}" den="{cden}">{_two_dp(p.confidence)}</confidence>')
-            out.append(f"      <ranking>{_two_dp(p.ranking)}</ranking>")
+            out.append(f'      <support num="{num}" den="{den}">{two_dp(num, den)}</support>')
+            out.append(f'      <confidence num="{cnum}" den="{cden}">'
+                       f'{two_dp(cnum, cden)}</confidence>')
+            out.append(f"      <ranking>{two_dp(p.k * num, den)}</ranking>")
             out.append("      <sequence>")
             for i, (kind, name) in enumerate(p.elements, start=1):
                 out.append(f'        <s i="{i}" kind="{kind}">{_esc(name)}</s>')
@@ -106,209 +121,166 @@ def serialize(repo: MinedRepository) -> bytes:
 
 
 # --- parsing -------------------------------------------------------------------
+# One regular expression per line position, each matching only what serialize
+# writes there. Numbers are >= 1 with no leading zero. Attribute values use the
+# four escapes of _esc_attr and item names the three of _esc; control
+# characters, which XML forbids or rewrites, are refused.
 
-_VALID_KINDS = {k.value for k in ItemKind}
+_NUM = "([1-9][0-9]*)"
+_KIND = "(" + "|".join(k.value for k in ItemKind) + ")"
+_ATTR = '((?:[^&<>"\\x00-\\x1f]|&(?:amp|lt|gt|quot);)*)'
+_NAME = "((?:[^&<>\\x00-\\x08\\x0a-\\x1f]|&(?:amp|lt|gt);)+)"
 
-
-def _require(cond: bool, message: str, path: str) -> None:
-    if not cond:
-        raise SchemaViolation(message, path)
-
-
-def _int_attr(el: ET.Element, name: str, path: str) -> int:
-    raw = el.get(name)
-    _require(raw is not None, f"missing attribute {name!r}", path)
-    _require(raw.isdigit(), f"non-numeric attribute {name}={raw!r}", path)
-    return int(raw)
-
-
-def _check_attrs(el: ET.Element, allowed: set[str], path: str) -> None:
-    extra = set(el.attrib) - allowed
-    _require(not extra, f"unknown attribute(s) {sorted(extra)}", path)
+_HEADER = re.compile(f'<esdp-repository version="1" corpus="{_ATTR}" created="{_ATTR}"'
+                     f' min-support="{_NUM}">')
+_PATTERN = re.compile(f'    <pattern kind="{_KIND}" k="{_NUM}">')
+_SUPPORT = re.compile(f'      <support num="{_NUM}" den="{_NUM}">([^<]*)</support>')
+_CONFIDENCE = re.compile(f'      <confidence num="{_NUM}" den="{_NUM}">([^<]*)</confidence>')
+_RANKING = re.compile("      <ranking>([^<]*)</ranking>")
+_ITEM = re.compile(f'        <s i="{_NUM}" kind="{_KIND}">{_NAME}</s>')
 
 
-def _no_stray_text(el: ET.Element, path: str) -> None:
-    _require(not (el.text or "").strip(), "unexpected text content", path)
-    for child in el:
-        _require(not (child.tail or "").strip(), "unexpected trailing text", path)
+def _violation(line_no: int, message: str, *steps: str) -> SchemaViolation:
+    return SchemaViolation(f"line {line_no}: {message}",
+                           "/".join(("/esdp-repository",) + steps))
 
 
-def _parse_ratio_element(el: ET.Element, path: str) -> tuple[int, int]:
-    _check_attrs(el, {"num", "den"}, path)
-    num = _int_attr(el, "num", path)
-    den = _int_attr(el, "den", path)
-    _require(den >= 1, "den must be >= 1", path)
-    _require(1 <= num <= den, "num must be within 1..den", path)
-    text = (el.text or "").strip()
-    _require(text == _two_dp(Fraction(num, den)),
-             f"display value {text!r} inconsistent with {num}/{den}", path)
-    return num, den
+def _pattern_violation(line_no: int, message: str, idx: int, *steps: str) -> SchemaViolation:
+    return _violation(line_no, message, "patterns", f"pattern[{idx}]", *steps)
+
+
+def _expected(what: str, line: str) -> str:
+    return f"expected {what}, found {line[:120]!r}"
 
 
 def parse(data: bytes) -> MinedRepository:
-    """Parse canonical repository bytes; SchemaViolation on any deviation."""
-    try:
-        root = ET.fromstring(data)
-    except ET.ParseError as exc:
-        raise SchemaViolation(f"not well-formed XML: {exc}") from None
-    path = "/esdp-repository"
-    _require(root.tag == "esdp-repository", f"unexpected root element {root.tag!r}", path)
-    _check_attrs(root, {"version", "corpus", "created", "min-support"}, path)
-    _require(root.get("version") == "1", f"unsupported version {root.get('version')!r}", path)
-    _require(root.get("corpus") is not None, "missing attribute 'corpus'", path)
-    _require(root.get("created") is not None, "missing attribute 'created'", path)
-    min_support = _int_attr(root, "min-support", path)
-    _require(min_support >= 1, "min-support must be >= 1", path)
-    _no_stray_text(root, path)
+    """Read canonical repository bytes; SchemaViolation on any other byte.
 
-    children = list(root)
-    _require(len(children) == 1 and children[0].tag == "patterns",
-             "expected exactly one <patterns> element", path)
-    patterns_el = children[0]
-    ppath = path + "/patterns"
-    _check_attrs(patterns_el, set(), ppath)
-    _no_stray_text(patterns_el, ppath)
+    Whatever it accepts, ``serialize`` writes back byte for byte.
+    """
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise _violation(data.count(b"\n", 0, exc.start) + 1,
+                         f"not UTF-8 ({exc.reason})") from None
+    lines = text.split("\n")
+    if lines[-1]:
+        raise _violation(len(lines), "document does not end with a line feed")
+    # From here the last element is "", which no line position accepts, so
+    # every index below stays in range.
+
+    m = _HEADER.fullmatch(lines[0])
+    if m is None:
+        raise _violation(1, _expected("the <esdp-repository> header", lines[0]))
+    corpus, created, min_support = _unesc(m[1]), _unesc(m[2]), int(m[3])
 
     patterns: list[SequentialPattern] = []
-    seen: set[tuple] = set()
-    for idx, pat_el in enumerate(patterns_el, start=1):
-        epath = f"{ppath}/pattern[{idx}]"
-        _require(pat_el.tag == "pattern", f"unknown element {pat_el.tag!r}", epath)
-        _check_attrs(pat_el, {"kind", "k"}, epath)
-        kind = pat_el.get("kind")
-        _require(kind in _VALID_KINDS, f"unknown item kind {kind!r}", epath)
-        k = _int_attr(pat_el, "k", epath)
-        _require(k >= 1, "k must be >= 1", epath)
-        _no_stray_text(pat_el, epath)
+    if lines[1] == "  <patterns/>":
+        n = 2
+    elif lines[1] == "  <patterns>":
+        n = 2
+        seen: set[tuple] = set()
+        pattern_match, support_match = _PATTERN.fullmatch, _SUPPORT.fullmatch
+        confidence_match, ranking_match = _CONFIDENCE.fullmatch, _RANKING.fullmatch
+        item_match = _ITEM.fullmatch
+        while True:
+            idx = len(patterns) + 1
+            m = pattern_match(lines[n])
+            if m is None:
+                raise _pattern_violation(
+                    n + 1, _expected('<pattern kind=".." k="..">', lines[n]), idx)
+            kind, k = m[1], int(m[2])
 
-        sub = list(pat_el)
-        _require([c.tag for c in sub] == ["support", "confidence", "ranking", "sequence"],
-                 "expected children support, confidence, ranking, sequence", epath)
-        support_el, conf_el, ranking_el, seq_el = sub
+            m = support_match(lines[n + 1])
+            if m is None:
+                raise _pattern_violation(
+                    n + 2, _expected('<support num=".." den="..">', lines[n + 1]), idx, "support")
+            num, den = int(m[1]), int(m[2])
+            if num > den:
+                raise _pattern_violation(n + 2, "num must be within 1..den", idx, "support")
+            if m[3] != two_dp(num, den):
+                raise _pattern_violation(
+                    n + 2, f"display value {m[3]!r} inconsistent with {num}/{den}", idx, "support")
 
-        num, den = _parse_ratio_element(support_el, epath + "/support")
-        cnum, cden = _parse_ratio_element(conf_el, epath + "/confidence")
-        _require(cnum == num, "confidence numerator must equal the support count",
-                 epath + "/confidence")
+            m = confidence_match(lines[n + 2])
+            if m is None:
+                raise _pattern_violation(
+                    n + 3, _expected('<confidence num=".." den="..">', lines[n + 2]), idx,
+                    "confidence")
+            cnum, cden = int(m[1]), int(m[2])
+            if cnum != num:
+                raise _pattern_violation(
+                    n + 3, "confidence numerator must equal the support count", idx, "confidence")
+            if cnum > cden or (k == 1 and cden != cnum):
+                raise _pattern_violation(
+                    n + 3, f"confidence {cnum}/{cden} out of range for k={k}", idx, "confidence")
+            if m[3] != two_dp(cnum, cden):
+                raise _pattern_violation(
+                    n + 3, f"display value {m[3]!r} inconsistent with {cnum}/{cden}", idx,
+                    "confidence")
 
-        _check_attrs(ranking_el, set(), epath + "/ranking")
-        ranking = k * Fraction(num, den)
-        rtext = (ranking_el.text or "").strip()
-        _require(rtext == _two_dp(ranking),
-                 f"ranking {rtext!r} inconsistent with k * support", epath + "/ranking")
+            m = ranking_match(lines[n + 3])
+            if m is None or m[1] != two_dp(k * num, den):
+                raise _pattern_violation(
+                    n + 4, _expected(f"<ranking>{two_dp(k * num, den)}</ranking> (k * support)",
+                                     lines[n + 3]), idx, "ranking")
+            if lines[n + 4] != "      <sequence>":
+                raise _pattern_violation(
+                    n + 5, _expected("<sequence>", lines[n + 4]), idx, "sequence")
 
-        _check_attrs(seq_el, set(), epath + "/sequence")
-        _no_stray_text(seq_el, epath + "/sequence")
-        s_children = list(seq_el)
-        _require(len(s_children) == k, f"sequence holds {len(s_children)} items, k={k}",
-                 epath + "/sequence")
-        elements: list[tuple[str, str]] = []
-        for pos, s_el in enumerate(s_children, start=1):
-            spath = f"{epath}/sequence/s[{pos}]"
-            _require(s_el.tag == "s", f"unknown element {s_el.tag!r}", spath)
-            _check_attrs(s_el, {"i", "kind"}, spath)
-            _require(_int_attr(s_el, "i", spath) == pos, "position index out of order", spath)
-            s_kind = s_el.get("kind")
-            _require(s_kind in _VALID_KINDS, f"unknown item kind {s_kind!r}", spath)
-            name = (s_el.text or "").strip()
-            _require(bool(name), "empty item name", spath)
-            _require(len(s_el) == 0, "unexpected nested element", spath)
-            elements.append((s_kind, name))
-        _require(elements[0][0] == kind, "pattern kind must match its first item", epath)
-        key = tuple(elements)
-        _require(key not in seen, "duplicate pattern element-list", epath)
-        seen.add(key)
+            n += 5
+            elements = []
+            for i in range(1, k + 1):
+                m = item_match(lines[n])
+                if m is None or int(m[1]) != i:
+                    raise _pattern_violation(
+                        n + 1, _expected(f'<s i="{i}" kind="..">name</s>', lines[n]), idx,
+                        "sequence", f"s[{i}]")
+                name = m[3]
+                if "&" in name:
+                    name = _unesc(name)
+                if name.strip() != name:
+                    raise _pattern_violation(
+                        n + 1, f"item name {name!r} is blank or padded", idx,
+                        "sequence", f"s[{i}]")
+                elements.append((m[2], name))
+                n += 1
+            if lines[n] != "      </sequence>":
+                raise _pattern_violation(
+                    n + 1, _expected(f"</sequence> after k={k} items", lines[n]), idx, "sequence")
+            if lines[n + 1] != "    </pattern>":
+                raise _pattern_violation(n + 2, _expected("</pattern>", lines[n + 1]), idx)
+            n += 2
 
-        patterns.append(SequentialPattern(
-            elements=key,
-            support_count=num,
-            support_ratio=Fraction(num, den),
-            confidence=Fraction(cnum, cden),
-            ranking=ranking,
-        ))
+            key = tuple(elements)
+            if key[0][0] != kind:
+                raise _pattern_violation(n - k - 6, "pattern kind must match its first item", idx)
+            if key in seen:
+                raise _pattern_violation(n - k - 6, "duplicate pattern element-list", idx)
+            seen.add(key)
+            patterns.append(SequentialPattern(
+                elements=key,
+                support_count=num,
+                support_ratio=Fraction(num, den),
+                confidence=Fraction(cnum, cden),
+                ranking=Fraction(k * num, den),
+            ))
+            if lines[n] == "  </patterns>":
+                n += 1
+                break
+    else:
+        raise _violation(2, _expected("<patterns> or <patterns/>", lines[1]), "patterns")
 
+    if lines[n] != "</esdp-repository>":
+        raise _violation(n + 1, _expected("</esdp-repository>", lines[n]))
+    if n != len(lines) - 2:
+        raise _violation(n + 2, "text after </esdp-repository>")
     return MinedRepository(
         patterns=tuple(patterns),
-        corpus_label=root.get("corpus", ""),
-        created_at=root.get("created", ""),
+        corpus_label=corpus,
+        created_at=created,
         min_support_used=min_support,
     )
-
-
-# --- transaction documents ---------------------------------------------------------
-# Same schema family as the pattern repository, with <transaction> elements.
-
-def serialize_transactions(records, corpus_label: str = "",
-                           created_at: str = "1970-01-01T00:00:00Z") -> bytes:
-    """Canonical bytes for a transaction database; items sorted for
-    set-determinism."""
-    out = [
-        f'<esdp-transactions version="1" corpus="{_esc_attr(corpus_label)}"'
-        f' created="{_esc_attr(created_at)}">'
-    ]
-    records = list(records)
-    if not records:
-        out.append("  <transactions/>")
-    else:
-        out.append("  <transactions>")
-        for rec in records:
-            items = sorted(rec.items)
-            out.append(f'    <transaction block="{_esc_attr(rec.block_id)}" '
-                       f'n="{len(items)}">')
-            for i, (kind, name) in enumerate(items, start=1):
-                out.append(f'      <s i="{i}" kind="{kind}">{_esc(name)}</s>')
-            out.append("    </transaction>")
-        out.append("  </transactions>")
-    out.append("</esdp-transactions>")
-    out.append("")
-    return "\n".join(out).encode("utf-8")
-
-
-def parse_transactions(data: bytes):
-    """Parse canonical transaction bytes; SchemaViolation on any deviation."""
-    from .transactions import TransactionRecord
-
-    try:
-        root = ET.fromstring(data)
-    except ET.ParseError as exc:
-        raise SchemaViolation(f"not well-formed XML: {exc}") from None
-    path = "/esdp-transactions"
-    _require(root.tag == "esdp-transactions", f"unexpected root element {root.tag!r}", path)
-    _check_attrs(root, {"version", "corpus", "created"}, path)
-    _require(root.get("version") == "1", f"unsupported version {root.get('version')!r}", path)
-    _no_stray_text(root, path)
-    children = list(root)
-    _require(len(children) == 1 and children[0].tag == "transactions",
-             "expected exactly one <transactions> element", path)
-    records = []
-    seen_blocks: set[str] = set()
-    for idx, el in enumerate(children[0], start=1):
-        epath = f"{path}/transactions/transaction[{idx}]"
-        _require(el.tag == "transaction", f"unknown element {el.tag!r}", epath)
-        _check_attrs(el, {"block", "n"}, epath)
-        block = el.get("block")
-        _require(bool(block), "missing attribute 'block'", epath)
-        _require(block not in seen_blocks, f"duplicate block {block!r}", epath)
-        seen_blocks.add(block)
-        n = _int_attr(el, "n", epath)
-        s_children = list(el)
-        _require(len(s_children) == n, f"transaction holds {len(s_children)} items, n={n}",
-                 epath)
-        _require(n >= 1, "empty transaction", epath)
-        items = set()
-        for pos, s_el in enumerate(s_children, start=1):
-            spath = f"{epath}/s[{pos}]"
-            _require(s_el.tag == "s", f"unknown element {s_el.tag!r}", spath)
-            _check_attrs(s_el, {"i", "kind"}, spath)
-            _require(_int_attr(s_el, "i", spath) == pos, "position index out of order", spath)
-            kind = s_el.get("kind")
-            _require(kind in _VALID_KINDS, f"unknown item kind {kind!r}", spath)
-            name = (s_el.text or "").strip()
-            _require(bool(name), "empty item name", spath)
-            items.add((kind, name))
-        _require(len(items) == n, "duplicate items in transaction", epath)
-        records.append(TransactionRecord(block, frozenset(items)))
-    return records
 
 
 # --- incremental update ----------------------------------------------------------

@@ -176,3 +176,75 @@ def test_dispatch_reports_unknown_command():
     status, report = dispatch("nope", RunConfig())
     assert status == 2
     assert "unknown command" in report
+
+
+@pytest.mark.parametrize("count,size,shown", [(1, 8, "0.13"), (30, 2000, "0.02")])
+def test_query_prints_store_rounding(tmp_path, capsys, count, size, shown):
+    from fractions import Fraction
+
+    from esdp.mining import SequentialPattern
+    from esdp.repository import make_repository, serialize
+
+    ratio = Fraction(count, size)
+    pattern = SequentialPattern((("MI", "aSTParser.setKind(int)"),), count, ratio,
+                                Fraction(1), ratio)
+    repo_path = tmp_path / "one.xml"
+    repo_path.write_bytes(serialize(make_repository([pattern])))
+    assert f'<support num="{count}" den="{size}">{shown}</support>' in repo_path.read_text()
+    status, out = run(["query", "--repo", str(repo_path), "--pick", "1",
+                       "--var", "parser=ASTParser", "parser.setKind(0);"], capsys)
+    assert status == 0
+    row = next(line for line in out.splitlines() if line.startswith("1 "))
+    assert row.split()[2:5] == [shown, "1.00", shown]
+
+
+def test_query_time_includes_store_parse(corpus, tmp_path, capsys, monkeypatch):
+    import time
+
+    import esdp.cli
+
+    repo_path = tmp_path / "out.xml"
+    run(["mine", "--corpus", str(corpus), "--repo", str(repo_path)], capsys)
+
+    def slow_parse(data):
+        time.sleep(0.05)
+        return parse(data)
+
+    monkeypatch.setattr(esdp.cli, "parse", slow_parse)
+    status, out = run(["query", "--repo", str(repo_path), "--pick", "1", "--time",
+                       "--var", "parser=ASTParser", "parser.setKind(0);"], capsys)
+    assert status == 0
+    shown = next(line for line in out.splitlines() if line.startswith("query time:"))
+    assert float(shown.split()[2]) >= 50.0
+
+
+@pytest.mark.parametrize("failing", ["serialize", "replace"])
+def test_failed_update_leaves_store_whole(corpus, tmp_path, capsys, monkeypatch, failing):
+    import esdp.cli
+
+    (tmp_path / "store").mkdir()
+    repo_path = tmp_path / "store" / "store.xml"
+    run(["mine", "--corpus", str(corpus), "--min-support", "3", "--repo", str(repo_path)],
+        capsys)
+    before = repo_path.read_bytes()
+
+    def fail(*args):
+        raise OSError(f"{failing} failed")
+
+    if failing == "serialize":
+        monkeypatch.setattr(esdp.cli, "serialize", fail)
+    else:
+        monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match=failing):
+        main(["update", "--corpus", str(corpus), "--min-support", "2", "--repo", str(repo_path)])
+    assert repo_path.read_bytes() == before
+    assert [p.name for p in repo_path.parent.iterdir()] == ["store.xml"]
+
+
+def test_control_character_in_label_is_refused(corpus, tmp_path, capsys):
+    repo_path = tmp_path / "out.xml"
+    status, out = run(["mine", "--corpus", str(corpus), "--repo", str(repo_path),
+                       "--corpus-label", "team\tA"], capsys)
+    assert status == 1
+    assert "control character" in out
+    assert not repo_path.exists()

@@ -2,11 +2,15 @@ from __future__ import annotations
 
 import random
 import re
+from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_sequence_db
+from esdp.items import ItemKind
 from esdp.mining import SequentialPattern, mine_prefixspan
 from esdp.repository import (
     MinedRepository,
@@ -15,6 +19,7 @@ from esdp.repository import (
     merge_update,
     parse,
     serialize,
+    two_dp,
 )
 
 FIG35_ELEMENTS = (
@@ -72,6 +77,15 @@ def test_round_trip_identities():
         assert serialize(back) == data
 
 
+@given(st.integers(0, 10**9), st.integers(1, 10**9))
+@example(1, 8)  # 0.125 -> 0.13, where a binary float rounds to 0.12
+@example(30, 2000)
+@example(1, 200)
+def test_two_dp_rounds_exact_value_half_up(num, den):
+    exact = Decimal(num) / Decimal(den)  # 28 digits: far finer than 1/(200 * den)
+    assert two_dp(num, den) == str(exact.quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
+
+
 def test_parse_minimal_hand_written_document():
     doc = b"""<esdp-repository version="1" corpus="hand" created="2020-01-01T00:00:00Z" min-support="1">
   <patterns>
@@ -110,6 +124,128 @@ def test_violation_carries_element_path():
     with pytest.raises(SchemaViolation) as err:
         parse(bad.encode())
     assert err.value.path.startswith("/esdp-repository/patterns/pattern[1]")
+
+
+@pytest.mark.parametrize("rewrite,path", [
+    (lambda d: d.replace(b"\n", b"\r\n"), "/esdp-repository"),
+    (lambda d: re.sub(rb"(?m)^( +)", rb"\1\1", d), "/esdp-repository/patterns"),
+    (lambda d: d.replace(b"\n  ", b"\n\t"), "/esdp-repository/patterns"),
+    (lambda d: d.replace(b'num="7"', b'num="07"', 1),
+     "/esdp-repository/patterns/pattern[1]/support"),
+    (lambda d: d.replace(b'min-support="2"', b'min-support="02"'), "/esdp-repository"),
+    (lambda d: d.replace(b'<s i="2"', b'<s i="02"'),
+     "/esdp-repository/patterns/pattern[1]/sequence/s[2]"),
+    (lambda d: d + b"\n", "/esdp-repository"),
+    (lambda d: d[:-1], "/esdp-repository"),
+    (lambda d: d[:d.index(b"</s>") + 4], "/esdp-repository"),
+])
+def test_non_canonical_layout_rejected_with_path(rewrite, path):
+    doc = serialize(make_repository([fig35_pattern()], "fixture", "t", 2))
+    bad = rewrite(doc)
+    assert bad != doc
+    with pytest.raises(SchemaViolation) as err:
+        parse(bad)
+    assert err.value.path == path
+
+
+def test_only_canonical_escapes_and_unpadded_names_accepted():
+    repo = make_repository([pattern_of(['a<b>&"c\'()'])], 'x&"<>y\'')
+    doc = serialize(repo).decode()
+    assert 'corpus="x&amp;&quot;&lt;&gt;y\'"' in doc
+    item = '>a&lt;b&gt;&amp;"c\'()</s>'
+    assert item in doc
+    assert parse(doc.encode()) == repo
+    for bad in ('>a&lt;b&gt;&amp;&quot;c\'()</s>', ">a&#60;b&gt;&amp;\"c'()</s>",
+                ">a<b&gt;&amp;\"c'()</s>", ">a&lt;b>&amp;\"c'()</s>",
+                ">a&lt;b&gt;&\"c'()</s>", ">a&lt;b&gt;&amp;\"c&apos;()</s>",
+                "> a&lt;b&gt;&amp;\"c'()</s>", ">a&lt;b&gt;&amp;\"c'()\t</s>", ">   </s>"):
+        with pytest.raises(SchemaViolation) as err:
+            parse(doc.replace(item, bad).encode())
+        assert err.value.path == "/esdp-repository/patterns/pattern[1]/sequence/s[1]"
+
+
+@pytest.mark.parametrize("pattern,canonical,altered", [
+    # a 1-item pattern has confidence count/count
+    (pattern_of(["x()"], count=2, size=4), 'num="2" den="2">1.00', 'num="2" den="3">0.67'),
+    # the confidence numerator restates the support count
+    (fig35_pattern(), 'num="7" den="7">1.00', 'num="6" den="6">1.00'),
+])
+def test_confidence_fraction_checked(pattern, canonical, altered):
+    doc = serialize(make_repository([pattern])).decode()
+    assert f"<confidence {canonical}</confidence>" in doc
+    with pytest.raises(SchemaViolation) as err:
+        parse(doc.replace(canonical, altered).encode())
+    assert err.value.path == "/esdp-repository/patterns/pattern[1]/confidence"
+
+
+# --- properties ----------------------------------------------------------------------
+
+_CHARS = st.one_of(st.sampled_from('&<>"\' é漢'),
+                   st.characters(blacklist_categories=("Cs", "Cc")))
+_NAMES = st.text(_CHARS, min_size=1, max_size=10).map(str.strip).filter(bool)
+_LABELS = st.text(_CHARS, max_size=10)
+
+
+@st.composite
+def repositories(draw) -> MinedRepository:
+    size = draw(st.integers(1, 500))
+    element_lists = draw(st.lists(
+        st.lists(st.tuples(st.sampled_from([k.value for k in ItemKind]), _NAMES),
+                 min_size=1, max_size=4).map(tuple),
+        max_size=5, unique=True))
+    patterns = []
+    for elements in element_lists:
+        count = draw(st.integers(1, size))
+        ratio = Fraction(count, size)
+        confidence = (Fraction(1) if len(elements) == 1
+                      else Fraction(count, draw(st.integers(count, size))))
+        patterns.append(SequentialPattern(elements, count, ratio, confidence,
+                                          len(elements) * ratio))
+    return MinedRepository(tuple(patterns), draw(_LABELS), draw(_LABELS),
+                           draw(st.integers(1, 10**6)))
+
+
+def _accepted_only_if_canonical(data: bytes) -> None:
+    try:
+        repo = parse(data)
+    except SchemaViolation:
+        return
+    assert serialize(repo) == data
+
+
+@settings(max_examples=100, deadline=None)
+@given(repositories())
+def test_parse_inverts_serialize(repo):
+    assert parse(serialize(repo)) == repo
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.binary(max_size=400))
+def test_arbitrary_bytes_rejected_or_canonical(data):
+    _accepted_only_if_canonical(data)
+
+
+_EDITS = st.lists(st.tuples(st.sampled_from(["replace", "insert", "delete", "truncate"]),
+                           st.integers(0, 10**6), st.integers(0, 255)), min_size=1, max_size=25)
+
+
+@settings(max_examples=150, deadline=None)
+@given(repositories(), _EDITS)
+def test_single_byte_edits_rejected_or_canonical(repo, edits):
+    doc = serialize(repo)
+    for edit, pos, byte in edits:
+        if edit == "insert":
+            pos %= len(doc) + 1
+            mutant = doc[:pos] + bytes([byte]) + doc[pos:]
+        elif edit == "replace":
+            pos %= len(doc)
+            mutant = doc[:pos] + bytes([byte]) + doc[pos + 1:]
+        elif edit == "delete":
+            pos %= len(doc)
+            mutant = doc[:pos] + doc[pos + 1:]
+        else:
+            mutant = doc[:pos % len(doc)]
+        _accepted_only_if_canonical(mutant)
 
 
 def test_merge_with_nothing_is_identity():
@@ -154,32 +290,6 @@ def test_sorted_by_ranking_after_every_operation():
         merged = merge_update(repo, [pattern_of(["fresh()"], count=1, size=9)])
         rankings = [p.ranking for p in merged.patterns]
         assert rankings == sorted(rankings, reverse=True)
-
-
-def test_transaction_document_round_trip(fixture_corpus):
-    from esdp.extractor import extract_corpus
-    from esdp.repository import parse_transactions, serialize_transactions
-    from esdp.transactions import build_transactions
-
-    items, _ = extract_corpus([fixture_corpus])
-    records = build_transactions(items, "method")
-    data = serialize_transactions(records, "fixture", "2020-01-01T00:00:00Z")
-    assert b"<transaction block=" in data
-    back = parse_transactions(data)
-    assert back == records
-    assert serialize_transactions(back, "fixture", "2020-01-01T00:00:00Z") == data
-
-
-def test_transaction_document_rejects_bad_kind(fixture_corpus):
-    from esdp.extractor import extract_corpus
-    from esdp.repository import parse_transactions, serialize_transactions
-    from esdp.transactions import build_transactions
-
-    items, _ = extract_corpus([fixture_corpus])
-    records = build_transactions(items, "class")
-    doc = serialize_transactions(records).decode()
-    with pytest.raises(SchemaViolation):
-        parse_transactions(doc.replace('kind="MI"', 'kind="XX"', 1).encode())
 
 
 # --- mutation fuzzing ------------------------------------------------------------
