@@ -43,7 +43,6 @@ _DOMAIN_ERRORS = (
     UnparsableQuery,
     SchemaViolation,
     InvalidThreshold,
-    groum_mod.InvalidThreshold,
     groum_mod.MalformedControlNesting,
     metrics.UndefinedMetric,
     metrics.DegenerateLabels,
@@ -116,19 +115,21 @@ def _cmd_extract(config: RunConfig) -> str:
 
 
 def _mine_patterns(config: RunConfig):
+    """(patterns, the min-support they were mined at, sequence database)."""
     _require_corpus(config)
     items, _ = extract_corpus(config.corpus_dirs, config.ext)
     db = build_sequence_db(items, corpus_label=config.corpus_label)
     if config.adaptive:
-        return adaptive_mine(db, config.max_patterns), db
-    return mine_prefixspan(db, config.min_support), db
+        patterns = adaptive_mine(db, config.max_patterns)
+        return patterns, patterns.min_support, db
+    return mine_prefixspan(db, config.min_support), config.min_support, db
 
 
 def _cmd_mine(config: RunConfig) -> str:
-    patterns, db = _mine_patterns(config)
+    patterns, min_support, db = _mine_patterns(config)
     label = config.corpus_label or ";".join(config.corpus_dirs)
     repo = make_repository(patterns, corpus_label=label, created_at=_created_stamp(),
-                           min_support_used=config.min_support)
+                           min_support_used=min_support)
     path = config.resolved_repo_path()
     _write_atomic(path, serialize(repo))
     return (f"mined {len(repo.patterns)} patterns from {len(db.records)} "
@@ -138,9 +139,9 @@ def _cmd_mine(config: RunConfig) -> str:
 def _cmd_update(config: RunConfig) -> str:
     path = config.resolved_repo_path()
     existing = parse(Path(path).read_bytes())
-    patterns, db = _mine_patterns(config)
+    patterns, min_support, db = _mine_patterns(config)
     repo = merge_update(existing, patterns, created_at=_created_stamp(),
-                        min_support_used=config.min_support)
+                        min_support_used=min_support)
     _write_atomic(path, serialize(repo))
     return (f"updated {path}: {len(existing.patterns)} -> {len(repo.patterns)} patterns "
             f"({len(db.records)} fresh method sequences)")

@@ -3,26 +3,23 @@
 A groum is a labeled DAG built from one method's action items (calls,
 creations, field writes) and control regions. Mining grows patterns one
 node at a time by extending every stored occurrence with an adjacent node
-of a frequent label, groups the candidates into isomorphism classes
-(structural vector prefilter, exact backtracking check), and keeps classes
-whose independent-occurrence frequency reaches the threshold.
+of a frequent label, groups the candidates into isomorphism classes by one
+canonical key (colour refinement, then the smallest edge list over the
+orders the refinement leaves open), and keeps classes whose
+independent-occurrence frequency reaches the threshold.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import chain, groupby, permutations, product
 from typing import Iterable, Sequence
 
 from .items import ControlMarker, ItemKind, MarkerKind, SourceItem, simple_name
+from .mining import InvalidThreshold
 
 
 class MalformedControlNesting(Exception):
-    pass
-
-
-class InvalidThreshold(Exception):
     pass
 
 
@@ -175,26 +172,7 @@ def build_groums_for_methods(items: Sequence[SourceItem],
     return groums
 
 
-# --- structural vectors and isomorphism ------------------------------------------
-
-def exas_vector(g: Groum, node_ids: Iterable[int] | None = None) -> Counter:
-    """Multiset of label paths of length <= 2: single labels plus the
-    (from,to) label pair of every edge. Equal vectors are necessary for
-    label-isomorphism."""
-    if node_ids is None:
-        labels = {n.id: n.label for n in g.nodes}
-        edges = g.edges
-    else:
-        keep = set(node_ids)
-        labels = {n.id: n.label for n in g.nodes if n.id in keep}
-        edges = {(a, b) for a, b in g.edges if a in keep and b in keep}
-    vec: Counter = Counter()
-    for label in labels.values():
-        vec[(label,)] += 1
-    for a, b in edges:
-        vec[(labels[a], labels[b])] += 1
-    return vec
-
+# --- canonical form ----------------------------------------------------------------
 
 def induced_subgraph(g: Groum, node_ids: Iterable[int]) -> Groum:
     keep = sorted(set(node_ids))
@@ -206,95 +184,48 @@ def induced_subgraph(g: Groum, node_ids: Iterable[int]) -> Groum:
     return Groum(nodes, edges, origin=g.origin)
 
 
-def label_isomorphic(g1: Groum, g2: Groum) -> bool:
-    """Exact check: some node bijection preserves labels and edges both ways.
-    The structural vector is only a prefilter."""
-    if len(g1.nodes) != len(g2.nodes) or len(g1.edges) != len(g2.edges):
-        return False
-    if exas_vector(g1) != exas_vector(g2):
-        return False
-    n = len(g1.nodes)
-    adj1 = {(a, b) for a, b in g1.edges}
-    adj2 = {(a, b) for a, b in g2.edges}
-    deg1 = _degree_profile(g1)
-    deg2 = _degree_profile(g2)
-    candidates = [
-        [m.id for m in g2.nodes if m.label == node.label and deg2[m.id] == deg1[node.id]]
-        for node in g1.nodes
-    ]
-    mapping: dict[int, int] = {}
-    used: set[int] = set()
-
-    def backtrack(i: int) -> bool:
-        if i == n:
-            return True
-        a = g1.nodes[i].id
-        for b in candidates[i]:
-            if b in used:
-                continue
-            ok = True
-            for a2, b2 in mapping.items():
-                if ((a, a2) in adj1) != ((b, b2) in adj2) or \
-                   ((a2, a) in adj1) != ((b2, b) in adj2):
-                    ok = False
-                    break
-            if ok:
-                mapping[a] = b
-                used.add(b)
-                if backtrack(i + 1):
-                    return True
-                del mapping[a]
-                used.discard(b)
-        return False
-
-    return backtrack(0)
-
-
-def _degree_profile(g: Groum) -> dict[int, tuple[int, int]]:
-    indeg = Counter(b for _, b in g.edges)
-    outdeg = Counter(a for a, _ in g.edges)
-    return {n.id: (indeg[n.id], outdeg[n.id]) for n in g.nodes}
-
-
 def canonical_form(g: Groum) -> tuple:
-    """Order-independent encoding: equal forms iff label-isomorphic.
+    """Order-independent key: equal keys iff the graphs are label-isomorphic."""
+    return _canonical_key({n.id: n.label for n in g.nodes}, g.edges)
 
-    Nodes are partitioned by (label, in-degree, out-degree); the minimum
-    serialized adjacency over permutations within the partition cells is
-    the canonical key. Cells stay tiny for desk-scale patterns.
+
+def _canonical_key(labels: dict[int, str], edges: Iterable[tuple[int, int]]) -> tuple:
+    """Canonical key of the graph with these node labels and edges.
+
+    Colour refinement: nodes start coloured by label; each round recolours a
+    node by its colour and the sorted colours of its out- and in-neighbours,
+    until no cell splits. Colours are ranks of sorted signatures, so they do
+    not depend on node ids and their order refines the label order. Node
+    orders that permute only within the remaining cells are tried; the key
+    is the labels in that order and the smallest sorted edge tuple.
     """
-    deg = _degree_profile(g)
-    keyed = sorted(g.nodes, key=lambda n: (n.label, deg[n.id]))
-    cells: list[list[int]] = []
-    for node in keyed:
-        key = (node.label, deg[node.id])
-        if cells and _cell_key(g, cells[-1][0], deg) == key:
-            cells[-1].append(node.id)
-        else:
-            cells.append([node.id])
+    edges = list(edges)
+    succ: dict[int, list[int]] = {v: [] for v in labels}
+    pred: dict[int, list[int]] = {v: [] for v in labels}
+    for a, b in edges:
+        succ[a].append(b)
+        pred[b].append(a)
+    colour: dict[int, object] = dict(labels)
+    cells = len(set(labels.values()))
+    while cells < len(labels):
+        signature = {v: (c, tuple(sorted(colour[w] for w in succ[v])),
+                         tuple(sorted(colour[w] for w in pred[v])))
+                     for v, c in colour.items()}
+        distinct = sorted(set(signature.values()))
+        if len(distinct) == cells:
+            break
+        rank = {sig: i for i, sig in enumerate(distinct)}
+        colour = {v: rank[sig] for v, sig in signature.items()}
+        cells = len(distinct)
+    ordered = sorted(labels, key=colour.__getitem__)
+    groups = [tuple(cell) for _, cell in groupby(ordered, key=colour.__getitem__)]
     best: tuple | None = None
-    for ordering in _cell_orderings(cells):
-        remap = {old: new for new, old in enumerate(ordering)}
-        edges = tuple(sorted((remap[a], remap[b]) for a, b in g.edges))
-        if best is None or edges < best:
-            best = edges
-    labels = tuple(sorted((n.label, deg[n.id]) for n in g.nodes))
-    return (labels, best)
-
-
-def _cell_key(g: Groum, node_id: int, deg) -> tuple:
-    node = next(n for n in g.nodes if n.id == node_id)
-    return (node.label, deg[node_id])
-
-
-def _cell_orderings(cells: list[list[int]]):
-    if not cells:
-        yield []
-        return
-    head, rest = cells[0], cells[1:]
-    for perm in permutations(head):
-        for tail in _cell_orderings(rest):
-            yield list(perm) + tail
+    for parts in product(*(permutations(cell) for cell in groups)):
+        position = {v: i for i, v in enumerate(chain.from_iterable(parts))}
+        key = tuple(sorted((position[a], position[b]) for a, b in edges))
+        if best is None or key < best:
+            best = key
+    return (tuple(labels[v] for v in ordered), best)
 
 
 # --- frequency: maximum independent occurrences ----------------------------------
@@ -324,16 +255,18 @@ def independent_occurrence_count(occurrences: Sequence[frozenset[int]],
             if occs[i] & occs[j]:
                 conflict[i] |= 1 << j
                 conflict[j] |= 1 << i
+    return _max_independent((1 << n) - 1, conflict), True
 
-    def mis(remaining: int) -> int:
-        if remaining == 0:
-            return 0
-        v = (remaining & -remaining).bit_length() - 1
-        without = mis(remaining & ~(1 << v))
-        with_v = 1 + mis(remaining & ~(conflict[v] | (1 << v)))
-        return max(without, with_v)
 
-    return mis((1 << n) - 1), True
+def _max_independent(remaining: int, conflict: list[int]) -> int:
+    """Largest independent set among the bits of remaining; conflict[v] holds
+    the bits of the occurrences that share a node with occurrence v."""
+    if remaining == 0:
+        return 0
+    v = (remaining & -remaining).bit_length() - 1
+    without = _max_independent(remaining & ~(1 << v), conflict)
+    with_v = 1 + _max_independent(remaining & ~(conflict[v] | (1 << v)), conflict)
+    return max(without, with_v)
 
 
 def frequency(occurrences_per_graph: dict[int, Sequence[frozenset[int]]],
@@ -350,105 +283,108 @@ def frequency(occurrences_per_graph: dict[int, Sequence[frozenset[int]]],
 
 # --- pattern exploration -----------------------------------------------------------
 
+@dataclass(frozen=True)
+class _Host:
+    """One dataset graph with the lookups growth needs, built once per call."""
+    graph: Groum
+    labels: dict[int, str]
+    neighbors: dict[int, set[int]]  # both edge directions
+    successors: dict[int, list[int]]
+
+    @classmethod
+    def of(cls, g: Groum) -> "_Host":
+        neighbors: dict[int, set[int]] = {n.id: set() for n in g.nodes}
+        successors: dict[int, list[int]] = {n.id: [] for n in g.nodes}
+        for a, b in g.edges:
+            neighbors[a].add(b)
+            neighbors[b].add(a)
+            successors[a].append(b)
+        return cls(g, {n.id: n.label for n in g.nodes}, neighbors, successors)
+
+
 def patt_explorer(dataset: Sequence[Groum], sigma: int) -> list[GroumPattern]:
     """All frequent induced-subgraph patterns of the dataset.
 
     Growth is seeded with the frequent single-label patterns; each pattern's
     full occurrence set is extended by every adjacent node carrying a
-    frequent label, candidates are partitioned into isomorphism classes and
-    classes meeting the threshold recurse. Output is deduplicated by
-    canonical form and ordered by (size, canonical form).
+    frequent label, candidates are partitioned into isomorphism classes by
+    canonical key and classes meeting the threshold recurse. Output holds
+    one pattern per canonical key, ordered by (size, canonical key).
     """
     if sigma < 1:
         raise InvalidThreshold(f"sigma must be >= 1, got {sigma}")
-    dataset = list(dataset)
-    if not dataset:
+    hosts = [_Host.of(g) for g in dataset]
+    if not hosts:
         return []
-
-    neighbors: list[dict[int, set[int]]] = []
-    for g in dataset:
-        adj: dict[int, set[int]] = {n.id: set() for n in g.nodes}
-        for a, b in g.edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        neighbors.append(adj)
 
     # size-1 patterns: distinct single nodes are always disjoint
     unit_occs: dict[str, dict[int, list[frozenset[int]]]] = {}
-    for gi, g in enumerate(dataset):
-        for node in g.nodes:
+    for gi, host in enumerate(hosts):
+        for node in host.graph.nodes:
             unit_occs.setdefault(node.label, {}).setdefault(gi, []).append(
                 frozenset([node.id]))
-    frequent_labels: dict[str, dict[int, list[frozenset[int]]]] = {}
-    results: list[GroumPattern] = []
     explored: dict[tuple, GroumPattern] = {}
+    frequent: set[str] = set()
     for label in sorted(unit_occs):
         occs = unit_occs[label]
         freq = sum(len(v) for v in occs.values())
         if freq >= sigma:
             gi = min(occs)
-            rep = induced_subgraph(dataset[gi], next(iter(occs[gi])))
-            pattern = GroumPattern(rep, occs, freq, 1, True)
-            frequent_labels[label] = occs
-            explored[canonical_form(rep)] = pattern
-            results.append(pattern)
+            rep = induced_subgraph(hosts[gi].graph, next(iter(occs[gi])))
+            explored[canonical_form(rep)] = GroumPattern(rep, occs, freq, 1, True)
+            frequent.add(label)
+    for pattern in list(explored.values()):
+        _explore(pattern, hosts, frequent, sigma, explored)
+    return [p for _, p in sorted(explored.items(), key=lambda kv: (kv[1].size, kv[0]))]
 
-    def explore(pattern: GroumPattern) -> None:
-        for label in sorted(frequent_labels):
-            # P (+) U: every occurrence X extended by an adjacent node Y of
-            # the unit label, with all connecting edges (induced extension)
-            candidates: dict[int, set[frozenset[int]]] = {}
-            for gi, occs in pattern.occurrences.items():
-                g = dataset[gi]
-                node_labels = {n.id: n.label for n in g.nodes}
-                for occ in occs:
-                    adjacent: set[int] = set()
-                    for v in occ:
-                        adjacent |= neighbors[gi][v]
-                    for y in adjacent - occ:
-                        if node_labels[y] == label:
-                            candidates.setdefault(gi, set()).add(occ | {y})
-            if not candidates:
+
+def _explore(pattern: GroumPattern, hosts: Sequence[_Host], frequent: set[str],
+             sigma: int, explored: dict[tuple, GroumPattern]) -> None:
+    """Grow pattern depth first, labels in sorted order, adding every new
+    frequent class to explored under its canonical key."""
+    # P (+) U for every frequent label U at once: each occurrence X extended
+    # by an adjacent node Y of that label, with all connecting edges
+    # (induced extension)
+    extensions: dict[str, dict[int, set[frozenset[int]]]] = {}
+    for gi, occs in pattern.occurrences.items():
+        host = hosts[gi]
+        for occ in occs:
+            adjacent: set[int] = set()
+            for v in occ:
+                adjacent |= host.neighbors[v]
+            for y in adjacent - occ:
+                label = host.labels[y]
+                if label in frequent:
+                    extensions.setdefault(label, {}).setdefault(gi, set()).add(occ | {y})
+    for label in sorted(extensions):
+        for key, occurrences in _isomorphism_classes(hosts, extensions[label]):
+            if key in explored:
                 continue
-            for cls in _isomorphism_classes(dataset, candidates):
-                freq, exact = frequency(cls.occurrences)
-                if freq < sigma:
-                    continue
-                cls.frequency = freq
-                cls.frequency_is_exact = exact
-                key = canonical_form(cls.representative)
-                if key in explored:
-                    continue
-                explored[key] = cls
-                results.append(cls)
-                explore(cls)
-
-    for pattern in list(results):
-        explore(pattern)
-
-    results.sort(key=lambda p: (p.size, canonical_form(p.representative)))
-    return results
+            freq, exact = frequency(occurrences)
+            if freq < sigma:
+                continue
+            gi = next(iter(occurrences))
+            rep = induced_subgraph(hosts[gi].graph, occurrences[gi][0])
+            cls = GroumPattern(rep, occurrences, freq, len(rep.nodes), exact)
+            explored[key] = cls
+            _explore(cls, hosts, frequent, sigma, explored)
 
 
-def _isomorphism_classes(dataset: Sequence[Groum],
+def _isomorphism_classes(hosts: Sequence[_Host],
                          candidates: dict[int, set[frozenset[int]]],
-                         ) -> list[GroumPattern]:
-    """Partition candidate subgraphs into label-isomorphism classes."""
-    classes: list[tuple[Counter, Groum, dict[int, list[frozenset[int]]]]] = []
+                         ) -> list[tuple[tuple, dict[int, list[frozenset[int]]]]]:
+    """Partition candidate subgraphs into label-isomorphism classes: each
+    canonical key with its occurrences, in first-seen order over sorted
+    graph indexes and sorted node sets. The first occurrence of a class is
+    its representative."""
+    classes: dict[tuple, dict[int, list[frozenset[int]]]] = {}
     for gi in sorted(candidates):
+        host = hosts[gi]
         for occ in sorted(candidates[gi], key=sorted):
-            sub = induced_subgraph(dataset[gi], occ)
-            vec = exas_vector(sub)
-            for cvec, crep, coccs in classes:
-                if cvec == vec and label_isomorphic(crep, sub):
-                    coccs.setdefault(gi, []).append(occ)
-                    break
-            else:
-                classes.append((vec, sub, {gi: [occ]}))
-    return [
-        GroumPattern(rep, occs, 0, len(rep.nodes), True)
-        for _, rep, occs in classes
-    ]
+            key = _canonical_key({v: host.labels[v] for v in occ},
+                                 [(a, b) for a in occ for b in host.successors[a] if b in occ])
+            classes.setdefault(key, {}).setdefault(gi, []).append(occ)
+    return list(classes.items())
 
 
 # --- reporting -----------------------------------------------------------------

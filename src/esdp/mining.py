@@ -108,21 +108,31 @@ def mine_prefixspan(db: SequenceDatabase, min_support: int) -> list[SequentialPa
     return _build_patterns(raw, alphabet, len(records))
 
 
-def adaptive_mine(db: SequenceDatabase, max_patterns: int = 50) -> list[SequentialPattern]:
+class AdaptivePatterns(list):
+    """The patterns adaptive_mine kept, in ranking order, and the min-support
+    they were mined at. A list, so callers that iterate or count the
+    patterns read it as before."""
+
+    def __init__(self, patterns: Iterable[SequentialPattern], min_support: int):
+        super().__init__(patterns)
+        self.min_support = min_support
+
+
+def adaptive_mine(db: SequenceDatabase, max_patterns: int = 50) -> AdaptivePatterns:
     """Mine at the smallest min_support whose result fits under max_patterns;
     if no threshold fits, the top max_patterns by ranking at the largest."""
     if max_patterns < 1:
         raise InvalidThreshold(f"max_patterns must be >= 1, got {max_patterns}")
     if not db.records:
-        return []
+        return AdaptivePatterns([], 1)
     records, _, alphabet = _encode(db)
     n = len(records)
     for m in range(1, n + 1):
         raw, exceeded = kernels.prefixspan(records, m, cap=max_patterns)
         if not exceeded:
-            return _build_patterns(raw, alphabet, n)
+            return AdaptivePatterns(_build_patterns(raw, alphabet, n), m)
     raw, _ = kernels.prefixspan(records, n)
-    return _build_patterns(raw, alphabet, n)[:max_patterns]
+    return AdaptivePatterns(_build_patterns(raw, alphabet, n)[:max_patterns], n)
 
 
 def score(p: SequentialPattern, db: SequenceDatabase,

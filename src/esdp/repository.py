@@ -87,11 +87,15 @@ def serialize(repo: MinedRepository) -> bytes:
     """Canonical document bytes: UTF-8, LF, 2-space indent, fixed attribute order.
 
     ValueError when the corpus label or the creation stamp holds a control
-    character, which the reader refuses.
+    character, or an item name is empty, padded with whitespace or holds a
+    control character other than tab: the reader refuses each of these.
     """
     for value in (repo.corpus_label, repo.created_at):
         if re.fullmatch(_ATTR, _esc_attr(value)) is None:
             raise ValueError(f"repository metadata {value!r} holds a control character")
+    for name in {name for p in repo.patterns for _, name in p.elements}:
+        if re.fullmatch(_NAME, _esc(name)) is None or name.strip() != name:
+            raise ValueError(f"item name {name!r} is blank, padded or holds a control character")
     out: list[str] = []
     out.append(
         f'<esdp-repository version="1" corpus="{_esc_attr(repo.corpus_label)}"'

@@ -35,6 +35,18 @@ def test_mine_writes_fig35_shaped_repo(corpus, tmp_path, capsys):
     assert "<ranking>2.92</ranking>" in text
 
 
+def test_adaptive_mine_records_threshold_used(corpus, tmp_path, capsys):
+    repo_path = tmp_path / "out.xml"
+    status, _ = run(["mine", "--corpus", str(corpus), "--adaptive",
+                     "--repo", str(repo_path)], capsys)
+    assert status == 0
+    repo = parse(repo_path.read_bytes())
+    # the fixture has 63 patterns at min-support 5 and 31 at 6 and 7
+    assert repo.min_support_used == 6
+    assert len(repo.patterns) == 31
+    assert min(p.support_count for p in repo.patterns) >= repo.min_support_used
+
+
 def test_query_table_and_skeleton(corpus, tmp_path, capsys):
     repo_path = tmp_path / "out.xml"
     run(["mine", "--corpus", str(corpus), "--repo", str(repo_path)], capsys)

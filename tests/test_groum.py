@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import gc
 import random
+import signal
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from esdp.extractor import extract_items
+from esdp.extractor import extract_corpus, extract_items
 from esdp.groum import (
     Groum,
     GroumNode,
@@ -14,11 +18,9 @@ from esdp.groum import (
     build_groums_for_methods,
     canonical_form,
     dump_groum,
-    exas_vector,
     frequency,
     independent_occurrence_count,
     induced_subgraph,
-    label_isomorphic,
     patt_explorer,
 )
 from esdp.items import ControlMarker, ItemKind, MarkerKind, SourceItem
@@ -105,35 +107,25 @@ def test_groum_is_acyclic():
         assert all(a < b for a, b in g.edges)
 
 
-def test_exas_single_node():
-    g = graph_of(["A.m"], set())
-    assert dict(exas_vector(g)) == {("A.m",): 1}
-
-
-def test_exas_single_edge():
-    g = graph_of(["a", "b"], {(0, 1)})
-    assert dict(exas_vector(g)) == {("a",): 1, ("b",): 1, ("a", "b"): 1}
-
-
-def test_exas_separates_same_label_multiset():
+def test_canonical_form_separates_same_label_multiset():
     g1 = graph_of(["a", "a", "b"], {(0, 2)})  # a->b
     g2 = graph_of(["a", "a", "b"], {(0, 1)})  # a->a
-    assert exas_vector(g1) != exas_vector(g2)
-    assert not label_isomorphic(g1, g2)
+    assert canonical_form(g1) != canonical_form(g2)
+    assert not iso_brute(g1, g2)
 
 
-def test_exas_equal_for_isomorphic_graphs():
+def test_canonical_form_equal_for_relabelled_chain():
     g1 = graph_of(["a", "b", "c", "b"], {(0, 1), (1, 2), (2, 3)})
     g2 = graph_of(["b", "a", "b", "c"], {(1, 0), (0, 3), (3, 2)})
-    assert label_isomorphic(g1, g2)
-    assert exas_vector(g1) == exas_vector(g2)
+    assert iso_brute(g1, g2)
+    assert canonical_form(g1) == canonical_form(g2)
 
 
 def test_isomorphism_trivial_cases():
     g = graph_of(["a", "b"], {(0, 1)})
-    assert label_isomorphic(g, g)
+    assert canonical_form(g) == canonical_form(graph_of(["a", "b"], {(0, 1)}))
     reversed_edge = graph_of(["a", "b"], {(1, 0)})
-    assert not label_isomorphic(g, reversed_edge)
+    assert canonical_form(g) != canonical_form(reversed_edge)
 
 
 def test_isomorphism_agrees_with_brute_force():
@@ -141,10 +133,7 @@ def test_isomorphism_agrees_with_brute_force():
     for _ in range(120):
         g1 = random_groum(rng)
         g2 = random_groum(rng)
-        assert label_isomorphic(g1, g2) == iso_brute(g1, g2)
-        # vector soundness: isomorphic implies equal vectors
-        if label_isomorphic(g1, g2):
-            assert exas_vector(g1) == exas_vector(g2)
+        assert (canonical_form(g1) == canonical_form(g2)) == iso_brute(g1, g2)
 
 
 def test_canonical_form_matches_isomorphism():
@@ -152,7 +141,34 @@ def test_canonical_form_matches_isomorphism():
     graphs = [random_groum(rng, max_nodes=4) for _ in range(40)]
     for i, g1 in enumerate(graphs):
         for g2 in graphs[i + 1:]:
-            assert (canonical_form(g1) == canonical_form(g2)) == label_isomorphic(g1, g2)
+            assert (canonical_form(g1) == canonical_form(g2)) == iso_brute(g1, g2)
+
+
+@st.composite
+def digraphs(draw, max_nodes=6):
+    """Labelled digraphs, not only DAGs: any edge but self-loops."""
+    n = draw(st.integers(1, max_nodes))
+    labels = draw(st.lists(st.sampled_from("ab"), min_size=n, max_size=n))
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return graph_of(labels, {pair for pair, kept in zip(pairs, keep) if kept})
+
+
+def relabelled(g: Groum, ids: list[int]) -> Groum:
+    """g with node i renamed ids[i] and the nodes listed in a new order."""
+    nodes = tuple(GroumNode(ids[n.id], n.label, n.role) for n in reversed(g.nodes))
+    return Groum(nodes, frozenset((ids[a], ids[b]) for a, b in g.edges), g.origin)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_canonical_form_property(data):
+    g1 = data.draw(digraphs())
+    ids = data.draw(st.permutations([10 * i + 3 for i in range(len(g1.nodes))]))
+    copy = relabelled(g1, ids)
+    assert canonical_form(copy) == canonical_form(g1)
+    g2 = data.draw(st.one_of(st.just(copy), digraphs()))
+    assert (canonical_form(g1) == canonical_form(g2)) == iso_brute(g1, g2)
 
 
 def test_independent_occurrences_examples():
@@ -193,6 +209,42 @@ def test_patt_explorer_sigma_beyond_total_nodes():
     assert patt_explorer(dataset, 3) == []
 
 
+def test_patt_explorer_sixteen_identical_chains():
+    # the 14 inner nodes share label, in- and out-degree; refinement splits
+    # them into single nodes, so one node order is tried, not 14!
+    chain = graph_of(["StringBuilder.append"] * 16, {(i, i + 1) for i in range(15)})
+
+    def too_slow(signum, frame):
+        raise TimeoutError("patt_explorer ran over 5 s on two 16-node chains")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(5)
+    try:
+        found = patt_explorer([chain, chain], 2)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert [(p.size, p.frequency, p.frequency_is_exact) for p in found] == [
+        (k, 2 * (16 // k), True) for k in range(1, 17)]
+    for p in found:
+        assert p.representative.edges == frozenset((i, i + 1) for i in range(p.size - 1))
+
+
+def test_patt_explorer_diamond_with_symmetric_middle():
+    # the two middle nodes carry one label and the same neighbours:
+    # refinement cannot split them, so both orders of that cell are tried
+    diamond = graph_of(["a", "m", "m", "d"], {(0, 1), (0, 2), (1, 3), (2, 3)})
+    flipped = graph_of(["m", "d", "a", "m"], {(2, 0), (2, 3), (0, 1), (3, 1)})
+    assert canonical_form(diamond) == canonical_form(flipped)
+    found = patt_explorer([diamond, flipped], 2)
+    expected = exhaustive_groum_patterns([diamond, flipped], 2)
+    assert len(found) == len(expected)
+    for p in found:
+        matches = [f for rep, f in expected if iso_brute(rep, p.representative)]
+        assert matches == [p.frequency]
+    assert {p.size for p in found} == {1, 2, 3, 4}
+
+
 def test_patt_explorer_invalid_threshold():
     with pytest.raises(InvalidThreshold):
         patt_explorer([graph_of(["a"], set())], 0)
@@ -221,6 +273,19 @@ def test_oracle_equivalence_random_sample():
             assert matches == [p.frequency]
 
 
+def test_patt_explorer_leaves_no_garbage_cycles(fixture_corpus):
+    items, markers = extract_corpus([str(fixture_corpus)], ".java")
+    dataset = build_groums_for_methods(items, markers)
+    gc.collect()
+    gc.disable()
+    try:
+        found = patt_explorer(dataset, 2)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert any(p.size > 2 for p in found)
+
+
 def test_every_occurrence_is_induced_subgraph():
     rng = random.Random(43)
     dataset = [random_groum(rng, max_nodes=5) for _ in range(3)]
@@ -228,7 +293,7 @@ def test_every_occurrence_is_induced_subgraph():
         for gi, occs in p.occurrences.items():
             for occ in occs:
                 sub = induced_subgraph(dataset[gi], occ)
-                assert label_isomorphic(sub, p.representative)
+                assert iso_brute(sub, p.representative)
         assert p.frequency == frequency(p.occurrences)[0]
 
 
@@ -251,7 +316,7 @@ def test_growth_soundness():
         for drop in ids:
             keep = frozenset(ids) - {drop}
             sub = induced_subgraph(rep, keep)
-            if any(label_isomorphic(sub, q.representative) for q in smaller):
+            if any(iso_brute(sub, q.representative) for q in smaller):
                 contained = True
                 break
         assert contained

@@ -148,8 +148,10 @@ def test_adaptive_smallest_qualifying_support_property():
         if fitting:
             expected = as_counts(mine_prefixspan(db, min(fitting)))
             assert as_counts(got) == expected
+            assert got.min_support == min(fitting)
         else:
             assert len(got) == cap
+            assert got.min_support == len(db.records)
             full = sorted(mine_prefixspan(db, len(db.records)), key=pattern_sort_key)
             assert [p.elements for p in got] == [p.elements for p in full[:cap]]
 

@@ -164,6 +164,17 @@ def test_only_canonical_escapes_and_unpadded_names_accepted():
         assert err.value.path == "/esdp-repository/patterns/pattern[1]/sequence/s[1]"
 
 
+@pytest.mark.parametrize("name", [" x", "a\nb", "a\x01b"])
+def test_unreadable_item_name_refused_at_write(name):
+    with pytest.raises(ValueError, match="item name"):
+        serialize(make_repository([pattern_of(["ok()", name])]))
+
+
+def test_inner_tab_in_item_name_round_trips():
+    repo = make_repository([pattern_of(["a\tb"])])
+    assert parse(serialize(repo)) == repo
+
+
 @pytest.mark.parametrize("pattern,canonical,altered", [
     # a 1-item pattern has confidence count/count
     (pattern_of(["x()"], count=2, size=4), 'num="2" den="2">1.00', 'num="2" den="3">0.67'),
