@@ -9,8 +9,9 @@ rendered ``c.D``; unknown names are kept as written.
 
 from __future__ import annotations
 
+import functools
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -25,11 +26,13 @@ from .items import (
 
 
 class UnparsableSource(Exception):
-    """Lexical failure or unbalanced braces; never raised for merely
-    unrecognized statement forms."""
+    """Lexical failure, unbalanced braces, nesting beyond MAX_NESTING or a
+    corpus file that is not UTF-8; never raised for merely unrecognized
+    statement forms."""
 
-    def __init__(self, message: str, line: int, column: int):
-        super().__init__(f"{message} at {line}:{column}")
+    def __init__(self, message: str, line: int | None = None, column: int | None = None):
+        super().__init__(message if line is None else f"{message} at {line}:{column}")
+        self.message = message
         self.line = line
         self.column = column
 
@@ -61,109 +64,85 @@ _MULTI_PUNCT = (
     "==", "!=", "<=", ">=", "&&", "||", "++", "--",
     "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "->", "::",
 )
+_SINGLE_PUNCT = "{}()[];,.<>=+-*%!&|^?:@~"  # and '/' when no '*' follows
+
+# Bound on the parse methods active at once (statements, expressions,
+# argument lists, type declarations, array initializers). Each takes at most
+# three Python frames, so deeper input ends in UnparsableSource well before
+# the interpreter's default recursion limit of 1000.
+MAX_NESTING = 200
 
 _CONST_NAME_RE = re.compile(r"^[A-Z][A-Z0-9_]*$")
 _TYPE_START_RE = re.compile(r"^[A-Za-z_$]")
 
+Token = namedtuple("Token", "kind text line col")  # kind: ident | kw | num | str | char | punct | eof
 
-@dataclass
-class Token:
-    kind: str  # ident | kw | num | str | char | punct | eof
-    text: str
-    line: int
-    col: int
+_LEX_ERRORS = {
+    "/*": "unterminated comment",
+    '"': "unterminated string literal",
+    "'": "unterminated char literal",
+}
+
+
+@functools.lru_cache(maxsize=64)
+def _scanner(digits: str, non_digits: str) -> re.Pattern:
+    r"""The master regex, one named group per token class, tried in order.
+
+    Regex ``\w`` is exactly ``str.isalnum`` or '_', and ``\d`` exactly
+    ``str.isdecimal``. A number starts on any ``str.isdigit`` character and
+    an identifier on any ``str.isalpha`` one, so the digits that are not
+    decimal ('²') and the other numeric non-letters ('½') present in the
+    source are named explicitly. ``bad`` catches every other character, so
+    the matches tile the whole source.
+    """
+    digit = rf"[\d{digits}]"
+    return re.compile("|".join((
+        r"(?P<skip>(?:[ \t\r\n]+|//[^\n]*|/\*[\s\S]*?\*/)+)",
+        rf"(?P<ident>(?:[^\W\d{digits}{non_digits}]|\$)[\w$]*)",
+        "(?P<punct>" + "|".join(map(re.escape, _MULTI_PUNCT))
+        + f"|[{re.escape(_SINGLE_PUNCT)}]|/(?!\\*))",
+        rf"(?P<num>{digit}(?:\w|\.(?={digit}))*)",
+        r'(?P<str>"[^"\\]*(?:\\[\s\S][^"\\]*)*")',
+        r"(?P<char>'[^'\\]*(?:\\[\s\S][^'\\]*)*')",
+        r"(?P<bad>/\*|[\s\S])",
+    )))
+
+
+def _scanner_for(source: str) -> re.Pattern:
+    if source.isascii():
+        return _scanner("", "")
+    odd = sorted(c for c in set(source)
+                 if c.isnumeric() and not c.isdecimal() and not c.isalpha())
+    return _scanner("".join(c for c in odd if c.isdigit()),
+                    "".join(c for c in odd if not c.isdigit()))
 
 
 def tokenize(source: str) -> list[Token]:
+    """The tokens of source, ending in one eof token; line and col are
+    1-based, col counting characters."""
     toks: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(source)
-
-    def bump(text: str) -> None:
-        nonlocal line, col
-        nl = text.count("\n")
-        if nl:
-            line += nl
-            col = len(text) - text.rfind("\n")
-        else:
-            col += len(text)
-
-    while i < n:
-        c = source[i]
-        if c in " \t\r\n":
-            bump(c)
-            i += 1
+    append, new = toks.append, tuple.__new__
+    line, line_start = 1, 0  # line_start: offset of the current line's first character
+    for m in _scanner_for(source).finditer(source):
+        kind, text = m.lastgroup, m.group()
+        if kind == "skip":
+            if "\n" in text:
+                line += text.count("\n")
+                line_start = m.start() + text.rfind("\n") + 1
             continue
-        if source.startswith("//", i):
-            j = source.find("\n", i)
-            j = n if j < 0 else j
-            bump(source[i:j])
-            i = j
-            continue
-        if source.startswith("/*", i):
-            j = source.find("*/", i + 2)
-            if j < 0:
-                raise UnparsableSource("unterminated comment", line, col)
-            bump(source[i : j + 2])
-            i = j + 2
-            continue
-        if c == '"':
-            j = i + 1
-            while j < n and source[j] != '"':
-                j += 2 if source[j] == "\\" else 1
-            if j >= n:
-                raise UnparsableSource("unterminated string literal", line, col)
-            text = source[i : j + 1]
-            toks.append(Token("str", text, line, col))
-            bump(text)
-            i = j + 1
-            continue
-        if c == "'":
-            j = i + 1
-            while j < n and source[j] != "'":
-                j += 2 if source[j] == "\\" else 1
-            if j >= n:
-                raise UnparsableSource("unterminated char literal", line, col)
-            text = source[i : j + 1]
-            toks.append(Token("char", text, line, col))
-            bump(text)
-            i = j + 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and (source[j].isalnum() or source[j] in "._xX"):
-                # stop a trailing dot that starts a qualified name: 1..x never occurs
-                if source[j] == "." and not (j + 1 < n and source[j + 1].isdigit()):
-                    break
-                j += 1
-            text = source[i:j]
-            toks.append(Token("num", text, line, col))
-            bump(text)
-            i = j
-            continue
-        if c.isalpha() or c in "_$":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] in "_$"):
-                j += 1
-            text = source[i:j]
-            toks.append(Token("kw" if text in KEYWORDS else "ident", text, line, col))
-            bump(text)
-            i = j
-            continue
-        for op in _MULTI_PUNCT:
-            if source.startswith(op, i):
-                toks.append(Token("punct", op, line, col))
-                bump(op)
-                i += len(op)
-                break
-        else:
-            if c in "{}()[];,.<>=+-*/%!&|^?:@~":
-                toks.append(Token("punct", c, line, col))
-                bump(c)
-                i += 1
-            else:
-                raise UnparsableSource(f"illegal character {c!r}", line, col)
-    toks.append(Token("eof", "", line, col))
+        col = m.start() - line_start + 1
+        if kind == "ident":
+            append(new(Token, ("kw" if text in KEYWORDS else "ident", text, line, col)))
+        elif kind == "punct" or kind == "num":
+            append(new(Token, (kind, text, line, col)))
+        elif kind == "bad":
+            raise UnparsableSource(_LEX_ERRORS.get(text, f"illegal character {text!r}"), line, col)
+        else:  # str | char: the only tokens that may span lines
+            append(new(Token, (kind, text, line, col)))
+            if "\n" in text:
+                line += text.count("\n")
+                line_start = m.start() + text.rfind("\n") + 1
+    append(new(Token, ("eof", "", line, len(source) - line_start + 1)))
     return toks
 
 
@@ -197,6 +176,7 @@ class _Extractor:
         self.return_types: list[str] = []
         self.out: list[tuple[int, int, SourceItem]] = []
         self.markers: list[ControlMarker] = []
+        self.depth = 0  # parse methods active; see MAX_NESTING
 
     # --- token cursor -----------------------------------------------------
 
@@ -208,8 +188,9 @@ class _Extractor:
         return self.toks[j]
 
     def at(self, text: str) -> bool:
-        t = self.cur()
-        return t.kind in ("punct", "kw") and t.text == text
+        # only punct and kw tokens carry such texts: an ident is never a
+        # keyword, and literals start with a quote or a digit
+        return self.toks[self.i].text == text
 
     def accept(self, text: str) -> bool:
         if self.at(text):
@@ -225,6 +206,14 @@ class _Extractor:
 
     def prev_line(self) -> int:
         return self.toks[max(self.i - 1, 0)].line
+
+    def descend(self) -> None:
+        """Enter one nested parse method; the caller decrements depth on
+        leaving it (a raise abandons the whole parse)."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            t = self.cur()
+            raise UnparsableSource(f"nesting deeper than {MAX_NESTING}", t.line, t.col)
 
     # --- emit helpers -----------------------------------------------------
 
@@ -342,6 +331,7 @@ class _Extractor:
         name = self.advance().text
         self.emit(ItemKind.TD, name, outer_path, name_tok.line, name_tok.col)
         class_path = f"{outer_path}.{name}" if outer_path else name
+        self.descend()
         self.skip_generics()
         if self.accept("extends"):
             while True:
@@ -368,6 +358,7 @@ class _Extractor:
             self.accept("}")
         self.pop_scope()
         self.class_stack.pop()
+        self.depth -= 1
 
     def parse_member(self, class_path: str) -> None:
         self.skip_modifiers()
@@ -480,6 +471,11 @@ class _Extractor:
         self.pop_scope()
 
     def parse_statement(self, enclosing: str) -> None:
+        self.descend()
+        self._statement(enclosing)
+        self.depth -= 1
+
+    def _statement(self, enclosing: str) -> None:
         t = self.cur()
         if t.kind == "punct":
             if t.text == "{":
@@ -490,15 +486,24 @@ class _Extractor:
                 return
         if t.kind == "kw":
             if t.text == "if":
-                self.mark(MarkerKind.IF_BEGIN, enclosing, t.line)
-                self.advance()
-                if self.accept("("):
-                    self.scan_expression(enclosing, (")",))
-                    self.accept(")")
-                self.parse_statement(enclosing)
-                if self.accept("else"):
+                # an else-if chain is read in this loop, not by recursion;
+                # its IF_END markers all close after the last branch
+                opened = 0
+                while True:
+                    self.mark(MarkerKind.IF_BEGIN, enclosing, self.cur().line)
+                    opened += 1
+                    self.advance()
+                    if self.accept("("):
+                        self.scan_expression(enclosing, (")",))
+                        self.accept(")")
                     self.parse_statement(enclosing)
-                self.mark(MarkerKind.IF_END, enclosing, self.prev_line())
+                    if not self.accept("else"):
+                        break
+                    if not self.at("if"):
+                        self.parse_statement(enclosing)
+                        break
+                for _ in range(opened):
+                    self.mark(MarkerKind.IF_END, enclosing, self.prev_line())
                 return
             if t.text == "while":
                 self.mark(MarkerKind.LOOP_BEGIN, enclosing, t.line)
@@ -658,6 +663,7 @@ class _Extractor:
         """Emit items from an expression, consuming up to (not including) a
         terminator at this nesting level. Returns the classification of the
         first primary for argument typing."""
+        self.descend()
         first: str | None = None
         while True:
             t = self.cur()
@@ -673,6 +679,7 @@ class _Extractor:
                     first = ty
                 continue
             self.advance()  # operator or other glue
+        self.depth -= 1
         return first or "unknown"
 
     def parse_chain(self, enclosing: str) -> str | None:
@@ -706,6 +713,8 @@ class _Extractor:
         if t.kind == "punct" and t.text == "(":
             cast = self.try_parse_cast()
             if cast is not None:
+                while self.try_parse_cast() is not None:  # (A) (B) x: B is dropped
+                    pass
                 self.parse_chain(enclosing)
                 return cast
             self.advance()
@@ -875,14 +884,17 @@ class _Extractor:
         types: list[str] = []
         if not self.accept("("):
             return types
+        self.descend()
         while not self.at(")") and self.cur().kind != "eof":
             types.append(self.scan_expression(enclosing, (",", ")")))
             if not self.accept(","):
                 break
         self.accept(")")
+        self.depth -= 1
         return types
 
     def scan_braced_init(self, enclosing: str) -> None:
+        self.descend()
         self.accept("{")
         while not self.at("}") and self.cur().kind != "eof":
             if self.at("{"):
@@ -892,6 +904,7 @@ class _Extractor:
             if not self.accept(","):
                 break
         self.accept("}")
+        self.depth -= 1
 
     # --- recovery -----------------------------------------------------------
 
@@ -956,12 +969,18 @@ def iter_source_files(corpus_dirs: Iterable[str | Path], ext: str = ".java") -> 
 def extract_corpus(corpus_dirs: Iterable[str | Path], ext: str = ".java",
                    ) -> tuple[list[SourceItem], list[ControlMarker]]:
     """Extract every file in the corpus; per-file failures abort (corpus
-    files must lex); item order is (file, line, column)."""
+    files must be UTF-8 and lex) with an UnparsableSource naming the file;
+    item order is (file, line, column)."""
     items: list[SourceItem] = []
     markers: list[ControlMarker] = []
     for path in iter_source_files(corpus_dirs, ext):
-        file_items, file_markers = extract_items(
-            path.read_text(encoding="utf-8"), file_label=str(path))
+        try:
+            file_items, file_markers = extract_items(
+                path.read_text(encoding="utf-8"), file_label=str(path))
+        except UnicodeDecodeError as exc:
+            raise UnparsableSource(f"{path}: not UTF-8 at byte offset {exc.start}") from None
+        except UnparsableSource as exc:
+            raise UnparsableSource(f"{path}: {exc.message}", exc.line, exc.column) from None
         items.extend(file_items)
         markers.extend(file_markers)
     return items, markers

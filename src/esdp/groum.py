@@ -260,13 +260,26 @@ def independent_occurrence_count(occurrences: Sequence[frozenset[int]],
 
 def _max_independent(remaining: int, conflict: list[int]) -> int:
     """Largest independent set among the bits of remaining; conflict[v] holds
-    the bits of the occurrences that share a node with occurrence v."""
-    if remaining == 0:
-        return 0
-    v = (remaining & -remaining).bit_length() - 1
-    without = _max_independent(remaining & ~(1 << v), conflict)
-    with_v = 1 + _max_independent(remaining & ~(conflict[v] | (1 << v)), conflict)
-    return max(without, with_v)
+    the bits of the occurrences that share a node with occurrence v.
+    Occurrences that conflict with none left are taken without branching;
+    the search branches on the lowest one that does conflict."""
+    taken = 0
+    branch = -1
+    bits = remaining
+    while bits:
+        low = bits & -bits
+        bits ^= low
+        v = low.bit_length() - 1
+        if not conflict[v] & remaining:
+            taken += 1
+            remaining ^= low
+        elif branch < 0:
+            branch = v
+    if branch < 0:
+        return taken
+    without = _max_independent(remaining & ~(1 << branch), conflict)
+    with_v = 1 + _max_independent(remaining & ~(conflict[branch] | (1 << branch)), conflict)
+    return taken + max(without, with_v)
 
 
 def frequency(occurrences_per_graph: dict[int, Sequence[frozenset[int]]],
@@ -333,15 +346,18 @@ def patt_explorer(dataset: Sequence[Groum], sigma: int) -> list[GroumPattern]:
             rep = induced_subgraph(hosts[gi].graph, next(iter(occs[gi])))
             explored[canonical_form(rep)] = GroumPattern(rep, occs, freq, 1, True)
             frequent.add(label)
+    keys: dict[tuple[int, frozenset[int]], tuple] = {}
     for pattern in list(explored.values()):
-        _explore(pattern, hosts, frequent, sigma, explored)
+        _explore(pattern, hosts, frequent, sigma, explored, keys)
     return [p for _, p in sorted(explored.items(), key=lambda kv: (kv[1].size, kv[0]))]
 
 
 def _explore(pattern: GroumPattern, hosts: Sequence[_Host], frequent: set[str],
-             sigma: int, explored: dict[tuple, GroumPattern]) -> None:
+             sigma: int, explored: dict[tuple, GroumPattern],
+             keys: dict[tuple[int, frozenset[int]], tuple]) -> None:
     """Grow pattern depth first, labels in sorted order, adding every new
-    frequent class to explored under its canonical key."""
+    frequent class to explored under its canonical key. keys memoizes the
+    canonical key of each (graph index, node set) seen in this call."""
     # P (+) U for every frequent label U at once: each occurrence X extended
     # by an adjacent node Y of that label, with all connecting edges
     # (induced extension)
@@ -357,7 +373,7 @@ def _explore(pattern: GroumPattern, hosts: Sequence[_Host], frequent: set[str],
                 if label in frequent:
                     extensions.setdefault(label, {}).setdefault(gi, set()).add(occ | {y})
     for label in sorted(extensions):
-        for key, occurrences in _isomorphism_classes(hosts, extensions[label]):
+        for key, occurrences in _isomorphism_classes(hosts, extensions[label], keys):
             if key in explored:
                 continue
             freq, exact = frequency(occurrences)
@@ -367,22 +383,26 @@ def _explore(pattern: GroumPattern, hosts: Sequence[_Host], frequent: set[str],
             rep = induced_subgraph(hosts[gi].graph, occurrences[gi][0])
             cls = GroumPattern(rep, occurrences, freq, len(rep.nodes), exact)
             explored[key] = cls
-            _explore(cls, hosts, frequent, sigma, explored)
+            _explore(cls, hosts, frequent, sigma, explored, keys)
 
 
 def _isomorphism_classes(hosts: Sequence[_Host],
                          candidates: dict[int, set[frozenset[int]]],
+                         keys: dict[tuple[int, frozenset[int]], tuple],
                          ) -> list[tuple[tuple, dict[int, list[frozenset[int]]]]]:
     """Partition candidate subgraphs into label-isomorphism classes: each
     canonical key with its occurrences, in first-seen order over sorted
     graph indexes and sorted node sets. The first occurrence of a class is
-    its representative."""
+    its representative. A key missing from keys is computed and stored."""
     classes: dict[tuple, dict[int, list[frozenset[int]]]] = {}
     for gi in sorted(candidates):
         host = hosts[gi]
         for occ in sorted(candidates[gi], key=sorted):
-            key = _canonical_key({v: host.labels[v] for v in occ},
-                                 [(a, b) for a in occ for b in host.successors[a] if b in occ])
+            key = keys.get((gi, occ))
+            if key is None:
+                key = keys[gi, occ] = _canonical_key(
+                    {v: host.labels[v] for v in occ},
+                    [(a, b) for a in occ for b in host.successors[a] if b in occ])
             classes.setdefault(key, {}).setdefault(gi, []).append(occ)
     return list(classes.items())
 

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 from itertools import combinations, permutations
 
+from esdp.extractor import KEYWORDS, UnparsableSource
+
 
 # --- sequence mining ---------------------------------------------------------------
 
@@ -145,3 +147,107 @@ def exhaustive_groum_patterns(dataset, sigma: int):
         if freq >= sigma:
             out.append((rep, freq))
     return out
+
+
+# --- lexing ------------------------------------------------------------------------
+
+_MULTI_PUNCT_REFERENCE = (
+    "==", "!=", "<=", ">=", "&&", "||", "++", "--",
+    "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "->", "::",
+)
+
+
+def tokenize_reference(source: str) -> list:
+    """The character-at-a-time lexer the regex scanner replaced: one branch
+    per token class, tried in order at each position. Tokens are plain
+    (kind, text, line, col) tuples."""
+    toks = []
+    i, line, col = 0, 1, 1
+    n = len(source)
+
+    def bump(text: str) -> None:
+        nonlocal line, col
+        nl = text.count("\n")
+        if nl:
+            line += nl
+            col = len(text) - text.rfind("\n")
+        else:
+            col += len(text)
+
+    while i < n:
+        c = source[i]
+        if c in " \t\r\n":
+            bump(c)
+            i += 1
+            continue
+        if source.startswith("//", i):
+            j = source.find("\n", i)
+            j = n if j < 0 else j
+            bump(source[i:j])
+            i = j
+            continue
+        if source.startswith("/*", i):
+            j = source.find("*/", i + 2)
+            if j < 0:
+                raise UnparsableSource("unterminated comment", line, col)
+            bump(source[i : j + 2])
+            i = j + 2
+            continue
+        if c == '"':
+            j = i + 1
+            while j < n and source[j] != '"':
+                j += 2 if source[j] == "\\" else 1
+            if j >= n:
+                raise UnparsableSource("unterminated string literal", line, col)
+            text = source[i : j + 1]
+            toks.append(("str", text, line, col))
+            bump(text)
+            i = j + 1
+            continue
+        if c == "'":
+            j = i + 1
+            while j < n and source[j] != "'":
+                j += 2 if source[j] == "\\" else 1
+            if j >= n:
+                raise UnparsableSource("unterminated char literal", line, col)
+            text = source[i : j + 1]
+            toks.append(("char", text, line, col))
+            bump(text)
+            i = j + 1
+            continue
+        if c.isdigit():
+            j = i
+            while j < n and (source[j].isalnum() or source[j] in "._xX"):
+                # stop a trailing dot that starts a qualified name: 1..x never occurs
+                if source[j] == "." and not (j + 1 < n and source[j + 1].isdigit()):
+                    break
+                j += 1
+            text = source[i:j]
+            toks.append(("num", text, line, col))
+            bump(text)
+            i = j
+            continue
+        if c.isalpha() or c in "_$":
+            j = i
+            while j < n and (source[j].isalnum() or source[j] in "_$"):
+                j += 1
+            text = source[i:j]
+            toks.append(("kw" if text in KEYWORDS else "ident", text, line, col))
+            bump(text)
+            i = j
+            continue
+        for op in _MULTI_PUNCT_REFERENCE:
+            if source.startswith(op, i):
+                toks.append(("punct", op, line, col))
+                bump(op)
+                i += len(op)
+                break
+        else:
+            if c in "{}()[];,.<>=+-*/%!&|^?:@~":
+                toks.append(("punct", c, line, col))
+                bump(c)
+                i += 1
+            else:
+                raise UnparsableSource(f"illegal character {c!r}", line, col)
+    toks.append(("eof", "", line, col))
+    return toks

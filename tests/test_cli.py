@@ -260,3 +260,37 @@ def test_control_character_in_label_is_refused(corpus, tmp_path, capsys):
     assert status == 1
     assert "control character" in out
     assert not repo_path.exists()
+
+
+def _mine_bad_file(tmp_path, capsys, name: str, data: bytes):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    bad = corpus / name
+    bad.write_bytes(data)
+    status = main(["mine", "--corpus", str(corpus), "--repo", str(tmp_path / "r.xml")])
+    captured = capsys.readouterr()
+    assert status == 1
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "r.xml").exists()
+    return bad, captured.out
+
+
+def test_lexical_error_names_file_and_position(tmp_path, capsys):
+    bad, out = _mine_bad_file(tmp_path, capsys, "Bad.java",
+                              b"class Bad {\n  void m() { int x = `y`; }\n}\n")
+    assert out.strip() == f"UnparsableSource: {bad}: illegal character '`' at 2:22"
+
+
+def test_file_not_utf8_names_file_and_byte_offset(tmp_path, capsys):
+    data = b'class Bad { String s = "caf\xe9"; }\n'
+    bad, out = _mine_bad_file(tmp_path, capsys, "Bad.java", data)
+    offset = data.index(b"\xe9")
+    assert out.strip() == f"UnparsableSource: {bad}: not UTF-8 at byte offset {offset}"
+
+
+@pytest.mark.parametrize("opener, closer", [("if (a) {\n", "}\n"), ("(", ")")])
+def test_deep_nesting_names_file(tmp_path, capsys, opener, closer):
+    source = ("class Deep {\n  void m() {\n    x = 1;\n" + opener * 400 + "y();"
+              + closer * 400 + "\n  }\n}\n")
+    bad, out = _mine_bad_file(tmp_path, capsys, "Deep.java", source.encode())
+    assert out.startswith(f"UnparsableSource: {bad}: nesting deeper than ")

@@ -3,11 +3,19 @@ from __future__ import annotations
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from esdp.extractor import KEYWORDS, UnparsableSource, dump_items, extract_items
+from esdp.extractor import (
+    KEYWORDS,
+    MAX_NESTING,
+    UnparsableSource,
+    dump_items,
+    extract_items,
+    tokenize,
+)
 from esdp.items import ItemKind, normalize_item
+from oracles import tokenize_reference
 
 FIG_311 = """
 public class SearchTest
@@ -215,3 +223,99 @@ def test_duplicate_invocations_both_emitted():
     items, _ = extract_items(source, "c.java")
     ticks = [it for it in items if it.kind is ItemKind.MI]
     assert len(ticks) == 2
+
+
+# --- scanner against the character-at-a-time reference ---------------------------
+
+# characters where regex classes and str predicates part ways ('²' is a digit
+# but not decimal, '½' numeric but neither, '一' a letter that is numeric,
+# '\xa0' whitespace the lexer does not skip), next to every token class
+_LEXEMES = st.sampled_from([
+    "a", "Zq", "_", "$", "if", "class", "0", "7", "0x1F", "1.5", "2f", ".", "..",
+    "²", "½", "①", "一", "é", "\xa0", '"', "'", "\\", "/*", "*/", "//", "/", "*",
+    "\n", "\r", "\t", " ", "==", "->", "::", "/=", "{", "}", "(", ")", ";", "`", "#",
+])
+_TEXT = st.one_of(st.text(), st.lists(st.one_of(_LEXEMES, st.text(max_size=2)),
+                                      max_size=40).map("".join))
+
+
+def _lex(lexer, source):
+    try:
+        return lexer(source)
+    except UnparsableSource as exc:
+        return ("error", str(exc), exc.line, exc.column)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_TEXT)
+@example("x\u00b2 = 1.\u00b2 + \u00b2$;")
+@example("int \u00bd;")
+@example("a\u00a0b")
+@example('s = "a\\\nb" /* c\n */ // d')
+@example("'\\")
+@example("x /* y")
+def test_tokenize_matches_reference(source):
+    assert _lex(tokenize, source) == _lex(tokenize_reference, source)
+
+
+def test_tokenize_digit_classes():
+    tokens = tokenize("x\u00b2 \u00b2y 1.\u00b2;")
+    assert [(t.kind, t.text) for t in tokens] == [
+        ("ident", "x\u00b2"), ("num", "\u00b2y"), ("num", "1.\u00b2"), ("punct", ";"),
+        ("eof", "")]
+    with pytest.raises(UnparsableSource, match="illegal character '\u00bd' at 1:5"):
+        tokenize("int \u00bd;")
+
+
+_JAVA_LEXEMES = st.sampled_from([
+    "class C {", "void m() {", "}", "{", "(", ")", "[", "]", ";", ",", ".", "=",
+    "if (a) ", "else ", "while (b) ", "for (int i : xs) ", "do ", "return ", "try ",
+    "new B(", "new int[", "x.f(", "a.b().c(", "this.", "super(", "(A) ", "final ",
+    "@A ", "List<String> ", "import a.b.C;", "package p;", "int ", "y", "x", "2.5",
+    '"s"', "'c'", "->", "\n",
+])
+_NESTINGS = [("if (a) {", "}"), ("{", "}"), ("if (a) ", ""), ("(", ")"), ("f(", ")"),
+             ("a.b().c(", ")"), ("new A(", ")"), ("a[", "]"), ("class Q {", "}")]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_TEXT, st.lists(_JAVA_LEXEMES, max_size=60).map("".join)),
+       st.sampled_from(_NESTINGS), st.integers(0, 3 * MAX_NESTING))
+def test_extract_items_raises_only_unparsable_source(body, nesting, depth):
+    nested = nesting[0] * depth + body + nesting[1] * depth
+    for source in (body, "class K { void m() { " + nested + " } }",
+                   "class K { void m() { x = " + nested + "; } }"):
+        try:
+            extract_items(source, "k.java")
+        except UnparsableSource:
+            pass
+
+
+@pytest.mark.parametrize("opener, closer", [("if (a) {\n", "}\n"), ("{\n", "}\n"),
+                                            ("f(", ")"), ("(", ")")])
+def test_nesting_beyond_limit_names_line(opener, closer):
+    depth = MAX_NESTING + 1
+    source = "class K {\n  void m() {\n    " + opener * depth + "y();" + closer * depth + "\n  }\n}\n"
+    with pytest.raises(UnparsableSource, match=f"nesting deeper than {MAX_NESTING}") as err:
+        extract_items(source, "k.java")
+    assert err.value.line >= 3
+
+
+def test_nesting_within_limit_parses():
+    depth = 40  # if-block and call: two nested parse methods a level each
+    source = ("class K {\n  void m() {\n" + "if (a) {\n" * depth + "x.f(" * depth + "y"
+              + ")" * depth + ";\n" + "}\n" * depth + "  }\n}\n")
+    items, markers = extract_items(source, "k.java")
+    assert sum(it.kind is ItemKind.MI for it in items) == depth
+    assert len(markers) == 2 * depth
+
+
+def test_else_if_chain_reads_without_nesting():
+    branches = 3 * MAX_NESTING
+    source = ("class K { void m() { if (a) x.f(); "
+              + "else if (b) x.f(); " * branches + "else x.g(); } }")
+    items, markers = extract_items(source, "k.java")
+    kinds = [m.kind.value for m in markers]
+    assert kinds == ["IF_BEGIN"] * (branches + 1) + ["IF_END"] * (branches + 1)
+    assert sum(it.kind is ItemKind.MI for it in items) == branches + 2
+

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from esdp import groum
 from esdp.extractor import extract_corpus, extract_items
 from esdp.groum import (
     Groum,
@@ -190,6 +191,21 @@ def test_independent_occurrences_against_brute():
         assert got == max_independent_brute(occs)
 
 
+def test_disjoint_occurrences_counted_without_branching():
+    occs = [frozenset({2 * i, 2 * i + 1}) for i in range(20)]
+
+    def too_slow(signum, frame):
+        raise TimeoutError("20 disjoint occurrences took over 1 s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(1)
+    try:
+        assert independent_occurrence_count(occs) == (20, True)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def test_greedy_beyond_limit_flags_lower_bound():
     occs = [frozenset({i}) for i in range(25)]
     got, exact = independent_occurrence_count(occs)
@@ -284,6 +300,37 @@ def test_patt_explorer_leaves_no_garbage_cycles(fixture_corpus):
     finally:
         gc.enable()
     assert any(p.size > 2 for p in found)
+
+
+def test_canonical_key_computed_once_per_occurrence(fixture_corpus, monkeypatch):
+    items, markers = extract_corpus([str(fixture_corpus)], ".java")
+    dataset = build_groums_for_methods(items, markers)
+    calls = []
+    real_key, real_classes = groum._canonical_key, groum._isomorphism_classes
+
+    def counting_key(labels, edges):
+        calls.append(1)
+        return real_key(labels, edges)
+
+    candidates_seen: set[tuple[int, frozenset[int]]] = set()
+
+    def recording_classes(hosts, candidates, keys):
+        candidates_seen.update((gi, occ) for gi, occs in candidates.items() for occ in occs)
+        return real_classes(hosts, candidates, keys)
+
+    monkeypatch.setattr(groum, "_canonical_key", counting_key)
+    monkeypatch.setattr(groum, "_isomorphism_classes", recording_classes)
+    memoized = patt_explorer(dataset, 2)
+    seeds = sum(p.size == 1 for p in memoized)  # keyed by canonical_form
+    assert len(calls) == len(candidates_seen) + seeds
+
+    # a fresh memo for every partition computes the repeated keys again
+    calls.clear()
+    monkeypatch.setattr(groum, "_isomorphism_classes",
+                        lambda hosts, candidates, keys: real_classes(hosts, candidates, {}))
+    unmemoized = patt_explorer(dataset, 2)
+    assert len(calls) > len(candidates_seen) + seeds
+    assert memoized == unmemoized
 
 
 def test_every_occurrence_is_induced_subgraph():
