@@ -12,7 +12,6 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
@@ -51,28 +50,8 @@ _DOMAIN_ERRORS = (
 )
 
 
-@dataclass
-class RunConfig:
-    corpus_dirs: list[str] = field(default_factory=list)
-    min_support: int = 2
-    max_patterns: int = 50
-    sigma: int = 2
-    top_n: int = 5
-    repo_path: str = ""
-    corpus_label: str = ""
-    adaptive: bool = False
-    statement: str = ""
-    pick: int = 0  # 0: interactive prompt when a terminal, else first
-    context_vars: dict[str, str] = field(default_factory=dict)
-    context_imports: list[str] = field(default_factory=list)
-    gold_path: str = ""
-    out_path: str = ""
-    fmt: str = "table"  # table | csv
-    show_time: bool = False
-    ext: str = ".java"
-
-    def resolved_repo_path(self) -> str:
-        return self.repo_path or os.environ.get("ESDP_REPO", "esdp-repo.xml")
+def _repo_path(args: argparse.Namespace) -> str:
+    return args.repo or os.environ.get("ESDP_REPO", "esdp-repo.xml")
 
 
 def _created_stamp() -> str:
@@ -98,48 +77,46 @@ def _write_atomic(path: str, data: bytes) -> None:
         raise
 
 
-def _require_corpus(config: RunConfig) -> None:
-    if not config.corpus_dirs:
-        raise ValueError("no corpus directories given")
-    for d in config.corpus_dirs:
+def _extract(args: argparse.Namespace):
+    """(items, markers) of the corpus directories, which must exist."""
+    for d in args.corpus:
         if not Path(d).exists():
             raise FileNotFoundError(f"corpus path not found: {d}")
+    return extract_corpus(args.corpus, args.ext)
 
 
 # --- commands ---------------------------------------------------------------------
 
-def _cmd_extract(config: RunConfig) -> str:
-    _require_corpus(config)
-    items, _ = extract_corpus(config.corpus_dirs, config.ext)
+def _cmd_extract(args: argparse.Namespace) -> str:
+    items, _ = _extract(args)
     return dump_items(items)
 
 
-def _mine_patterns(config: RunConfig):
+def _mine_patterns(args: argparse.Namespace):
     """(patterns, the min-support they were mined at, sequence database)."""
-    _require_corpus(config)
-    items, _ = extract_corpus(config.corpus_dirs, config.ext)
-    db = build_sequence_db(items, corpus_label=config.corpus_label)
-    if config.adaptive:
-        patterns = adaptive_mine(db, config.max_patterns)
+    items, _ = _extract(args)
+    db = build_sequence_db(items)
+    if args.adaptive:
+        patterns = adaptive_mine(db, args.max_patterns)
         return patterns, patterns.min_support, db
-    return mine_prefixspan(db, config.min_support), config.min_support, db
+    return mine_prefixspan(db, args.min_support), args.min_support, db
 
 
-def _cmd_mine(config: RunConfig) -> str:
-    patterns, min_support, db = _mine_patterns(config)
-    label = config.corpus_label or ";".join(config.corpus_dirs)
+def _cmd_mine(args: argparse.Namespace) -> str:
+    patterns, min_support, db = _mine_patterns(args)
+    label = args.corpus_label or ";".join(args.corpus)
     repo = make_repository(patterns, corpus_label=label, created_at=_created_stamp(),
                            min_support_used=min_support)
-    path = config.resolved_repo_path()
+    path = _repo_path(args)
     _write_atomic(path, serialize(repo))
     return (f"mined {len(repo.patterns)} patterns from {len(db.records)} "
             f"method sequences -> {path}")
 
 
-def _cmd_update(config: RunConfig) -> str:
-    path = config.resolved_repo_path()
+def _cmd_update(args: argparse.Namespace) -> str:
+    path = _repo_path(args)
     existing = parse(Path(path).read_bytes())
-    patterns, min_support, db = _mine_patterns(config)
+    patterns, min_support, db = _mine_patterns(args)
     repo = merge_update(existing, patterns, created_at=_created_stamp(),
                         min_support_used=min_support)
     _write_atomic(path, serialize(repo))
@@ -170,27 +147,29 @@ def _render_table(header: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines)
 
 
-def _cmd_query(config: RunConfig) -> str:
-    if not config.statement:
+def _query_context(args: argparse.Namespace) -> QueryContext:
+    return QueryContext(variables=dict(args.var), imports=list(args.imports))
+
+
+def _cmd_query(args: argparse.Namespace) -> str:
+    if not args.statement:
         raise ValueError("no query statement given")
     started = time.perf_counter()
-    repo = parse(Path(config.resolved_repo_path()).read_bytes())
-    ctx = QueryContext(variables=dict(config.context_vars),
-                       imports=list(config.context_imports))
-    q = abstract_query(config.statement, ctx)
-    recs = search(q, repo, config.top_n)
+    repo = parse(Path(_repo_path(args)).read_bytes())
+    q = abstract_query(args.statement, _query_context(args))
+    recs = search(q, repo, args.top)
     elapsed = time.perf_counter() - started
     out: list[str] = []
     header = ["rank", "k", "support", "confidence", "ranking", "sequence"]
     rows = _format_rec_rows(recs)
-    if config.fmt == "csv":
+    if args.format == "csv":
         out.append(",".join(header))
         out += [",".join(f'"{c}"' if "," in c else c for c in row) for row in rows]
     else:
         out.append(f"query item: {q.item[0]} {q.item[1]}")
         out.append(_render_table(header, rows) if rows else "no recommendation")
     if recs:
-        pick = config.pick
+        pick = args.pick
         if pick == 0:
             if sys.stdin.isatty():
                 choice = input(f"select recommendation 1..{len(recs)}: ").strip()
@@ -200,28 +179,27 @@ def _cmd_query(config: RunConfig) -> str:
         if not 1 <= pick <= len(recs):
             raise ValueError(f"--pick {pick} out of range 1..{len(recs)}")
         skeleton = render_skeleton(recs[pick - 1], q)
-        if config.out_path:
-            Path(config.out_path).write_text(skeleton + "\n", encoding="utf-8")
-            out.append(f"skeleton -> {config.out_path}")
+        if args.out:
+            Path(args.out).write_text(skeleton + "\n", encoding="utf-8")
+            out.append(f"skeleton -> {args.out}")
         else:
             out.append("--- skeleton ---")
             out.append(skeleton if skeleton else "(nothing to add)")
-    if config.show_time:
+    if args.time:
         out.append(f"query time: {elapsed * 1000:.1f} ms")
     return "\n".join(out)
 
 
-def _cmd_groum(config: RunConfig) -> str:
-    _require_corpus(config)
-    items, markers = extract_corpus(config.corpus_dirs, config.ext)
+def _cmd_groum(args: argparse.Namespace) -> str:
+    items, markers = _extract(args)
     groums = groum_mod.build_groums_for_methods(items, markers)
-    patterns = groum_mod.patt_explorer(groums, config.sigma)
+    patterns = groum_mod.patt_explorer(groums, args.sigma)
     out = []
     for g in groums:
         out.append(f"# {g.origin}")
         out.append(groum_mod.dump_groum(g))
         out.append("")
-    out.append(f"patterns (sigma={config.sigma}): {len(patterns)}")
+    out.append(f"patterns (sigma={args.sigma}): {len(patterns)}")
     for p in patterns:
         flag = "" if p.frequency_is_exact else " (lower bound)"
         out.append(f"pattern size={p.size} f={p.frequency}{flag}")
@@ -244,16 +222,15 @@ def _parse_gold_line(line: str) -> tuple[str, list[str], int | None]:
     return statement, gold_items, label
 
 
-def _cmd_eval(config: RunConfig) -> str:
-    if not config.gold_path:
+def _cmd_eval(args: argparse.Namespace) -> str:
+    if not args.gold:
         raise ValueError("no gold file given")
-    repo = parse(Path(config.resolved_repo_path()).read_bytes())
-    ctx = QueryContext(variables=dict(config.context_vars),
-                       imports=list(config.context_imports))
+    repo = parse(Path(_repo_path(args)).read_bytes())
+    ctx = _query_context(args)
     rows: list[list[str]] = []
     prs: list[tuple[Fraction, Fraction]] = []
     labeled_scores: list[tuple[float, int]] = []
-    for line in Path(config.gold_path).read_text(encoding="utf-8").splitlines():
+    for line in Path(args.gold).read_text(encoding="utf-8").splitlines():
         if not line.strip() or line.startswith("#"):
             continue
         statement, gold_items, label = _parse_gold_line(line)
@@ -275,7 +252,7 @@ def _cmd_eval(config: RunConfig) -> str:
     mean_p, mean_r = (two_dp(*x.as_integer_ratio()) for x in metrics.average_pr(prs))
     out = []
     header = ["query", "matched", "precision", "recall", "score"]
-    if config.fmt == "csv":
+    if args.format == "csv":
         out.append(",".join(header))
         out += [",".join(f'"{c}"' if "," in c else c for c in row) for row in rows]
         out.append(f"mean,,{mean_p},{mean_r},")
@@ -285,7 +262,7 @@ def _cmd_eval(config: RunConfig) -> str:
     if labeled_scores and len({lab for _, lab in labeled_scores}) == 2:
         points = metrics.roc_points(labeled_scores)
         auc = metrics.auc_trapezoid(points)
-        if config.fmt == "csv":
+        if args.format == "csv":
             out.append("fpr,tpr")
             out += [f"{float(x):.4f},{float(y):.4f}" for x, y in points]
             out.append(f"auc,{float(auc):.4f}")
@@ -306,18 +283,23 @@ _COMMANDS = {
 }
 
 
-def dispatch(command: str, config: RunConfig) -> tuple[int, str]:
-    """Run one command; (exit status, report text)."""
-    handler = _COMMANDS.get(command)
-    if handler is None:
-        return 2, f"unknown command {command!r}; valid: {', '.join(sorted(_COMMANDS))}"
-    try:
-        return 0, handler(config)
-    except _DOMAIN_ERRORS as exc:
-        return 1, f"{type(exc).__name__}: {exc}"
-
-
 # --- argument parsing -----------------------------------------------------------
+
+def _positive_int(text: str) -> int:
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+
+
+def _binding(text: str) -> tuple[str, str]:
+    name, sep, type_name = text.partition("=")
+    if not sep or not name or not type_name:
+        raise argparse.ArgumentTypeError(f"expected NAME=TYPE, got {text!r}")
+    return name, type_name
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -326,7 +308,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def corpus_opts(p):
-        p.add_argument("--corpus", action="append", default=[], metavar="DIR",
+        p.add_argument("--corpus", action="append", required=True, metavar="DIR",
                        help="corpus directory (repeatable)")
         p.add_argument("--ext", default=".java", help="source extension filter")
 
@@ -335,8 +317,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="repository path (default: $ESDP_REPO or esdp-repo.xml)")
 
     def context_opts(p):
-        p.add_argument("--var", action="append", default=[], metavar="NAME=TYPE",
-                       help="context variable binding (repeatable)")
+        p.add_argument("--var", action="append", default=[], type=_binding,
+                       metavar="NAME=TYPE", help="context variable binding (repeatable)")
         p.add_argument("--import", dest="imports", action="append", default=[],
                        metavar="QNAME", help="context import (repeatable)")
 
@@ -346,24 +328,25 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mine", help="mine a corpus into a pattern repository")
     corpus_opts(p)
     repo_opt(p)
-    p.add_argument("--min-support", type=int, default=2)
+    p.add_argument("--min-support", type=_positive_int, default=2)
     p.add_argument("--adaptive", action="store_true",
                    help="pick min-support dynamically under --max-patterns")
-    p.add_argument("--max-patterns", type=int, default=50)
+    p.add_argument("--max-patterns", type=_positive_int, default=50)
     p.add_argument("--corpus-label", default="")
 
     p = sub.add_parser("update", help="merge a fresh mine into an existing repository")
     corpus_opts(p)
     repo_opt(p)
-    p.add_argument("--min-support", type=int, default=2)
+    p.add_argument("--min-support", type=_positive_int, default=2)
     p.add_argument("--adaptive", action="store_true")
-    p.add_argument("--max-patterns", type=int, default=50)
+    p.add_argument("--max-patterns", type=_positive_int, default=50)
 
     p = sub.add_parser("query", help="recommend sequences for one statement")
     repo_opt(p)
     context_opts(p)
-    p.add_argument("--top", type=int, default=5)
-    p.add_argument("--pick", type=int, default=0, help="recommendation to render (1..N)")
+    p.add_argument("--top", type=_positive_int, default=5)
+    p.add_argument("--pick", type=int, default=0,
+                   help="recommendation to render (1..N; 0: ask on a terminal, else 1)")
     p.add_argument("--out", default="", help="write the skeleton to a file")
     p.add_argument("--format", choices=("table", "csv"), default="table")
     p.add_argument("--time", action="store_true", help="print wall-clock per query")
@@ -371,7 +354,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("groum", help="build object usage graphs and mine subgraph patterns")
     corpus_opts(p)
-    p.add_argument("--sigma", type=int, default=2)
+    p.add_argument("--sigma", type=_positive_int, default=2)
 
     p = sub.add_parser("eval", help="score recommendations against a gold file")
     repo_opt(p)
@@ -381,42 +364,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig()
-    config.corpus_dirs = list(getattr(args, "corpus", []))
-    config.ext = getattr(args, "ext", ".java")
-    config.repo_path = getattr(args, "repo", "")
-    config.min_support = getattr(args, "min_support", 2)
-    config.adaptive = getattr(args, "adaptive", False)
-    config.max_patterns = getattr(args, "max_patterns", 50)
-    config.sigma = getattr(args, "sigma", 2)
-    config.top_n = getattr(args, "top", 5)
-    config.pick = getattr(args, "pick", 0)
-    config.statement = getattr(args, "statement", "")
-    config.corpus_label = getattr(args, "corpus_label", "")
-    config.gold_path = getattr(args, "gold", "")
-    config.out_path = getattr(args, "out", "")
-    config.fmt = getattr(args, "format", "table")
-    config.show_time = getattr(args, "time", False)
-    config.context_imports = list(getattr(args, "imports", []))
-    for binding in getattr(args, "var", []):
-        name, sep, type_name = binding.partition("=")
-        if not sep or not name or not type_name:
-            raise SystemExit(2)
-        config.context_vars[name] = type_name
-    if any(t < 1 for t in (config.min_support, config.max_patterns,
-                           config.sigma, config.top_n)):
-        raise SystemExit(2)
-    return config
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    config = _config_from_args(args)
-    if args.command in ("extract", "mine", "update", "groum") and not config.corpus_dirs:
-        parser.error(f"{args.command} requires at least one --corpus DIR")
-    status, report = dispatch(args.command, config)
+    args = _build_parser().parse_args(argv)
+    try:
+        status, report = 0, _COMMANDS[args.command](args)
+    except _DOMAIN_ERRORS as exc:
+        status, report = 1, f"{type(exc).__name__}: {exc}"
     print(report)
     return status
 

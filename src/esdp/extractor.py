@@ -97,7 +97,7 @@ def _scanner(digits: str, non_digits: str) -> re.Pattern:
     """
     digit = rf"[\d{digits}]"
     return re.compile("|".join((
-        r"(?P<skip>(?:[ \t\r\n]+|//[^\n]*|/\*[\s\S]*?\*/)+)",
+        r"(?P<skip>(?:[ \t\f\r\n]+|//[^\n]*|/\*[\s\S]*?\*/)+)",
         rf"(?P<ident>(?:[^\W\d{digits}{non_digits}]|\$)[\w$]*)",
         "(?P<punct>" + "|".join(map(re.escape, _MULTI_PUNCT))
         + f"|[{re.escape(_SINGLE_PUNCT)}]|/(?!\\*))",

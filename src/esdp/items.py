@@ -76,19 +76,3 @@ def lower_camel(type_name: str) -> str:
 def simple_name(type_name: str) -> str:
     """Last dotted segment of a possibly qualified type name."""
     return type_name.rsplit(".", 1)[-1]
-
-
-def normalize_item(kind: ItemKind, raw_name: str, declared_type: str = "") -> str:
-    """Normalize a raw construct text to its mining name.
-
-    Depends only on the kind and the type/member signature, never on
-    variable identifiers. For invocations the receiver is replaced by the
-    receiver's declared type in lower-camel rendering. Total function.
-    """
-    raw_name = raw_name.strip()
-    if kind in (ItemKind.FD, ItemKind.VD):
-        # "Connection conn" -> "Connection"; a bare type stays as-is
-        return raw_name.split()[0] if raw_name else raw_name
-    if kind in (ItemKind.MI, ItemKind.FA) and declared_type:
-        return f"{lower_camel(simple_name(declared_type))}.{raw_name}"
-    return raw_name

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from . import kernels
 from .transactions import SequenceDatabase
@@ -47,7 +47,7 @@ def pattern_sort_key(p: SequentialPattern):
     return (-p.ranking, -p.support_count, p.names(), tuple(k for k, _ in p.elements))
 
 
-def _encode(db: SequenceDatabase) -> tuple[list[list[int]], dict[Element, int], list[Element]]:
+def _encode(db: SequenceDatabase) -> tuple[list[list[int]], list[Element]]:
     vocab: dict[Element, int] = {}
     alphabet: list[Element] = []
     records: list[list[int]] = []
@@ -59,20 +59,7 @@ def _encode(db: SequenceDatabase) -> tuple[list[list[int]], dict[Element, int], 
                 alphabet.append(element)
             encoded.append(vocab[element])
         records.append(encoded)
-    return records, vocab, alphabet
-
-
-def support(alpha: Sequence[Element], db: SequenceDatabase) -> int:
-    """Number of database records containing alpha as a subsequence."""
-    if not alpha:
-        raise ValueError("alpha must be non-empty")
-    records, vocab, _ = _encode(db)
-    encoded = []
-    for element in alpha:
-        if element not in vocab:
-            return 0
-        encoded.append(vocab[element])
-    return kernels.support_count(records, encoded)
+    return records, alphabet
 
 
 def _build_patterns(raw: Iterable[tuple[tuple[int, ...], int]],
@@ -103,7 +90,7 @@ def mine_prefixspan(db: SequenceDatabase, min_support: int) -> list[SequentialPa
         raise InvalidThreshold(f"min_support must be >= 1, got {min_support}")
     if not db.records:
         return []
-    records, _, alphabet = _encode(db)
+    records, alphabet = _encode(db)
     raw, _ = kernels.prefixspan(records, min_support)
     return _build_patterns(raw, alphabet, len(records))
 
@@ -125,7 +112,7 @@ def adaptive_mine(db: SequenceDatabase, max_patterns: int = 50) -> AdaptivePatte
         raise InvalidThreshold(f"max_patterns must be >= 1, got {max_patterns}")
     if not db.records:
         return AdaptivePatterns([], 1)
-    records, _, alphabet = _encode(db)
+    records, alphabet = _encode(db)
     n = len(records)
     for m in range(1, n + 1):
         raw, exceeded = kernels.prefixspan(records, m, cap=max_patterns)
@@ -133,16 +120,3 @@ def adaptive_mine(db: SequenceDatabase, max_patterns: int = 50) -> AdaptivePatte
             return AdaptivePatterns(_build_patterns(raw, alphabet, n), m)
     raw, _ = kernels.prefixspan(records, n)
     return AdaptivePatterns(_build_patterns(raw, alphabet, n)[:max_patterns], n)
-
-
-def score(p: SequentialPattern, db: SequenceDatabase,
-          ) -> tuple[Fraction, Fraction, Fraction]:
-    """(support_ratio, confidence, ranking) of p against db, recomputed."""
-    count = support(p.elements, db)
-    ratio = Fraction(count, len(db.records))
-    if p.k == 1:
-        confidence = Fraction(1)
-    else:
-        prefix_count = support(p.elements[:-1], db)
-        confidence = Fraction(count, prefix_count) if prefix_count else Fraction(0)
-    return ratio, confidence, p.k * ratio

@@ -172,9 +172,9 @@ def derive_bindings(elements: tuple[tuple[str, str], ...]) -> dict[str, str]:
     return bindings
 
 
-def _receiver_var(recv: str, context: QueryContext, defaults: dict[str, str]) -> str:
+def _receiver_var(recv: str, context: QueryContext) -> str:
     """Pick the context variable bound to the receiver type, else the
-    lower-camel default name."""
+    receiver as the pattern names it."""
     if not _is_instance_receiver(recv):
         return recv  # static receiver (type path) or unknown
     want = recv[0].upper() + recv[1:]
@@ -214,7 +214,7 @@ def render_skeleton(rec: Recommendation, q: UserQuery) -> str:
             continue
         if kind == "MI":
             recv, method, args = _split_call(name)
-            target = _receiver_var(recv, q.context, defaults)
+            target = _receiver_var(recv, q.context)
             rendered = ", ".join(_placeholder(a) for a in args)
             lines.append(f"{indent}{target}.{method}({rendered});")
         elif kind in ("FD", "VD"):
@@ -237,7 +237,7 @@ def render_skeleton(rec: Recommendation, q: UserQuery) -> str:
             lines.append(f"{indent}{var}[0] = {_placeholder(name[:-2] if name.endswith('[]') else 'int')};")
         elif kind == "FA":
             recv, fname = name.rsplit(".", 1)
-            target = _receiver_var(recv, q.context, defaults)
+            target = _receiver_var(recv, q.context)
             lines.append(f"{indent}{target}.{fname} = 0;")
         elif kind == "CTI":
             _, _, args = _split_call(name)

@@ -1,10 +1,8 @@
-"""Group extracted items into the unordered transaction database and the
-ordered sequence database that feed mining.
+"""Group extracted items into the ordered sequence database that feeds
+mining.
 
-A block is a class path (``pkg.Cls``) or method path (``pkg.Cls.m()``).
-Method-granularity records hold the method-body items with the method's
-own MD item as head; class-granularity transactions pool everything
-declared inside the class, fields included.
+One record per method block (``pkg.Cls.m()``): the method's own MD item as
+head, then the items of its body in line order, duplicates kept.
 """
 
 from __future__ import annotations
@@ -12,12 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .items import ItemKind, SourceItem
-
-
-@dataclass(frozen=True)
-class TransactionRecord:
-    block_id: str
-    items: frozenset[tuple[str, str]]
 
 
 @dataclass(frozen=True)
@@ -29,7 +21,6 @@ class SequenceRecord:
 @dataclass(frozen=True)
 class SequenceDatabase:
     records: tuple[SequenceRecord, ...] = ()
-    corpus_label: str = ""
 
     def __len__(self) -> int:
         return len(self.records)
@@ -39,79 +30,26 @@ def _is_method_path(path: str) -> bool:
     return path.endswith("()")
 
 
-def _class_of(path: str) -> str:
-    if _is_method_path(path):
-        return path.rsplit(".", 1)[0]
-    return path
-
-
 def _method_path_of_md(item: SourceItem) -> str:
     method = item.name.split("(", 1)[0]
     return f"{item.enclosing}.{method}()"
 
 
-def build_transactions(items: list[SourceItem], granularity: str = "method",
-                       ) -> list[TransactionRecord]:
-    """Deduplicated per-block item sets; empty blocks dropped.
-
-    granularity "method": one record per method block (MD item included).
-    granularity "class": one record per class pooling all members' items.
-    """
-    if granularity not in ("class", "method"):
-        raise ValueError(f"unknown granularity {granularity!r}")
-    blocks: dict[str, set[tuple[str, str]]] = {}
-    order: list[str] = []
-
-    def add(block: str, item: SourceItem) -> None:
-        if block not in blocks:
-            blocks[block] = set()
-            order.append(block)
-        blocks[block].add(item.identity)
-
-    for item in items:
-        if granularity == "method":
-            if _is_method_path(item.enclosing):
-                add(item.enclosing, item)
-            elif item.kind is ItemKind.MD:
-                add(_method_path_of_md(item), item)
-        else:
-            # PD/ID/TD are file- or package-blocked, not class-blocked
-            if item.kind in (ItemKind.PD, ItemKind.ID, ItemKind.TD):
-                continue
-            add(_class_of(item.enclosing), item)
-    return [TransactionRecord(b, frozenset(blocks[b])) for b in sorted(order)]
-
-
-def build_sequence_db(items: list[SourceItem], granularity: str = "method",
-                      corpus_label: str = "") -> SequenceDatabase:
+def build_sequence_db(items: list[SourceItem]) -> SequenceDatabase:
     """Line-ordered sequence per method block, duplicates preserved,
-    with the MD item as head when present."""
-    if granularity != "method":
-        raise ValueError("sequence databases are method-granularity only")
+    with the MD item as head when present; records sorted by sid."""
     heads: dict[str, tuple[str, str]] = {}
     bodies: dict[str, list[tuple[str, str]]] = {}
-    order: list[str] = []
-
-    def ensure(block: str) -> None:
-        if block not in bodies:
-            bodies[block] = []
-            order.append(block)
-
     for item in items:
         if item.kind is ItemKind.MD:
             path = _method_path_of_md(item)
-            ensure(path)
+            bodies.setdefault(path, [])
             heads.setdefault(path, item.identity)
         elif _is_method_path(item.enclosing):
-            ensure(item.enclosing)
-            bodies[item.enclosing].append(item.identity)
+            bodies.setdefault(item.enclosing, []).append(item.identity)
 
     records = []
-    for sid in sorted(order):
-        seq: list[tuple[str, str]] = []
-        if sid in heads:
-            seq.append(heads[sid])
-        seq.extend(bodies[sid])
-        if seq:
-            records.append(SequenceRecord(sid, tuple(seq)))
-    return SequenceDatabase(tuple(records), corpus_label)
+    for sid in sorted(bodies):
+        head = (heads[sid],) if sid in heads else ()
+        records.append(SequenceRecord(sid, head + tuple(bodies[sid])))
+    return SequenceDatabase(tuple(records))

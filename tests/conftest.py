@@ -125,7 +125,7 @@ def fixture_corpus(tmp_path_factory) -> Path:
 @pytest.fixture(scope="session")
 def fixture_db(fixture_corpus) -> SequenceDatabase:
     items, _ = extract_corpus([fixture_corpus])
-    return build_sequence_db(items, corpus_label="fixture")
+    return build_sequence_db(items)
 
 
 def random_sequence_db(rng: random.Random, max_records: int = 8,
@@ -138,4 +138,4 @@ def random_sequence_db(rng: random.Random, max_records: int = 8,
         length = rng.randint(1, max_items)
         items = tuple(rng.choice(symbols) for _ in range(length))
         records.append(SequenceRecord(f"pkg.Cls.m{rid}()", items))
-    return SequenceDatabase(tuple(records), "random")
+    return SequenceDatabase(tuple(records))

@@ -176,7 +176,7 @@ def tokenize_reference(source: str) -> list:
 
     while i < n:
         c = source[i]
-        if c in " \t\r\n":
+        if c in " \t\f\r\n":
             bump(c)
             i += 1
             continue

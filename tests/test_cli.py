@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from conftest import write_fixture_corpus
-from esdp.cli import RunConfig, dispatch, main
+from esdp.cli import main
 from esdp.repository import parse
 
 
@@ -81,6 +81,27 @@ def test_bad_threshold_exits_2(corpus, capsys):
     with pytest.raises(SystemExit) as err:
         main(["mine", "--corpus", str(corpus), "--min-support", "0"])
     assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --min-support: must be a positive integer, got '0'" in captured.err
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["mine", "--corpus", "c", "--max-patterns", "0"], "--max-patterns"),
+    (["update", "--corpus", "c", "--min-support", "-1"], "--min-support"),
+    (["groum", "--corpus", "c", "--sigma", "0"], "--sigma"),
+    (["query", "--top", "0", "x.y();"], "--top"),
+    (["query", "--top", "two", "x.y();"], "--top"),
+    (["query", "--var", "bad", "x.y();"], "--var"),
+    (["eval", "--gold", "g.tsv", "--var", "=Type"], "--var"),
+])
+def test_usage_error_names_argument(argv, named, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {named}: " in captured.err
 
 
 def test_missing_corpus_is_usage_error(capsys):
@@ -184,12 +205,6 @@ def test_self_retrieval(corpus, tmp_path, capsys):
     assert "no recommendation" not in out
 
 
-def test_dispatch_reports_unknown_command():
-    status, report = dispatch("nope", RunConfig())
-    assert status == 2
-    assert "unknown command" in report
-
-
 @pytest.mark.parametrize("count,size,shown", [(1, 8, "0.13"), (30, 2000, "0.02")])
 def test_query_prints_store_rounding(tmp_path, capsys, count, size, shown):
     from fractions import Fraction
@@ -286,6 +301,18 @@ def test_file_not_utf8_names_file_and_byte_offset(tmp_path, capsys):
     bad, out = _mine_bad_file(tmp_path, capsys, "Bad.java", data)
     offset = data.index(b"\xe9")
     assert out.strip() == f"UnparsableSource: {bad}: not UTF-8 at byte offset {offset}"
+
+
+def test_form_feed_is_whitespace(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "A.java").write_text("class A {\n\f  void m() { x.f(); }\n}\n",
+                                   encoding="utf-8")
+    status, out = run(["mine", "--corpus", str(corpus), "--min-support", "1",
+                       "--repo", str(tmp_path / "r.xml")], capsys)
+    assert status == 0
+    assert "from 1 method sequences" in out
+    assert '<s i="2" kind="MI">unknown.f()</s>' in (tmp_path / "r.xml").read_text()
 
 
 @pytest.mark.parametrize("opener, closer", [("if (a) {\n", "}\n"), ("(", ")")])

@@ -14,7 +14,7 @@ from esdp.extractor import (
     extract_items,
     tokenize,
 )
-from esdp.items import ItemKind, normalize_item
+from esdp.items import ItemKind
 from oracles import tokenize_reference
 
 FIG_311 = """
@@ -200,17 +200,6 @@ def test_control_markers_nest():
     assert order == ["IF_BEGIN", "LOOP_BEGIN", "LOOP_END", "IF_END"]
 
 
-def test_normalize_item_examples():
-    assert normalize_item(ItemKind.FD, "Connection connection") == "Connection"
-    assert normalize_item(ItemKind.FD, "Connection conn") == "Connection"
-    assert normalize_item(ItemKind.MI, "setKind(int)", "ASTParser") == "aSTParser.setKind(int)"
-
-
-def test_normalize_item_total_on_odd_input():
-    assert normalize_item(ItemKind.FD, "") == ""
-    assert normalize_item(ItemKind.MI, "m()", "") == "m()"
-
-
 def test_dump_format():
     items, _ = extract_items("package p;\nclass C { private X x; }", "c.java")
     lines = dump_items(items).splitlines()
@@ -229,11 +218,12 @@ def test_duplicate_invocations_both_emitted():
 
 # characters where regex classes and str predicates part ways ('²' is a digit
 # but not decimal, '½' numeric but neither, '一' a letter that is numeric,
-# '\xa0' whitespace the lexer does not skip), next to every token class
+# '\xa0' whitespace the lexer does not skip), the form feed that Java skips
+# as whitespace (JLS 3.6), and every token class
 _LEXEMES = st.sampled_from([
     "a", "Zq", "_", "$", "if", "class", "0", "7", "0x1F", "1.5", "2f", ".", "..",
     "²", "½", "①", "一", "é", "\xa0", '"', "'", "\\", "/*", "*/", "//", "/", "*",
-    "\n", "\r", "\t", " ", "==", "->", "::", "/=", "{", "}", "(", ")", ";", "`", "#",
+    "\n", "\r", "\t", "\f", " ", "==", "->", "::", "/=", "{", "}", "(", ")", ";", "`", "#",
 ])
 _TEXT = st.one_of(st.text(), st.lists(st.one_of(_LEXEMES, st.text(max_size=2)),
                                       max_size=40).map("".join))

@@ -6,22 +6,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import PLANTED_ELEMENTS, random_sequence_db
-from esdp.kernels import _pure
-from esdp.mining import (
-    InvalidThreshold,
-    adaptive_mine,
-    mine_prefixspan,
-    pattern_sort_key,
-    score,
-    support,
-)
+from esdp.mining import InvalidThreshold, adaptive_mine, mine_prefixspan, pattern_sort_key
 from esdp.transactions import SequenceDatabase, SequenceRecord
 from oracles import exhaustive_mine
-
-try:
-    from esdp.kernels import _fast
-except ImportError:
-    _fast = None
 
 
 def db_of(*sequences: str) -> SequenceDatabase:
@@ -29,7 +16,7 @@ def db_of(*sequences: str) -> SequenceDatabase:
         SequenceRecord(f"s{i}", tuple(("MI", ch) for ch in seq))
         for i, seq in enumerate(sequences)
     )
-    return SequenceDatabase(records, "test")
+    return SequenceDatabase(records)
 
 
 ABC_DB = db_of("abc", "ac", "bc")
@@ -37,6 +24,15 @@ ABC_DB = db_of("abc", "ac", "bc")
 
 def as_counts(patterns):
     return {tuple(n for _, n in p.elements): p.support_count for p in patterns}
+
+
+def oracle_scores(elements, counts, db_size):
+    """(support_ratio, confidence, ranking) of elements from exhaustive
+    support counts: confidence is count / prefix count, 1 for one item."""
+    count = counts[elements]
+    prefix_count = counts[elements[:-1]] if len(elements) > 1 else count
+    ratio = Fraction(count, db_size)
+    return ratio, Fraction(count, prefix_count), len(elements) * ratio
 
 
 def test_mine_three_record_example():
@@ -61,13 +57,14 @@ def test_invalid_threshold():
 
 
 def test_support_examples(fixture_db):
-    assert support(list(PLANTED_ELEMENTS), fixture_db) == 7
-    assert Fraction(7, len(fixture_db.records)) == Fraction(7, 12)
+    counts = exhaustive_mine([r.items for r in fixture_db.records], 1)
+    assert counts[PLANTED_ELEMENTS] == 7
+    assert len(fixture_db) == 12
     # a full record contains itself
-    rec = fixture_db.records[0]
-    assert support(list(rec.items), fixture_db) >= 1
+    assert counts[fixture_db.records[0].items] >= 1
     # absent item
-    assert support([("MI", "nowhere.never()")], fixture_db) == 0
+    assert (("MI", "nowhere.never()"),) not in counts
+    assert {p.elements: p.support_count for p in mine_prefixspan(fixture_db, 1)} == counts
 
 
 def test_score_fig35_values(fixture_db):
@@ -80,8 +77,9 @@ def test_score_fig35_values(fixture_db):
     assert top.confidence == 1
     assert top.ranking == Fraction(35, 12)
     assert abs(float(top.ranking) - 2.91667) < 1e-4
-    ratio, confidence, ranking = score(top, fixture_db)
-    assert (ratio, confidence, ranking) == (top.support_ratio, top.confidence, top.ranking)
+    counts = exhaustive_mine([r.items for r in fixture_db.records], 1)
+    assert oracle_scores(top.elements, counts, len(fixture_db)) == (
+        top.support_ratio, top.confidence, top.ranking)
 
 
 def test_confidence_base_case_and_prefix_rule():
@@ -116,8 +114,11 @@ def test_oracle_equivalence_sample():
         db = random_sequence_db(rng)
         min_support = rng.randint(1, max(1, len(db.records)))
         expected = exhaustive_mine([r.items for r in db.records], min_support)
-        got = {p.elements: p.support_count for p in mine_prefixspan(db, min_support)}
-        assert got == expected
+        patterns = mine_prefixspan(db, min_support)
+        assert {p.elements: p.support_count for p in patterns} == expected
+        for p in patterns:
+            assert (p.support_ratio, p.confidence, p.ranking) == oracle_scores(
+                p.elements, expected, len(db))
 
 
 def test_adaptive_under_cap_returns_everything():
@@ -164,31 +165,6 @@ def test_adaptive_single_pattern_cap():
 
 
 def test_empty_db():
-    empty = SequenceDatabase((), "none")
+    empty = SequenceDatabase(())
     assert mine_prefixspan(empty, 1) == []
     assert adaptive_mine(empty, 5) == []
-
-
-# --- backend twins ---------------------------------------------------------------
-
-@pytest.mark.skipif(_fast is None, reason="compiled kernel not built")
-def test_backends_agree():
-    rng = random.Random(23)
-    for _ in range(30):
-        n = rng.randint(1, 8)
-        records = [[rng.randint(0, 4) for _ in range(rng.randint(1, 6))] for _ in range(n)]
-        m = rng.randint(1, n)
-        pure_out = sorted(_pure.prefixspan(records, m)[0])
-        fast_out = sorted(_fast.prefixspan(records, m)[0])
-        assert pure_out == fast_out
-        alpha = [rng.randint(0, 4) for _ in range(rng.randint(1, 3))]
-        assert _pure.support_count(records, alpha) == _fast.support_count(records, alpha)
-        assert _pure.contains(records[0], alpha) == _fast.contains(records[0], alpha)
-
-
-@pytest.mark.skipif(_fast is None, reason="compiled kernel not built")
-def test_backends_agree_on_cap_overflow():
-    records = [[0, 1, 2, 3, 4], [0, 1, 2, 3, 4]]
-    _, pure_exceeded = _pure.prefixspan(records, 1, cap=5)
-    _, fast_exceeded = _fast.prefixspan(records, 1, cap=5)
-    assert pure_exceeded and fast_exceeded

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 from esdp.extractor import extract_corpus, extract_items
-from esdp.transactions import build_sequence_db, build_transactions
+from esdp.transactions import build_sequence_db
 
 TWO_METHODS = """package pkg;
 class Cls {
@@ -28,43 +28,25 @@ class ClassA {
 """
 
 
-def test_single_method_transaction_is_item_set():
+def test_single_method_sequence_record():
     items, _ = extract_items(EQ31_STYLE, "a.java")
-    records = build_transactions(items, "method")
-    assert len(records) == 1
-    rec = records[0]
-    assert rec.block_id == "p.ClassA.m()"
+    db = build_sequence_db(items)
+    assert [r.sid for r in db.records] == ["p.ClassA.m()"]
+    rec = db.records[0]
     assert ("VD", "ICompilationUnit") in rec.items
     assert ("VD", "ASTParser") in rec.items
     assert ("MI", "aSTParser.setKind(int)") in rec.items
 
 
 def test_empty_items_give_empty_list():
-    assert build_transactions([], "method") == []
-    assert build_transactions([], "class") == []
-    assert len(build_sequence_db([], "method")) == 0
+    assert build_sequence_db([]).records == ()
+    assert len(build_sequence_db([])) == 0
 
 
 def test_two_methods_two_records():
     items, _ = extract_items(TWO_METHODS, "t.java")
-    records = build_transactions(items, "method")
-    assert [r.block_id for r in records] == ["pkg.Cls.m1()", "pkg.Cls.m2()"]
-
-
-def test_class_granularity_pools_members():
-    items, _ = extract_items(TWO_METHODS, "t.java")
-    records = build_transactions(items, "class")
-    assert len(records) == 1
-    assert records[0].block_id == "pkg.Cls"
-    names = {name for _, name in records[0].items}
-    assert "unknown.one()" in names and "unknown.two()" in names
-
-
-def test_transactions_deduplicate():
-    source = "class C { void m() { x.t(); x.t(); } }"
-    items, _ = extract_items(source, "c.java")
-    rec = build_transactions(items, "method")[0]
-    assert len([i for i in rec.items if i[0] == "MI"]) == 1
+    db = build_sequence_db(items)
+    assert [r.sid for r in db.records] == ["pkg.Cls.m1()", "pkg.Cls.m2()"]
 
 
 def test_sequence_preserves_duplicates_and_order():
@@ -108,15 +90,6 @@ def test_sequence_matches_line_order_not_call_order():
     assert sorted(got) == sorted(base)
 
 
-def test_transaction_is_order_forgetting_projection_of_sequence(fixture_corpus):
-    items, _ = extract_corpus([fixture_corpus])
-    db = build_sequence_db(items)
-    transactions = {r.block_id: r.items for r in build_transactions(items, "method")}
-    assert set(transactions) == {r.sid for r in db.records}
-    for rec in db.records:
-        assert set(rec.items) == transactions[rec.sid]
-
-
 def test_sequence_lengths_sum(fixture_corpus):
     items, _ = extract_corpus([fixture_corpus])
     db = build_sequence_db(items)
@@ -129,7 +102,6 @@ def test_determinism(fixture_corpus):
     items1, _ = extract_corpus([fixture_corpus])
     items2, _ = extract_corpus([fixture_corpus])
     assert build_sequence_db(items1) == build_sequence_db(items2)
-    assert build_transactions(items1, "class") == build_transactions(items2, "class")
 
 
 def test_fixture_db_has_twelve_records(fixture_db):
