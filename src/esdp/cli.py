@@ -45,7 +45,7 @@ _DOMAIN_ERRORS = (
     groum_mod.MalformedControlNesting,
     metrics.UndefinedMetric,
     metrics.DegenerateLabels,
-    FileNotFoundError,
+    OSError,
     ValueError,
 )
 
@@ -131,10 +131,9 @@ def _format_rec_rows(recs) -> list[list[str]]:
         head = " ".join(name for _, name in p.elements[:3])
         if p.k > 3:
             head += " ..."
-        rows.append([str(rank), str(p.k),
-                     *(two_dp(*x.as_integer_ratio())
-                       for x in (p.support_ratio, p.confidence, p.ranking)),
-                     head])
+        count = p.support_count
+        rows.append([str(rank), str(p.k), two_dp(count, p.db_size),
+                     two_dp(count, p.prefix_count), two_dp(p.k * count, p.db_size), head])
     return rows
 
 

@@ -1,15 +1,16 @@
 """Frequent sequential pattern mining over item sequence databases.
 
-Patterns are scored exactly: support ratios, confidences and rankings are
-kept as rationals so that ranking == k * support_ratio holds with no
-rounding; display rounding happens only at serialization time.
+Patterns are scored exactly: a pattern keeps the integers its scores are
+ratios of (support count, database size, prefix count), so support ratio,
+confidence and ranking are exact rationals with ranking == k * support_ratio
+and no rounding; display rounding happens only at serialization time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from . import kernels
 from .transactions import SequenceDatabase
@@ -22,13 +23,15 @@ class InvalidThreshold(Exception):
 Element = tuple[str, str]  # (kind, name)
 
 
-@dataclass(frozen=True)
-class SequentialPattern:
+class SequentialPattern(NamedTuple):
+    """A mined sequence: support_count of db_size sequences hold it and
+    prefix_count hold its first k-1 elements (support_count when k == 1).
+    The scores are exact rationals computed from these on demand."""
+
     elements: tuple[Element, ...]
     support_count: int
-    support_ratio: Fraction
-    confidence: Fraction
-    ranking: Fraction
+    db_size: int
+    prefix_count: int
 
     @property
     def k(self) -> int:
@@ -41,10 +44,36 @@ class SequentialPattern:
     def names(self) -> tuple[str, ...]:
         return tuple(name for _, name in self.elements)
 
+    @property
+    def support_ratio(self) -> Fraction:
+        return Fraction(self.support_count, self.db_size)
 
-def pattern_sort_key(p: SequentialPattern):
-    """Ranking desc, support desc, then lexicographic on names and kinds."""
-    return (-p.ranking, -p.support_count, p.names(), tuple(k for k, _ in p.elements))
+    @property
+    def confidence(self) -> Fraction:
+        return Fraction(self.support_count, self.prefix_count)
+
+    @property
+    def ranking(self) -> Fraction:
+        return Fraction(len(self.elements) * self.support_count, self.db_size)
+
+
+def sort_patterns(patterns: Iterable[SequentialPattern]) -> list[SequentialPattern]:
+    """Ranking desc, support desc, then lexicographic on names and kinds.
+
+    The ranking k * count / db_size is compared as the exact integer
+    k * count * (L // db_size), L the lcm of the patterns' database sizes,
+    so patterns mined from databases of different sizes still order exactly.
+    """
+    patterns = list(patterns)
+    lcm = math.lcm(*{p.db_size for p in patterns})
+
+    def key(p: SequentialPattern):
+        kinds, names = zip(*p.elements)
+        return (-len(kinds) * p.support_count * (lcm // p.db_size), -p.support_count,
+                names, kinds)
+
+    patterns.sort(key=key)
+    return patterns
 
 
 def _encode(db: SequenceDatabase) -> tuple[list[list[int]], list[Element]]:
@@ -64,24 +93,11 @@ def _encode(db: SequenceDatabase) -> tuple[list[list[int]], list[Element]]:
 
 def _build_patterns(raw: Iterable[tuple[tuple[int, ...], int]],
                     alphabet: list[Element], db_size: int) -> list[SequentialPattern]:
-    counts = {ids: count for ids, count in raw}
-    patterns = []
-    for ids, count in counts.items():
-        elements = tuple(alphabet[i] for i in ids)
-        ratio = Fraction(count, db_size)
-        if len(ids) == 1:
-            confidence = Fraction(1)
-        else:
-            confidence = Fraction(count, counts[ids[:-1]])
-        patterns.append(SequentialPattern(
-            elements=elements,
-            support_count=count,
-            support_ratio=ratio,
-            confidence=confidence,
-            ranking=len(ids) * ratio,
-        ))
-    patterns.sort(key=pattern_sort_key)
-    return patterns
+    counts = dict(raw)
+    return sort_patterns(
+        SequentialPattern(tuple(alphabet[i] for i in ids), count, db_size,
+                          counts[ids[:-1]] if len(ids) > 1 else count)
+        for ids, count in counts.items())
 
 
 def mine_prefixspan(db: SequenceDatabase, min_support: int) -> list[SequentialPattern]:

@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable
 
 from .items import ItemKind
-from .mining import SequentialPattern, pattern_sort_key
+from .mining import SequentialPattern, sort_patterns
 
 
 class SchemaViolation(Exception):
@@ -43,7 +42,7 @@ def make_repository(patterns: Iterable[SequentialPattern], corpus_label: str = "
     """Sort by ranking (desc, with tie-breaks) and drop duplicate element-lists."""
     seen: set[tuple] = set()
     unique: list[SequentialPattern] = []
-    for p in sorted(patterns, key=pattern_sort_key):
+    for p in sort_patterns(patterns):
         if p.elements not in seen:
             seen.add(p.elements)
             unique.append(p)
@@ -71,18 +70,6 @@ def _unesc(text: str) -> str:
             .replace("&amp;", "&"))
 
 
-def _rational_parts(p: SequentialPattern) -> tuple[int, int, int, int]:
-    """Unreduced (support num, den, confidence num, den) recovered from the
-    exact fields; num is always the raw support count."""
-    count = p.support_count
-    db_size = count * p.support_ratio.denominator // p.support_ratio.numerator
-    if p.k == 1 or p.confidence == 0:
-        prefix_count = count
-    else:
-        prefix_count = count * p.confidence.denominator // p.confidence.numerator
-    return count, db_size, count, prefix_count
-
-
 def serialize(repo: MinedRepository) -> bytes:
     """Canonical document bytes: UTF-8, LF, 2-space indent, fixed attribute order.
 
@@ -107,11 +94,11 @@ def serialize(repo: MinedRepository) -> bytes:
     else:
         out.append("  <patterns>")
         for p in repo.patterns:
-            num, den, cnum, cden = _rational_parts(p)
+            num, den, cden = p.support_count, p.db_size, p.prefix_count
             out.append(f'    <pattern kind="{p.kind}" k="{p.k}">')
             out.append(f'      <support num="{num}" den="{den}">{two_dp(num, den)}</support>')
-            out.append(f'      <confidence num="{cnum}" den="{cden}">'
-                       f'{two_dp(cnum, cden)}</confidence>')
+            out.append(f'      <confidence num="{num}" den="{cden}">'
+                       f'{two_dp(num, cden)}</confidence>')
             out.append(f"      <ranking>{two_dp(p.k * num, den)}</ranking>")
             out.append("      <sequence>")
             for i, (kind, name) in enumerate(p.elements, start=1):
@@ -133,7 +120,11 @@ def serialize(repo: MinedRepository) -> bytes:
 _NUM = "([1-9][0-9]*)"
 _KIND = "(" + "|".join(k.value for k in ItemKind) + ")"
 _ATTR = '((?:[^&<>"\\x00-\\x1f]|&(?:amp|lt|gt|quot);)*)'
-_NAME = "((?:[^&<>\\x00-\\x08\\x0a-\\x1f]|&(?:amp|lt|gt);)+)"
+# Item names: one or more characters or escapes, written as run (escape run)*
+# behind a lookahead that refuses the empty name, so the engine scans a run
+# of plain characters without trying the escape branch at each one.
+_NAME_RUN = "[^&<>\\x00-\\x08\\x0a-\\x1f]*"
+_NAME = f"((?=[^<]){_NAME_RUN}(?:&(?:amp|lt|gt);{_NAME_RUN})*)"
 
 _HEADER = re.compile(f'<esdp-repository version="1" corpus="{_ATTR}" created="{_ATTR}"'
                      f' min-support="{_NUM}">')
@@ -262,13 +253,7 @@ def parse(data: bytes) -> MinedRepository:
             if key in seen:
                 raise _pattern_violation(n - k - 6, "duplicate pattern element-list", idx)
             seen.add(key)
-            patterns.append(SequentialPattern(
-                elements=key,
-                support_count=num,
-                support_ratio=Fraction(num, den),
-                confidence=Fraction(cnum, cden),
-                ranking=Fraction(k * num, den),
-            ))
+            patterns.append(SequentialPattern(key, num, den, cden))
             if lines[n] == "  </patterns>":
                 n += 1
                 break

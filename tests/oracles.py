@@ -38,6 +38,19 @@ def exhaustive_mine(records, min_support: int) -> dict[tuple, int]:
     return result
 
 
+def pattern_sort_key(p):
+    """The documented store order on exact rationals: ranking desc, support
+    count desc, then lexicographic on names and kinds."""
+    return (-p.ranking, -p.support_count, p.names(), tuple(k for k, _ in p.elements))
+
+
+# --- store item names ------------------------------------------------------------------
+
+# The item-name expression the unrolled repository._NAME replaced: one
+# alternation of a plain character or an escape, tried at every character.
+NAME_REFERENCE = "((?:[^&<>\\x00-\\x08\\x0a-\\x1f]|&(?:amp|lt|gt);)+)"
+
+
 # --- longest common subsequence ------------------------------------------------------
 
 def lcs_brute(a, b) -> int:

@@ -153,9 +153,7 @@ def _thousand_pattern_repo() -> bytes:
         k = rng.randint(1, 6)
         elements = tuple(("MI", f"api{i}.call{j}(int)") for j in range(k))
         count = rng.randint(1, 50)
-        ratio = Fraction(count, 50)
-        patterns.append(SequentialPattern(elements, count, ratio, Fraction(1),
-                                          k * ratio))
+        patterns.append(SequentialPattern(elements, count, 50, count))
     repo = make_repository(patterns, "synthetic", "t", 2)
     assert len(repo.patterns) >= 1000
     return serialize(repo)

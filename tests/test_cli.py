@@ -176,6 +176,19 @@ def test_domain_error_exits_1(tmp_path, capsys):
     assert "FileNotFoundError" in out
 
 
+def test_directory_in_place_of_a_file_exits_1(corpus, tmp_path, capsys):
+    repo_path = tmp_path / "repo.xml"
+    run(["mine", "--corpus", str(corpus), "--repo", str(repo_path)], capsys)
+    for argv, path in [(["query", "--repo", str(tmp_path), "--pick", "1", "x.y();"], tmp_path),
+                       (["eval", "--repo", str(repo_path), "--gold", str(corpus)], corpus)]:
+        status = main(argv)
+        out, err = capsys.readouterr()
+        assert status == 1
+        assert out.startswith("IsADirectoryError: ") and str(path) in out
+        assert out.count("\n") == 1
+        assert err == ""
+
+
 def test_mine_determinism(corpus, tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "1445558400")
     a, b = tmp_path / "a.xml", tmp_path / "b.xml"
@@ -207,14 +220,10 @@ def test_self_retrieval(corpus, tmp_path, capsys):
 
 @pytest.mark.parametrize("count,size,shown", [(1, 8, "0.13"), (30, 2000, "0.02")])
 def test_query_prints_store_rounding(tmp_path, capsys, count, size, shown):
-    from fractions import Fraction
-
     from esdp.mining import SequentialPattern
     from esdp.repository import make_repository, serialize
 
-    ratio = Fraction(count, size)
-    pattern = SequentialPattern((("MI", "aSTParser.setKind(int)"),), count, ratio,
-                                Fraction(1), ratio)
+    pattern = SequentialPattern((("MI", "aSTParser.setKind(int)"),), count, size, count)
     repo_path = tmp_path / "one.xml"
     repo_path.write_bytes(serialize(make_repository([pattern])))
     assert f'<support num="{count}" den="{size}">{shown}</support>' in repo_path.read_text()
@@ -262,8 +271,10 @@ def test_failed_update_leaves_store_whole(corpus, tmp_path, capsys, monkeypatch,
         monkeypatch.setattr(esdp.cli, "serialize", fail)
     else:
         monkeypatch.setattr(os, "replace", fail)
-    with pytest.raises(OSError, match=failing):
-        main(["update", "--corpus", str(corpus), "--min-support", "2", "--repo", str(repo_path)])
+    status, out = run(["update", "--corpus", str(corpus), "--min-support", "2",
+                       "--repo", str(repo_path)], capsys)
+    assert status == 1
+    assert out == f"OSError: {failing} failed\n"
     assert repo_path.read_bytes() == before
     assert [p.name for p in repo_path.parent.iterdir()] == ["store.xml"]
 

@@ -4,11 +4,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import PLANTED_ELEMENTS, random_sequence_db
-from esdp.mining import InvalidThreshold, adaptive_mine, mine_prefixspan, pattern_sort_key
+from esdp.mining import (
+    InvalidThreshold,
+    SequentialPattern,
+    adaptive_mine,
+    mine_prefixspan,
+    sort_patterns,
+)
 from esdp.transactions import SequenceDatabase, SequenceRecord
-from oracles import exhaustive_mine
+from oracles import exhaustive_mine, pattern_sort_key
 
 
 def db_of(*sequences: str) -> SequenceDatabase:
@@ -93,6 +101,30 @@ def test_ranking_is_k_times_support():
     for p in mine_prefixspan(ABC_DB, 1):
         assert p.ranking == p.k * p.support_ratio
         assert p.ranking / p.k == p.support_ratio
+
+
+@st.composite
+def mixed_size_patterns(draw) -> list[SequentialPattern]:
+    """Patterns with distinct element-lists from databases of different
+    sizes, as merge_update leaves them; small sizes make equal rankings
+    such as 1/3 = 2/6 = 4/12 common."""
+    element_lists = draw(st.lists(
+        st.lists(st.tuples(st.sampled_from(["MI", "FD"]), st.sampled_from("abc")),
+                 min_size=1, max_size=3).map(tuple),
+        max_size=12, unique=True))
+    patterns = []
+    for elements in element_lists:
+        db_size = draw(st.sampled_from([1, 3, 4, 6, 12, 35]))
+        count = draw(st.integers(1, db_size))
+        prefix_count = count if len(elements) == 1 else draw(st.integers(count, db_size))
+        patterns.append(SequentialPattern(elements, count, db_size, prefix_count))
+    return patterns
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_size_patterns())
+def test_sort_patterns_orders_as_the_rational_key(patterns):
+    assert sort_patterns(patterns) == sorted(patterns, key=pattern_sort_key)
 
 
 def test_anti_monotonicity_and_downward_closure():

@@ -3,6 +3,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import PLANTED_ELEMENTS
 from esdp.extractor import extract_items
@@ -11,6 +13,7 @@ from esdp.query import (
     QueryContext,
     Recommendation,
     UnparsableQuery,
+    UserQuery,
     abstract_query,
     derive_bindings,
     extract_skeleton_items,
@@ -21,15 +24,12 @@ from esdp.repository import make_repository
 
 
 def pattern_of(elements, count=2, size=4) -> SequentialPattern:
-    ratio = Fraction(count, size)
-    return SequentialPattern(tuple(elements), count, ratio, Fraction(1),
-                             len(elements) * ratio)
+    return SequentialPattern(tuple(elements), count, size, count)
 
 
 @pytest.fixture()
 def fig35_repo():
-    p = SequentialPattern(PLANTED_ELEMENTS, 7, Fraction(7, 12), Fraction(1),
-                          5 * Fraction(7, 12))
+    p = SequentialPattern(PLANTED_ELEMENTS, 7, 12, 7)
     return make_repository([p], "fixture", "t", 2)
 
 
@@ -119,6 +119,34 @@ def test_search_truncation_is_prefix_monotone(fig35_repo):
         got = [r.pattern.elements for r in search(q, repo, n)]
         assert got[: len(previous)] == previous
         previous = got
+
+
+_SEARCH_ITEMS = st.tuples(st.sampled_from(["MI", "FD"]),
+                          st.sampled_from(["v.a()", "v.a(int)", "w.a()", "v.b()", "a", "x"]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.lists(_SEARCH_ITEMS, min_size=1, max_size=4).map(tuple),
+                          st.integers(1, 6), st.sampled_from([6, 7])),
+                max_size=10, unique_by=lambda t: t[0]),
+       _SEARCH_ITEMS, st.integers(1, 12))
+def test_search_returns_store_patterns_by_tier_in_ranking_order(drawn, item, top_n):
+    repo = make_repository(SequentialPattern(e, count, size, count) for e, count, size in drawn)
+    store_index = {p: i for i, p in enumerate(repo.patterns)}
+    recs = search(UserQuery("", item, QueryContext()), repo, top_n)
+    assert len(recs) <= top_n
+    assert len({r.pattern for r in recs}) == len(recs)
+    assert all(r.pattern in store_index for r in recs)
+    # tier 0: led by the item, 1: holds it elsewhere, 2: name substring match
+    tiers = [0 if r.pattern.elements[0] == item else 1 if item in r.pattern.elements else 2
+             for r in recs]
+    assert tiers == sorted(tiers)
+    for (a, tier_a), (b, tier_b) in zip(zip(recs, tiers), zip(recs[1:], tiers[1:])):
+        if tier_a == tier_b:
+            assert store_index[a.pattern] < store_index[b.pattern]
+            assert a.pattern.ranking >= b.pattern.ranking
+    if len(recs) < top_n:
+        assert {p for p in repo.patterns if item in p.elements} <= {r.pattern for r in recs}
 
 
 def test_render_skeleton_fig35(fig35_repo):

@@ -13,6 +13,8 @@ from conftest import random_sequence_db
 from esdp.items import ItemKind
 from esdp.mining import SequentialPattern, mine_prefixspan
 from esdp.repository import (
+    _ITEM,
+    _NAME,
     MinedRepository,
     SchemaViolation,
     make_repository,
@@ -21,6 +23,7 @@ from esdp.repository import (
     serialize,
     two_dp,
 )
+from oracles import NAME_REFERENCE
 
 FIG35_ELEMENTS = (
     ("MI", "dom.ASTParser.newParser(int)"),
@@ -32,14 +35,11 @@ FIG35_ELEMENTS = (
 
 
 def fig35_pattern() -> SequentialPattern:
-    return SequentialPattern(FIG35_ELEMENTS, 7, Fraction(7, 12), Fraction(7, 7),
-                             5 * Fraction(7, 12))
+    return SequentialPattern(FIG35_ELEMENTS, 7, 12, 7)
 
 
 def pattern_of(names, count=2, size=4, kind="MI") -> SequentialPattern:
-    elements = tuple((kind, n) for n in names)
-    ratio = Fraction(count, size)
-    return SequentialPattern(elements, count, ratio, Fraction(1), len(elements) * ratio)
+    return SequentialPattern(tuple((kind, n) for n in names), count, size, count)
 
 
 def random_repo(rng: random.Random) -> MinedRepository:
@@ -164,10 +164,33 @@ def test_only_canonical_escapes_and_unpadded_names_accepted():
         assert err.value.path == "/esdp-repository/patterns/pattern[1]/sequence/s[1]"
 
 
-@pytest.mark.parametrize("name", [" x", "a\nb", "a\x01b"])
+@pytest.mark.parametrize("name", ["", " x", "a\nb", "a\x01b"])
 def test_unreadable_item_name_refused_at_write(name):
     with pytest.raises(ValueError, match="item name"):
         serialize(make_repository([pattern_of(["ok()", name])]))
+
+
+_NAME_PIECES = st.one_of(
+    st.sampled_from(["", "&", "&amp;", "&lt;", "&gt;", "&quot;", "&am", "&amp", "&l", "&gt",
+                     "gt;", ";", "<", ">", '"', "\t", "\n", "\r", "\x00", "\x08", "\x0b",
+                     "\x1f", "\x7f", " ", "a", "é", "漢", "</s>"]),
+    st.text(max_size=3))
+_ITEM_REFERENCE = re.compile(_ITEM.pattern.replace(_NAME, NAME_REFERENCE))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_NAME_PIECES, max_size=8).map("".join))
+@example("")
+@example("&amp;")
+@example("a&b")
+def test_unrolled_name_expression_accepts_what_the_reference_accepts(text):
+    assert _ITEM_REFERENCE.pattern != _ITEM.pattern
+    line = f'        <s i="1" kind="MI">{text}</s>'
+    for new, old, subject in ((_NAME, NAME_REFERENCE, text),
+                              (_ITEM.pattern, _ITEM_REFERENCE.pattern, line)):
+        got, want = re.fullmatch(new, subject), re.fullmatch(old, subject)
+        assert (got is None) == (want is None)
+        assert got is None or got.groups() == want.groups()
 
 
 def test_inner_tab_in_item_name_round_trips():
@@ -207,11 +230,8 @@ def repositories(draw) -> MinedRepository:
     patterns = []
     for elements in element_lists:
         count = draw(st.integers(1, size))
-        ratio = Fraction(count, size)
-        confidence = (Fraction(1) if len(elements) == 1
-                      else Fraction(count, draw(st.integers(count, size))))
-        patterns.append(SequentialPattern(elements, count, ratio, confidence,
-                                          len(elements) * ratio))
+        prefix_count = count if len(elements) == 1 else draw(st.integers(count, size))
+        patterns.append(SequentialPattern(elements, count, size, prefix_count))
     return MinedRepository(tuple(patterns), draw(_LABELS), draw(_LABELS),
                            draw(st.integers(1, 10**6)))
 
@@ -290,6 +310,18 @@ def test_merge_full_replacement_drops_existing():
     fresh = pattern_of(["only()"])
     merged = merge_update(repo, [fresh], full_replacement=True)
     assert [p.elements for p in merged.patterns] == [fresh.elements]
+
+
+@settings(max_examples=50, deadline=None)
+@given(repositories(), repositories(), st.data(), st.booleans())
+def test_merge_update_is_idempotent(repo, other, data, full_replacement):
+    # fresh patterns: some stored element-lists rescored, plus other patterns
+    stored = data.draw(st.lists(st.sampled_from(repo.patterns), max_size=3)) \
+        if repo.patterns else []
+    rescored = [SequentialPattern(p.elements, 1, p.db_size + 1, 1) for p in stored]
+    fresh = rescored + list(other.patterns)
+    once = merge_update(repo, fresh, full_replacement=full_replacement)
+    assert merge_update(once, fresh, full_replacement=full_replacement) == once
 
 
 def test_sorted_by_ranking_after_every_operation():
