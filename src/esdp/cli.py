@@ -65,7 +65,11 @@ def _write_atomic(path: str, data: bytes) -> None:
     """Replace path with data in one step: a failure at any point leaves the
     previous file whole and no temporary file behind."""
     target = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.", suffix=".tmp")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.", suffix=".tmp")
+    except OSError as exc:
+        # name the store, not the temporary file that could not be made
+        raise type(exc)(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, "wb") as f:
             f.write(data)
@@ -207,16 +211,16 @@ def _cmd_groum(args: argparse.Namespace) -> str:
     return "\n".join(out).rstrip()
 
 
-def _parse_gold_line(line: str) -> tuple[str, list[str], int | None]:
+def _parse_gold_line(line: str, where: str) -> tuple[str, list[str], int | None]:
     parts = line.rstrip("\n").split("\t")
     if len(parts) < 2 or not parts[0].strip() or not parts[1].strip():
-        raise ValueError(f"malformed gold line: {line!r}")
+        raise ValueError(f"{where}: malformed gold line: {line!r}")
     statement = parts[0].strip()
     gold_items = parts[1].split()
     label: int | None = None
     if len(parts) >= 3 and parts[2].strip():
         if parts[2].strip() not in ("0", "1"):
-            raise ValueError(f"gold label must be 0 or 1: {line!r}")
+            raise ValueError(f"{where}: gold label must be 0 or 1: {line!r}")
         label = int(parts[2].strip())
     return statement, gold_items, label
 
@@ -229,10 +233,15 @@ def _cmd_eval(args: argparse.Namespace) -> str:
     rows: list[list[str]] = []
     prs: list[tuple[Fraction, Fraction]] = []
     labeled_scores: list[tuple[float, int]] = []
-    for line in Path(args.gold).read_text(encoding="utf-8").splitlines():
+    data = Path(args.gold).read_bytes()
+    try:
+        gold = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{args.gold}: not UTF-8 at byte offset {exc.start}") from None
+    for lineno, line in enumerate(gold.splitlines(), start=1):
         if not line.strip() or line.startswith("#"):
             continue
-        statement, gold_items, label = _parse_gold_line(line)
+        statement, gold_items, label = _parse_gold_line(line, f"{args.gold}:{lineno}")
         q = abstract_query(statement, ctx)
         recs = search(q, repo, 1)
         if recs:

@@ -130,9 +130,22 @@ def adaptive_mine(db: SequenceDatabase, max_patterns: int = 50) -> AdaptivePatte
         return AdaptivePatterns([], 1)
     records, alphabet = _encode(db)
     n = len(records)
-    for m in range(1, n + 1):
+    # The pattern count never rises with min_support, so bisect for the
+    # smallest fitting m in [lo, hi]; hi == n + 1 stands for "none fits".
+    lo, hi = 1, n + 1
+    while lo < hi:
+        m = (lo + hi) // 2
         raw, exceeded = kernels.prefixspan(records, m, cap=max_patterns)
-        if not exceeded:
-            return AdaptivePatterns(_build_patterns(raw, alphabet, n), m)
+        if exceeded:
+            lo = m + 1
+        else:
+            hi = m
+    if lo <= n:
+        # The last probe overflowed unless it was at lo: mine at lo again, so
+        # the result is always that of the last kernel call, at the threshold
+        # chosen, as with the linear scan.
+        if m != lo:
+            raw, _ = kernels.prefixspan(records, lo, cap=max_patterns)
+        return AdaptivePatterns(_build_patterns(raw, alphabet, n), lo)
     raw, _ = kernels.prefixspan(records, n)
     return AdaptivePatterns(_build_patterns(raw, alphabet, n)[:max_patterns], n)

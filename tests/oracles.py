@@ -6,6 +6,7 @@ from __future__ import annotations
 from itertools import combinations, permutations
 
 from esdp.extractor import KEYWORDS, UnparsableSource
+from esdp.mining import mine_prefixspan
 
 
 # --- sequence mining ---------------------------------------------------------------
@@ -36,6 +37,62 @@ def exhaustive_mine(records, min_support: int) -> dict[tuple, int]:
         if count >= min_support:
             result[alpha] = count
     return result
+
+
+def prefixspan_reference(records, min_support: int, cap: int = -1):
+    """The scanning kernel the next-occurrence index replaced: each
+    projection rescans its records for the next occurrence of the item,
+    counting extensions with a per-record seen set. Same contract as
+    esdp.kernels.prefixspan, including the partial results under cap."""
+    results: list[tuple[tuple[int, ...], int]] = []
+    exceeded = False
+
+    def grow(prefix: tuple[int, ...], projections: list[tuple[int, int]]) -> None:
+        nonlocal exceeded
+        if exceeded:
+            return
+        counts: dict[int, int] = {}
+        for rid, pos in projections:
+            rec = records[rid]
+            seen: set[int] = set()
+            for p in range(pos, len(rec)):
+                x = rec[p]
+                if x not in seen:
+                    seen.add(x)
+                    counts[x] = counts.get(x, 0) + 1
+        for x in sorted(counts):
+            if counts[x] < min_support:
+                continue
+            grown = prefix + (x,)
+            results.append((grown, counts[x]))
+            if 0 <= cap < len(results):
+                exceeded = True
+                return
+            next_proj: list[tuple[int, int]] = []
+            for rid, pos in projections:
+                rec = records[rid]
+                for p in range(pos, len(rec)):
+                    if rec[p] == x:
+                        next_proj.append((rid, p + 1))
+                        break
+            grow(grown, next_proj)
+            if exceeded:
+                return
+
+    grow((), [(rid, 0) for rid in range(len(records))])
+    return results, exceeded
+
+
+def adaptive_mine_reference(db, max_patterns: int):
+    """The linear threshold scan adaptive_mine's bisection replaced:
+    (min_support, patterns) at the smallest min_support whose result holds
+    at most max_patterns, else the top max_patterns at min_support n."""
+    n = len(db.records)
+    for m in range(1, n + 1):
+        patterns = mine_prefixspan(db, m)
+        if len(patterns) <= max_patterns:
+            return m, patterns
+    return n, mine_prefixspan(db, n)[:max_patterns]
 
 
 def pattern_sort_key(p):

@@ -169,6 +169,51 @@ def test_eval_csv_format(corpus, tmp_path, capsys):
     assert out.splitlines()[0] == "query,matched,precision,recall,score"
 
 
+def test_eval_gold_not_utf8_names_file_and_byte_offset(corpus, tmp_path, capsys):
+    repo_path = tmp_path / "repo.xml"
+    run(["mine", "--corpus", str(corpus), "--repo", str(repo_path)], capsys)
+    gold = tmp_path / "gold.tsv"
+    gold.write_bytes(b"x.y();\tcaf\xe9\n")
+    status, out = run(["eval", "--repo", str(repo_path), "--gold", str(gold)], capsys)
+    assert status == 1
+    assert out == f"ValueError: {gold}: not UTF-8 at byte offset 10\n"
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("x.y();", "malformed gold line: 'x.y();'"),
+    ("x.y();\ta.b()\tyes", "gold label must be 0 or 1: 'x.y();\\ta.b()\\tyes'"),
+])
+def test_eval_bad_gold_line_names_file_and_line(corpus, tmp_path, capsys, bad, message):
+    repo_path = tmp_path / "repo.xml"
+    run(["mine", "--corpus", str(corpus), "--repo", str(repo_path)], capsys)
+    gold = tmp_path / "gold.tsv"
+    gold.write_text(f"# statement, items, label\nx.y();\ta.b()\t1\n\n{bad}\n",
+                    encoding="utf-8")
+    status, out = run(["eval", "--repo", str(repo_path), "--gold", str(gold)], capsys)
+    assert status == 1
+    assert out == f"ValueError: {gold}:4: {message}\n"
+
+
+def test_store_in_missing_directory_is_named(corpus, tmp_path, capsys):
+    store = tmp_path / "no-such-dir" / "x.xml"
+    status, out = run(["mine", "--corpus", str(corpus), "--repo", str(store)], capsys)
+    assert status == 1
+    assert out == f"FileNotFoundError: [Errno 2] No such file or directory: '{store}'\n"
+
+
+def test_long_frequent_pattern_is_mined(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    body = "    a.f();\n" * 1100
+    (corpus / "A.java").write_text(
+        f"class A {{\n  void m1() {{\n{body}  }}\n  void m2() {{\n{body}  }}\n}}\n",
+        encoding="utf-8")
+    status, out = run(["mine", "--corpus", str(corpus), "--min-support", "2",
+                       "--repo", str(tmp_path / "r.xml")], capsys)
+    assert status == 0
+    assert out.startswith("mined 1100 patterns from 2 method sequences")
+
+
 def test_domain_error_exits_1(tmp_path, capsys):
     status, out = run(["query", "--repo", str(tmp_path / "missing.xml"),
                        "--pick", "1", "x.y();"], capsys)

@@ -1,13 +1,16 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import PLANTED_ELEMENTS, random_sequence_db
+from esdp import kernels
 from esdp.mining import (
     InvalidThreshold,
     SequentialPattern,
@@ -16,7 +19,12 @@ from esdp.mining import (
     sort_patterns,
 )
 from esdp.transactions import SequenceDatabase, SequenceRecord
-from oracles import exhaustive_mine, pattern_sort_key
+from oracles import (
+    adaptive_mine_reference,
+    exhaustive_mine,
+    pattern_sort_key,
+    prefixspan_reference,
+)
 
 
 def db_of(*sequences: str) -> SequenceDatabase:
@@ -187,6 +195,49 @@ def test_adaptive_smallest_qualifying_support_property():
             assert got.min_support == len(db.records)
             full = sorted(mine_prefixspan(db, len(db.records)), key=pattern_sort_key)
             assert [p.elements for p in got] == [p.elements for p in full[:cap]]
+
+
+@st.composite
+def kernel_inputs(draw):
+    """(records, min_support, cap): a small random database of item ids, a
+    threshold in 1..n+1, and a cap that is absent (-1), zero, small or large."""
+    records = draw(st.lists(st.lists(st.integers(0, 5), max_size=8), max_size=8))
+    min_support = draw(st.integers(1, len(records) + 1))
+    cap = draw(st.sampled_from([-1, 0, 1000]) | st.integers(1, 6))
+    return records, min_support, cap
+
+
+@settings(max_examples=400, deadline=None)
+@given(kernel_inputs())
+def test_prefixspan_equals_the_scanning_kernel(inputs):
+    # results in the same order, the partial list under cap, and the flag
+    assert kernels.prefixspan(*inputs) == prefixspan_reference(*inputs)
+
+
+def test_prefixspan_long_pattern_needs_no_recursion():
+    results, exceeded = kernels.prefixspan([[0] * 1500] * 2, 2)
+    assert not exceeded
+    assert results == [((0,) * k, 2) for k in range(1, 1501)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), max_patterns=st.integers(1, 15))
+def test_adaptive_bisection_equals_the_linear_scan(seed, max_patterns):
+    db = random_sequence_db(random.Random(seed), max_records=10, max_items=7)
+    n = len(db.records)
+    with mock.patch.object(kernels, "prefixspan", wraps=kernels.prefixspan) as kernel:
+        got = adaptive_mine(db, max_patterns)
+    expected_support, expected = adaptive_mine_reference(db, max_patterns)
+    assert got.min_support == expected_support
+    assert list(got) == expected
+    assert kernel.call_count <= math.ceil(math.log2(n + 1)) + 1
+
+
+def test_adaptive_falls_back_when_no_threshold_fits():
+    db = db_of("abcd", "abcd")
+    got = adaptive_mine(db, 3)
+    assert (got.min_support, list(got)) == adaptive_mine_reference(db, 3)
+    assert got.min_support == 2 and len(got) == 3
 
 
 def test_adaptive_single_pattern_cap():
