@@ -75,6 +75,10 @@ MAX_NESTING = 200
 _CONST_NAME_RE = re.compile(r"^[A-Z][A-Z0-9_]*$")
 _TYPE_START_RE = re.compile(r"^[A-Za-z_$]")
 
+# the type a literal reads as, keyed by token kind, or by text for a keyword
+_LITERAL_TYPES = {"str": "String", "char": "char", "true": "boolean", "false": "boolean",
+                  "null": "null"}
+
 Token = namedtuple("Token", "kind text line col")  # kind: ident | kw | num | str | char | punct | eof
 
 _LEX_ERRORS = {
@@ -149,8 +153,6 @@ def tokenize(source: str) -> list[Token]:
 def _check_braces(toks: list[Token]) -> None:
     stack: list[Token] = []
     for t in toks:
-        if t.kind != "punct":
-            continue
         if t.text == "{":
             stack.append(t)
         elif t.text == "}":
@@ -163,6 +165,13 @@ def _check_braces(toks: list[Token]) -> None:
 
 
 class _Extractor:
+    """Recursive-descent reader with one method per construct.
+
+    Punctuation and keywords are recognised by their text alone: an ident is
+    never a keyword, and literals start with a quote or a digit. Token kinds
+    are tested only to tell idents, literals and eof apart.
+    """
+
     def __init__(self, tokens: list[Token], file_label: str,
                  context_vars: dict[str, str] | None = None):
         self.toks = tokens
@@ -188,8 +197,6 @@ class _Extractor:
         return self.toks[j]
 
     def at(self, text: str) -> bool:
-        # only punct and kw tokens carry such texts: an ident is never a
-        # keyword, and literals start with a quote or a digit
         return self.toks[self.i].text == text
 
     def accept(self, text: str) -> bool:
@@ -222,6 +229,18 @@ class _Extractor:
 
     def mark(self, kind: MarkerKind, enclosing: str, line: int) -> None:
         self.markers.append(ControlMarker(kind, enclosing, line))
+
+    def emit_call(self, recv: str, method: str, start: Token, enclosing: str) -> None:
+        """Read the argument list of recv.method(...) and emit the call."""
+        args = self.parse_args(enclosing)
+        self.emit(ItemKind.MI, f"{recv}.{method}({','.join(args)})", enclosing, start.line, start.col)
+
+    def assign_field(self, recv: str, field: str, start: Token, enclosing: str) -> str:
+        """Emit the write of recv.field, the cursor at its '=', and read the value."""
+        self.emit(ItemKind.FA, f"{recv}.{field}", enclosing, start.line, start.col)
+        self.advance()
+        self.scan_expression(enclosing, (";", ",", ")"))
+        return "unknown"
 
     # --- scope / resolution -----------------------------------------------
 
@@ -260,19 +279,16 @@ class _Extractor:
     # --- compilation unit ---------------------------------------------------
 
     def parse_unit(self) -> None:
-        if self.cur().kind == "kw" and self.cur().text == "package":
+        if self.at("package"):
             t = self.advance()
-            qname = self.parse_qualified_name()
+            self.package = self.parse_qualified_name()
             self.accept(";")
-            self.package = qname
-            self.emit(ItemKind.PD, qname, self.file_label, t.line, t.col)
-        while self.cur().kind == "kw" and self.cur().text == "import":
+            self.emit(ItemKind.PD, self.package, self.file_label, t.line, t.col)
+        while self.at("import"):
             t = self.advance()
             self.accept("static")
             qname = self.parse_qualified_name()
-            wildcard = False
-            if self.accept("*"):
-                wildcard = True
+            wildcard = self.accept("*")
             self.accept(";")
             display = qname + (".*" if wildcard else "")
             self.emit(ItemKind.ID, display, self.package or self.file_label, t.line, t.col)
@@ -283,20 +299,17 @@ class _Extractor:
                     self.imports.pop(simple, None)  # ambiguous: keep as written
                 else:
                     self._import_seen.add(simple)
-                    self.imports[simple] = ".".join(parts[-2:]) if len(parts) >= 2 else simple
+                    self.imports[simple] = ".".join(parts[-2:])
         while self.cur().kind != "eof":
             self.skip_modifiers()
-            t = self.cur()
-            if t.kind == "kw" and t.text in ("class", "interface", "enum"):
+            if self.cur().text in ("class", "interface", "enum"):
                 self.parse_type_decl(self.package or self.file_label)
             else:
                 self.advance()  # stray top-level token: skip
 
     def parse_qualified_name(self) -> str:
         parts = []
-        while self.cur().kind in ("ident", "kw") and self.cur().kind != "eof":
-            if self.cur().kind == "kw" and self.cur().text not in PRIMITIVE_TYPES:
-                break
+        while self.cur().kind == "ident" or self.cur().text in PRIMITIVE_TYPES:
             parts.append(self.advance().text)
             if not (self.at(".") and self.la().kind in ("ident", "kw")):
                 break
@@ -305,25 +318,21 @@ class _Extractor:
 
     def skip_modifiers(self) -> None:
         while True:
-            t = self.cur()
-            if t.kind == "kw" and t.text in MODIFIERS:
+            if self.cur().text in MODIFIERS:
                 self.advance()
-            elif self.at("@"):
-                self.advance()
+            elif self.accept("@"):
                 if self.cur().kind in ("ident", "kw"):
                     self.advance()
                     while self.accept(".") and self.cur().kind == "ident":
                         self.advance()
-                if self.at("("):
-                    self.skip_balanced("(", ")")
+                self.skip_balanced("(", ")")
             else:
                 return
 
     # --- type declarations --------------------------------------------------
 
     def parse_type_decl(self, outer_path: str) -> None:
-        decl_tok = self.advance()  # class | interface | enum
-        is_interface = decl_tok.text == "interface"
+        is_interface = self.advance().text == "interface"  # class | interface | enum
         name_tok = self.cur()
         if name_tok.kind != "ident":
             self.skip_to_statement_end()
@@ -333,23 +342,15 @@ class _Extractor:
         class_path = f"{outer_path}.{name}" if outer_path else name
         self.descend()
         self.skip_generics()
-        if self.accept("extends"):
-            while True:
+        for keyword, kind in (("extends", ItemKind.II if is_interface else ItemKind.SC),
+                              ("implements", ItemKind.II)):
+            listed = self.accept(keyword)
+            while listed:
                 t = self.cur()
                 sup = self.parse_type_text()
                 if sup:
-                    kind = ItemKind.II if is_interface else ItemKind.SC
                     self.emit(kind, self.resolve_type(sup), class_path, t.line, t.col)
-                if not self.accept(","):
-                    break
-        if self.accept("implements"):
-            while True:
-                t = self.cur()
-                iface = self.parse_type_text()
-                if iface:
-                    self.emit(ItemKind.II, self.resolve_type(iface), class_path, t.line, t.col)
-                if not self.accept(","):
-                    break
+                listed = self.accept(",")
         self.class_stack.append(name)
         self.push_scope()
         if self.accept("{"):
@@ -363,9 +364,7 @@ class _Extractor:
     def parse_member(self, class_path: str) -> None:
         self.skip_modifiers()
         t = self.cur()
-        if t.kind == "eof":
-            return
-        if t.kind == "kw" and t.text in ("class", "interface", "enum"):
+        if t.text in ("class", "interface", "enum"):
             self.parse_type_decl(class_path)
             return
         if self.at("{"):  # instance/static initializer
@@ -373,17 +372,12 @@ class _Extractor:
             return
         if self.accept(";"):
             return
-        # constructor: ClassName(
-        if (t.kind == "ident" and t.text == self.current_class()
-                and self.la().kind == "punct" and self.la().text == "("):
-            name_tok = self.advance()
-            self.parse_method_rest(class_path, name_tok.text, "", name_tok, ctor=True)
+        if t.text == self.current_class() and self.la().text == "(":  # constructor
+            self.advance()
+            self.parse_method_rest(class_path, t.text, "", t)
             return
         type_text = self.parse_type_text()
-        if not type_text:
-            self.skip_to_statement_end()
-            return
-        if self.cur().kind != "ident":
+        if not type_text or self.cur().kind != "ident":
             self.skip_to_statement_end()
             return
         name_tok = self.advance()
@@ -395,8 +389,7 @@ class _Extractor:
         self.emit(ItemKind.FD, rtype, class_path, t.line, t.col)
         self.parse_declarators(name_tok.text, rtype, class_path)
 
-    def parse_declarators(self, first_name: str, rtype: str, enclosing: str) -> None:
-        name = first_name
+    def parse_declarators(self, name: str, rtype: str, enclosing: str) -> None:
         while True:
             while self.accept("["):  # C-style array suffix on declarator
                 self.accept("]")
@@ -404,30 +397,25 @@ class _Extractor:
             self.bind(name, rtype)
             if self.accept("="):
                 self.scan_expression(enclosing, (",", ";"))
-            if self.accept(","):
-                if self.cur().kind == "ident":
-                    name = self.advance().text
-                    continue
-            break
+            if not (self.accept(",") and self.cur().kind == "ident"):
+                break
+            name = self.advance().text
         self.accept(";")
 
     def parse_method_rest(self, class_path: str, name: str, return_type: str,
-                          start: Token, ctor: bool = False) -> None:
+                          start: Token) -> None:
+        """The rest of a method after its name; a constructor has no return type."""
         method_path = f"{class_path}.{name}()"
         self.push_scope()
         param_types = self.parse_params()
         rtype = self.resolve_type(return_type) if return_type else ""
-        if ctor:
-            md_name = f"{name}({','.join(param_types)})"
-        else:
-            md_name = f"{name}({','.join(param_types)}):{rtype}"
+        md_name = f"{name}({','.join(param_types)})" + (f":{rtype}" if rtype else "")
         self.emit(ItemKind.MD, md_name, class_path, start.line, start.col)
-        while self.cur().kind == "kw" and self.cur().text == "throws":
-            self.advance()
+        while self.accept("throws"):
             self.parse_qualified_name()
             while self.accept(","):
                 self.parse_qualified_name()
-        self.return_types.append(rtype if rtype else "void")
+        self.return_types.append(rtype or "void")
         if self.at("{"):
             self.parse_block(method_path)
         else:
@@ -477,148 +465,109 @@ class _Extractor:
 
     def _statement(self, enclosing: str) -> None:
         t = self.cur()
-        if t.kind == "punct":
-            if t.text == "{":
-                self.parse_block(enclosing)
-                return
-            if t.text == ";":
+        if t.text == "{":
+            self.parse_block(enclosing)
+        elif t.text == ";":
+            self.advance()
+        elif t.text == "if":
+            # an else-if chain is read in this loop, not by recursion;
+            # its IF_END markers all close after the last branch
+            opened = 0
+            while True:
+                self.mark(MarkerKind.IF_BEGIN, enclosing, self.cur().line)
+                opened += 1
                 self.advance()
-                return
-        if t.kind == "kw":
-            if t.text == "if":
-                # an else-if chain is read in this loop, not by recursion;
-                # its IF_END markers all close after the last branch
-                opened = 0
-                while True:
-                    self.mark(MarkerKind.IF_BEGIN, enclosing, self.cur().line)
-                    opened += 1
-                    self.advance()
-                    if self.accept("("):
-                        self.scan_expression(enclosing, (")",))
-                        self.accept(")")
+                self.parse_parens(enclosing)
+                self.parse_statement(enclosing)
+                if not self.accept("else"):
+                    break
+                if not self.at("if"):
                     self.parse_statement(enclosing)
-                    if not self.accept("else"):
-                        break
-                    if not self.at("if"):
-                        self.parse_statement(enclosing)
-                        break
-                for _ in range(opened):
-                    self.mark(MarkerKind.IF_END, enclosing, self.prev_line())
-                return
+                    break
+            for _ in range(opened):
+                self.mark(MarkerKind.IF_END, enclosing, self.prev_line())
+        elif t.text in ("while", "do", "for"):
+            self.mark(MarkerKind.LOOP_BEGIN, enclosing, t.line)
+            self.advance()
             if t.text == "while":
-                self.mark(MarkerKind.LOOP_BEGIN, enclosing, t.line)
-                self.advance()
-                if self.accept("("):
-                    self.scan_expression(enclosing, (")",))
-                    self.accept(")")
-                self.parse_statement(enclosing)
-                self.mark(MarkerKind.LOOP_END, enclosing, self.prev_line())
-                return
+                self.parse_parens(enclosing)
+            elif t.text == "for" and self.accept("("):
+                self.parse_for_control(enclosing)
+            self.parse_statement(enclosing)
             if t.text == "do":
-                self.mark(MarkerKind.LOOP_BEGIN, enclosing, t.line)
-                self.advance()
-                self.parse_statement(enclosing)
-                if self.accept("while") and self.accept("("):
-                    self.scan_expression(enclosing, (")",))
-                    self.accept(")")
+                if self.accept("while"):
+                    self.parse_parens(enclosing)
                 self.accept(";")
-                self.mark(MarkerKind.LOOP_END, enclosing, self.prev_line())
-                return
-            if t.text == "for":
-                self.mark(MarkerKind.LOOP_BEGIN, enclosing, t.line)
-                self.advance()
-                if self.accept("("):
-                    self.parse_for_control(enclosing)
-                self.parse_statement(enclosing)
-                self.mark(MarkerKind.LOOP_END, enclosing, self.prev_line())
-                return
-            if t.text == "return":
-                rt = self.return_types[-1] if self.return_types else "void"
-                self.emit(ItemKind.RT, rt, enclosing, t.line, t.col)
-                self.advance()
-                if not self.at(";"):
-                    self.scan_expression(enclosing, (";",))
-                self.accept(";")
-                return
-            if t.text == "this" and self.la().text == "(":
-                self.advance()
-                args = self.parse_args(enclosing)
-                self.emit(ItemKind.CTI, f"this({','.join(args)})", enclosing, t.line, t.col)
-                self.accept(";")
-                return
-            if t.text == "super" and self.la().text == "(":
-                self.advance()
-                args = self.parse_args(enclosing)
-                self.emit(ItemKind.SCI, f"super({','.join(args)})", enclosing, t.line, t.col)
-                self.accept(";")
-                return
-            if t.text in _SKIP_STMT_KEYWORDS:
-                self.skip_to_statement_end()
-                return
-            if t.text in ("class", "interface", "enum"):
-                self.parse_type_decl(enclosing)
-                return
-            if t.text in MODIFIERS:  # e.g. "final X x = ..."
-                self.skip_modifiers()
-                self.parse_statement(enclosing)
-                return
-        if self.looks_like_local_decl():
-            start = self.cur()
-            type_text = self.parse_type_text()
-            rtype = self.resolve_type(type_text)
-            self.emit(ItemKind.VD, rtype, enclosing, start.line, start.col)
-            if self.cur().kind == "ident":
-                name = self.advance().text
-                self.parse_declarators(name, rtype, enclosing)
+            self.mark(MarkerKind.LOOP_END, enclosing, self.prev_line())
+        elif t.text == "return":
+            self.emit(ItemKind.RT, self.return_types[-1], enclosing, t.line, t.col)
+            self.advance()
+            if not self.at(";"):
+                self.scan_expression(enclosing, (";",))
+            self.accept(";")
+        elif t.text in ("this", "super") and self.la().text == "(":
+            self.advance()
+            args = self.parse_args(enclosing)
+            kind = ItemKind.CTI if t.text == "this" else ItemKind.SCI
+            self.emit(kind, f"{t.text}({','.join(args)})", enclosing, t.line, t.col)
+            self.accept(";")
+        elif t.text in _SKIP_STMT_KEYWORDS:
+            self.skip_to_statement_end()
+        elif t.text in ("class", "interface", "enum"):
+            self.parse_type_decl(enclosing)
+        elif t.text in MODIFIERS:  # e.g. "final X x = ..."
+            self.skip_modifiers()
+            self.parse_statement(enclosing)
+        else:
+            rtype = self.parse_local_type(enclosing)
+            if rtype is None:
+                self.scan_expression(enclosing, (";",))
+                if not self.accept(";") and self.cur().kind != "eof" and not self.at("}"):
+                    self.advance()  # ensure progress on malformed input
+            elif self.cur().kind == "ident":
+                self.parse_declarators(self.advance().text, rtype, enclosing)
             else:
                 self.skip_to_statement_end()
-            return
-        self.scan_expression(enclosing, (";",))
-        if not self.accept(";"):
-            if self.cur().kind != "eof" and not self.at("}"):
-                self.advance()  # ensure progress on malformed input
 
     def parse_for_control(self, enclosing: str) -> None:
         # classic "init; cond; update" or enhanced "Type v : iterable"
-        if self.looks_like_local_decl():
-            start = self.cur()
-            type_text = self.parse_type_text()
-            rtype = self.resolve_type(type_text)
-            self.emit(ItemKind.VD, rtype, enclosing, start.line, start.col)
-            if self.cur().kind == "ident":
+        rtype = self.parse_local_type(enclosing)
+        if rtype is not None and self.cur().kind == "ident":
+            if self.la().text == ":":  # for-each
                 self.bind(self.advance().text, rtype)
-            if self.accept(":"):  # for-each
+                self.advance()
                 self.scan_expression(enclosing, (")",))
                 self.accept(")")
                 return
-            if self.accept("="):
-                self.scan_expression(enclosing, (";", ")"))
+            self.parse_declarators(self.advance().text, rtype, enclosing)
         self.scan_expression(enclosing, (";", ")"))
         while self.accept(";"):
             self.scan_expression(enclosing, (";", ")"))
         self.accept(")")
 
-    # --- declaration lookahead --------------------------------------------
-
-    def looks_like_local_decl(self) -> bool:
-        t = self.cur()
-        if t.kind == "kw" and t.text in PRIMITIVE_TYPES and t.text != "void":
-            return True
-        if t.kind != "ident":
-            return False
-        save = self.i
-        try:
+    def parse_local_type(self, enclosing: str) -> str | None:
+        """Read the type of a local declaration and emit its VD; None, the
+        cursor unmoved, when the statement is not a declaration."""
+        start, save = self.cur(), self.i
+        if start.kind == "ident":
             type_text = self.parse_type_text()
-            ok = bool(type_text) and self.cur().kind == "ident" and self.la().text in (";", "=", ",", ":", "[")
-        finally:
-            self.i = save
-        return ok
+            if not (type_text and self.cur().kind == "ident"
+                    and self.la().text in (";", "=", ",", ":", "[")):
+                self.i = save
+                return None
+        elif start.text in PRIMITIVE_TYPES and start.text != "void":
+            type_text = self.parse_type_text()
+        else:
+            return None
+        rtype = self.resolve_type(type_text)
+        self.emit(ItemKind.VD, rtype, enclosing, start.line, start.col)
+        return rtype
 
     def parse_type_text(self) -> str:
         """Parse a type reference; returns '' (cursor restored) when absent."""
         save = self.i
         t = self.cur()
-        if t.kind == "kw" and t.text in PRIMITIVE_TYPES:
+        if t.text in PRIMITIVE_TYPES:
             base = self.advance().text
         elif t.kind == "ident":
             base = self.advance().text
@@ -644,9 +593,9 @@ class _Extractor:
         depth = 0
         while self.cur().kind != "eof":
             t = self.cur()
-            if t.kind == "punct" and t.text == "<":
+            if t.text == "<":
                 depth += 1
-            elif t.kind == "punct" and t.text == ">":
+            elif t.text == ">":
                 depth -= 1
                 if depth == 0:
                     self.advance()
@@ -661,84 +610,60 @@ class _Extractor:
 
     def scan_expression(self, enclosing: str, terminators: tuple[str, ...]) -> str:
         """Emit items from an expression, consuming up to (not including) a
-        terminator at this nesting level. Returns the classification of the
-        first primary for argument typing."""
+        terminator or closer at this nesting level. Returns the classification
+        of the first primary for argument typing."""
         self.descend()
         first: str | None = None
         while True:
             t = self.cur()
-            if t.kind == "eof":
+            if t.kind == "eof" or t.text in terminators or t.text in (")", "]", "}"):
                 break
-            if t.kind == "punct" and t.text in terminators:
-                break
-            if t.kind == "punct" and t.text in (")", "]", "}"):
-                break  # let the caller consume the closer
-            ty = self.parse_chain(enclosing)
-            if ty is not None:
-                if first is None:
-                    first = ty
-                continue
-            self.advance()  # operator or other glue
+            if t.kind == "ident":
+                ty = self.parse_name_chain(enclosing)
+            elif t.text in ("this", "super"):
+                ty = self.parse_this_chain(enclosing)
+            elif t.text == "new":
+                ty = self.parse_creation(enclosing)
+            elif t.text == "(":
+                # a cast's operand is the next primary this loop reads
+                ty = self.try_parse_cast() or self.parse_postfix(enclosing, self.parse_parens(enclosing))
+            else:
+                self.advance()
+                if t.kind == "num":
+                    ty = "double" if "." in t.text or t.text[-1] in "dDfF" else "int"
+                else:
+                    ty = _LITERAL_TYPES.get(t.text if t.kind == "kw" else t.kind)
+                    if ty is None:
+                        continue  # operator or other glue
+            if first is None:
+                first = ty
         self.depth -= 1
         return first or "unknown"
 
-    def parse_chain(self, enclosing: str) -> str | None:
-        """Parse one primary and its postfix chain, emitting items.
-        Returns a classification string, or None if the cursor does not
-        start a primary."""
-        t = self.cur()
-        if t.kind == "num":
-            self.advance()
-            return "double" if ("." in t.text or t.text.rstrip("dDfF") != t.text) else "int"
-        if t.kind == "str":
-            self.advance()
-            return "String"
-        if t.kind == "char":
-            self.advance()
-            return "char"
-        if t.kind == "kw":
-            if t.text in ("true", "false"):
-                self.advance()
-                return "boolean"
-            if t.text == "null":
-                self.advance()
-                return "null"
-            if t.text == "new":
-                return self.parse_creation(enclosing)
-            if t.text == "this":
-                return self.parse_this_or_super_chain(enclosing, self.current_class())
-            if t.text == "super":
-                return self.parse_this_or_super_chain(enclosing, "super")
-            return None
-        if t.kind == "punct" and t.text == "(":
-            cast = self.try_parse_cast()
-            if cast is not None:
-                while self.try_parse_cast() is not None:  # (A) (B) x: B is dropped
-                    pass
-                self.parse_chain(enclosing)
-                return cast
-            self.advance()
-            inner_ty = self.scan_expression(enclosing, (")",))
-            self.accept(")")
-            return self.parse_postfix(enclosing, inner_ty)
-        if t.kind == "ident":
-            return self.parse_name_chain(enclosing)
-        return None
+    def parse_parens(self, enclosing: str) -> str:
+        """Read '( expr )' if the cursor is at '('; the classification of expr."""
+        if not self.accept("("):
+            return "unknown"
+        ty = self.scan_expression(enclosing, (")",))
+        self.accept(")")
+        return ty
+
+    def parse_brackets(self, enclosing: str) -> None:
+        """Read any '[ expr ]' groups: array dimensions or indexes."""
+        while self.accept("["):
+            if not self.at("]"):
+                self.scan_expression(enclosing, ("]",))
+            self.accept("]")
 
     def try_parse_cast(self) -> str | None:
         # '(' Type ')' followed by a primary start
         save = self.i
-        if not self.accept("("):
-            return None
+        self.advance()  # '('
         type_text = self.parse_type_text()
         if type_text and self.accept(")"):
             nxt = self.cur()
-            primary_start = (
-                nxt.kind in ("ident", "num", "str", "char")
-                or (nxt.kind == "kw" and nxt.text in ("new", "this", "super", "null", "true", "false"))
-                or (nxt.kind == "punct" and nxt.text == "(")
-            )
-            if primary_start:
+            if (nxt.kind in ("ident", "num", "str", "char")
+                    or nxt.text in ("new", "this", "super", "null", "true", "false", "(")):
                 return self.resolve_type(type_text)
         self.i = save
         return None
@@ -749,15 +674,12 @@ class _Extractor:
         rtype = self.resolve_type(type_text) if type_text else "unknown"
         if self.at("["):
             base = rtype if rtype.endswith("[]") else rtype + "[]"
-            while self.accept("["):
-                if not self.at("]"):
-                    self.scan_expression(enclosing, ("]",))
-                self.accept("]")
+            self.parse_brackets(enclosing)
             self.emit(ItemKind.AC, base, enclosing, start.line, start.col)
             if self.at("{"):
                 self.scan_braced_init(enclosing)
             return base
-        args = self.parse_args(enclosing) if self.at("(") else []
+        args = self.parse_args(enclosing)
         if self.at("{"):
             self.emit(ItemKind.ACD, rtype, enclosing, start.line, start.col)
             self.skip_balanced("{", "}")
@@ -765,26 +687,21 @@ class _Extractor:
         self.emit(ItemKind.CI, f"{rtype}({','.join(args)})", enclosing, start.line, start.col)
         return rtype
 
-    def parse_this_or_super_chain(self, enclosing: str, receiver_type: str) -> str:
-        start = self.advance()  # 'this' | 'super'
+    def parse_this_chain(self, enclosing: str) -> str:
+        """'this' or 'super' and its member chain; calls and field writes
+        name the enclosing class (or super) as receiver."""
+        start = self.advance()
+        is_super = start.text == "super"
         if not self.at("."):
-            return receiver_type
-        while self.accept("."):
-            if self.cur().kind != "ident":
-                break
+            return "super" if is_super else self.current_class()
+        recv = "super" if is_super else lower_camel(self.current_class())
+        while self.accept(".") and self.cur().kind == "ident":
             member = self.advance().text
             if self.at("("):
-                args = self.parse_args(enclosing)
-                recv = "super" if receiver_type == "super" else lower_camel(simple_name(receiver_type))
-                self.emit(ItemKind.MI, f"{recv}.{member}({','.join(args)})",
-                          enclosing, start.line, start.col)
-                return self.parse_postfix(enclosing, "unknown") or "unknown"
+                self.emit_call(recv, member, start, enclosing)
+                return self.parse_postfix(enclosing, "unknown")
             if self.at("="):
-                recv = "super" if receiver_type == "super" else lower_camel(simple_name(receiver_type))
-                self.emit(ItemKind.FA, f"{recv}.{member}", enclosing, start.line, start.col)
-                self.advance()
-                self.scan_expression(enclosing, (";", ",", ")"))
-                return "unknown"
+                return self.assign_field(recv, member, start, enclosing)
         return "unknown"
 
     def parse_name_chain(self, enclosing: str) -> str:
@@ -793,56 +710,34 @@ class _Extractor:
         while self.at(".") and self.la().kind == "ident" and self.la(2).text != "(":
             self.advance()
             segments.append(self.advance().text)
-        # method call segment?
-        if self.at(".") and self.la().kind == "ident" and self.la(2).text == "(":
+        if self.at(".") and self.la().kind == "ident":  # a call segment
             self.advance()
-            method = self.advance().text
-            args = self.parse_args(enclosing)
-            recv = self.render_receiver(segments)
-            self.emit(ItemKind.MI, f"{recv}.{method}({','.join(args)})",
-                      enclosing, start.line, start.col)
-            return self.parse_postfix(enclosing, "unknown") or "unknown"
+            self.emit_call(self.render_receiver(segments), self.advance().text, start, enclosing)
+            return self.parse_postfix(enclosing, "unknown")
         if len(segments) == 1 and self.at("("):
             # unqualified call: instance method of the enclosing class
-            args = self.parse_args(enclosing)
-            recv = lower_camel(self.current_class())
-            self.emit(ItemKind.MI, f"{recv}.{segments[0]}({','.join(args)})",
-                      enclosing, start.line, start.col)
-            return self.parse_postfix(enclosing, "unknown") or "unknown"
+            self.emit_call(lower_camel(self.current_class()), segments[0], start, enclosing)
+            return self.parse_postfix(enclosing, "unknown")
         if self.at("["):
             arr_type = self.lookup(segments[0]) if len(segments) == 1 else None
-            name = arr_type if arr_type else "unknown[]"
-            self.emit(ItemKind.AA, name, enclosing, start.line, start.col)
-            while self.accept("["):
-                if not self.at("]"):
-                    self.scan_expression(enclosing, ("]",))
-                self.accept("]")
+            self.emit(ItemKind.AA, arr_type or "unknown[]", enclosing, start.line, start.col)
+            self.parse_brackets(enclosing)
             elem = arr_type[:-2] if arr_type and arr_type.endswith("[]") else "unknown"
-            return self.parse_postfix(enclosing, elem) or elem
-        if len(segments) > 1 and self.at("=") :
+            return self.parse_postfix(enclosing, elem)
+        if len(segments) > 1 and self.at("="):
             # dotted assignment target -> field access (write)
-            recv = self.render_receiver(segments[:-1])
-            self.emit(ItemKind.FA, f"{recv}.{segments[-1]}", enclosing, start.line, start.col)
-            self.advance()
-            self.scan_expression(enclosing, (";", ",", ")"))
-            return "unknown"
+            return self.assign_field(self.render_receiver(segments[:-1]), segments[-1],
+                                     start, enclosing)
         return self.classify_name(segments)
 
-    def parse_postfix(self, enclosing: str, current: str) -> str | None:
-        # chained invocations on an unknown intermediate value
+    def parse_postfix(self, enclosing: str, current: str) -> str:
+        # member accesses and calls chained on an unknown intermediate value
         while self.at(".") and self.la().kind == "ident":
-            if self.la(2).text == "(":
-                tok = self.cur()
-                self.advance()
-                method = self.advance().text
-                args = self.parse_args(enclosing)
-                self.emit(ItemKind.MI, f"unknown.{method}({','.join(args)})",
-                          enclosing, tok.line, tok.col)
-                current = "unknown"
-            else:
-                self.advance()
-                self.advance()
-                current = "unknown"
+            dot = self.advance()
+            member = self.advance().text
+            if self.at("("):
+                self.emit_call("unknown", member, dot, enclosing)
+            current = "unknown"
         return current
 
     def render_receiver(self, segments: list[str]) -> str:
@@ -860,11 +755,8 @@ class _Extractor:
             if self.is_type_name(name):
                 return self.resolve_type(name)
             return "unknown"
-        first_is_var = self.lookup(segments[0]) is not None
-        if not first_is_var:
-            path = ".".join(segments)
-            if segments[0][0].isupper() or any(s[0].isupper() for s in segments):
-                return self.resolve_type(path) if "." not in path else path
+        if self.lookup(segments[0]) is None and any(s[0].isupper() for s in segments):
+            return ".".join(segments)
         return "unknown"
 
     def classify_name(self, segments: list[str]) -> str:
@@ -872,13 +764,8 @@ class _Extractor:
             var_type = self.lookup(segments[0])
             if var_type is not None:
                 return var_type
-            if _CONST_NAME_RE.match(segments[0]):
-                return "int"
-            return "unknown"
-        # Type.CONSTANT convention: reads as an int-valued API constant
-        if _CONST_NAME_RE.match(segments[-1]):
-            return "int"
-        return "unknown"
+        # CONSTANT or Type.CONSTANT convention: reads as an int-valued API constant
+        return "int" if _CONST_NAME_RE.match(segments[-1]) else "unknown"
 
     def parse_args(self, enclosing: str) -> list[str]:
         types: list[str] = []

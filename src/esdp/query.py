@@ -26,8 +26,6 @@ class UnparsableQuery(Exception):
 
 @dataclass
 class QueryContext:
-    class_name: str = "Query"
-    method_name: str = "query"
     variables: dict[str, str] = field(default_factory=dict)  # name -> type
     imports: list[str] = field(default_factory=list)
 
@@ -62,10 +60,9 @@ def abstract_query(statement: str, context: QueryContext | None = None) -> UserQ
     first_word = text.split(None, 1)[0] if text.split() else ""
     if first_word in _FIELD_MODIFIERS:
         # field-style statement: abstract at class level
-        source = f"{import_lines}class {context.class_name} {{\n{text}\n}}\n"
+        source = f"{import_lines}class Query {{\n{text}\n}}\n"
     else:
-        source = (f"{import_lines}class {context.class_name} {{\n"
-                  f"void {context.method_name}() {{\n{text}\n}}\n}}\n")
+        source = f"{import_lines}class Query {{\nvoid query() {{\n{text}\n}}\n}}\n"
     try:
         items, _ = extract_items(source, "<query>", context_vars=context.variables)
     except UnparsableSource as exc:

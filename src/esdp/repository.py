@@ -275,25 +275,20 @@ def parse(data: bytes) -> MinedRepository:
 # --- incremental update ----------------------------------------------------------
 
 def merge_update(existing: MinedRepository, fresh: Iterable[SequentialPattern],
-                 full_replacement: bool = False, corpus_label: str | None = None,
                  created_at: str | None = None,
                  min_support_used: int | None = None) -> MinedRepository:
     """Fold freshly mined patterns into a repository.
 
     Patterns with identical element-lists take the fresh scores; new ones
-    are inserted; nothing is deleted unless full_replacement is set. The
-    result is re-sorted and carries updated metadata where given.
+    are inserted; nothing is deleted. The result is re-sorted, keeps the
+    corpus label and carries updated metadata where given.
     """
-    fresh = list(fresh)
-    if full_replacement:
-        merged: dict[tuple, SequentialPattern] = {}
-    else:
-        merged = {p.elements: p for p in existing.patterns}
+    merged = {p.elements: p for p in existing.patterns}
     for p in fresh:
         merged[p.elements] = p
     return make_repository(
         merged.values(),
-        corpus_label=existing.corpus_label if corpus_label is None else corpus_label,
+        corpus_label=existing.corpus_label,
         created_at=existing.created_at if created_at is None else created_at,
         min_support_used=existing.min_support_used if min_support_used is None else min_support_used,
     )

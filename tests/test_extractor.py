@@ -262,7 +262,8 @@ _JAVA_LEXEMES = st.sampled_from([
     "if (a) ", "else ", "while (b) ", "for (int i : xs) ", "do ", "return ", "try ",
     "new B(", "new int[", "x.f(", "a.b().c(", "this.", "super(", "(A) ", "final ",
     "@A ", "List<String> ", "import a.b.C;", "package p;", "int ", "y", "x", "2.5",
-    '"s"', "'c'", "->", "\n",
+    '"s"', "'c'", "->", "\n", "for (A a = x, b = y; ; ) ", "this.f.g(", "(A) (B) ",
+    "do x(); while (",
 ])
 _NESTINGS = [("if (a) {", "}"), ("{", "}"), ("if (a) ", ""), ("(", ")"), ("f(", ")"),
              ("a.b().c(", ")"), ("new A(", ")"), ("a[", "]"), ("class Q {", "}")]
@@ -309,3 +310,55 @@ def test_else_if_chain_reads_without_nesting():
     assert kinds == ["IF_BEGIN"] * (branches + 1) + ["IF_END"] * (branches + 1)
     assert sum(it.kind is ItemKind.MI for it in items) == branches + 2
 
+
+
+# --- one reader per construct: exact items of short sources --------------------
+
+@pytest.mark.parametrize("body, expected", [
+    ("B f; void m() { this.f.g(); }", [("FD", "B"), ("MD", "m():void"), ("MI", "a.g()")]),
+    ("void m() { super.h(); }", [("MD", "m():void"), ("MI", "super.h()")]),
+    ("int k; void m() { this.k = 1; }", [("FD", "int"), ("MD", "m():void"), ("FA", "a.k")]),
+    ("void m() { a.b.c = 1; }", [("MD", "m():void"), ("FA", "unknown.c")]),
+    ("void m() { new B().c().d(); }",
+     [("MD", "m():void"), ("CI", "B()"), ("MI", "a.c()"), ("MI", "unknown.d()")]),
+    ("void m(X x) { (x).e(); }", [("MD", "m(X):void"), ("MI", "unknown.e()")]),
+    ("void m() { ((Foo) y).z(); }", [("MD", "m():void"), ("MI", "unknown.z()")]),
+    ("void m(C x) { f((A) (B) x); }", [("MD", "m(C):void"), ("MI", "a.f(A)")]),
+    ('A(int i) { this(1); } A() { super("s", 2.5); }',
+     [("MD", "A(int)"), ("CTI", "this(int)"), ("MD", "A()"), ("SCI", "super(String,double)")]),
+    ("void m() { do { a.f(); } while (b.g()); }",
+     [("MD", "m():void"), ("MI", "unknown.f()"), ("MI", "unknown.g()")]),
+    ("void m(List xs) { for (Item x : xs) { x.run(); } }",
+     [("MD", "m(List):void"), ("VD", "Item"), ("MI", "item.run()")]),
+    ("void m() { for (int i = 0; i < 3; i++) { s.f(i); } }",
+     [("MD", "m():void"), ("VD", "int"), ("MI", "unknown.f(int)")]),
+    ("void m() throws E, F { g(); }", [("MD", "m():void"), ("MI", "a.g()")]),
+    ("void m(int i) { int[] xs = new int[] {1, 2}; xs[i] = 3; }",
+     [("MD", "m(int):void"), ("VD", "int[]"), ("ACD", "int[]"), ("AA", "int[]")]),
+    ("void m() { int[][] g = new int[2][3]; g[0][1] = h[2]; }",
+     [("MD", "m():void"), ("VD", "int[][]"), ("AC", "int[]"), ("AA", "int[][]"),
+      ("AA", "unknown[]")]),
+])
+def test_reader_items(body, expected):
+    items, _ = extract_items("class A extends B { " + body + " }", "a.java")
+    assert [it.identity for it in items] == [("TD", "A"), ("SC", "B")] + expected
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("class A extends B, C implements D { }",
+     [("TD", "A"), ("SC", "B"), ("SC", "C"), ("II", "D")]),
+    ("interface I extends J, K { }", [("TD", "I"), ("II", "J"), ("II", "K")]),
+])
+def test_supertype_lists(source, expected):
+    assert [it.identity for it in extract_items(source, "a.java")[0]] == expected
+
+
+@pytest.mark.parametrize("init, body, last", [
+    ("Foo a = x(), b = y()", "b.call();", ("MI", "foo.call()")),
+    ("int v[] = x", "v[0] = 1;", ("AA", "int[]")),
+])
+def test_for_init_binds_every_declarator(init, body, last):
+    in_for, _ = extract_items(f"class K {{ void m() {{ for ({init}; ; ) {{ {body} }} }} }}")
+    in_block, _ = extract_items(f"class K {{ void m() {{ {init}; {body} }} }}")
+    assert [it.identity for it in in_for] == [it.identity for it in in_block]
+    assert in_for[-1].identity == last

@@ -1,13 +1,15 @@
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import PLANTED_ELEMENTS
-from esdp.extractor import extract_items
+from esdp.extractor import extract_corpus, extract_items
 from esdp.mining import SequentialPattern, mine_prefixspan
 from esdp.query import (
     QueryContext,
@@ -21,6 +23,10 @@ from esdp.query import (
     search,
 )
 from esdp.repository import make_repository
+from esdp.transactions import build_sequence_db
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import gen  # noqa: E402  the benchmark's seeded corpus generator
 
 
 def pattern_of(elements, count=2, size=4) -> SequentialPattern:
@@ -178,15 +184,32 @@ def test_render_declaration_then_call():
         "private Connection conn;", "connection.close();"]
 
 
-def test_skeleton_round_trip_fixture_patterns(fixture_db):
-    patterns = mine_prefixspan(fixture_db, 2)
+_FIELD_QUERY = ("private Connection conn;", None)
+_PARSER_QUERY = ("parser = ASTParser.newParser(AST.JLS3);", PARSER_CONTEXT)
+
+
+@pytest.mark.parametrize("seed, min_support, queries", [
+    pytest.param(None, 2, [_FIELD_QUERY, _PARSER_QUERY], id="fixture"),
+    pytest.param(1, 3, [_FIELD_QUERY], id="gen-seed1"),
+    pytest.param(2, 3, [_FIELD_QUERY], id="gen-seed2"),
+])
+def test_skeleton_round_trip_fixture_patterns(seed, min_support, queries, fixture_db, tmp_path):
+    """Re-extracting a skeleton gives back the pattern after the match, at
+    every match offset, on the fixture and on small generated corpora."""
+    db = fixture_db
+    if seed is not None:
+        gen.generate_corpus(tmp_path, seed, files=6, methods=5)
+        db = build_sequence_db(extract_corpus([tmp_path])[0])
+    patterns = mine_prefixspan(db, min_support)
     assert patterns
-    q = abstract_query("private Connection conn;")
-    for p in patterns:
-        rec = Recommendation(p, 0)
-        skeleton = render_skeleton(rec, q)
-        got = extract_skeleton_items(skeleton, rec, q)
-        assert got == list(p.elements[1:]), (p.elements, skeleton)
+    for statement, context in queries:
+        q = abstract_query(statement, context)
+        for p in patterns:
+            for offset in range(p.k):
+                rec = Recommendation(p, offset)
+                skeleton = render_skeleton(rec, q)
+                got = extract_skeleton_items(skeleton, rec, q)
+                assert got == list(p.elements[offset + 1:]), (p.elements, offset, skeleton)
 
 
 def test_derive_bindings():

@@ -305,23 +305,16 @@ def test_merge_adds_disjoint_pattern_and_resorts():
     assert merged.patterns[0].elements == fresh.elements  # ranking 3.0 first
 
 
-def test_merge_full_replacement_drops_existing():
-    repo = make_repository([fig35_pattern()], "c", "t", 2)
-    fresh = pattern_of(["only()"])
-    merged = merge_update(repo, [fresh], full_replacement=True)
-    assert [p.elements for p in merged.patterns] == [fresh.elements]
-
-
 @settings(max_examples=50, deadline=None)
-@given(repositories(), repositories(), st.data(), st.booleans())
-def test_merge_update_is_idempotent(repo, other, data, full_replacement):
+@given(repositories(), repositories(), st.data())
+def test_merge_update_is_idempotent(repo, other, data):
     # fresh patterns: some stored element-lists rescored, plus other patterns
     stored = data.draw(st.lists(st.sampled_from(repo.patterns), max_size=3)) \
         if repo.patterns else []
     rescored = [SequentialPattern(p.elements, 1, p.db_size + 1, 1) for p in stored]
     fresh = rescored + list(other.patterns)
-    once = merge_update(repo, fresh, full_replacement=full_replacement)
-    assert merge_update(once, fresh, full_replacement=full_replacement) == once
+    once = merge_update(repo, fresh)
+    assert merge_update(once, fresh) == once
 
 
 def test_sorted_by_ranking_after_every_operation():
