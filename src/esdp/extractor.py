@@ -182,6 +182,7 @@ class _Extractor:
         self._import_seen: set[str] = set()     # simple names, incl. ambiguous
         self.scopes: list[dict[str, str]] = [dict(context_vars or {})]
         self.class_stack: list[str] = []
+        self.class_fields: list[dict[str, str]] = []  # the field scope of each class
         self.return_types: list[str] = []
         self.out: list[tuple[int, int, SourceItem]] = []
         self.markers: list[ControlMarker] = []
@@ -353,10 +354,12 @@ class _Extractor:
                 listed = self.accept(",")
         self.class_stack.append(name)
         self.push_scope()
+        self.class_fields.append(self.scopes[-1])
         if self.accept("{"):
             while not self.at("}") and self.cur().kind != "eof":
                 self.parse_member(class_path)
             self.accept("}")
+        self.class_fields.pop()
         self.pop_scope()
         self.class_stack.pop()
         self.depth -= 1
@@ -433,9 +436,11 @@ class _Extractor:
             if not type_text:
                 self.advance()
                 continue
-            while self.accept(".") and self.at("."):  # varargs '...'
-                self.advance()
             rtype = self.resolve_type(type_text)
+            if self.at("."):  # varargs '...': the parameter is an array
+                rtype += "[]"
+                while self.accept(".") and self.at("."):
+                    self.advance()
             if self.cur().kind == "ident":
                 pname = self.advance().text
                 while self.accept("["):
@@ -688,13 +693,16 @@ class _Extractor:
         return rtype
 
     def parse_this_chain(self, enclosing: str) -> str:
-        """'this' or 'super' and its member chain; calls and field writes
-        name the enclosing class (or super) as receiver."""
+        """'this' or 'super' and its member chain. A member of this or super
+        names the enclosing class (or super) as receiver; a member reached
+        through a field of the enclosing class names the field's type, as
+        the same chain written without 'this.' does."""
         start = self.advance()
         is_super = start.text == "super"
         if not self.at("."):
             return "super" if is_super else self.current_class()
         recv = "super" if is_super else lower_camel(self.current_class())
+        fields = self.class_fields[-1] if self.class_fields and not is_super else {}
         while self.accept(".") and self.cur().kind == "ident":
             member = self.advance().text
             if self.at("("):
@@ -702,6 +710,9 @@ class _Extractor:
                 return self.parse_postfix(enclosing, "unknown")
             if self.at("="):
                 return self.assign_field(recv, member, start, enclosing)
+            field_type = fields.get(member)
+            recv = "unknown" if field_type is None else lower_camel(simple_name(field_type))
+            fields = {}
         return "unknown"
 
     def parse_name_chain(self, enclosing: str) -> str:

@@ -169,22 +169,38 @@ def derive_bindings(elements: tuple[tuple[str, str], ...]) -> dict[str, str]:
     return bindings
 
 
+def _free_name(var: str, context: QueryContext) -> str:
+    """var, or var with the first numeric suffix that no context variable
+    holds: a skeleton variable must not take a context variable's type."""
+    name, n = var, 1
+    while name in context.variables:
+        n += 1
+        name = f"{var}{n}"
+    return name
+
+
+def _skeleton_bindings(elements: tuple[tuple[str, str], ...],
+                       context: QueryContext) -> dict[str, str]:
+    """derive_bindings under names that no context variable holds."""
+    return {_free_name(var, context): vtype for var, vtype in derive_bindings(elements).items()}
+
+
 def _receiver_var(recv: str, context: QueryContext) -> str:
     """Pick the context variable bound to the receiver type, else the
-    receiver as the pattern names it."""
+    receiver as the pattern names it, renamed when the context holds it."""
     if not _is_instance_receiver(recv):
         return recv  # static receiver (type path) or unknown
     want = recv[0].upper() + recv[1:]
     for var, vtype in context.variables.items():
         if simple_name(vtype) == want:
             return var
-    return recv
+    return _free_name(recv, context)
 
 
 def render_skeleton(rec: Recommendation, q: UserQuery) -> str:
     """Statements for the pattern elements after the matched position."""
     tail = rec.pattern.elements[rec.match_offset + 1:]
-    defaults = derive_bindings(rec.pattern.elements)
+    defaults = _skeleton_bindings(rec.pattern.elements, q.context)
     lines: list[str] = []
     opened_method = False
     declared: dict[str, str] = dict(q.context.variables)
@@ -266,7 +282,7 @@ def extract_skeleton_items(skeleton: str, rec: Recommendation, q: UserQuery,
     tail = rec.pattern.elements[rec.match_offset + 1:]
     if not skeleton.strip():
         return []
-    bindings = dict(derive_bindings(rec.pattern.elements))
+    bindings = _skeleton_bindings(rec.pattern.elements, q.context)
     bindings.update(q.context.variables)
     if tail and tail[0][0] == "MD":
         source = f"class W {{\n{skeleton}\n}}\n"

@@ -6,7 +6,9 @@ attributes make the round trip lossless. The reader accepts only the
 canonical bytes ``serialize`` writes: UTF-8, LF line ends, the fixed
 indentation and attribute order, numbers without leading zeros, and only
 the escapes ``serialize`` uses. It reads line by line; any other byte is a
-SchemaViolation naming the line and the element path.
+SchemaViolation naming the line and the element path. Within one call the
+reader checks each distinct pattern head and item line once and the writer
+renders each once: mined stores repeat them heavily.
 """
 
 from __future__ import annotations
@@ -93,18 +95,30 @@ def serialize(repo: MinedRepository) -> bytes:
         out.append("  <patterns/>")
     else:
         out.append("  <patterns>")
+        # Heads and item lines repeat across patterns (den is the database
+        # size and supports are small), so each distinct one is rendered once.
+        heads: dict[tuple, str] = {}
+        items: dict[tuple, str] = {}
         for p in repo.patterns:
-            num, den, cden = p.support_count, p.db_size, p.prefix_count
-            out.append(f'    <pattern kind="{p.kind}" k="{p.k}">')
-            out.append(f'      <support num="{num}" den="{den}">{two_dp(num, den)}</support>')
-            out.append(f'      <confidence num="{num}" den="{cden}">'
-                       f'{two_dp(num, cden)}</confidence>')
-            out.append(f"      <ranking>{two_dp(p.k * num, den)}</ranking>")
-            out.append("      <sequence>")
+            key = (p.kind, p.k, p.support_count, p.db_size, p.prefix_count)
+            head = heads.get(key)
+            if head is None:
+                kind, k, num, den, cden = key
+                head = heads[key] = (
+                    f'    <pattern kind="{kind}" k="{k}">\n'
+                    f'      <support num="{num}" den="{den}">{two_dp(num, den)}</support>\n'
+                    f'      <confidence num="{num}" den="{cden}">'
+                    f'{two_dp(num, cden)}</confidence>\n'
+                    f"      <ranking>{two_dp(k * num, den)}</ranking>\n"
+                    "      <sequence>")
+            out.append(head)
             for i, (kind, name) in enumerate(p.elements, start=1):
-                out.append(f'        <s i="{i}" kind="{kind}">{_esc(name)}</s>')
-            out.append("      </sequence>")
-            out.append("    </pattern>")
+                line = items.get((i, kind, name))
+                if line is None:
+                    line = f'        <s i="{i}" kind="{kind}">{_esc(name)}</s>'
+                    items[i, kind, name] = line
+                out.append(line)
+            out.append("      </sequence>\n    </pattern>")
         out.append("  </patterns>")
     out.append("</esdp-repository>")
     out.append("")
@@ -148,6 +162,69 @@ def _expected(what: str, line: str) -> str:
     return f"expected {what}, found {line[:120]!r}"
 
 
+def _read_head(lines: list[str], n: int, idx: int) -> tuple[str, int, int, int, int]:
+    """Check a pattern's four opening lines, lines[n:n + 4]; (kind, k, num, den, cden).
+
+    Every check here depends on the text of those lines alone, so text
+    accepted once is accepted again wherever it stands.
+    """
+    m = _PATTERN.fullmatch(lines[n])
+    if m is None:
+        raise _pattern_violation(n + 1, _expected('<pattern kind=".." k="..">', lines[n]), idx)
+    kind, k = m[1], int(m[2])
+
+    m = _SUPPORT.fullmatch(lines[n + 1])
+    if m is None:
+        raise _pattern_violation(
+            n + 2, _expected('<support num=".." den="..">', lines[n + 1]), idx, "support")
+    num, den = int(m[1]), int(m[2])
+    if num > den:
+        raise _pattern_violation(n + 2, "num must be within 1..den", idx, "support")
+    if m[3] != two_dp(num, den):
+        raise _pattern_violation(
+            n + 2, f"display value {m[3]!r} inconsistent with {num}/{den}", idx, "support")
+
+    m = _CONFIDENCE.fullmatch(lines[n + 2])
+    if m is None:
+        raise _pattern_violation(
+            n + 3, _expected('<confidence num=".." den="..">', lines[n + 2]), idx, "confidence")
+    cnum, cden = int(m[1]), int(m[2])
+    if cnum != num:
+        raise _pattern_violation(
+            n + 3, "confidence numerator must equal the support count", idx, "confidence")
+    if cnum > cden or (k == 1 and cden != cnum):
+        raise _pattern_violation(
+            n + 3, f"confidence {cnum}/{cden} out of range for k={k}", idx, "confidence")
+    if m[3] != two_dp(cnum, cden):
+        raise _pattern_violation(
+            n + 3, f"display value {m[3]!r} inconsistent with {cnum}/{cden}", idx, "confidence")
+
+    m = _RANKING.fullmatch(lines[n + 3])
+    if m is None or m[1] != two_dp(k * num, den):
+        raise _pattern_violation(
+            n + 4, _expected(f"<ranking>{two_dp(k * num, den)}</ranking> (k * support)",
+                             lines[n + 3]), idx, "ranking")
+    return kind, k, num, den, cden
+
+
+def _read_item(line: str, n: int, idx: int, i: int) -> tuple[str, str]:
+    """Check line, lines[n] of the document, the i-th <s> of a pattern; (kind, name).
+
+    Every check here depends on the line's text and i alone.
+    """
+    m = _ITEM.fullmatch(line)
+    if m is None or int(m[1]) != i:
+        raise _pattern_violation(
+            n + 1, _expected(f'<s i="{i}" kind="..">name</s>', line), idx, "sequence", f"s[{i}]")
+    name = m[3]
+    if "&" in name:
+        name = _unesc(name)
+    if name.strip() != name:
+        raise _pattern_violation(
+            n + 1, f"item name {name!r} is blank or padded", idx, "sequence", f"s[{i}]")
+    return m[2], name
+
+
 def parse(data: bytes) -> MinedRepository:
     """Read canonical repository bytes; SchemaViolation on any other byte.
 
@@ -175,50 +252,20 @@ def parse(data: bytes) -> MinedRepository:
     elif lines[1] == "  <patterns>":
         n = 2
         seen: set[tuple] = set()
-        pattern_match, support_match = _PATTERN.fullmatch, _SUPPORT.fullmatch
-        confidence_match, ranking_match = _CONFIDENCE.fullmatch, _RANKING.fullmatch
-        item_match = _ITEM.fullmatch
+        # Text that passed _read_head or _read_item once passes again, so
+        # each distinct head and (item line, ordinal) is checked once per
+        # call; a line not seen before gets every check, in the same order.
+        # The head key is a slice, so a document cut short yields a short
+        # key that misses and _read_head reports the cut.
+        heads: dict[tuple, tuple[str, int, int, int, int]] = {}
+        items: dict[tuple, tuple[str, str]] = {}
         while True:
             idx = len(patterns) + 1
-            m = pattern_match(lines[n])
-            if m is None:
-                raise _pattern_violation(
-                    n + 1, _expected('<pattern kind=".." k="..">', lines[n]), idx)
-            kind, k = m[1], int(m[2])
-
-            m = support_match(lines[n + 1])
-            if m is None:
-                raise _pattern_violation(
-                    n + 2, _expected('<support num=".." den="..">', lines[n + 1]), idx, "support")
-            num, den = int(m[1]), int(m[2])
-            if num > den:
-                raise _pattern_violation(n + 2, "num must be within 1..den", idx, "support")
-            if m[3] != two_dp(num, den):
-                raise _pattern_violation(
-                    n + 2, f"display value {m[3]!r} inconsistent with {num}/{den}", idx, "support")
-
-            m = confidence_match(lines[n + 2])
-            if m is None:
-                raise _pattern_violation(
-                    n + 3, _expected('<confidence num=".." den="..">', lines[n + 2]), idx,
-                    "confidence")
-            cnum, cden = int(m[1]), int(m[2])
-            if cnum != num:
-                raise _pattern_violation(
-                    n + 3, "confidence numerator must equal the support count", idx, "confidence")
-            if cnum > cden or (k == 1 and cden != cnum):
-                raise _pattern_violation(
-                    n + 3, f"confidence {cnum}/{cden} out of range for k={k}", idx, "confidence")
-            if m[3] != two_dp(cnum, cden):
-                raise _pattern_violation(
-                    n + 3, f"display value {m[3]!r} inconsistent with {cnum}/{cden}", idx,
-                    "confidence")
-
-            m = ranking_match(lines[n + 3])
-            if m is None or m[1] != two_dp(k * num, den):
-                raise _pattern_violation(
-                    n + 4, _expected(f"<ranking>{two_dp(k * num, den)}</ranking> (k * support)",
-                                     lines[n + 3]), idx, "ranking")
+            text = tuple(lines[n:n + 4])
+            head = heads.get(text)
+            if head is None:
+                head = heads[text] = _read_head(lines, n, idx)
+            kind, k, num, den, cden = head
             if lines[n + 4] != "      <sequence>":
                 raise _pattern_violation(
                     n + 5, _expected("<sequence>", lines[n + 4]), idx, "sequence")
@@ -226,19 +273,11 @@ def parse(data: bytes) -> MinedRepository:
             n += 5
             elements = []
             for i in range(1, k + 1):
-                m = item_match(lines[n])
-                if m is None or int(m[1]) != i:
-                    raise _pattern_violation(
-                        n + 1, _expected(f'<s i="{i}" kind="..">name</s>', lines[n]), idx,
-                        "sequence", f"s[{i}]")
-                name = m[3]
-                if "&" in name:
-                    name = _unesc(name)
-                if name.strip() != name:
-                    raise _pattern_violation(
-                        n + 1, f"item name {name!r} is blank or padded", idx,
-                        "sequence", f"s[{i}]")
-                elements.append((m[2], name))
+                line = lines[n]
+                element = items.get((line, i))
+                if element is None:
+                    element = items[line, i] = _read_item(line, n, idx, i)
+                elements.append(element)
                 n += 1
             if lines[n] != "      </sequence>":
                 raise _pattern_violation(

@@ -3,10 +3,29 @@ checked against. Deliberately brute-force and structure-free."""
 
 from __future__ import annotations
 
+import re
 from itertools import combinations, permutations
 
 from esdp.extractor import KEYWORDS, UnparsableSource
-from esdp.mining import mine_prefixspan
+from esdp.mining import SequentialPattern, mine_prefixspan
+from esdp.repository import (
+    _ATTR,
+    _CONFIDENCE,
+    _HEADER,
+    _ITEM,
+    _NAME,
+    _PATTERN,
+    _RANKING,
+    _SUPPORT,
+    MinedRepository,
+    _esc,
+    _esc_attr,
+    _expected,
+    _pattern_violation,
+    _unesc,
+    _violation,
+    two_dp,
+)
 
 
 # --- sequence mining ---------------------------------------------------------------
@@ -321,3 +340,176 @@ def tokenize_reference(source: str) -> list:
                 raise UnparsableSource(f"illegal character {c!r}", line, col)
     toks.append(("eof", "", line, col))
     return toks
+
+
+# --- repository codec --------------------------------------------------------------
+
+def serialize_reference(repo: MinedRepository) -> bytes:
+    """The writer before its per-call line memo, kept verbatim as the
+    differential reference of ``esdp.repository.serialize``.
+
+    Canonical document bytes: UTF-8, LF, 2-space indent, fixed attribute order.
+
+    ValueError when the corpus label or the creation stamp holds a control
+    character, or an item name is empty, padded with whitespace or holds a
+    control character other than tab: the reader refuses each of these.
+    """
+    for value in (repo.corpus_label, repo.created_at):
+        if re.fullmatch(_ATTR, _esc_attr(value)) is None:
+            raise ValueError(f"repository metadata {value!r} holds a control character")
+    for name in {name for p in repo.patterns for _, name in p.elements}:
+        if re.fullmatch(_NAME, _esc(name)) is None or name.strip() != name:
+            raise ValueError(f"item name {name!r} is blank, padded or holds a control character")
+    out: list[str] = []
+    out.append(
+        f'<esdp-repository version="1" corpus="{_esc_attr(repo.corpus_label)}"'
+        f' created="{_esc_attr(repo.created_at)}"'
+        f' min-support="{repo.min_support_used}">'
+    )
+    if not repo.patterns:
+        out.append("  <patterns/>")
+    else:
+        out.append("  <patterns>")
+        for p in repo.patterns:
+            num, den, cden = p.support_count, p.db_size, p.prefix_count
+            out.append(f'    <pattern kind="{p.kind}" k="{p.k}">')
+            out.append(f'      <support num="{num}" den="{den}">{two_dp(num, den)}</support>')
+            out.append(f'      <confidence num="{num}" den="{cden}">'
+                       f'{two_dp(num, cden)}</confidence>')
+            out.append(f"      <ranking>{two_dp(p.k * num, den)}</ranking>")
+            out.append("      <sequence>")
+            for i, (kind, name) in enumerate(p.elements, start=1):
+                out.append(f'        <s i="{i}" kind="{kind}">{_esc(name)}</s>')
+            out.append("      </sequence>")
+            out.append("    </pattern>")
+        out.append("  </patterns>")
+    out.append("</esdp-repository>")
+    out.append("")
+    return "\n".join(out).encode("utf-8")
+
+
+def parse_reference(data: bytes) -> MinedRepository:
+    """The reader before its per-call memo of accepted lines, kept verbatim
+    as the differential reference of ``esdp.repository.parse``.
+
+    Read canonical repository bytes; SchemaViolation on any other byte.
+
+    Whatever it accepts, ``serialize`` writes back byte for byte.
+    """
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise _violation(data.count(b"\n", 0, exc.start) + 1,
+                         f"not UTF-8 ({exc.reason})") from None
+    lines = text.split("\n")
+    if lines[-1]:
+        raise _violation(len(lines), "document does not end with a line feed")
+    # From here the last element is "", which no line position accepts, so
+    # every index below stays in range.
+
+    m = _HEADER.fullmatch(lines[0])
+    if m is None:
+        raise _violation(1, _expected("the <esdp-repository> header", lines[0]))
+    corpus, created, min_support = _unesc(m[1]), _unesc(m[2]), int(m[3])
+
+    patterns: list[SequentialPattern] = []
+    if lines[1] == "  <patterns/>":
+        n = 2
+    elif lines[1] == "  <patterns>":
+        n = 2
+        seen: set[tuple] = set()
+        pattern_match, support_match = _PATTERN.fullmatch, _SUPPORT.fullmatch
+        confidence_match, ranking_match = _CONFIDENCE.fullmatch, _RANKING.fullmatch
+        item_match = _ITEM.fullmatch
+        while True:
+            idx = len(patterns) + 1
+            m = pattern_match(lines[n])
+            if m is None:
+                raise _pattern_violation(
+                    n + 1, _expected('<pattern kind=".." k="..">', lines[n]), idx)
+            kind, k = m[1], int(m[2])
+
+            m = support_match(lines[n + 1])
+            if m is None:
+                raise _pattern_violation(
+                    n + 2, _expected('<support num=".." den="..">', lines[n + 1]), idx, "support")
+            num, den = int(m[1]), int(m[2])
+            if num > den:
+                raise _pattern_violation(n + 2, "num must be within 1..den", idx, "support")
+            if m[3] != two_dp(num, den):
+                raise _pattern_violation(
+                    n + 2, f"display value {m[3]!r} inconsistent with {num}/{den}", idx, "support")
+
+            m = confidence_match(lines[n + 2])
+            if m is None:
+                raise _pattern_violation(
+                    n + 3, _expected('<confidence num=".." den="..">', lines[n + 2]), idx,
+                    "confidence")
+            cnum, cden = int(m[1]), int(m[2])
+            if cnum != num:
+                raise _pattern_violation(
+                    n + 3, "confidence numerator must equal the support count", idx, "confidence")
+            if cnum > cden or (k == 1 and cden != cnum):
+                raise _pattern_violation(
+                    n + 3, f"confidence {cnum}/{cden} out of range for k={k}", idx, "confidence")
+            if m[3] != two_dp(cnum, cden):
+                raise _pattern_violation(
+                    n + 3, f"display value {m[3]!r} inconsistent with {cnum}/{cden}", idx,
+                    "confidence")
+
+            m = ranking_match(lines[n + 3])
+            if m is None or m[1] != two_dp(k * num, den):
+                raise _pattern_violation(
+                    n + 4, _expected(f"<ranking>{two_dp(k * num, den)}</ranking> (k * support)",
+                                     lines[n + 3]), idx, "ranking")
+            if lines[n + 4] != "      <sequence>":
+                raise _pattern_violation(
+                    n + 5, _expected("<sequence>", lines[n + 4]), idx, "sequence")
+
+            n += 5
+            elements = []
+            for i in range(1, k + 1):
+                m = item_match(lines[n])
+                if m is None or int(m[1]) != i:
+                    raise _pattern_violation(
+                        n + 1, _expected(f'<s i="{i}" kind="..">name</s>', lines[n]), idx,
+                        "sequence", f"s[{i}]")
+                name = m[3]
+                if "&" in name:
+                    name = _unesc(name)
+                if name.strip() != name:
+                    raise _pattern_violation(
+                        n + 1, f"item name {name!r} is blank or padded", idx,
+                        "sequence", f"s[{i}]")
+                elements.append((m[2], name))
+                n += 1
+            if lines[n] != "      </sequence>":
+                raise _pattern_violation(
+                    n + 1, _expected(f"</sequence> after k={k} items", lines[n]), idx, "sequence")
+            if lines[n + 1] != "    </pattern>":
+                raise _pattern_violation(n + 2, _expected("</pattern>", lines[n + 1]), idx)
+            n += 2
+
+            key = tuple(elements)
+            if key[0][0] != kind:
+                raise _pattern_violation(n - k - 6, "pattern kind must match its first item", idx)
+            if key in seen:
+                raise _pattern_violation(n - k - 6, "duplicate pattern element-list", idx)
+            seen.add(key)
+            patterns.append(SequentialPattern(key, num, den, cden))
+            if lines[n] == "  </patterns>":
+                n += 1
+                break
+    else:
+        raise _violation(2, _expected("<patterns> or <patterns/>", lines[1]), "patterns")
+
+    if lines[n] != "</esdp-repository>":
+        raise _violation(n + 1, _expected("</esdp-repository>", lines[n]))
+    if n != len(lines) - 2:
+        raise _violation(n + 2, "text after </esdp-repository>")
+    return MinedRepository(
+        patterns=tuple(patterns),
+        corpus_label=corpus,
+        created_at=created,
+        min_support_used=min_support,
+    )

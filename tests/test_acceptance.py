@@ -9,6 +9,8 @@ import statistics
 import time
 from fractions import Fraction
 
+import pytest
+
 from conftest import random_sequence_db
 from esdp.groum import GroumNode, Groum, patt_explorer
 from esdp.metrics import RetrievalOutcome, precision_recall, sequence_pr
@@ -22,7 +24,7 @@ from esdp.query import (
     search,
 )
 from esdp.repository import SchemaViolation, make_repository, parse, serialize
-from oracles import exhaustive_groum_patterns, exhaustive_mine, iso_brute
+from oracles import exhaustive_groum_patterns, exhaustive_mine, iso_brute, parse_reference
 from test_repository import mutate, random_repo
 
 
@@ -114,7 +116,8 @@ def test_groum_oracle_equivalence():
 
 def test_xml_round_trip_and_mutation_rejection():
     """Structural + byte round trip over >= 100 repositories; 100% of 500
-    schema-violating mutants rejected."""
+    schema-violating mutants rejected, each with the reference reader's
+    message and element path."""
     rng = random.Random(404)
     round_trips = 0
     while round_trips < 100:
@@ -140,7 +143,10 @@ def test_xml_round_trip_and_mutation_rejection():
         mutants += 1
         try:
             parse(mutant.encode())
-        except SchemaViolation:
+        except SchemaViolation as exc:
+            with pytest.raises(SchemaViolation) as want:
+                parse_reference(mutant.encode())
+            assert (str(exc), exc.path) == (str(want.value), want.value.path)
             rejected += 1
     assert rejected == mutants == 500
     _report(f"xml-round-trip ({round_trips} repos, {rejected}/{mutants} mutants rejected)")

@@ -315,7 +315,7 @@ def test_else_if_chain_reads_without_nesting():
 # --- one reader per construct: exact items of short sources --------------------
 
 @pytest.mark.parametrize("body, expected", [
-    ("B f; void m() { this.f.g(); }", [("FD", "B"), ("MD", "m():void"), ("MI", "a.g()")]),
+    ("B f; void m() { this.f.g(); }", [("FD", "B"), ("MD", "m():void"), ("MI", "b.g()")]),
     ("void m() { super.h(); }", [("MD", "m():void"), ("MI", "super.h()")]),
     ("int k; void m() { this.k = 1; }", [("FD", "int"), ("MD", "m():void"), ("FA", "a.k")]),
     ("void m() { a.b.c = 1; }", [("MD", "m():void"), ("FA", "unknown.c")]),
@@ -338,6 +338,13 @@ def test_else_if_chain_reads_without_nesting():
     ("void m() { int[][] g = new int[2][3]; g[0][1] = h[2]; }",
      [("MD", "m():void"), ("VD", "int[][]"), ("AC", "int[]"), ("AA", "int[][]"),
       ("AA", "unknown[]")]),
+    ("B f; void m() { f.g(); this.f.x = 1; f.x = 2; }",
+     [("FD", "B"), ("MD", "m():void"), ("MI", "b.g()"), ("FA", "b.x"), ("FA", "b.x")]),
+    ("B f; void m() { this.g(); super.f.g(); this.f.h.g(); }",
+     [("FD", "B"), ("MD", "m():void"), ("MI", "a.g()"), ("MI", "unknown.g()"),
+      ("MI", "unknown.g()")]),
+    ("void m(int... xs) { xs[0] = 1; }", [("MD", "m(int[]):void"), ("AA", "int[]")]),
+    ("void m(String s, String[]... xs) { }", [("MD", "m(String,String[][]):void")]),
 ])
 def test_reader_items(body, expected):
     items, _ = extract_items("class A extends B { " + body + " }", "a.java")

@@ -190,8 +190,8 @@ _PARSER_QUERY = ("parser = ASTParser.newParser(AST.JLS3);", PARSER_CONTEXT)
 
 @pytest.mark.parametrize("seed, min_support, queries", [
     pytest.param(None, 2, [_FIELD_QUERY, _PARSER_QUERY], id="fixture"),
-    pytest.param(1, 3, [_FIELD_QUERY], id="gen-seed1"),
-    pytest.param(2, 3, [_FIELD_QUERY], id="gen-seed2"),
+    pytest.param(1, 3, [_FIELD_QUERY, _PARSER_QUERY], id="gen-seed1"),
+    pytest.param(2, 3, [_FIELD_QUERY, _PARSER_QUERY], id="gen-seed2"),
 ])
 def test_skeleton_round_trip_fixture_patterns(seed, min_support, queries, fixture_db, tmp_path):
     """Re-extracting a skeleton gives back the pattern after the match, at

@@ -6,7 +6,7 @@ from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_sequence_db
@@ -23,7 +23,7 @@ from esdp.repository import (
     serialize,
     two_dp,
 )
-from oracles import NAME_REFERENCE
+from oracles import NAME_REFERENCE, parse_reference, serialize_reference
 
 FIG35_ELEMENTS = (
     ("MI", "dom.ASTParser.newParser(int)"),
@@ -260,23 +260,118 @@ _EDITS = st.lists(st.tuples(st.sampled_from(["replace", "insert", "delete", "tru
                            st.integers(0, 10**6), st.integers(0, 255)), min_size=1, max_size=25)
 
 
+def _edit(doc: bytes, edit: str, pos: int, byte: int) -> bytes:
+    if edit == "insert":
+        pos %= len(doc) + 1
+        return doc[:pos] + bytes([byte]) + doc[pos:]
+    if edit == "replace":
+        pos %= len(doc)
+        return doc[:pos] + bytes([byte]) + doc[pos + 1:]
+    if edit == "delete":
+        pos %= len(doc)
+        return doc[:pos] + doc[pos + 1:]
+    return doc[:pos % len(doc)]
+
+
 @settings(max_examples=150, deadline=None)
 @given(repositories(), _EDITS)
 def test_single_byte_edits_rejected_or_canonical(repo, edits):
     doc = serialize(repo)
-    for edit, pos, byte in edits:
-        if edit == "insert":
-            pos %= len(doc) + 1
-            mutant = doc[:pos] + bytes([byte]) + doc[pos:]
-        elif edit == "replace":
-            pos %= len(doc)
-            mutant = doc[:pos] + bytes([byte]) + doc[pos + 1:]
-        elif edit == "delete":
-            pos %= len(doc)
-            mutant = doc[:pos] + doc[pos + 1:]
-        else:
-            mutant = doc[:pos % len(doc)]
-        _accepted_only_if_canonical(mutant)
+    for edit in edits:
+        _accepted_only_if_canonical(_edit(doc, *edit))
+
+
+# --- the per-call line memo against the reference codec --------------------------
+
+def _agrees_with_reference(data: bytes) -> None:
+    """parse returns what parse_reference returns, or raises its error."""
+    try:
+        want = parse_reference(data)
+    except SchemaViolation as exc:
+        with pytest.raises(SchemaViolation) as err:
+            parse(data)
+        assert (str(err.value), err.value.path) == (str(exc), exc.path)
+    else:
+        assert parse(data) == want
+
+
+@st.composite
+def repetitive_repositories(draw) -> MinedRepository:
+    """Stores whose patterns share heads and item lines: few names, one or
+    two kinds, and counts from a database of at most four sequences."""
+    size = draw(st.integers(1, 4))
+    names = draw(st.lists(_NAMES, min_size=1, max_size=3, unique=True))
+    elements = st.tuples(st.sampled_from(["MI", "FA"]), st.sampled_from(names))
+    element_lists = draw(st.lists(st.lists(elements, min_size=1, max_size=3).map(tuple),
+                                  min_size=2, max_size=12, unique=True))
+    patterns = []
+    for elements in element_lists:
+        count = draw(st.integers(1, size))
+        prefix_count = count if len(elements) == 1 else draw(st.integers(count, size))
+        patterns.append(SequentialPattern(elements, count, size, prefix_count))
+    return MinedRepository(tuple(patterns), draw(_LABELS), draw(_LABELS), 1)
+
+
+_MEMOIZED_LINES = (b"    <pattern ", b"      <support ", b"      <confidence ",
+                   b"      <ranking>", b"        <s ")
+
+
+@settings(max_examples=150, deadline=None)
+@given(repositories(), _EDITS)
+def test_parse_agrees_with_reference_on_edits(repo, edits):
+    doc = serialize(repo)
+    _agrees_with_reference(doc)
+    for edit in edits:
+        _agrees_with_reference(_edit(doc, *edit))
+
+
+@settings(max_examples=300, deadline=None)
+@given(repetitive_repositories(), st.data())
+def test_parse_agrees_with_reference_on_edits_to_repeated_lines(repo, data):
+    # The edit lands on a head or item line whose text an earlier pattern
+    # already holds, so the memo has seen the unedited text: a byte edit, or
+    # the text of an earlier line of the same element, which the memo holds
+    # too but which may not fit this place (another ordinal, kind or k).
+    doc = serialize(repo)
+    _agrees_with_reference(doc)
+    lines = doc.split(b"\n")
+    repeated = [j for j, line in enumerate(lines)
+                if line.startswith(_MEMOIZED_LINES) and line in lines[:j]]
+    assume(repeated)
+    j = data.draw(st.sampled_from(repeated))
+    if data.draw(st.booleans()):
+        start = sum(len(line) + 1 for line in lines[:j])
+        edit, offset, byte = data.draw(st.tuples(
+            st.sampled_from(["replace", "insert", "delete"]),
+            st.integers(0, len(lines[j]) - 1), st.integers(0, 255)))
+        mutant = _edit(doc, edit, start + offset, byte)
+    else:
+        prefix = next(p for p in _MEMOIZED_LINES if lines[j].startswith(p))
+        lines[j] = data.draw(st.sampled_from([line for line in lines[:j]
+                                              if line.startswith(prefix)]))
+        mutant = b"\n".join(lines)
+    _agrees_with_reference(mutant)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(repositories(), repetitive_repositories()))
+def test_serialize_agrees_with_reference(repo):
+    assert serialize(repo) == serialize_reference(repo)
+
+
+def test_store_cut_inside_last_pattern_names_a_line():
+    # both patterns have the same head, so the second head is a memo hit
+    # when whole and must miss when cut
+    doc = serialize(make_repository([pattern_of(["x()", "y()"]), pattern_of(["x()", "z()"])]))
+    lines = doc.split(b"\n")
+    last = lines.index(b'        <s i="2" kind="MI">y()</s>') + 3
+    end = lines.index(b"  </patterns>")
+    assert lines[last:last + 4] == lines[2:6]
+    for j in range(last, end + 1):  # each line boundary of the last pattern, and </patterns>
+        cut = b"\n".join(lines[:j]) + b"\n"
+        with pytest.raises(SchemaViolation, match=r"^/esdp-repository[^:]*: line [0-9]+: "):
+            parse(cut)
+        _agrees_with_reference(cut)
 
 
 def test_merge_with_nothing_is_identity():
