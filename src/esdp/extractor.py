@@ -696,13 +696,16 @@ class _Extractor:
         """'this' or 'super' and its member chain. A member of this or super
         names the enclosing class (or super) as receiver; a member reached
         through a field of the enclosing class names the field's type, as
-        the same chain written without 'this.' does."""
+        the same chain written without 'this.' does. The value of 'this.f'
+        is the declared type of field f; a longer chain, or an index into
+        it, reads 'unknown'."""
         start = self.advance()
         is_super = start.text == "super"
         if not self.at("."):
             return "super" if is_super else self.current_class()
         recv = "super" if is_super else lower_camel(self.current_class())
         fields = self.class_fields[-1] if self.class_fields and not is_super else {}
+        value = "unknown"
         while self.accept(".") and self.cur().kind == "ident":
             member = self.advance().text
             if self.at("("):
@@ -712,8 +715,9 @@ class _Extractor:
                 return self.assign_field(recv, member, start, enclosing)
             field_type = fields.get(member)
             recv = "unknown" if field_type is None else lower_camel(simple_name(field_type))
+            value = field_type or "unknown"
             fields = {}
-        return "unknown"
+        return "unknown" if self.at("[") else value
 
     def parse_name_chain(self, enclosing: str) -> str:
         start = self.cur()

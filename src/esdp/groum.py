@@ -6,7 +6,10 @@ node at a time by extending every stored occurrence with an adjacent node
 of a frequent label, groups the candidates into isomorphism classes by one
 canonical key (colour refinement, then the smallest edge list over the
 orders the refinement leaves open), and keeps classes whose
-independent-occurrence frequency reaches the threshold.
+independent-occurrence frequency reaches the threshold. Two exact prunes
+spare work on candidates that cannot be frequent: a label group with fewer
+candidates than the threshold is dropped before any key is computed, and a
+class found infrequent is remembered, so its frequency is computed once.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 from itertools import chain, groupby, permutations, product
 from typing import Iterable, Sequence
 
-from .items import ControlMarker, ItemKind, MarkerKind, SourceItem, simple_name
+from .items import ControlMarker, ItemKind, MarkerKind, SourceItem, lower_camel, simple_name
 from .mining import InvalidThreshold
 
 
@@ -88,8 +91,6 @@ def _action_label(item: SourceItem) -> str:
 def _receiver_tag(item: SourceItem) -> str | None:
     """Object identity proxy for data-dependency edges: the lower-camel
     receiver/created-type tag, or None when nothing shareable."""
-    from .items import lower_camel
-
     name = item.name
     if item.kind is ItemKind.CI:
         return lower_camel(simple_name(name.split("(", 1)[0]))
@@ -234,28 +235,60 @@ def independent_occurrence_count(occurrences: Sequence[frozenset[int]],
                                  ) -> tuple[int, bool]:
     """Maximum number of pairwise node-disjoint occurrences.
 
-    Exact (branch and bound) up to EXACT_OCCURRENCE_LIMIT occurrences;
-    greedy in first-seen order beyond that, flagged as a lower bound.
+    Exact (branch and bound) up to EXACT_OCCURRENCE_LIMIT occurrences.
+    Beyond that the occurrences are split into the connected components of
+    their conflict graph (two occurrences conflict when they share a node):
+    each component of at most EXACT_OCCURRENCE_LIMIT is counted exactly, a
+    larger one greedily in first-seen order, and any greedy component flags
+    the sum as a lower bound.
     """
     occs = list(occurrences)
-    n = len(occs)
-    if n == 0:
-        return 0, True
-    if n > EXACT_OCCURRENCE_LIMIT:
-        taken: list[frozenset[int]] = []
+    if len(occs) <= EXACT_OCCURRENCE_LIMIT:
+        return _exact_count(occs), True
+    total, exact = 0, True
+    for component in _conflict_components(occs):
+        if len(component) <= EXACT_OCCURRENCE_LIMIT:
+            total += _exact_count(component)
+            continue
         used: set[int] = set()
-        for occ in occs:
+        for occ in component:
             if not (occ & used):
-                taken.append(occ)
+                total += 1
                 used |= occ
-        return len(taken), False
+        exact = False
+    return total, exact
+
+
+def _exact_count(occs: list[frozenset[int]]) -> int:
+    """Maximum number of pairwise node-disjoint occurrences, by search."""
+    n = len(occs)
     conflict = [0] * n
     for i in range(n):
         for j in range(i + 1, n):
             if occs[i] & occs[j]:
                 conflict[i] |= 1 << j
                 conflict[j] |= 1 << i
-    return _max_independent((1 << n) - 1, conflict), True
+    return _max_independent((1 << n) - 1, conflict)
+
+
+def _conflict_components(occs: list[frozenset[int]]) -> list[list[frozenset[int]]]:
+    """Connected components of the conflict graph, each in first-seen order,
+    found by union-find over the first occurrence to hold each node."""
+    parent = list(range(len(occs)))
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    owner: dict[int, int] = {}
+    for i, occ in enumerate(occs):
+        for v in occ:
+            parent[root(owner.setdefault(v, i))] = root(i)
+    components: dict[int, list[frozenset[int]]] = {}
+    for i, occ in enumerate(occs):
+        components.setdefault(root(i), []).append(occ)
+    return list(components.values())
 
 
 def _max_independent(remaining: int, conflict: list[int]) -> int:
@@ -321,8 +354,11 @@ def patt_explorer(dataset: Sequence[Groum], sigma: int) -> list[GroumPattern]:
     Growth is seeded with the frequent single-label patterns; each pattern's
     full occurrence set is extended by every adjacent node carrying a
     frequent label, candidates are partitioned into isomorphism classes by
-    canonical key and classes meeting the threshold recurse. Output holds
-    one pattern per canonical key, ordered by (size, canonical key).
+    canonical key and classes meeting the threshold recurse. Two exact
+    prunes (see _explore) skip a label group with fewer than sigma
+    candidates and remember, in a set local to this call, every class found
+    infrequent. Output holds one pattern per canonical key, ordered by
+    (size, canonical key).
     """
     if sigma < 1:
         raise InvalidThreshold(f"sigma must be >= 1, got {sigma}")
@@ -347,17 +383,32 @@ def patt_explorer(dataset: Sequence[Groum], sigma: int) -> list[GroumPattern]:
             explored[canonical_form(rep)] = GroumPattern(rep, occs, freq, 1, True)
             frequent.add(label)
     keys: dict[tuple[int, frozenset[int]], tuple] = {}
+    rejected: set[tuple] = set()
     for pattern in list(explored.values()):
-        _explore(pattern, hosts, frequent, sigma, explored, keys)
+        _explore(pattern, hosts, frequent, sigma, explored, rejected, keys)
     return [p for _, p in sorted(explored.items(), key=lambda kv: (kv[1].size, kv[0]))]
 
 
 def _explore(pattern: GroumPattern, hosts: Sequence[_Host], frequent: set[str],
-             sigma: int, explored: dict[tuple, GroumPattern],
+             sigma: int, explored: dict[tuple, GroumPattern], rejected: set[tuple],
              keys: dict[tuple[int, frozenset[int]], tuple]) -> None:
     """Grow pattern depth first, labels in sorted order, adding every new
-    frequent class to explored under its canonical key. keys memoizes the
-    canonical key of each (graph index, node set) seen in this call."""
+    frequent class to explored and every infrequent one to rejected, under
+    its canonical key. keys memoizes the canonical key of each (graph index,
+    node set) seen in this call.
+
+    Both prunes are exact. A class's frequency is a sum of maximum
+    disjoint-occurrence counts, so it is at most its number of distinct
+    occurrences, and each class of a label group holds a subset of the
+    group's distinct node sets: a group with fewer than sigma candidates
+    holds no frequent class and is skipped before any key is computed.
+    A class's occurrence list does not depend on the parent that reached
+    it: explored holds every occurrence of each frequent pattern, an
+    occurrence of P (+) y contains an occurrence of P, and
+    _isomorphism_classes orders occurrences by sorted graph index and sorted
+    node set. So the exact count, the greedy lower bound and the
+    representative are the same from every parent, and a key in explored or
+    in rejected is already decided."""
     # P (+) U for every frequent label U at once: each occurrence X extended
     # by an adjacent node Y of that label, with all connecting edges
     # (induced extension)
@@ -373,17 +424,21 @@ def _explore(pattern: GroumPattern, hosts: Sequence[_Host], frequent: set[str],
                 if label in frequent:
                     extensions.setdefault(label, {}).setdefault(gi, set()).add(occ | {y})
     for label in sorted(extensions):
-        for key, occurrences in _isomorphism_classes(hosts, extensions[label], keys):
-            if key in explored:
+        group = extensions[label]
+        if sum(len(s) for s in group.values()) < sigma:
+            continue
+        for key, occurrences in _isomorphism_classes(hosts, group, keys):
+            if key in explored or key in rejected:
                 continue
             freq, exact = frequency(occurrences)
             if freq < sigma:
+                rejected.add(key)
                 continue
             gi = next(iter(occurrences))
             rep = induced_subgraph(hosts[gi].graph, occurrences[gi][0])
             cls = GroumPattern(rep, occurrences, freq, len(rep.nodes), exact)
             explored[key] = cls
-            _explore(cls, hosts, frequent, sigma, explored, keys)
+            _explore(cls, hosts, frequent, sigma, explored, rejected, keys)
 
 
 def _isomorphism_classes(hosts: Sequence[_Host],

@@ -5,9 +5,19 @@ from __future__ import annotations
 
 import re
 from itertools import combinations, permutations
+from typing import Sequence
 
 from esdp.extractor import KEYWORDS, UnparsableSource
-from esdp.mining import SequentialPattern, mine_prefixspan
+from esdp.groum import (
+    Groum,
+    GroumPattern,
+    _canonical_key,
+    _Host,
+    canonical_form,
+    frequency,
+    induced_subgraph,
+)
+from esdp.mining import InvalidThreshold, SequentialPattern, mine_prefixspan
 from esdp.repository import (
     _ATTR,
     _CONFIDENCE,
@@ -218,8 +228,6 @@ def exhaustive_groum_patterns(dataset, sigma: int):
     Returns a list of (representative Groum, frequency) with representatives
     taken from the first occurrence found.
     """
-    from esdp.groum import induced_subgraph
-
     classes: list[tuple[object, dict[int, list[frozenset[int]]]]] = []
     for gi, g in enumerate(dataset):
         for node_set in connected_induced_node_sets(g):
@@ -236,6 +244,102 @@ def exhaustive_groum_patterns(dataset, sigma: int):
         if freq >= sigma:
             out.append((rep, freq))
     return out
+
+
+def patt_explorer_reference(dataset: Sequence[Groum], sigma: int) -> list[GroumPattern]:
+    """The explorer before its label-group bound and its memo of infrequent
+    classes, kept verbatim as the differential reference of
+    ``esdp.groum.patt_explorer``.
+
+    All frequent induced-subgraph patterns of the dataset.
+
+    Growth is seeded with the frequent single-label patterns; each pattern's
+    full occurrence set is extended by every adjacent node carrying a
+    frequent label, candidates are partitioned into isomorphism classes by
+    canonical key and classes meeting the threshold recurse. Output holds
+    one pattern per canonical key, ordered by (size, canonical key).
+    """
+    if sigma < 1:
+        raise InvalidThreshold(f"sigma must be >= 1, got {sigma}")
+    hosts = [_Host.of(g) for g in dataset]
+    if not hosts:
+        return []
+
+    # size-1 patterns: distinct single nodes are always disjoint
+    unit_occs: dict[str, dict[int, list[frozenset[int]]]] = {}
+    for gi, host in enumerate(hosts):
+        for node in host.graph.nodes:
+            unit_occs.setdefault(node.label, {}).setdefault(gi, []).append(
+                frozenset([node.id]))
+    explored: dict[tuple, GroumPattern] = {}
+    frequent: set[str] = set()
+    for label in sorted(unit_occs):
+        occs = unit_occs[label]
+        freq = sum(len(v) for v in occs.values())
+        if freq >= sigma:
+            gi = min(occs)
+            rep = induced_subgraph(hosts[gi].graph, next(iter(occs[gi])))
+            explored[canonical_form(rep)] = GroumPattern(rep, occs, freq, 1, True)
+            frequent.add(label)
+    keys: dict[tuple[int, frozenset[int]], tuple] = {}
+    for pattern in list(explored.values()):
+        _explore_reference(pattern, hosts, frequent, sigma, explored, keys)
+    return [p for _, p in sorted(explored.items(), key=lambda kv: (kv[1].size, kv[0]))]
+
+
+def _explore_reference(pattern: GroumPattern, hosts: Sequence[_Host], frequent: set[str],
+                       sigma: int, explored: dict[tuple, GroumPattern],
+                       keys: dict[tuple[int, frozenset[int]], tuple]) -> None:
+    """Grow pattern depth first, labels in sorted order, adding every new
+    frequent class to explored under its canonical key. keys memoizes the
+    canonical key of each (graph index, node set) seen in this call."""
+    # P (+) U for every frequent label U at once: each occurrence X extended
+    # by an adjacent node Y of that label, with all connecting edges
+    # (induced extension)
+    extensions: dict[str, dict[int, set[frozenset[int]]]] = {}
+    for gi, occs in pattern.occurrences.items():
+        host = hosts[gi]
+        for occ in occs:
+            adjacent: set[int] = set()
+            for v in occ:
+                adjacent |= host.neighbors[v]
+            for y in adjacent - occ:
+                label = host.labels[y]
+                if label in frequent:
+                    extensions.setdefault(label, {}).setdefault(gi, set()).add(occ | {y})
+    for label in sorted(extensions):
+        for key, occurrences in _isomorphism_classes_reference(hosts, extensions[label], keys):
+            if key in explored:
+                continue
+            freq, exact = frequency(occurrences)
+            if freq < sigma:
+                continue
+            gi = next(iter(occurrences))
+            rep = induced_subgraph(hosts[gi].graph, occurrences[gi][0])
+            cls = GroumPattern(rep, occurrences, freq, len(rep.nodes), exact)
+            explored[key] = cls
+            _explore_reference(cls, hosts, frequent, sigma, explored, keys)
+
+
+def _isomorphism_classes_reference(hosts: Sequence[_Host],
+                                   candidates: dict[int, set[frozenset[int]]],
+                                   keys: dict[tuple[int, frozenset[int]], tuple],
+                                   ) -> list[tuple[tuple, dict[int, list[frozenset[int]]]]]:
+    """Partition candidate subgraphs into label-isomorphism classes: each
+    canonical key with its occurrences, in first-seen order over sorted
+    graph indexes and sorted node sets. The first occurrence of a class is
+    its representative. A key missing from keys is computed and stored."""
+    classes: dict[tuple, dict[int, list[frozenset[int]]]] = {}
+    for gi in sorted(candidates):
+        host = hosts[gi]
+        for occ in sorted(candidates[gi], key=sorted):
+            key = keys.get((gi, occ))
+            if key is None:
+                key = keys[gi, occ] = _canonical_key(
+                    {v: host.labels[v] for v in occ},
+                    [(a, b) for a in occ for b in host.successors[a] if b in occ])
+            classes.setdefault(key, {}).setdefault(gi, []).append(occ)
+    return list(classes.items())
 
 
 # --- lexing ------------------------------------------------------------------------

@@ -345,6 +345,10 @@ def test_else_if_chain_reads_without_nesting():
       ("MI", "unknown.g()")]),
     ("void m(int... xs) { xs[0] = 1; }", [("MD", "m(int[]):void"), ("AA", "int[]")]),
     ("void m(String s, String[]... xs) { }", [("MD", "m(String,String[][]):void")]),
+    ("B f; void m(X x) { x.m(this.f); x.m(f); }",
+     [("FD", "B"), ("MD", "m(X):void"), ("MI", "x.m(B)"), ("MI", "x.m(B)")]),
+    ("int[] g; void m(X x) { x.m(this.g[0]); }",
+     [("FD", "int[]"), ("MD", "m(X):void"), ("MI", "x.m(unknown)")]),
 ])
 def test_reader_items(body, expected):
     items, _ = extract_items("class A extends B { " + body + " }", "a.java")

@@ -25,7 +25,13 @@ from esdp.groum import (
     patt_explorer,
 )
 from esdp.items import ControlMarker, ItemKind, MarkerKind, SourceItem
-from oracles import exhaustive_groum_patterns, iso_brute, max_independent_brute
+import oracles
+from oracles import (
+    exhaustive_groum_patterns,
+    iso_brute,
+    max_independent_brute,
+    patt_explorer_reference,
+)
 
 FIG_311 = """
 public class SearchTest
@@ -207,9 +213,24 @@ def test_disjoint_occurrences_counted_without_branching():
 
 
 def test_greedy_beyond_limit_flags_lower_bound():
-    occs = [frozenset({i}) for i in range(25)]
+    # one overlapping chain: a single conflict component of 25 occurrences
+    occs = [frozenset({i, i + 1}) for i in range(25)]
     got, exact = independent_occurrence_count(occs)
-    assert got == 25 and not exact
+    assert got == 13 and not exact
+
+
+def test_small_conflict_components_beyond_limit_counted_exactly():
+    rng = random.Random(53)
+    components = []
+    for c in range(5):
+        nodes = range(10 * c, 10 * c + 6)  # components share no node
+        components.append([frozenset(rng.sample(nodes, rng.randint(1, 3)))
+                           for _ in range(5)])
+    occs = [occ for component in components for occ in component]
+    rng.shuffle(occs)
+    assert len(occs) == 25 > groum.EXACT_OCCURRENCE_LIMIT
+    expected = sum(max_independent_brute(component) for component in components)
+    assert independent_occurrence_count(occs) == (expected, True)
 
 
 def test_patt_explorer_three_identical_chains():
@@ -331,6 +352,58 @@ def test_canonical_key_computed_once_per_occurrence(fixture_corpus, monkeypatch)
     unmemoized = patt_explorer(dataset, 2)
     assert len(calls) > len(candidates_seen) + seeds
     assert memoized == unmemoized
+
+
+@st.composite
+def groum_datasets(draw):
+    """1-6 sparse DAGs of up to 10 nodes over 3-5 labels."""
+    n_labels = draw(st.integers(3, 5))
+    dataset = []
+    for _ in range(draw(st.integers(1, 6))):
+        n = draw(st.integers(1, 10))
+        labels = draw(st.lists(st.integers(1, n_labels), min_size=n, max_size=n))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        edges = draw(st.sets(st.sampled_from(pairs), max_size=2 * n)) if pairs else set()
+        dataset.append(graph_of([f"T{k}.m" for k in labels], edges))
+    return dataset
+
+
+@settings(max_examples=150, deadline=None)
+@given(dataset=groum_datasets(), sigma=st.integers(1, 6))
+def test_patt_explorer_matches_reference(dataset, sigma):
+    assert patt_explorer(dataset, sigma) == patt_explorer_reference(dataset, sigma)
+
+
+@pytest.mark.parametrize("sigma", [2, 3])
+def test_patt_explorer_matches_reference_on_fixture(fixture_corpus, sigma):
+    items, markers = extract_corpus([str(fixture_corpus)], ".java")
+    dataset = build_groums_for_methods(items, markers)
+    found = patt_explorer(dataset, sigma)
+    assert found == patt_explorer_reference(dataset, sigma)
+    assert any(p.size > 2 for p in found)
+
+
+def test_label_groups_below_sigma_are_never_partitioned(monkeypatch):
+    rng = random.Random(65)
+    dataset = [random_groum(rng, max_nodes=8) for _ in range(6)]
+    sigma = 3
+    sizes: dict[str, list[int]] = {"explorer": [], "reference": []}
+
+    def recording(name, real):
+        def classes(hosts, candidates, keys):
+            sizes[name].append(sum(len(occs) for occs in candidates.values()))
+            return real(hosts, candidates, keys)
+        return classes
+
+    monkeypatch.setattr(groum, "_isomorphism_classes",
+                        recording("explorer", groum._isomorphism_classes))
+    monkeypatch.setattr(oracles, "_isomorphism_classes_reference",
+                        recording("reference", oracles._isomorphism_classes_reference))
+    found = patt_explorer(dataset, sigma)
+    assert found == patt_explorer_reference(dataset, sigma)
+    assert any(p.size > 2 for p in found)
+    assert sizes["explorer"] and min(sizes["explorer"]) >= sigma
+    assert min(sizes["reference"]) < sigma  # the bound has groups to skip
 
 
 def test_every_occurrence_is_induced_subgraph():
