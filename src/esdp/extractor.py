@@ -5,13 +5,21 @@ to produce all 17 item kinds plus if/loop control markers. Anything else
 (try/switch/throw/...) is skipped without error. Name resolution is an
 import-table lookup only: a simple type name imported as ``a.b.c.D`` is
 rendered ``c.D``; unknown names are kept as written.
+
+The lexer is one regex ``findall`` over the source; its tokens are flat
+parallel lists (texts, kinds, start offsets), which the parser reads
+through one index. A token's line and column are computed from its start
+offset only where something needs them: an emitted item, a control marker
+or an ``UnparsableSource``.
 """
 
 from __future__ import annotations
 
 import functools
 import re
-from collections import namedtuple
+from bisect import bisect_right
+from itertools import accumulate, repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -79,102 +87,134 @@ _TYPE_START_RE = re.compile(r"^[A-Za-z_$]")
 _LITERAL_TYPES = {"str": "String", "char": "char", "true": "boolean", "false": "boolean",
                   "null": "null"}
 
-Token = namedtuple("Token", "kind text line col")  # kind: ident | kw | num | str | char | punct | eof
-
 _LEX_ERRORS = {
     "/*": "unterminated comment",
     '"': "unterminated string literal",
     "'": "unterminated char literal",
 }
 
+# --- lexer ---------------------------------------------------------------------
+
+_SKIP = r"(?:[ \t\f\r\n]+|//[^\n]*|/\*[\s\S]*?\*/)*"
+_skip = re.compile(_SKIP).match
+
+# a token's kind by its first character, an ident when absent; then by its
+# text, a kw for a keyword
+_FIRST_KINDS = {**dict.fromkeys("0123456789", "num"),
+                **dict.fromkeys(_SINGLE_PUNCT + "/", "punct"), '"': "str", "'": "char"}
+_KEYWORD_KINDS = dict.fromkeys(KEYWORDS, "kw")
+_BRACE_DELTAS = {"{": 1, "}": -1}
+
 
 @functools.lru_cache(maxsize=64)
-def _scanner(digits: str, non_digits: str) -> re.Pattern:
-    r"""The master regex, one named group per token class, tried in order.
+def _lexer(digits: str, non_digits: str) -> tuple:
+    r"""The scan (``findall``) of the source into rows, and the kind of a
+    token by its first character. A row is a token with the blanks and
+    comments after it, and the token's text.
 
     Regex ``\w`` is exactly ``str.isalnum`` or '_', and ``\d`` exactly
     ``str.isdecimal``. A number starts on any ``str.isdigit`` character and
-    an identifier on any ``str.isalpha`` one, so the digits that are not
-    decimal ('²') and the other numeric non-letters ('½') present in the
-    source are named explicitly. ``bad`` catches every other character, so
-    the matches tile the whole source.
+    an identifier on any ``str.isalpha`` one, so the non-ASCII digits ('²')
+    and the other numeric non-letters ('½') present in the source are named
+    explicitly. A bad token (an unterminated comment or literal, any other
+    character) matches outside the text's group, which then reads ''.
     """
     digit = rf"[\d{digits}]"
-    return re.compile("|".join((
-        r"(?P<skip>(?:[ \t\f\r\n]+|//[^\n]*|/\*[\s\S]*?\*/)+)",
-        rf"(?P<ident>(?:[^\W\d{digits}{non_digits}]|\$)[\w$]*)",
-        "(?P<punct>" + "|".join(map(re.escape, _MULTI_PUNCT))
-        + f"|[{re.escape(_SINGLE_PUNCT)}]|/(?!\\*))",
-        rf"(?P<num>{digit}(?:\w|\.(?={digit}))*)",
-        r'(?P<str>"[^"\\]*(?:\\[\s\S][^"\\]*)*")',
-        r"(?P<char>'[^'\\]*(?:\\[\s\S][^'\\]*)*')",
-        r"(?P<bad>/\*|[\s\S])",
-    )))
+    pattern = re.compile("((?:(" + "|".join((
+        rf"(?:[^\W\d{digits}{non_digits}]|\$)[\w$]*",
+        "|".join(map(re.escape, _MULTI_PUNCT)) + f"|[{re.escape(_SINGLE_PUNCT)}]|/(?!\\*)",
+        rf"{digit}(?:\w|\.(?={digit}))*",
+        r'"[^"\\]*(?:\\[\s\S][^"\\]*)*"',
+        r"'[^'\\]*(?:\\[\s\S][^'\\]*)*'",
+    )) + rf")|/\*|[\s\S]){_SKIP})")
+    return pattern.findall, {**_FIRST_KINDS, **dict.fromkeys(digits, "num")}
 
 
-def _scanner_for(source: str) -> re.Pattern:
+def _lexer_for(source: str) -> tuple:
     if source.isascii():
-        return _scanner("", "")
-    odd = sorted(c for c in set(source)
-                 if c.isnumeric() and not c.isdecimal() and not c.isalpha())
-    return _scanner("".join(c for c in odd if c.isdigit()),
-                    "".join(c for c in odd if not c.isdigit()))
+        return _lexer("", "")
+    numeric = sorted(c for c in set(source)
+                     if c.isnumeric() and not c.isascii() and not c.isalpha())
+    return _lexer("".join(c for c in numeric if c.isdigit()),
+                  "".join(c for c in numeric if not c.isdigit()))
 
 
-def tokenize(source: str) -> list[Token]:
-    """The tokens of source, ending in one eof token; line and col are
-    1-based, col counting characters."""
-    toks: list[Token] = []
-    append, new = toks.append, tuple.__new__
-    line, line_start = 1, 0  # line_start: offset of the current line's first character
-    for m in _scanner_for(source).finditer(source):
-        kind, text = m.lastgroup, m.group()
-        if kind == "skip":
-            if "\n" in text:
-                line += text.count("\n")
-                line_start = m.start() + text.rfind("\n") + 1
-            continue
-        col = m.start() - line_start + 1
-        if kind == "ident":
-            append(new(Token, ("kw" if text in KEYWORDS else "ident", text, line, col)))
-        elif kind == "punct" or kind == "num":
-            append(new(Token, (kind, text, line, col)))
-        elif kind == "bad":
-            raise UnparsableSource(_LEX_ERRORS.get(text, f"illegal character {text!r}"), line, col)
-        else:  # str | char: the only tokens that may span lines
-            append(new(Token, (kind, text, line, col)))
-            if "\n" in text:
-                line += text.count("\n")
-                line_start = m.start() + text.rfind("\n") + 1
-    append(new(Token, ("eof", "", line, len(source) - line_start + 1)))
-    return toks
+class Tokens:
+    """The tokens of one source as parallel lists: ``texts``, ``kinds``
+    (ident | kw | num | str | char | punct | eof) and ``starts``, offsets
+    into the source. The last token is eof, at the end of the source; its
+    text '' is the only empty one. Lines and columns are 1-based, columns
+    counting characters."""
+
+    __slots__ = ("texts", "kinds", "starts", "_source", "_line_starts")
+
+    def __init__(self, source: str, texts: list[str], kinds: list[str], starts: list[int]):
+        self.texts, self.kinds, self.starts = texts, kinds, starts
+        self._source = source
+        self._line_starts: list[int] | None = None
+
+    def __len__(self) -> int:
+        return len(self.texts)
+
+    def line(self, i: int) -> int:
+        if self._line_starts is None:
+            self._line_starts = list(accumulate(
+                map((1).__add__, map(len, self._source.split("\n"))), initial=0))
+        return bisect_right(self._line_starts, self.starts[i])
+
+    def position(self, i: int) -> tuple[int, int]:
+        line = self.line(i)
+        return line, self.starts[i] - self._line_starts[line - 1] + 1
 
 
-def _check_braces(toks: list[Token]) -> None:
-    stack: list[Token] = []
-    for t in toks:
-        if t.text == "{":
-            stack.append(t)
-        elif t.text == "}":
-            if not stack:
-                raise UnparsableSource("unbalanced '}'", t.line, t.col)
-            stack.pop()
-    if stack:
-        t = stack[-1]
-        raise UnparsableSource("unbalanced '{'", t.line, t.col)
+def tokenize(source: str) -> Tokens:
+    """The tokens of source, ending in one eof token; UnparsableSource at
+    the first bad token."""
+    scan, first_kinds = _lexer_for(source)
+    first = _skip(source).end()
+    rows = scan(source, first)
+    texts = list(map(itemgetter(1), rows))
+    # a row runs to the next token, the last one to the end: eof's start
+    starts = list(accumulate(map(len, map(itemgetter(0), rows)), initial=first))
+    del rows
+    if "" in texts:  # a bad token; the first raises
+        bad = texts.index("")
+        at = starts[bad]
+        text = "/*" if source.startswith("/*", at) else source[at]
+        raise UnparsableSource(_LEX_ERRORS.get(text, f"illegal character {text!r}"),
+                               *Tokens(source, texts, [], starts).position(bad))
+    kinds = list(map(_KEYWORD_KINDS.get, texts,
+                     map(first_kinds.get, map(itemgetter(0), texts), repeat("ident"))))
+    texts.append("")
+    kinds.append("eof")
+    return Tokens(source, texts, kinds, starts)
+
+
+def _check_braces(tokens: Tokens) -> None:
+    depths = list(accumulate(map(_BRACE_DELTAS.get, tokens.texts, repeat(0))))
+    if min(depths) < 0:
+        raise UnparsableSource("unbalanced '}'", *tokens.position(depths.index(-1)))
+    if depths[-1]:
+        # the innermost brace left open: the last '{' to reach the final depth
+        last = max(i for i, text in enumerate(tokens.texts)
+                   if text == "{" and depths[i] == depths[-1])
+        raise UnparsableSource("unbalanced '{'", *tokens.position(last))
 
 
 class _Extractor:
     """Recursive-descent reader with one method per construct.
 
-    Punctuation and keywords are recognised by their text alone: an ident is
-    never a keyword, and literals start with a quote or a digit. Token kinds
-    are tested only to tell idents, literals and eof apart.
+    The cursor ``i`` indexes the token lists, read directly. Punctuation and
+    keywords are recognised by their text alone: an ident is never a
+    keyword, literals start with a quote or a digit, and only eof has the
+    text ''. Token kinds are tested only to tell idents and literals apart.
+    An item is emitted with the index of the token its construct starts at.
     """
 
-    def __init__(self, tokens: list[Token], file_label: str,
+    def __init__(self, tokens: Tokens, file_label: str,
                  context_vars: dict[str, str] | None = None):
-        self.toks = tokens
+        self.texts, self.kinds, self.line = tokens.texts, tokens.kinds, tokens.line
+        self.position = tokens.position
         self.i = 0
         self.file_label = file_label or "<memory>"
         self.package = ""
@@ -184,72 +224,61 @@ class _Extractor:
         self.class_stack: list[str] = []
         self.class_fields: list[dict[str, str]] = []  # the field scope of each class
         self.return_types: list[str] = []
-        self.out: list[tuple[int, int, SourceItem]] = []
+        self.out: list[tuple[int, SourceItem]] = []
         self.markers: list[ControlMarker] = []
         self.depth = 0  # parse methods active; see MAX_NESTING
 
     # --- token cursor -----------------------------------------------------
 
-    def cur(self) -> Token:
-        return self.toks[self.i]
-
-    def la(self, k: int = 1) -> Token:
-        j = min(self.i + k, len(self.toks) - 1)
-        return self.toks[j]
-
-    def at(self, text: str) -> bool:
-        return self.toks[self.i].text == text
-
     def accept(self, text: str) -> bool:
-        if self.at(text):
+        if self.texts[self.i] == text:
             self.i += 1
             return True
         return False
 
-    def advance(self) -> Token:
-        t = self.cur()
-        if t.kind != "eof":
+    def advance(self) -> str:
+        """Step over the current token unless it is eof; its text."""
+        text = self.texts[self.i]
+        if text:
             self.i += 1
-        return t
-
-    def prev_line(self) -> int:
-        return self.toks[max(self.i - 1, 0)].line
+        return text
 
     def descend(self) -> None:
         """Enter one nested parse method; the caller decrements depth on
         leaving it (a raise abandons the whole parse)."""
         self.depth += 1
         if self.depth > MAX_NESTING:
-            t = self.cur()
-            raise UnparsableSource(f"nesting deeper than {MAX_NESTING}", t.line, t.col)
+            raise UnparsableSource(f"nesting deeper than {MAX_NESTING}", *self.position(self.i))
 
     # --- emit helpers -----------------------------------------------------
 
-    def emit(self, kind: ItemKind, name: str, enclosing: str, line: int, col: int) -> None:
-        self.out.append((line, col, SourceItem(kind, name, enclosing or self.file_label, line)))
+    def emit(self, kind: ItemKind, name: str, enclosing: str, at: int) -> None:
+        self.out.append((at, SourceItem(kind, name, enclosing or self.file_label, self.line(at))))
 
-    def mark(self, kind: MarkerKind, enclosing: str, line: int) -> None:
-        self.markers.append(ControlMarker(kind, enclosing, line))
+    def mark(self, kind: MarkerKind, enclosing: str, at: int) -> None:
+        self.markers.append(ControlMarker(kind, enclosing, self.line(at)))
 
-    def emit_call(self, recv: str, method: str, start: Token, enclosing: str) -> None:
+    def emit_call(self, recv: str, method: str, start: int, enclosing: str) -> None:
         """Read the argument list of recv.method(...) and emit the call."""
         args = self.parse_args(enclosing)
-        self.emit(ItemKind.MI, f"{recv}.{method}({','.join(args)})", enclosing, start.line, start.col)
+        self.emit(ItemKind.MI, f"{recv}.{method}({','.join(args)})", enclosing, start)
 
-    def assign_field(self, recv: str, field: str, start: Token, enclosing: str) -> str:
+    def assign_field(self, recv: str, field: str, start: int, enclosing: str) -> str:
         """Emit the write of recv.field, the cursor at its '=', and read the value."""
-        self.emit(ItemKind.FA, f"{recv}.{field}", enclosing, start.line, start.col)
-        self.advance()
+        self.emit(ItemKind.FA, f"{recv}.{field}", enclosing, start)
+        self.i += 1
         self.scan_expression(enclosing, (";", ",", ")"))
         return "unknown"
 
+    def index_array(self, arr_type: str | None, start: int, enclosing: str) -> str:
+        """Emit the access of an array of arr_type (None: not known), the
+        cursor at its first '[', and read the indexes and what follows."""
+        self.emit(ItemKind.AA, arr_type or "unknown[]", enclosing, start)
+        self.parse_brackets(enclosing)
+        elem = arr_type[:-2] if arr_type and arr_type.endswith("[]") else "unknown"
+        return self.parse_postfix(enclosing, elem)
+
     # --- scope / resolution -----------------------------------------------
-
-    def push_scope(self) -> None:
-        self.scopes.append({})
-
-    def pop_scope(self) -> None:
-        self.scopes.pop()
 
     def bind(self, name: str, type_text: str) -> None:
         self.scopes[-1][name] = type_text
@@ -280,19 +309,22 @@ class _Extractor:
     # --- compilation unit ---------------------------------------------------
 
     def parse_unit(self) -> None:
-        if self.at("package"):
-            t = self.advance()
+        texts = self.texts
+        if texts[self.i] == "package":
+            start = self.i
+            self.i += 1
             self.package = self.parse_qualified_name()
             self.accept(";")
-            self.emit(ItemKind.PD, self.package, self.file_label, t.line, t.col)
-        while self.at("import"):
-            t = self.advance()
+            self.emit(ItemKind.PD, self.package, self.file_label, start)
+        while texts[self.i] == "import":
+            start = self.i
+            self.i += 1
             self.accept("static")
             qname = self.parse_qualified_name()
             wildcard = self.accept("*")
             self.accept(";")
             display = qname + (".*" if wildcard else "")
-            self.emit(ItemKind.ID, display, self.package or self.file_label, t.line, t.col)
+            self.emit(ItemKind.ID, display, self.package or self.file_label, start)
             if not wildcard:
                 parts = qname.split(".")
                 simple = parts[-1]
@@ -301,31 +333,38 @@ class _Extractor:
                 else:
                     self._import_seen.add(simple)
                     self.imports[simple] = ".".join(parts[-2:])
-        while self.cur().kind != "eof":
+        while texts[self.i]:
             self.skip_modifiers()
-            if self.cur().text in ("class", "interface", "enum"):
+            if texts[self.i] in ("class", "interface", "enum"):
                 self.parse_type_decl(self.package or self.file_label)
             else:
                 self.advance()  # stray top-level token: skip
 
     def parse_qualified_name(self) -> str:
+        texts, kinds = self.texts, self.kinds
         parts = []
-        while self.cur().kind == "ident" or self.cur().text in PRIMITIVE_TYPES:
-            parts.append(self.advance().text)
-            if not (self.at(".") and self.la().kind in ("ident", "kw")):
+        i = self.i
+        while kinds[i] == "ident" or texts[i] in PRIMITIVE_TYPES:
+            parts.append(texts[i])
+            i += 1
+            if not (texts[i] == "." and kinds[i + 1] in ("ident", "kw")):
                 break
-            self.advance()  # '.'
+            i += 1
+        self.i = i
         return ".".join(parts)
 
     def skip_modifiers(self) -> None:
+        texts = self.texts
         while True:
-            if self.cur().text in MODIFIERS:
-                self.advance()
-            elif self.accept("@"):
-                if self.cur().kind in ("ident", "kw"):
-                    self.advance()
-                    while self.accept(".") and self.cur().kind == "ident":
-                        self.advance()
+            text = texts[self.i]
+            if text in MODIFIERS:
+                self.i += 1
+            elif text == "@":
+                self.i += 1
+                if self.kinds[self.i] in ("ident", "kw"):
+                    self.i += 1
+                    while self.accept(".") and self.kinds[self.i] == "ident":
+                        self.i += 1
                 self.skip_balanced("(", ")")
             else:
                 return
@@ -333,13 +372,14 @@ class _Extractor:
     # --- type declarations --------------------------------------------------
 
     def parse_type_decl(self, outer_path: str) -> None:
-        is_interface = self.advance().text == "interface"  # class | interface | enum
-        name_tok = self.cur()
-        if name_tok.kind != "ident":
+        is_interface = self.advance() == "interface"  # class | interface | enum
+        name_at = self.i
+        if self.kinds[name_at] != "ident":
             self.skip_to_statement_end()
             return
-        name = self.advance().text
-        self.emit(ItemKind.TD, name, outer_path, name_tok.line, name_tok.col)
+        name = self.texts[name_at]
+        self.i += 1
+        self.emit(ItemKind.TD, name, outer_path, name_at)
         class_path = f"{outer_path}.{name}" if outer_path else name
         self.descend()
         self.skip_generics()
@@ -347,50 +387,54 @@ class _Extractor:
                               ("implements", ItemKind.II)):
             listed = self.accept(keyword)
             while listed:
-                t = self.cur()
+                start = self.i
                 sup = self.parse_type_text()
                 if sup:
-                    self.emit(kind, self.resolve_type(sup), class_path, t.line, t.col)
+                    self.emit(kind, self.resolve_type(sup), class_path, start)
                 listed = self.accept(",")
         self.class_stack.append(name)
-        self.push_scope()
+        self.scopes.append({})
         self.class_fields.append(self.scopes[-1])
         if self.accept("{"):
-            while not self.at("}") and self.cur().kind != "eof":
+            while self.texts[self.i] not in ("}", ""):
                 self.parse_member(class_path)
             self.accept("}")
         self.class_fields.pop()
-        self.pop_scope()
+        self.scopes.pop()
         self.class_stack.pop()
         self.depth -= 1
 
     def parse_member(self, class_path: str) -> None:
         self.skip_modifiers()
-        t = self.cur()
-        if t.text in ("class", "interface", "enum"):
+        texts = self.texts
+        start = self.i
+        text = texts[start]
+        if text in ("class", "interface", "enum"):
             self.parse_type_decl(class_path)
             return
-        if self.at("{"):  # instance/static initializer
+        if text == "{":  # instance/static initializer
             self.skip_balanced("{", "}")
             return
-        if self.accept(";"):
+        if text == ";":
+            self.i += 1
             return
-        if t.text == self.current_class() and self.la().text == "(":  # constructor
-            self.advance()
-            self.parse_method_rest(class_path, t.text, "", t)
+        if text == self.current_class() and texts[start + 1] == "(":  # constructor
+            self.i += 1
+            self.parse_method_rest(class_path, text, "", start)
             return
         type_text = self.parse_type_text()
-        if not type_text or self.cur().kind != "ident":
+        if not type_text or self.kinds[self.i] != "ident":
             self.skip_to_statement_end()
             return
-        name_tok = self.advance()
-        if self.at("("):
-            self.parse_method_rest(class_path, name_tok.text, type_text, t)
+        name = texts[self.i]
+        self.i += 1
+        if texts[self.i] == "(":
+            self.parse_method_rest(class_path, name, type_text, start)
             return
         # field declaration: one item per statement, all declarators registered
         rtype = self.resolve_type(type_text)
-        self.emit(ItemKind.FD, rtype, class_path, t.line, t.col)
-        self.parse_declarators(name_tok.text, rtype, class_path)
+        self.emit(ItemKind.FD, rtype, class_path, start)
+        self.parse_declarators(name, rtype, class_path)
 
     def parse_declarators(self, name: str, rtype: str, enclosing: str) -> None:
         while True:
@@ -400,49 +444,52 @@ class _Extractor:
             self.bind(name, rtype)
             if self.accept("="):
                 self.scan_expression(enclosing, (",", ";"))
-            if not (self.accept(",") and self.cur().kind == "ident"):
+            if not (self.accept(",") and self.kinds[self.i] == "ident"):
                 break
-            name = self.advance().text
+            name = self.texts[self.i]
+            self.i += 1
         self.accept(";")
 
     def parse_method_rest(self, class_path: str, name: str, return_type: str,
-                          start: Token) -> None:
+                          start: int) -> None:
         """The rest of a method after its name; a constructor has no return type."""
         method_path = f"{class_path}.{name}()"
-        self.push_scope()
+        self.scopes.append({})
         param_types = self.parse_params()
         rtype = self.resolve_type(return_type) if return_type else ""
         md_name = f"{name}({','.join(param_types)})" + (f":{rtype}" if rtype else "")
-        self.emit(ItemKind.MD, md_name, class_path, start.line, start.col)
+        self.emit(ItemKind.MD, md_name, class_path, start)
         while self.accept("throws"):
             self.parse_qualified_name()
             while self.accept(","):
                 self.parse_qualified_name()
         self.return_types.append(rtype or "void")
-        if self.at("{"):
+        if self.texts[self.i] == "{":
             self.parse_block(method_path)
         else:
             self.accept(";")  # abstract/interface method
         self.return_types.pop()
-        self.pop_scope()
+        self.scopes.pop()
 
     def parse_params(self) -> list[str]:
         types: list[str] = []
         if not self.accept("("):
             return types
-        while not self.at(")") and self.cur().kind != "eof":
+        texts = self.texts
+        while texts[self.i] not in (")", ""):
             self.skip_modifiers()
             type_text = self.parse_type_text()
             if not type_text:
                 self.advance()
                 continue
             rtype = self.resolve_type(type_text)
-            if self.at("."):  # varargs '...': the parameter is an array
+            if texts[self.i] == ".":  # varargs '...': the parameter is an array
                 rtype += "[]"
-                while self.accept(".") and self.at("."):
-                    self.advance()
-            if self.cur().kind == "ident":
-                pname = self.advance().text
+                while self.accept(".") and texts[self.i] == ".":
+                    self.i += 1
+            if self.kinds[self.i] == "ident":
+                pname = texts[self.i]
+                self.i += 1
                 while self.accept("["):
                     self.accept("]")
                     rtype += "[]"
@@ -457,94 +504,97 @@ class _Extractor:
 
     def parse_block(self, enclosing: str) -> None:
         self.accept("{")
-        self.push_scope()
-        while not self.at("}") and self.cur().kind != "eof":
+        self.scopes.append({})
+        texts = self.texts
+        while texts[self.i] not in ("}", ""):
             self.parse_statement(enclosing)
         self.accept("}")
-        self.pop_scope()
+        self.scopes.pop()
 
     def parse_statement(self, enclosing: str) -> None:
         self.descend()
-        self._statement(enclosing)
-        self.depth -= 1
-
-    def _statement(self, enclosing: str) -> None:
-        t = self.cur()
-        if t.text == "{":
+        texts = self.texts
+        start = self.i
+        text = texts[start]
+        if text == "{":
             self.parse_block(enclosing)
-        elif t.text == ";":
-            self.advance()
-        elif t.text == "if":
+        elif text == ";":
+            self.i += 1
+        elif text == "if":
             # an else-if chain is read in this loop, not by recursion;
             # its IF_END markers all close after the last branch
             opened = 0
             while True:
-                self.mark(MarkerKind.IF_BEGIN, enclosing, self.cur().line)
+                self.mark(MarkerKind.IF_BEGIN, enclosing, self.i)
                 opened += 1
-                self.advance()
+                self.i += 1
                 self.parse_parens(enclosing)
                 self.parse_statement(enclosing)
                 if not self.accept("else"):
                     break
-                if not self.at("if"):
+                if texts[self.i] != "if":
                     self.parse_statement(enclosing)
                     break
             for _ in range(opened):
-                self.mark(MarkerKind.IF_END, enclosing, self.prev_line())
-        elif t.text in ("while", "do", "for"):
-            self.mark(MarkerKind.LOOP_BEGIN, enclosing, t.line)
-            self.advance()
-            if t.text == "while":
+                self.mark(MarkerKind.IF_END, enclosing, self.i - 1)
+        elif text in ("while", "do", "for"):
+            self.mark(MarkerKind.LOOP_BEGIN, enclosing, start)
+            self.i += 1
+            if text == "while":
                 self.parse_parens(enclosing)
-            elif t.text == "for" and self.accept("("):
+            elif text == "for" and self.accept("("):
                 self.parse_for_control(enclosing)
             self.parse_statement(enclosing)
-            if t.text == "do":
+            if text == "do":
                 if self.accept("while"):
                     self.parse_parens(enclosing)
                 self.accept(";")
-            self.mark(MarkerKind.LOOP_END, enclosing, self.prev_line())
-        elif t.text == "return":
-            self.emit(ItemKind.RT, self.return_types[-1], enclosing, t.line, t.col)
-            self.advance()
-            if not self.at(";"):
+            self.mark(MarkerKind.LOOP_END, enclosing, self.i - 1)
+        elif text == "return":
+            self.emit(ItemKind.RT, self.return_types[-1], enclosing, start)
+            self.i += 1
+            if texts[self.i] != ";":
                 self.scan_expression(enclosing, (";",))
             self.accept(";")
-        elif t.text in ("this", "super") and self.la().text == "(":
-            self.advance()
+        elif text in ("this", "super") and texts[start + 1] == "(":
+            self.i += 1
             args = self.parse_args(enclosing)
-            kind = ItemKind.CTI if t.text == "this" else ItemKind.SCI
-            self.emit(kind, f"{t.text}({','.join(args)})", enclosing, t.line, t.col)
+            kind = ItemKind.CTI if text == "this" else ItemKind.SCI
+            self.emit(kind, f"{text}({','.join(args)})", enclosing, start)
             self.accept(";")
-        elif t.text in _SKIP_STMT_KEYWORDS:
+        elif text in _SKIP_STMT_KEYWORDS:
             self.skip_to_statement_end()
-        elif t.text in ("class", "interface", "enum"):
+        elif text in ("class", "interface", "enum"):
             self.parse_type_decl(enclosing)
-        elif t.text in MODIFIERS:  # e.g. "final X x = ..."
+        elif text in MODIFIERS:  # e.g. "final X x = ..."
             self.skip_modifiers()
             self.parse_statement(enclosing)
         else:
             rtype = self.parse_local_type(enclosing)
             if rtype is None:
                 self.scan_expression(enclosing, (";",))
-                if not self.accept(";") and self.cur().kind != "eof" and not self.at("}"):
-                    self.advance()  # ensure progress on malformed input
-            elif self.cur().kind == "ident":
-                self.parse_declarators(self.advance().text, rtype, enclosing)
+                if not self.accept(";") and texts[self.i] not in ("}", ""):
+                    self.i += 1  # ensure progress on malformed input
+            elif self.kinds[self.i] == "ident":
+                name = texts[self.i]
+                self.i += 1
+                self.parse_declarators(name, rtype, enclosing)
             else:
                 self.skip_to_statement_end()
+        self.depth -= 1
 
     def parse_for_control(self, enclosing: str) -> None:
         # classic "init; cond; update" or enhanced "Type v : iterable"
         rtype = self.parse_local_type(enclosing)
-        if rtype is not None and self.cur().kind == "ident":
-            if self.la().text == ":":  # for-each
-                self.bind(self.advance().text, rtype)
-                self.advance()
+        if rtype is not None and self.kinds[self.i] == "ident":
+            self.i += 1
+            name = self.texts[self.i - 1]
+            if self.accept(":"):  # for-each
+                self.bind(name, rtype)
                 self.scan_expression(enclosing, (")",))
                 self.accept(")")
                 return
-            self.parse_declarators(self.advance().text, rtype, enclosing)
+            self.parse_declarators(name, rtype, enclosing)
         self.scan_expression(enclosing, (";", ")"))
         while self.accept(";"):
             self.scan_expression(enclosing, (";", ")"))
@@ -553,63 +603,67 @@ class _Extractor:
     def parse_local_type(self, enclosing: str) -> str | None:
         """Read the type of a local declaration and emit its VD; None, the
         cursor unmoved, when the statement is not a declaration."""
-        start, save = self.cur(), self.i
-        if start.kind == "ident":
+        start = self.i
+        text = self.texts[start]
+        if self.kinds[start] == "ident":
             type_text = self.parse_type_text()
-            if not (type_text and self.cur().kind == "ident"
-                    and self.la().text in (";", "=", ",", ":", "[")):
-                self.i = save
+            if not (type_text and self.kinds[self.i] == "ident"
+                    and self.texts[self.i + 1] in (";", "=", ",", ":", "[")):
+                self.i = start
                 return None
-        elif start.text in PRIMITIVE_TYPES and start.text != "void":
+        elif text in PRIMITIVE_TYPES and text != "void":
             type_text = self.parse_type_text()
         else:
             return None
         rtype = self.resolve_type(type_text)
-        self.emit(ItemKind.VD, rtype, enclosing, start.line, start.col)
+        self.emit(ItemKind.VD, rtype, enclosing, start)
         return rtype
 
     def parse_type_text(self) -> str:
         """Parse a type reference; returns '' (cursor restored) when absent."""
-        save = self.i
-        t = self.cur()
-        if t.text in PRIMITIVE_TYPES:
-            base = self.advance().text
-        elif t.kind == "ident":
-            base = self.advance().text
-            while self.at(".") and self.la().kind == "ident":
-                self.advance()
-                base += "." + self.advance().text
+        texts, kinds = self.texts, self.kinds
+        start = i = self.i
+        base = texts[i]
+        if base in PRIMITIVE_TYPES:
+            i += 1
+        elif kinds[i] == "ident":
+            i += 1
+            while texts[i] == "." and kinds[i + 1] == "ident":
+                base += "." + texts[i + 1]
+                i += 2
         else:
             return ""
-        self.skip_generics()
-        while self.at("[") and self.la().text == "]":
-            self.advance()
-            self.advance()
+        if texts[i] == "<":
+            self.i = i
+            self.skip_generics()
+            i = self.i
+        while texts[i] == "[" and texts[i + 1] == "]":
+            i += 2
             base += "[]"
         if not _TYPE_START_RE.match(base):
-            self.i = save
+            self.i = start
             return ""
+        self.i = i
         return base
 
     def skip_generics(self) -> None:
-        if not self.at("<"):
+        texts, kinds = self.texts, self.kinds
+        i = self.i
+        if texts[i] != "<":
             return
-        save = self.i
         depth = 0
-        while self.cur().kind != "eof":
-            t = self.cur()
-            if t.text == "<":
+        while texts[i]:
+            text = texts[i]
+            if text == "<":
                 depth += 1
-            elif t.text == ">":
+            elif text == ">":
                 depth -= 1
                 if depth == 0:
-                    self.advance()
+                    self.i = i + 1
                     return
-            elif t.kind not in ("ident", "kw") and t.text not in (",", ".", "?", "[", "]"):
-                self.i = save  # not a generic group ('<' as comparison)
-                return
-            self.advance()
-        self.i = save
+            elif kinds[i] not in ("ident", "kw") and text not in (",", ".", "?", "[", "]"):
+                return  # not a generic group ('<' as comparison)
+            i += 1
 
     # --- expressions --------------------------------------------------------
 
@@ -618,26 +672,30 @@ class _Extractor:
         terminator or closer at this nesting level. Returns the classification
         of the first primary for argument typing."""
         self.descend()
+        texts, kinds = self.texts, self.kinds
+        stops = terminators + (")", "]", "}", "")
         first: str | None = None
         while True:
-            t = self.cur()
-            if t.kind == "eof" or t.text in terminators or t.text in (")", "]", "}"):
+            i = self.i
+            text = texts[i]
+            if text in stops:
                 break
-            if t.kind == "ident":
+            kind = kinds[i]
+            if kind == "ident":
                 ty = self.parse_name_chain(enclosing)
-            elif t.text in ("this", "super"):
+            elif text == "this" or text == "super":
                 ty = self.parse_this_chain(enclosing)
-            elif t.text == "new":
+            elif text == "new":
                 ty = self.parse_creation(enclosing)
-            elif t.text == "(":
+            elif text == "(":
                 # a cast's operand is the next primary this loop reads
                 ty = self.try_parse_cast() or self.parse_postfix(enclosing, self.parse_parens(enclosing))
             else:
-                self.advance()
-                if t.kind == "num":
-                    ty = "double" if "." in t.text or t.text[-1] in "dDfF" else "int"
+                self.i = i + 1
+                if kind == "num":
+                    ty = "double" if "." in text or text[-1] in "dDfF" else "int"
                 else:
-                    ty = _LITERAL_TYPES.get(t.text if t.kind == "kw" else t.kind)
+                    ty = _LITERAL_TYPES.get(text if kind == "kw" else kind)
                     if ty is None:
                         continue  # operator or other glue
             if first is None:
@@ -656,40 +714,41 @@ class _Extractor:
     def parse_brackets(self, enclosing: str) -> None:
         """Read any '[ expr ]' groups: array dimensions or indexes."""
         while self.accept("["):
-            if not self.at("]"):
+            if self.texts[self.i] != "]":
                 self.scan_expression(enclosing, ("]",))
             self.accept("]")
 
     def try_parse_cast(self) -> str | None:
         # '(' Type ')' followed by a primary start
-        save = self.i
-        self.advance()  # '('
+        start = self.i
+        self.i += 1  # '('
         type_text = self.parse_type_text()
         if type_text and self.accept(")"):
-            nxt = self.cur()
-            if (nxt.kind in ("ident", "num", "str", "char")
-                    or nxt.text in ("new", "this", "super", "null", "true", "false", "(")):
+            nxt = self.texts[self.i]
+            if (self.kinds[self.i] in ("ident", "num", "str", "char")
+                    or nxt in ("new", "this", "super", "null", "true", "false", "(")):
                 return self.resolve_type(type_text)
-        self.i = save
+        self.i = start
         return None
 
     def parse_creation(self, enclosing: str) -> str:
-        start = self.advance()  # 'new'
+        start = self.i
+        self.i += 1  # 'new'
         type_text = self.parse_type_text()
         rtype = self.resolve_type(type_text) if type_text else "unknown"
-        if self.at("["):
+        if self.texts[self.i] == "[":
             base = rtype if rtype.endswith("[]") else rtype + "[]"
             self.parse_brackets(enclosing)
-            self.emit(ItemKind.AC, base, enclosing, start.line, start.col)
-            if self.at("{"):
+            self.emit(ItemKind.AC, base, enclosing, start)
+            if self.texts[self.i] == "{":
                 self.scan_braced_init(enclosing)
             return base
         args = self.parse_args(enclosing)
-        if self.at("{"):
-            self.emit(ItemKind.ACD, rtype, enclosing, start.line, start.col)
+        if self.texts[self.i] == "{":
+            self.emit(ItemKind.ACD, rtype, enclosing, start)
             self.skip_balanced("{", "}")
             return rtype
-        self.emit(ItemKind.CI, f"{rtype}({','.join(args)})", enclosing, start.line, start.col)
+        self.emit(ItemKind.CI, f"{rtype}({','.join(args)})", enclosing, start)
         return rtype
 
     def parse_this_chain(self, enclosing: str) -> str:
@@ -697,49 +756,53 @@ class _Extractor:
         names the enclosing class (or super) as receiver; a member reached
         through a field of the enclosing class names the field's type, as
         the same chain written without 'this.' does. The value of 'this.f'
-        is the declared type of field f; a longer chain, or an index into
-        it, reads 'unknown'."""
-        start = self.advance()
-        is_super = start.text == "super"
-        if not self.at("."):
+        is the declared type of field f, and an index into it an element of
+        that type; a longer chain reads 'unknown'."""
+        texts = self.texts
+        start = self.i
+        is_super = texts[start] == "super"
+        self.i += 1
+        if texts[self.i] != ".":
             return "super" if is_super else self.current_class()
         recv = "super" if is_super else lower_camel(self.current_class())
         fields = self.class_fields[-1] if self.class_fields and not is_super else {}
-        value = "unknown"
-        while self.accept(".") and self.cur().kind == "ident":
-            member = self.advance().text
-            if self.at("("):
+        field_type = None
+        while self.accept(".") and self.kinds[self.i] == "ident":
+            member = texts[self.i]
+            self.i += 1
+            if texts[self.i] == "(":
                 self.emit_call(recv, member, start, enclosing)
                 return self.parse_postfix(enclosing, "unknown")
-            if self.at("="):
+            if texts[self.i] == "=":
                 return self.assign_field(recv, member, start, enclosing)
             field_type = fields.get(member)
             recv = "unknown" if field_type is None else lower_camel(simple_name(field_type))
-            value = field_type or "unknown"
             fields = {}
-        return "unknown" if self.at("[") else value
+        if texts[self.i] == "[":
+            return self.index_array(field_type, start, enclosing)
+        return field_type or "unknown"
 
     def parse_name_chain(self, enclosing: str) -> str:
-        start = self.cur()
-        segments = [self.advance().text]
-        while self.at(".") and self.la().kind == "ident" and self.la(2).text != "(":
-            self.advance()
-            segments.append(self.advance().text)
-        if self.at(".") and self.la().kind == "ident":  # a call segment
-            self.advance()
-            self.emit_call(self.render_receiver(segments), self.advance().text, start, enclosing)
+        texts, kinds = self.texts, self.kinds
+        start = i = self.i
+        segments = [texts[i]]
+        i += 1
+        while texts[i] == "." and kinds[i + 1] == "ident" and texts[i + 2] != "(":
+            segments.append(texts[i + 1])
+            i += 2
+        if texts[i] == "." and kinds[i + 1] == "ident":  # a call segment
+            self.i = i + 2
+            self.emit_call(self.render_receiver(segments), texts[i + 1], start, enclosing)
             return self.parse_postfix(enclosing, "unknown")
-        if len(segments) == 1 and self.at("("):
+        self.i = i
+        if len(segments) == 1 and texts[i] == "(":
             # unqualified call: instance method of the enclosing class
             self.emit_call(lower_camel(self.current_class()), segments[0], start, enclosing)
             return self.parse_postfix(enclosing, "unknown")
-        if self.at("["):
+        if texts[i] == "[":
             arr_type = self.lookup(segments[0]) if len(segments) == 1 else None
-            self.emit(ItemKind.AA, arr_type or "unknown[]", enclosing, start.line, start.col)
-            self.parse_brackets(enclosing)
-            elem = arr_type[:-2] if arr_type and arr_type.endswith("[]") else "unknown"
-            return self.parse_postfix(enclosing, elem)
-        if len(segments) > 1 and self.at("="):
+            return self.index_array(arr_type, start, enclosing)
+        if len(segments) > 1 and texts[i] == "=":
             # dotted assignment target -> field access (write)
             return self.assign_field(self.render_receiver(segments[:-1]), segments[-1],
                                      start, enclosing)
@@ -747,11 +810,12 @@ class _Extractor:
 
     def parse_postfix(self, enclosing: str, current: str) -> str:
         # member accesses and calls chained on an unknown intermediate value
-        while self.at(".") and self.la().kind == "ident":
-            dot = self.advance()
-            member = self.advance().text
-            if self.at("("):
-                self.emit_call("unknown", member, dot, enclosing)
+        texts, kinds = self.texts, self.kinds
+        while texts[self.i] == "." and kinds[self.i + 1] == "ident":
+            dot = self.i
+            self.i += 2
+            if texts[self.i] == "(":
+                self.emit_call("unknown", texts[dot + 1], dot, enclosing)
             current = "unknown"
         return current
 
@@ -787,7 +851,8 @@ class _Extractor:
         if not self.accept("("):
             return types
         self.descend()
-        while not self.at(")") and self.cur().kind != "eof":
+        texts = self.texts
+        while texts[self.i] not in (")", ""):
             types.append(self.scan_expression(enclosing, (",", ")")))
             if not self.accept(","):
                 break
@@ -798,8 +863,9 @@ class _Extractor:
     def scan_braced_init(self, enclosing: str) -> None:
         self.descend()
         self.accept("{")
-        while not self.at("}") and self.cur().kind != "eof":
-            if self.at("{"):
+        texts = self.texts
+        while texts[self.i] not in ("}", ""):
+            if texts[self.i] == "{":
                 self.scan_braced_init(enclosing)
                 continue
             self.scan_expression(enclosing, (",", "}"))
@@ -813,26 +879,30 @@ class _Extractor:
     def skip_balanced(self, opener: str, closer: str) -> None:
         if not self.accept(opener):
             return
-        depth = 1
-        while depth and self.cur().kind != "eof":
-            if self.at(opener):
+        texts = self.texts
+        i, depth = self.i, 1
+        while depth and texts[i]:
+            if texts[i] == opener:
                 depth += 1
-            elif self.at(closer):
+            elif texts[i] == closer:
                 depth -= 1
-            self.advance()
+            i += 1
+        self.i = i
 
     def skip_to_statement_end(self) -> None:
         """Skip an unsupported construct: up to ';' or over one balanced block."""
-        while self.cur().kind != "eof":
-            if self.at(";"):
-                self.advance()
+        texts = self.texts
+        while texts[self.i]:
+            text = texts[self.i]
+            if text == ";":
+                self.i += 1
                 return
-            if self.at("{"):
+            if text == "{":
                 self.skip_balanced("{", "}")
                 return
-            if self.at("}"):
+            if text == "}":
                 return
-            self.advance()
+            self.i += 1
 
 
 def extract_items(source: str, file_label: str = "<memory>",
@@ -840,9 +910,10 @@ def extract_items(source: str, file_label: str = "<memory>",
                   ) -> tuple[list[SourceItem], list[ControlMarker]]:
     """Abstract one source text into items plus control markers.
 
-    Items come back sorted by (line, column of occurrence). ``context_vars``
-    injects ambient variable->type bindings (used when abstracting a lone
-    statement or a rendered skeleton outside its original file).
+    Items come back in source order (of the token each construct starts
+    at). ``context_vars`` injects ambient variable->type bindings (used when
+    abstracting a lone statement or a rendered skeleton outside its
+    original file).
     """
     if not source.strip():
         return [], []
@@ -850,8 +921,8 @@ def extract_items(source: str, file_label: str = "<memory>",
     _check_braces(tokens)
     ex = _Extractor(tokens, file_label, context_vars)
     ex.parse_unit()
-    ex.out.sort(key=lambda rec: (rec[0], rec[1]))
-    return [item for _, _, item in ex.out], list(ex.markers)
+    ex.out.sort(key=itemgetter(0))
+    return list(map(itemgetter(1), ex.out)), ex.markers
 
 
 # --- corpus walking ----------------------------------------------------------

@@ -91,27 +91,33 @@ def _encode(db: SequenceDatabase) -> tuple[list[list[int]], list[Element]]:
     return records, alphabet
 
 
+class RankedPatterns(list):
+    """Patterns in sort_patterns order, no element list twice: what the
+    miners return. ``repository.make_repository`` stores such a list as it
+    is, without sorting it again."""
+
+
 def _build_patterns(raw: Iterable[tuple[tuple[int, ...], int]],
-                    alphabet: list[Element], db_size: int) -> list[SequentialPattern]:
-    counts = dict(raw)
-    return sort_patterns(
+                    alphabet: list[Element], db_size: int) -> RankedPatterns:
+    counts = dict(raw)  # one pattern per id sequence, and ids name distinct elements
+    return RankedPatterns(sort_patterns(
         SequentialPattern(tuple(alphabet[i] for i in ids), count, db_size,
                           counts[ids[:-1]] if len(ids) > 1 else count)
-        for ids, count in counts.items())
+        for ids, count in counts.items()))
 
 
-def mine_prefixspan(db: SequenceDatabase, min_support: int) -> list[SequentialPattern]:
+def mine_prefixspan(db: SequenceDatabase, min_support: int) -> RankedPatterns:
     """All sequences with support >= min_support, exactly; sorted by ranking."""
     if min_support < 1:
         raise InvalidThreshold(f"min_support must be >= 1, got {min_support}")
     if not db.records:
-        return []
+        return RankedPatterns()
     records, alphabet = _encode(db)
     raw, _ = kernels.prefixspan(records, min_support)
     return _build_patterns(raw, alphabet, len(records))
 
 
-class AdaptivePatterns(list):
+class AdaptivePatterns(RankedPatterns):
     """The patterns adaptive_mine kept, in ranking order, and the min-support
     they were mined at. A list, so callers that iterate or count the
     patterns read it as before."""

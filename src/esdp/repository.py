@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .items import ItemKind
-from .mining import SequentialPattern, sort_patterns
+from .mining import RankedPatterns, SequentialPattern, sort_patterns
 
 
 class SchemaViolation(Exception):
@@ -41,14 +41,17 @@ class MinedRepository:
 def make_repository(patterns: Iterable[SequentialPattern], corpus_label: str = "",
                     created_at: str = "1970-01-01T00:00:00Z",
                     min_support_used: int = 1) -> MinedRepository:
-    """Sort by ranking (desc, with tie-breaks) and drop duplicate element-lists."""
-    seen: set[tuple] = set()
-    unique: list[SequentialPattern] = []
-    for p in sort_patterns(patterns):
-        if p.elements not in seen:
-            seen.add(p.elements)
-            unique.append(p)
-    return MinedRepository(tuple(unique), corpus_label, created_at, min_support_used)
+    """Sort by ranking (desc, with tie-breaks) and drop duplicate element-lists;
+    mined RankedPatterns are kept as they are, being both already."""
+    if not isinstance(patterns, RankedPatterns):
+        seen: set[tuple] = set()
+        unique: list[SequentialPattern] = []
+        for p in sort_patterns(patterns):
+            if p.elements not in seen:
+                seen.add(p.elements)
+                unique.append(p)
+        patterns = unique
+    return MinedRepository(tuple(patterns), corpus_label, created_at, min_support_used)
 
 
 # --- rendering -----------------------------------------------------------------

@@ -1,21 +1,28 @@
 from __future__ import annotations
 
 import re
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from esdp import extractor
 from esdp.extractor import (
     KEYWORDS,
     MAX_NESTING,
     UnparsableSource,
     dump_items,
     extract_items,
+    iter_source_files,
     tokenize,
 )
 from esdp.items import ItemKind
-from oracles import tokenize_reference
+from oracles import extract_items_reference, tokenize_reference
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import gen  # noqa: E402  the benchmark's seeded corpus generator
 
 FIG_311 = """
 public class SearchTest
@@ -229,6 +236,13 @@ _TEXT = st.one_of(st.text(), st.lists(st.one_of(_LEXEMES, st.text(max_size=2)),
                                       max_size=40).map("".join))
 
 
+def _token_rows(source):
+    """tokenize's lists as (kind, text, line, col) rows, the reference's form."""
+    tokens = tokenize(source)
+    return [(kind, text, *tokens.position(i))
+            for i, (kind, text) in enumerate(zip(tokens.kinds, tokens.texts))]
+
+
 def _lex(lexer, source):
     try:
         return lexer(source)
@@ -245,12 +259,12 @@ def _lex(lexer, source):
 @example("'\\")
 @example("x /* y")
 def test_tokenize_matches_reference(source):
-    assert _lex(tokenize, source) == _lex(tokenize_reference, source)
+    assert _lex(_token_rows, source) == _lex(tokenize_reference, source)
 
 
 def test_tokenize_digit_classes():
     tokens = tokenize("x\u00b2 \u00b2y 1.\u00b2;")
-    assert [(t.kind, t.text) for t in tokens] == [
+    assert list(zip(tokens.kinds, tokens.texts)) == [
         ("ident", "x\u00b2"), ("num", "\u00b2y"), ("num", "1.\u00b2"), ("punct", ";"),
         ("eof", "")]
     with pytest.raises(UnparsableSource, match="illegal character '\u00bd' at 1:5"):
@@ -348,7 +362,12 @@ def test_else_if_chain_reads_without_nesting():
     ("B f; void m(X x) { x.m(this.f); x.m(f); }",
      [("FD", "B"), ("MD", "m(X):void"), ("MI", "x.m(B)"), ("MI", "x.m(B)")]),
     ("int[] g; void m(X x) { x.m(this.g[0]); }",
-     [("FD", "int[]"), ("MD", "m(X):void"), ("MI", "x.m(unknown)")]),
+     [("FD", "int[]"), ("MD", "m(X):void"), ("MI", "x.m(int)"), ("AA", "int[]")]),
+    ("int[] g; void m(X x) { x.m(g[0]); }",
+     [("FD", "int[]"), ("MD", "m(X):void"), ("MI", "x.m(int)"), ("AA", "int[]")]),
+    ("int[] g; void m() { this.g[0] = 1; g[0] = 2; this.g[1].h(); }",
+     [("FD", "int[]"), ("MD", "m():void"), ("AA", "int[]"), ("AA", "int[]"), ("AA", "int[]"),
+      ("MI", "unknown.h()")]),
 ])
 def test_reader_items(body, expected):
     items, _ = extract_items("class A extends B { " + body + " }", "a.java")
@@ -373,3 +392,59 @@ def test_for_init_binds_every_declarator(init, body, last):
     in_block, _ = extract_items(f"class K {{ void m() {{ {init}; {body} }} }}")
     assert [it.identity for it in in_for] == [it.identity for it in in_block]
     assert in_for[-1].identity == last
+
+
+def test_extract_items_tokenizes_through_the_module_global(monkeypatch, fixture_corpus):
+    """A tracer that wraps ``extractor.tokenize`` by name sees every file
+    once, and its result's length is the token count with eof."""
+    counted = []
+
+    def counting(source):
+        tokens = tokenize(source)
+        counted.append((source, len(tokens)))
+        return tokens
+
+    monkeypatch.setattr(extractor, "tokenize", counting)
+    paths = list(iter_source_files([fixture_corpus]))
+    extractor.extract_corpus([fixture_corpus])
+    sources = [p.read_text(encoding="utf-8") for p in paths]
+    assert [source for source, _ in counted] == sources
+    assert [n for _, n in counted] == [len(tokenize_reference(s)) for s in sources]
+
+
+# --- the parser against the parent extractor kept in oracles ----------------------
+
+def _extraction(extract, source):
+    try:
+        items, markers = extract(source, "k.java")
+    except UnparsableSource as exc:
+        return ("error", exc.message, exc.line, exc.column)
+    return ([(it.kind, it.name, it.enclosing, it.line) for it in items],
+            [(m.kind, m.enclosing, m.line) for m in markers])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_TEXT, st.lists(_JAVA_LEXEMES, max_size=60).map("".join)),
+       st.sampled_from(_NESTINGS), st.integers(0, MAX_NESTING + 10))
+@example("{ } {\n{ } x", ("{", "}"), 0)  # the innermost brace left open is named
+@example("} {", ("{", "}"), 0)
+@example("if (a) {\n  b = \"c", ("{", "}"), 3)
+def test_extract_items_matches_reference(body, nesting, depth):
+    nested = nesting[0] * depth + body + nesting[1] * depth
+    for source in (body, "class K { void m() { " + nested + " } }",
+                   "class K {\n int[] g; B f;\n void m() {\n" + nested + "\n}\n}"):
+        assert _extraction(extract_items, source) == _extraction(extract_items_reference, source)
+
+
+@pytest.mark.parametrize("corpus", ["fixture", "gen-seed1", "gen-seed2"])
+def test_extract_items_matches_reference_on_corpora(corpus, fixture_corpus, tmp_path):
+    if corpus == "fixture":
+        root = fixture_corpus
+    else:
+        root = tmp_path
+        gen.generate_corpus(root, int(corpus[-1]), files=6, methods=5)
+    paths = list(iter_source_files([root]))
+    assert paths
+    for path in paths:
+        source = path.read_text(encoding="utf-8")
+        assert _extraction(extract_items, source) == _extraction(extract_items_reference, source)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import random_sequence_db
 from esdp.items import ItemKind
-from esdp.mining import SequentialPattern, mine_prefixspan
+from esdp.mining import SequentialPattern, mine_prefixspan, sort_patterns
 from esdp.repository import (
     _ITEM,
     _NAME,
@@ -410,6 +410,20 @@ def test_merge_update_is_idempotent(repo, other, data):
     fresh = rescored + list(other.patterns)
     once = merge_update(repo, fresh)
     assert merge_update(once, fresh) == once
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_make_repository_orders_unsorted_input(seed):
+    rng = random.Random(seed)
+    db = random_sequence_db(rng)
+    mined = mine_prefixspan(db, 1)
+    unsorted = list(mined) + rng.sample(list(mined), min(3, len(mined)))  # with repeats
+    rng.shuffle(unsorted)
+    expected = tuple(sort_patterns(mined))
+    assert len({p.elements for p in expected}) == len(expected)  # mined: no repeats
+    assert make_repository(mined).patterns == expected  # kept as mined, without a sort
+    assert make_repository(unsorted).patterns == expected
+    assert make_repository(reversed(expected)).patterns == expected
 
 
 def test_sorted_by_ranking_after_every_operation():
