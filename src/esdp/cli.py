@@ -141,6 +141,12 @@ def _format_rec_rows(recs) -> list[list[str]]:
     return rows
 
 
+def _csv_lines(header: list[str], rows: list[list[str]]) -> list[str]:
+    """The header and rows as CSV lines; a cell holding a comma is quoted."""
+    return [",".join(header)] + [",".join(f'"{c}"' if "," in c else c for c in row)
+                                 for row in rows]
+
+
 def _render_table(header: list[str], rows: list[list[str]]) -> str:
     widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
               for i, h in enumerate(header)]
@@ -166,8 +172,7 @@ def _cmd_query(args: argparse.Namespace) -> str:
     header = ["rank", "k", "support", "confidence", "ranking", "sequence"]
     rows = _format_rec_rows(recs)
     if args.format == "csv":
-        out.append(",".join(header))
-        out += [",".join(f'"{c}"' if "," in c else c for c in row) for row in rows]
+        out += _csv_lines(header, rows)
     else:
         out.append(f"query item: {q.item[0]} {q.item[1]}")
         out.append(_render_table(header, rows) if rows else "no recommendation")
@@ -261,8 +266,7 @@ def _cmd_eval(args: argparse.Namespace) -> str:
     out = []
     header = ["query", "matched", "precision", "recall", "score"]
     if args.format == "csv":
-        out.append(",".join(header))
-        out += [",".join(f'"{c}"' if "," in c else c for c in row) for row in rows]
+        out += _csv_lines(header, rows)
         out.append(f"mean,,{mean_p},{mean_r},")
     else:
         out.append(_render_table(header, rows))
@@ -333,21 +337,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extract", help="dump the abstracted item stream")
     corpus_opts(p)
 
+    def mining_opts(p):
+        corpus_opts(p)
+        repo_opt(p)
+        p.add_argument("--min-support", type=_positive_int, default=2)
+        p.add_argument("--adaptive", action="store_true",
+                       help="pick min-support dynamically under --max-patterns")
+        p.add_argument("--max-patterns", type=_positive_int, default=50)
+
     p = sub.add_parser("mine", help="mine a corpus into a pattern repository")
-    corpus_opts(p)
-    repo_opt(p)
-    p.add_argument("--min-support", type=_positive_int, default=2)
-    p.add_argument("--adaptive", action="store_true",
-                   help="pick min-support dynamically under --max-patterns")
-    p.add_argument("--max-patterns", type=_positive_int, default=50)
+    mining_opts(p)
     p.add_argument("--corpus-label", default="")
 
     p = sub.add_parser("update", help="merge a fresh mine into an existing repository")
-    corpus_opts(p)
-    repo_opt(p)
-    p.add_argument("--min-support", type=_positive_int, default=2)
-    p.add_argument("--adaptive", action="store_true")
-    p.add_argument("--max-patterns", type=_positive_int, default=50)
+    mining_opts(p)
 
     p = sub.add_parser("query", help="recommend sequences for one statement")
     repo_opt(p)

@@ -321,7 +321,7 @@ class _Extractor:
             self.i += 1
             self.accept("static")
             qname = self.parse_qualified_name()
-            wildcard = self.accept("*")
+            wildcard = self.accept(".") and self.accept("*")
             self.accept(";")
             display = qname + (".*" if wildcard else "")
             self.emit(ItemKind.ID, display, self.package or self.file_label, start)
@@ -472,9 +472,9 @@ class _Extractor:
         self.scopes.pop()
 
     def parse_params(self) -> list[str]:
+        """The parameter types, the cursor at the list's '('."""
         types: list[str] = []
-        if not self.accept("("):
-            return types
+        self.i += 1
         texts = self.texts
         while texts[self.i] not in (")", ""):
             self.skip_modifiers()
@@ -568,6 +568,9 @@ class _Extractor:
             self.parse_type_decl(enclosing)
         elif text in MODIFIERS:  # e.g. "final X x = ..."
             self.skip_modifiers()
+            self.parse_statement(enclosing)
+        elif self.kinds[start] == "ident" and texts[start + 1] == ":":  # a label
+            self.i += 2
             self.parse_statement(enclosing)
         else:
             rtype = self.parse_local_type(enclosing)
@@ -711,12 +714,15 @@ class _Extractor:
         self.accept(")")
         return ty
 
-    def parse_brackets(self, enclosing: str) -> None:
-        """Read any '[ expr ]' groups: array dimensions or indexes."""
+    def parse_brackets(self, enclosing: str) -> int:
+        """Read any '[ expr ]' groups, array dimensions or indexes; their number."""
+        groups = 0
         while self.accept("["):
+            groups += 1
             if self.texts[self.i] != "]":
                 self.scan_expression(enclosing, ("]",))
             self.accept("]")
+        return groups
 
     def try_parse_cast(self) -> str | None:
         # '(' Type ')' followed by a primary start
@@ -736,9 +742,9 @@ class _Extractor:
         self.i += 1  # 'new'
         type_text = self.parse_type_text()
         rtype = self.resolve_type(type_text) if type_text else "unknown"
-        if self.texts[self.i] == "[":
-            base = rtype if rtype.endswith("[]") else rtype + "[]"
-            self.parse_brackets(enclosing)
+        if self.texts[self.i] == "[" or rtype.endswith("[]"):
+            # one '[]' per dimension: written in the type or given a size
+            base = rtype + "[]" * self.parse_brackets(enclosing)
             self.emit(ItemKind.AC, base, enclosing, start)
             if self.texts[self.i] == "{":
                 self.scan_braced_init(enclosing)

@@ -16,9 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, groupby, permutations, product
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .items import ControlMarker, ItemKind, MarkerKind, SourceItem, lower_camel, simple_name
+from .items import (ControlMarker, ItemKind, MarkerKind, SourceItem, lower_camel,
+                    simple_name, upper_first)
 from .mining import InvalidThreshold
 
 
@@ -48,9 +49,6 @@ class Groum:
     edges: frozenset[tuple[int, int]]
     origin: str = ""
 
-    def __len__(self) -> int:
-        return len(self.nodes)
-
     def labels(self) -> tuple[str, ...]:
         return tuple(n.label for n in self.nodes)
 
@@ -64,47 +62,24 @@ class GroumPattern:
     frequency_is_exact: bool = True
 
 
-def _upper_first(text: str) -> str:
-    return text[:1].upper() + text[1:] if text else text
-
-
-def _action_label(item: SourceItem) -> str:
-    """Action node label: Type.method, Type.field or Type.<init>."""
-    name = item.name
-    if item.kind is ItemKind.CI:
-        type_part = name.split("(", 1)[0]
-        return f"{simple_name(type_part)}.<init>"
-    if item.kind is ItemKind.CTI:
+def _action(item: SourceItem) -> tuple[str, str | None]:
+    """Action node label (Type.method, Type.field or Type.<init>) and the
+    object identity proxy for data-dependency edges: the lower-camel
+    receiver or created type, or None when nothing is shareable."""
+    kind = item.kind
+    if kind is ItemKind.CTI:
         # enclosing "pkg.Cls.m()" -> its class
-        cls = item.enclosing.rsplit(".", 2)[-2] if item.enclosing.count(".") >= 2 \
-            else item.enclosing.split(".")[0]
-        return f"{cls}.<init>"
-    if item.kind is ItemKind.SCI:
-        return "super.<init>"
-    head = name.split("(", 1)[0]
-    if "." in head:
-        receiver, member = head.rsplit(".", 1)
-        return f"{_upper_first(simple_name(receiver))}.{member}"
-    return head
-
-
-def _receiver_tag(item: SourceItem) -> str | None:
-    """Object identity proxy for data-dependency edges: the lower-camel
-    receiver/created-type tag, or None when nothing shareable."""
-    name = item.name
-    if item.kind is ItemKind.CI:
-        return lower_camel(simple_name(name.split("(", 1)[0]))
-    if item.kind is ItemKind.CTI:
-        return "this"
-    if item.kind is ItemKind.SCI:
-        return "super"
-    head = name.split("(", 1)[0]
-    if "." not in head:
-        return None
-    receiver = head.rsplit(".", 1)[0]
-    if receiver == "unknown":
-        return None
-    return lower_camel(simple_name(receiver))
+        return f"{item.enclosing.split('.')[-2]}.<init>", "this"
+    if kind is ItemKind.SCI:
+        return "super.<init>", "super"
+    head = item.name.split("(", 1)[0]
+    if kind is ItemKind.CI:
+        return f"{simple_name(head)}.<init>", lower_camel(simple_name(head))
+    receiver, dot, member = head.rpartition(".")
+    if not dot:
+        return head, None
+    tag = None if receiver == "unknown" else lower_camel(simple_name(receiver))
+    return f"{upper_first(simple_name(receiver))}.{member}", tag
 
 
 def build_groum(items: Sequence[SourceItem], markers: Sequence[ControlMarker] = (),
@@ -116,15 +91,16 @@ def build_groum(items: Sequence[SourceItem], markers: Sequence[ControlMarker] = 
     transitive edges are omitted.
     """
     _check_nesting(markers)
-    entries: list[tuple[tuple[int, int, int], str, str, str | None]] = []
+    entries: list[tuple[tuple[int, int], str, str, str | None]] = []
     for it in items:
         if it.kind in _ACTION_KINDS:
-            entries.append(((it.line, 1, 0), _action_label(it), "action", _receiver_tag(it)))
+            label, tag = _action(it)
+            entries.append(((it.line, 1), label, "action", tag))
     for m in markers:
         if m.kind is MarkerKind.IF_BEGIN:
-            entries.append(((m.line, 0, 0), "IF", "control", None))
+            entries.append(((m.line, 0), "IF", "control", None))
         elif m.kind is MarkerKind.LOOP_BEGIN:
-            entries.append(((m.line, 0, 0), "LOOP", "control", None))
+            entries.append(((m.line, 0), "LOOP", "control", None))
     entries.sort(key=lambda e: e[0])
 
     nodes = tuple(GroumNode(i, label, role) for i, (_, label, role, _) in enumerate(entries))
@@ -235,60 +211,53 @@ def independent_occurrence_count(occurrences: Sequence[frozenset[int]],
                                  ) -> tuple[int, bool]:
     """Maximum number of pairwise node-disjoint occurrences.
 
-    Exact (branch and bound) up to EXACT_OCCURRENCE_LIMIT occurrences.
-    Beyond that the occurrences are split into the connected components of
-    their conflict graph (two occurrences conflict when they share a node):
-    each component of at most EXACT_OCCURRENCE_LIMIT is counted exactly, a
-    larger one greedily in first-seen order, and any greedy component flags
-    the sum as a lower bound.
+    The occurrences are split into the connected components of their
+    conflict graph (two occurrences conflict when they share a node), whose
+    maximum independent sets add up: each component of at most
+    EXACT_OCCURRENCE_LIMIT is counted exactly (branch and bound), a larger
+    one greedily in first-seen order, and any greedy component flags the sum
+    as a lower bound. Sets of occurrences are bit masks over their indexes.
     """
     occs = list(occurrences)
-    if len(occs) <= EXACT_OCCURRENCE_LIMIT:
-        return _exact_count(occs), True
+    holders: dict[int, int] = {}  # node -> the occurrences that hold it
+    for i, occ in enumerate(occs):
+        for v in occ:
+            holders[v] = holders.get(v, 0) | 1 << i
+    conflict = [0] * len(occs)
+    for i, occ in enumerate(occs):
+        for v in occ:
+            conflict[i] |= holders[v]
+        conflict[i] &= ~(1 << i)
     total, exact = 0, True
-    for component in _conflict_components(occs):
-        if len(component) <= EXACT_OCCURRENCE_LIMIT:
-            total += _exact_count(component)
+    left = (1 << len(occs)) - 1
+    while left:
+        # the component of the first occurrence left, grown ring by ring
+        component = ring = left & -left
+        while ring:
+            reached = 0
+            for i in _indexes(ring):
+                reached |= conflict[i]
+            ring = reached & ~component
+            component |= ring
+        left ^= component
+        if component.bit_count() <= EXACT_OCCURRENCE_LIMIT:
+            total += _max_independent(component, conflict)
             continue
-        used: set[int] = set()
-        for occ in component:
-            if not (occ & used):
-                total += 1
-                used |= occ
+        taken = 0
+        for i in _indexes(component):  # greedily, in first-seen order
+            if not conflict[i] & taken:
+                taken |= 1 << i
+        total += taken.bit_count()
         exact = False
     return total, exact
 
 
-def _exact_count(occs: list[frozenset[int]]) -> int:
-    """Maximum number of pairwise node-disjoint occurrences, by search."""
-    n = len(occs)
-    conflict = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if occs[i] & occs[j]:
-                conflict[i] |= 1 << j
-                conflict[j] |= 1 << i
-    return _max_independent((1 << n) - 1, conflict)
-
-
-def _conflict_components(occs: list[frozenset[int]]) -> list[list[frozenset[int]]]:
-    """Connected components of the conflict graph, each in first-seen order,
-    found by union-find over the first occurrence to hold each node."""
-    parent = list(range(len(occs)))
-
-    def root(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = i = parent[parent[i]]
-        return i
-
-    owner: dict[int, int] = {}
-    for i, occ in enumerate(occs):
-        for v in occ:
-            parent[root(owner.setdefault(v, i))] = root(i)
-    components: dict[int, list[frozenset[int]]] = {}
-    for i, occ in enumerate(occs):
-        components.setdefault(root(i), []).append(occ)
-    return list(components.values())
+def _indexes(mask: int) -> Iterator[int]:
+    """The indexes of the set bits of mask, in ascending order."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield low.bit_length() - 1
 
 
 def _max_independent(remaining: int, conflict: list[int]) -> int:

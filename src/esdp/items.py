@@ -73,6 +73,11 @@ def lower_camel(type_name: str) -> str:
     return type_name[0].lower() + type_name[1:]
 
 
+def upper_first(name: str) -> str:
+    """Render a receiver variable as its type: ``aSTParser`` -> ``ASTParser``."""
+    return name[:1].upper() + name[1:]
+
+
 def simple_name(type_name: str) -> str:
     """Last dotted segment of a possibly qualified type name."""
     return type_name.rsplit(".", 1)[-1]

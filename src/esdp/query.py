@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .extractor import UnparsableSource, extract_items
-from .items import ItemKind, lower_camel, simple_name
+from .items import ItemKind, lower_camel, simple_name, upper_first
 from .mining import SequentialPattern
 from .repository import MinedRepository
 
@@ -131,16 +131,10 @@ def _placeholder(arg_type: str) -> str:
     return f"({arg_type}) null"
 
 
-def _split_call(name: str) -> tuple[str, str, list[str]]:
-    """'recv.m(a,b)' -> (recv, m, [a, b]); receiver may be dotted."""
-    head, _, args_part = name.partition("(")
-    args_text = args_part[:-1] if args_part.endswith(")") else args_part
-    args = [a for a in args_text.split(",") if a] if args_text else []
-    if "." in head:
-        recv, method = head.rsplit(".", 1)
-    else:
-        recv, method = "", head
-    return recv, method, args
+def _split_call(name: str) -> tuple[str, list[str]]:
+    """'recv.m(a,b)' -> ('recv.m', [a, b]); a name without '(' has no arguments."""
+    head, _, args = name.partition("(")
+    return head, [a for a in args.removesuffix(")").split(",") if a]
 
 
 def _is_instance_receiver(recv: str) -> bool:
@@ -149,23 +143,17 @@ def _is_instance_receiver(recv: str) -> bool:
 
 def derive_bindings(elements: tuple[tuple[str, str], ...]) -> dict[str, str]:
     """Default variable->type bindings implied by a pattern's elements:
-    every instance receiver binds to its upper-first type, every array
-    access to a synthetic array variable."""
+    every instance receiver (of a call or a field write) binds to its
+    upper-first type, every array access to a synthetic array variable."""
     bindings: dict[str, str] = {}
     for kind, name in elements:
-        if kind == "MI":
-            recv, _, _ = _split_call(name)
-        elif kind == "FA":
-            recv = name.rsplit(".", 1)[0] if "." in name else ""
+        if kind in ("MI", "FA"):
+            recv = _split_call(name)[0].rpartition(".")[0]
+            if _is_instance_receiver(recv):
+                bindings.setdefault(recv, upper_first(recv))
         elif kind == "AA" and name.endswith("[]") and not name.startswith("unknown"):
-            element_type = name[:-2]
-            var = lower_camel(simple_name(element_type)) + "Array"
+            var = lower_camel(simple_name(name[:-2])) + "Array"
             bindings.setdefault(var, name)
-            continue
-        else:
-            continue
-        if _is_instance_receiver(recv):
-            bindings.setdefault(recv, recv[0].upper() + recv[1:])
     return bindings
 
 
@@ -190,7 +178,7 @@ def _receiver_var(recv: str, context: QueryContext) -> str:
     receiver as the pattern names it, renamed when the context holds it."""
     if not _is_instance_receiver(recv):
         return recv  # static receiver (type path) or unknown
-    want = recv[0].upper() + recv[1:]
+    want = upper_first(recv)
     for var, vtype in context.variables.items():
         if simple_name(vtype) == want:
             return var
@@ -198,11 +186,14 @@ def _receiver_var(recv: str, context: QueryContext) -> str:
 
 
 def render_skeleton(rec: Recommendation, q: UserQuery) -> str:
-    """Statements for the pattern elements after the matched position."""
+    """Statements for the pattern elements after the matched position.
+
+    A mined method sequence holds its MD only as its head and no PD or ID,
+    so only body kinds have a statement form; any other kind after the
+    match renders as a '// KIND name' comment line."""
     tail = rec.pattern.elements[rec.match_offset + 1:]
     defaults = _skeleton_bindings(rec.pattern.elements, q.context)
     lines: list[str] = []
-    opened_method = False
     declared: dict[str, str] = dict(q.context.variables)
 
     def var_of_type(type_name: str) -> str | None:
@@ -212,66 +203,35 @@ def render_skeleton(rec: Recommendation, q: UserQuery) -> str:
                 return var
         return None
 
-    for idx, (kind, name) in enumerate(tail):
-        indent = "    " if opened_method else ""
-        if kind == "MD":
-            head, _, rtype = name.partition(":")
-            mname, _, params_part = head.partition("(")
-            params_text = params_part[:-1] if params_part.endswith(")") else params_part
-            params = [p for p in params_text.split(",") if p]
-            rendered = ", ".join(f"{t} p{i}" for i, t in enumerate(params))
-            lines.append(f"{rtype or 'void'} {mname}({rendered}) {{")
-            for i, t in enumerate(params):
-                declared[f"p{i}"] = t
-            opened_method = True
-            continue
-        if kind == "MI":
-            recv, method, args = _split_call(name)
-            target = _receiver_var(recv, q.context)
-            rendered = ", ".join(_placeholder(a) for a in args)
-            lines.append(f"{indent}{target}.{method}({rendered});")
+    for kind, name in tail:
+        if kind in ("MI", "CI", "CTI", "SCI"):
+            head, args = _split_call(name)
+            if kind == "MI":
+                recv, _, method = head.rpartition(".")
+                head = f"{_receiver_var(recv, q.context)}.{method}"
+            elif kind == "CI":
+                head = f"new {head}"
+            lines.append(f"{head}({', '.join(map(_placeholder, args))});")
         elif kind in ("FD", "VD"):
             var = lower_camel(simple_name(name.replace("[]", "")))
-            lines.append(f"{indent}{name} {var};")
+            lines.append(f"{name} {var};")
             declared[var] = name
-        elif kind == "CI":
-            type_part, _, args_part = name.partition("(")
-            args_text = args_part[:-1] if args_part.endswith(")") else args_part
-            args = [a for a in args_text.split(",") if a]
-            rendered = ", ".join(_placeholder(a) for a in args)
-            lines.append(f"{indent}new {type_part}({rendered});")
         elif kind == "ACD":
-            lines.append(f"{indent}new {name}() {{ }};")
+            lines.append(f"new {name}() {{ }};")
         elif kind == "AC":
-            lines.append(f"{indent}new {name.replace('[]', '')}[0];")
+            lines.append(f"new {name.replace('[]', '[0]')};")
         elif kind == "AA":
             var = var_of_type(name) or next(
                 (v for v, t in defaults.items() if t == name), "unknownArray")
-            lines.append(f"{indent}{var}[0] = {_placeholder(name[:-2] if name.endswith('[]') else 'int')};")
+            lines.append(f"{var}[0] = {_placeholder(name[:-2] if name.endswith('[]') else 'int')};")
         elif kind == "FA":
-            recv, fname = name.rsplit(".", 1)
-            target = _receiver_var(recv, q.context)
-            lines.append(f"{indent}{target}.{fname} = 0;")
-        elif kind == "CTI":
-            _, _, args = _split_call(name)
-            rendered = ", ".join(_placeholder(a) for a in args)
-            lines.append(f"{indent}this({rendered});")
-        elif kind == "SCI":
-            _, _, args = _split_call(name)
-            rendered = ", ".join(_placeholder(a) for a in args)
-            lines.append(f"{indent}super({rendered});")
+            recv, _, fname = name.rpartition(".")
+            lines.append(f"{_receiver_var(recv, q.context)}.{fname} = 0;")
         elif kind == "RT":
             var = var_of_type(name)
-            lines.append(f"{indent}return {var if var else 'null'};")
-        elif kind == "PD":
-            lines.append(f"package {name};")
-        elif kind == "ID":
-            lines.append(f"import {name};")
+            lines.append(f"return {var if var else 'null'};")
         else:
-            # class-level kinds never reach mined method sequences
-            lines.append(f"{indent}// {kind} {name}")
-    if opened_method:
-        lines.append("}")
+            lines.append(f"// {kind} {name}")
     return "\n".join(lines)
 
 
@@ -284,16 +244,8 @@ def extract_skeleton_items(skeleton: str, rec: Recommendation, q: UserQuery,
         return []
     bindings = _skeleton_bindings(rec.pattern.elements, q.context)
     bindings.update(q.context.variables)
-    if tail and tail[0][0] == "MD":
-        source = f"class W {{\n{skeleton}\n}}\n"
-    else:
-        rtype = next((name for kind, name in tail if kind == "RT"), "void")
-        source = f"class W {{\n{rtype} wrap() {{\n{skeleton}\n}}\n}}\n"
+    rtype = next((name for kind, name in tail if kind == "RT"), "void")
+    source = f"class W {{\n{rtype} wrap() {{\n{skeleton}\n}}\n}}\n"
     items, _ = extract_items(source, "<skeleton>", context_vars=bindings)
-    skip = {ItemKind.TD}
-    result = [it.identity for it in items if it.kind not in skip]
-    if not (tail and tail[0][0] == "MD"):
-        # drop the synthetic wrapper method's own MD item
-        result = [ident for ident in result if not (
-            ident[0] == "MD" and ident[1].startswith("wrap("))]
-    return result
+    # the wrapper's own TD and MD come first
+    return [it.identity for it in items[2:]]

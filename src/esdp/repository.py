@@ -34,9 +34,6 @@ class MinedRepository:
     created_at: str = "1970-01-01T00:00:00Z"
     min_support_used: int = 1
 
-    def __len__(self) -> int:
-        return len(self.patterns)
-
 
 def make_repository(patterns: Iterable[SequentialPattern], corpus_label: str = "",
                     created_at: str = "1970-01-01T00:00:00Z",

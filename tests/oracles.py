@@ -20,10 +20,12 @@ from esdp.extractor import (
     UnparsableSource,
 )
 from esdp.groum import (
+    EXACT_OCCURRENCE_LIMIT,
     Groum,
     GroumPattern,
     _canonical_key,
     _Host,
+    _max_independent,
     canonical_form,
     frequency,
     induced_subgraph,
@@ -239,6 +241,59 @@ def max_independent_brute(occurrences) -> int:
                 best = max(best, k)
                 break
     return best
+
+
+def independent_occurrence_count_reference(occurrences) -> tuple[int, bool]:
+    """The count before it always split into conflict components over bit
+    masks, kept verbatim as the differential reference of
+    ``esdp.groum.independent_occurrence_count``: exact up to
+    EXACT_OCCURRENCE_LIMIT occurrences; beyond that each conflict component
+    (union-find) of at most the limit exactly, a larger one greedily in
+    first-seen order, and any greedy component flags a lower bound."""
+    occs = list(occurrences)
+    if len(occs) <= EXACT_OCCURRENCE_LIMIT:
+        return _exact_count_reference(occs), True
+    total, exact = 0, True
+    for component in _conflict_components_reference(occs):
+        if len(component) <= EXACT_OCCURRENCE_LIMIT:
+            total += _exact_count_reference(component)
+            continue
+        used: set[int] = set()
+        for occ in component:
+            if not (occ & used):
+                total += 1
+                used |= occ
+        exact = False
+    return total, exact
+
+
+def _exact_count_reference(occs: list[frozenset[int]]) -> int:
+    n = len(occs)
+    conflict = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if occs[i] & occs[j]:
+                conflict[i] |= 1 << j
+                conflict[j] |= 1 << i
+    return _max_independent((1 << n) - 1, conflict)
+
+
+def _conflict_components_reference(occs: list[frozenset[int]]) -> list[list[frozenset[int]]]:
+    parent = list(range(len(occs)))
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    owner: dict[int, int] = {}
+    for i, occ in enumerate(occs):
+        for v in occ:
+            parent[root(owner.setdefault(v, i))] = root(i)
+    components: dict[int, list[frozenset[int]]] = {}
+    for i, occ in enumerate(occs):
+        components.setdefault(root(i), []).append(occ)
+    return list(components.values())
 
 
 def exhaustive_groum_patterns(dataset, sigma: int):
@@ -468,8 +523,11 @@ def tokenize_reference(source: str) -> list:
 # --- extractor -----------------------------------------------------------------------
 # The extractor before its lexer and parser moved to flat token arrays, kept
 # verbatim (Token objects from tokenize_reference, items sorted by line and
-# column) but for one fix it shares with esdp.extractor: an index into a
-# field reached through 'this.' is read as an array access.
+# column) but for the fixes it shares with esdp.extractor: an index into a
+# field reached through 'this.' is read as an array access; a wildcard
+# import reads its '.*'; a labeled statement is read as its statement; an
+# array creation gives one '[]' per dimension, written or sized, and reads
+# its initializer.
 
 Token = namedtuple("Token", "kind text line col")
 
@@ -613,7 +671,7 @@ class _ExtractorReference:
             t = self.advance()
             self.accept("static")
             qname = self.parse_qualified_name()
-            wildcard = self.accept("*")
+            wildcard = self.accept(".") and self.accept("*")
             self.accept(";")
             display = qname + (".*" if wildcard else "")
             self.emit(ItemKind.ID, display, self.package or self.file_label, t.line, t.col)
@@ -847,6 +905,10 @@ class _ExtractorReference:
         elif t.text in MODIFIERS:  # e.g. "final X x = ..."
             self.skip_modifiers()
             self.parse_statement(enclosing)
+        elif t.kind == "ident" and self.la().text == ":":  # a label
+            self.advance()
+            self.advance()
+            self.parse_statement(enclosing)
         else:
             rtype = self.parse_local_type(enclosing)
             if rtype is None:
@@ -977,12 +1039,15 @@ class _ExtractorReference:
         self.accept(")")
         return ty
 
-    def parse_brackets(self, enclosing: str) -> None:
+    def parse_brackets(self, enclosing: str) -> int:
         """Read any '[ expr ]' groups: array dimensions or indexes."""
+        groups = 0
         while self.accept("["):
+            groups += 1
             if not self.at("]"):
                 self.scan_expression(enclosing, ("]",))
             self.accept("]")
+        return groups
 
     def try_parse_cast(self) -> str | None:
         # '(' Type ')' followed by a primary start
@@ -1001,9 +1066,8 @@ class _ExtractorReference:
         start = self.advance()  # 'new'
         type_text = self.parse_type_text()
         rtype = self.resolve_type(type_text) if type_text else "unknown"
-        if self.at("["):
-            base = rtype if rtype.endswith("[]") else rtype + "[]"
-            self.parse_brackets(enclosing)
+        if self.at("[") or rtype.endswith("[]"):
+            base = rtype + "[]" * self.parse_brackets(enclosing)
             self.emit(ItemKind.AC, base, enclosing, start.line, start.col)
             if self.at("{"):
                 self.scan_braced_init(enclosing)

@@ -279,6 +279,58 @@ def test_query_prints_store_rounding(tmp_path, capsys, count, size, shown):
     assert row.split()[2:5] == [shown, "1.00", shown]
 
 
+def _two_call_store(tmp_path) -> Path:
+    from esdp.mining import SequentialPattern
+    from esdp.repository import make_repository, serialize
+
+    pattern = SequentialPattern((("MI", "aSTParser.setKind(int,int)"),
+                                 ("MI", "aSTParser.flush()")), 1, 8, 1)
+    repo_path = tmp_path / "two.xml"
+    repo_path.write_bytes(serialize(make_repository([pattern])))
+    return repo_path
+
+
+_SET_KIND = ["--var", "parser=ASTParser", "parser.setKind(0, 1);"]
+
+
+def test_query_csv_quotes_a_cell_with_a_comma(tmp_path, capsys):
+    status, out = run(["query", "--repo", str(_two_call_store(tmp_path)), "--pick", "1",
+                       "--format", "csv", *_SET_KIND], capsys)
+    assert status == 0
+    assert out.splitlines() == [
+        "rank,k,support,confidence,ranking,sequence",
+        '1,2,0.13,1.00,0.25,"aSTParser.setKind(int,int) aSTParser.flush()"',
+        "--- skeleton ---", "parser.flush();"]
+
+
+def test_query_out_writes_the_skeleton_to_the_file(tmp_path, capsys):
+    out_path = tmp_path / "skeleton.java"
+    status, out = run(["query", "--repo", str(_two_call_store(tmp_path)), "--pick", "1",
+                       "--out", str(out_path), *_SET_KIND], capsys)
+    assert status == 0
+    assert out_path.read_text(encoding="utf-8") == "parser.flush();\n"
+    assert out.splitlines()[-1] == f"skeleton -> {out_path}"
+    assert "--- skeleton ---" not in out
+
+
+def test_query_pick_beyond_the_list_exits_1(tmp_path, capsys):
+    status, out = run(["query", "--repo", str(_two_call_store(tmp_path)), "--pick", "2",
+                       *_SET_KIND], capsys)
+    assert status == 1
+    assert out.strip() == "ValueError: --pick 2 out of range 1..1"
+
+
+def test_corpus_may_name_a_source_file(corpus, capsys):
+    from esdp.extractor import dump_items, extract_items
+
+    path = corpus / "Dao1.java"
+    status, out = run(["extract", "--corpus", str(path)], capsys)
+    assert status == 0
+    items, _ = extract_items(path.read_text(encoding="utf-8"), str(path))
+    assert out == dump_items(items) + "\n"
+    assert "MI\tconnection.close()\tcom.fixture.Dao1.open1()\t8" in out.splitlines()
+
+
 def test_query_time_includes_store_parse(corpus, tmp_path, capsys, monkeypatch):
     import time
 

@@ -277,7 +277,7 @@ _JAVA_LEXEMES = st.sampled_from([
     "new B(", "new int[", "x.f(", "a.b().c(", "this.", "super(", "(A) ", "final ",
     "@A ", "List<String> ", "import a.b.C;", "package p;", "int ", "y", "x", "2.5",
     '"s"', "'c'", "->", "\n", "for (A a = x, b = y; ; ) ", "this.f.g(", "(A) (B) ",
-    "do x(); while (",
+    "do x(); while (", "import a.*;", "l: ", "new int[] {",
 ])
 _NESTINGS = [("if (a) {", "}"), ("{", "}"), ("if (a) ", ""), ("(", ")"), ("f(", ")"),
              ("a.b().c(", ")"), ("new A(", ")"), ("a[", "]"), ("class Q {", "}")]
@@ -348,9 +348,9 @@ def test_else_if_chain_reads_without_nesting():
      [("MD", "m():void"), ("VD", "int"), ("MI", "unknown.f(int)")]),
     ("void m() throws E, F { g(); }", [("MD", "m():void"), ("MI", "a.g()")]),
     ("void m(int i) { int[] xs = new int[] {1, 2}; xs[i] = 3; }",
-     [("MD", "m(int):void"), ("VD", "int[]"), ("ACD", "int[]"), ("AA", "int[]")]),
+     [("MD", "m(int):void"), ("VD", "int[]"), ("AC", "int[]"), ("AA", "int[]")]),
     ("void m() { int[][] g = new int[2][3]; g[0][1] = h[2]; }",
-     [("MD", "m():void"), ("VD", "int[][]"), ("AC", "int[]"), ("AA", "int[][]"),
+     [("MD", "m():void"), ("VD", "int[][]"), ("AC", "int[][]"), ("AA", "int[][]"),
       ("AA", "unknown[]")]),
     ("B f; void m() { f.g(); this.f.x = 1; f.x = 2; }",
      [("FD", "B"), ("MD", "m():void"), ("MI", "b.g()"), ("FA", "b.x"), ("FA", "b.x")]),
@@ -368,10 +368,45 @@ def test_else_if_chain_reads_without_nesting():
     ("int[] g; void m() { this.g[0] = 1; g[0] = 2; this.g[1].h(); }",
      [("FD", "int[]"), ("MD", "m():void"), ("AA", "int[]"), ("AA", "int[]"), ("AA", "int[]"),
       ("MI", "unknown.h()")]),
+    # a labeled statement is its statement; the method goes on after it
+    ("void m() { outer: for (int i = 0; ; ) { x.f(); } y.g(); } void n() { }",
+     [("MD", "m():void"), ("VD", "int"), ("MI", "unknown.f()"), ("MI", "unknown.g()"),
+      ("MD", "n():void")]),
+    # an array creation reads its initializer and names every dimension
+    ("void m(X x) { Foo[] a = new Foo[] { x.make() }; new int[2][]; }",
+     [("MD", "m(X):void"), ("VD", "Foo[]"), ("AC", "Foo[]"), ("MI", "x.make()"),
+      ("AC", "int[][]")]),
+    ("void m() { int[][] g = new int[][] {{1}, {2}}; }",
+     [("MD", "m():void"), ("VD", "int[][]"), ("AC", "int[][]")]),
+    # generics are skipped in types and left alone in expressions
+    ("void m() { List<String> l = x; l.add(y); if (a < b && c > d) { z.f(); } }",
+     [("MD", "m():void"), ("VD", "List"), ("MI", "list.add(unknown)"), ("MI", "unknown.f()")]),
+    ("void m() { final Widget w = make(); w.run(); }",
+     [("MD", "m():void"), ("VD", "Widget"), ("MI", "a.make()"), ("MI", "widget.run()")]),
+    ("void m(int v[]) { v[0] = 1; }", [("MD", "m(int[]):void"), ("AA", "int[]")]),
 ])
 def test_reader_items(body, expected):
     items, _ = extract_items("class A extends B { " + body + " }", "a.java")
     assert [it.identity for it in items] == [("TD", "A"), ("SC", "B")] + expected
+
+
+@pytest.mark.parametrize("source, expected", [
+    # a wildcard import reads its '.*' and the imports after it
+    ("import java.util.*;\nimport a.b.List;\nclass C { List l; }",
+     [("ID", "java.util.*"), ("ID", "a.b.List"), ("TD", "C"), ("FD", "b.List")]),
+    ("class A<T extends Comparable<T>> { T t; Map<String, List<Integer>> m; }",
+     [("TD", "A"), ("FD", "T"), ("FD", "Map")]),
+    ("interface I { void m(); int n(String s); }",
+     [("TD", "I"), ("MD", "m():void"), ("MD", "n(String):int")]),
+])
+def test_unit_items(source, expected):
+    assert [it.identity for it in extract_items(source, "a.java")[0]] == expected
+
+
+def test_labeled_loop_keeps_its_markers():
+    source = "class C { void m() { outer: while (a) { if (b) { continue outer; } } } }"
+    _, markers = extract_items(source, "c.java")
+    assert [m.kind.value for m in markers] == ["LOOP_BEGIN", "IF_BEGIN", "IF_END", "LOOP_END"]
 
 
 @pytest.mark.parametrize("source, expected", [

@@ -88,6 +88,20 @@ def test_unrelated_calls_get_usage_order_edge():
     assert g.edges == frozenset({(0, 1)})
 
 
+# a method path under a package, and under a file label when there is none
+@pytest.mark.parametrize("enclosing", ["p.q.C.C()", "src/C.java.C.C()"])
+def test_constructor_calls_label_their_class_and_tag_this_or_super(enclosing):
+    items = [SourceItem(ItemKind.CTI, "this(int)", enclosing, 1),
+             SourceItem(ItemKind.SCI, "super()", enclosing, 2),
+             SourceItem(ItemKind.MI, "super.g()", enclosing, 3),
+             SourceItem(ItemKind.MI, "unknown.h()", enclosing, 4),
+             SourceItem(ItemKind.CTI, "this()", enclosing, 5)]
+    g = build_groum(items)
+    assert g.labels() == ("C.<init>", "super.<init>", "Super.g", "Unknown.h", "C.<init>")
+    # usage order, plus one data edge per shared tag: this 0->4, super 1->2
+    assert g.edges == frozenset({(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)})
+
+
 def test_control_regions_become_nodes():
     items, markers = extract_items(
         "class C { void m() { if (x.p()) { y.q(); } } }", "c.java")
@@ -212,6 +226,16 @@ def test_disjoint_occurrences_counted_without_branching():
         signal.signal(signal.SIGALRM, previous)
 
 
+def test_occurrences_free_of_conflict_are_taken_without_branching(monkeypatch):
+    calls = []
+    search = groum._max_independent
+    monkeypatch.setattr(groum, "_max_independent", lambda *args: calls.append(args) or search(*args))
+    # one component: a center that conflicts with 19 leaves, which conflict with nothing else
+    star = [frozenset(range(20))] + [frozenset({i, 100 + i}) for i in range(19)]
+    assert independent_occurrence_count(star) == (19, True)
+    assert len(calls) == 3  # the component, then without and with the center
+
+
 def test_greedy_beyond_limit_flags_lower_bound():
     # one overlapping chain: a single conflict component of 25 occurrences
     occs = [frozenset({i, i + 1}) for i in range(25)]
@@ -231,6 +255,15 @@ def test_small_conflict_components_beyond_limit_counted_exactly():
     assert len(occs) == 25 > groum.EXACT_OCCURRENCE_LIMIT
     expected = sum(max_independent_brute(component) for component in components)
     assert independent_occurrence_count(occs) == (expected, True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 45).flatmap(lambda n: st.lists(
+    st.frozensets(st.integers(0, 60), min_size=1, max_size=3), min_size=n, max_size=n)))
+def test_independent_occurrences_match_reference(occs):
+    """Components of every size, greedy ones among them, against the count
+    before it always split into components."""
+    assert independent_occurrence_count(occs) == oracles.independent_occurrence_count_reference(occs)
 
 
 def test_patt_explorer_three_identical_chains():

@@ -215,3 +215,51 @@ def test_skeleton_round_trip_fixture_patterns(seed, min_support, queries, fixtur
 def test_derive_bindings():
     bindings = derive_bindings(PLANTED_ELEMENTS)
     assert bindings == {"aSTParser": "ASTParser"}
+
+
+# --- the skeleton round trip for every kind a method sequence can hold ----------
+
+_ARG_TYPES = st.sampled_from(["int", "double", "boolean", "char", "String", "null",
+                              "unknown", "Widget", "lib.Item", "int[]"])
+_ARGS = st.lists(_ARG_TYPES, max_size=3).map(",".join)
+# instance, static (simple and qualified) and unknown receivers
+_RECEIVERS = st.sampled_from(["box", "conn", "Util", "net.Conn", "unknown"])
+_BODY_ITEMS = st.one_of(
+    st.builds("MI {}.{}({})".format, _RECEIVERS, st.sampled_from(["open", "close"]), _ARGS),
+    st.builds("CI {}({})".format, st.sampled_from(["Widget", "lib.Item"]), _ARGS),
+    st.sampled_from(["VD int", "VD String", "VD Widget", "VD lib.Item", "VD Widget[]",
+                     "ACD Runnable", "ACD lib.Item", "AC int[]", "AC Widget[]", "AC int[][]",
+                     "AA int[]", "AA Widget[]", "AA unknown[]"]),
+    st.builds("FA {}.{}".format, _RECEIVERS, st.sampled_from(["size", "LIMIT"])),
+    st.builds("CTI this({})".format, _ARGS),
+    st.builds("SCI super({})".format, _ARGS),
+    st.just("RT"),
+).map(lambda text: tuple(text.split(" ", 1)) if " " in text else (text, ""))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_BODY_ITEMS, min_size=1, max_size=8),
+       st.sampled_from(["void", "int", "Widget", "lib.Item"]),
+       st.sampled_from([{}, {"b": "Box"}, {"box": "Crate"}]))
+def test_skeleton_round_trip_of_every_body_kind(body, rtype, variables):
+    """Rendering the elements after the match and extracting them again
+    gives them back; a method's returns all name its one return type."""
+    tail = tuple((kind, name or rtype) for kind, name in body)
+    p = pattern_of((("MD", "m():void"),) + tail)
+    rec = Recommendation(p, 0)
+    q = UserQuery("", p.elements[0], QueryContext(variables=dict(variables)))
+    skeleton = render_skeleton(rec, q)
+    assert extract_skeleton_items(skeleton, rec, q) == list(tail), skeleton
+
+
+def test_render_skeleton_comments_kinds_without_a_statement():
+    """A mined sequence holds its MD only as its head and no PD or ID; after
+    the match, such an element of a hand-written store is a comment line."""
+    p = pattern_of([("MI", "box.open()"), ("MD", "run(int):void"), ("ID", "a.b.C"),
+                    ("PD", "p"), ("TD", "L"), ("MI", "box.close()")])
+    rec = Recommendation(p, 0)
+    q = UserQuery("", p.elements[0], QueryContext())
+    skeleton = render_skeleton(rec, q)
+    assert skeleton.splitlines() == [
+        "// MD run(int):void", "// ID a.b.C", "// PD p", "// TD L", "box.close();"]
+    assert extract_skeleton_items(skeleton, rec, q) == [("MI", "box.close()")]
