@@ -97,35 +97,35 @@ def _cmd_extract(args: argparse.Namespace) -> str:
 
 
 def _mine_patterns(args: argparse.Namespace):
-    """(patterns, the min-support they were mined at, sequence database)."""
+    """(patterns, the min-support they were mined at, number of method
+    sequences); the sequence database is not kept past mining."""
     items, _ = _extract(args)
     db = build_sequence_db(items)
     if args.adaptive:
         patterns = adaptive_mine(db, args.max_patterns)
-        return patterns, patterns.min_support, db
-    return mine_prefixspan(db, args.min_support), args.min_support, db
+        return patterns, patterns.min_support, len(db.records)
+    return mine_prefixspan(db, args.min_support), args.min_support, len(db.records)
 
 
 def _cmd_mine(args: argparse.Namespace) -> str:
-    patterns, min_support, db = _mine_patterns(args)
+    patterns, min_support, sequences = _mine_patterns(args)
     label = args.corpus_label or ";".join(args.corpus)
     repo = make_repository(patterns, corpus_label=label, created_at=_created_stamp(),
                            min_support_used=min_support)
     path = _repo_path(args)
     _write_atomic(path, serialize(repo))
-    return (f"mined {len(repo.patterns)} patterns from {len(db.records)} "
-            f"method sequences -> {path}")
+    return f"mined {len(repo.patterns)} patterns from {sequences} method sequences -> {path}"
 
 
 def _cmd_update(args: argparse.Namespace) -> str:
+    # The store is read after mining, so that the sequence database is gone
+    # when the store is checked and spliced.
     path = _repo_path(args)
-    existing = parse(Path(path).read_bytes())
-    patterns, min_support, db = _mine_patterns(args)
-    repo = merge_update(existing, patterns, created_at=_created_stamp(),
-                        min_support_used=min_support)
-    _write_atomic(path, serialize(repo))
-    return (f"updated {path}: {len(existing.patterns)} -> {len(repo.patterns)} patterns "
-            f"({len(db.records)} fresh method sequences)")
+    patterns, min_support, sequences = _mine_patterns(args)
+    _write_atomic(path, merge_update(Path(path).read_bytes(), patterns, _created_stamp(),
+                                     min_support))
+    return (f"updated {path} with {len(patterns)} fresh patterns at min-support {min_support} "
+            f"({sequences} fresh method sequences)")
 
 
 def _format_rec_rows(recs) -> list[list[str]]:

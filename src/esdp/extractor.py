@@ -371,7 +371,9 @@ class _Extractor:
 
     # --- type declarations --------------------------------------------------
 
-    def parse_type_decl(self, outer_path: str) -> None:
+    def parse_type_decl(self, outer_path: str, declared_in: str | None = None) -> None:
+        """A class, interface or enum within outer_path; its TD is emitted
+        under declared_in, by default outer_path."""
         is_interface = self.advance() == "interface"  # class | interface | enum
         name_at = self.i
         if self.kinds[name_at] != "ident":
@@ -379,7 +381,7 @@ class _Extractor:
             return
         name = self.texts[name_at]
         self.i += 1
-        self.emit(ItemKind.TD, name, outer_path, name_at)
+        self.emit(ItemKind.TD, name, outer_path if declared_in is None else declared_in, name_at)
         class_path = f"{outer_path}.{name}" if outer_path else name
         self.descend()
         self.skip_generics()
@@ -433,15 +435,26 @@ class _Extractor:
             return
         # field declaration: one item per statement, all declarators registered
         rtype = self.resolve_type(type_text)
-        self.emit(ItemKind.FD, rtype, class_path, start)
+        self.emit(ItemKind.FD, rtype + "[]" * self.declarator_dims(self.i), class_path, start)
         self.parse_declarators(name, rtype, class_path)
 
+    def declarator_dims(self, i: int) -> int:
+        """The number of C-style '[]' pairs at i, just after a declarator's
+        name: each adds a dimension to the declared type."""
+        texts = self.texts
+        dims = 0
+        while texts[i] == "[" and texts[i + 1] == "]":
+            dims += 1
+            i += 2
+        return dims
+
     def parse_declarators(self, name: str, rtype: str, enclosing: str) -> None:
+        """Bind each declarator, the cursor just after the first one's name,
+        to rtype with its own C-style dimensions; read the initializers."""
         while True:
-            while self.accept("["):  # C-style array suffix on declarator
-                self.accept("]")
-                rtype = rtype + "[]" if not rtype.endswith("[]") else rtype
-            self.bind(name, rtype)
+            dims = self.declarator_dims(self.i)
+            self.i += 2 * dims
+            self.bind(name, rtype + "[]" * dims)
             if self.accept("="):
                 self.scan_expression(enclosing, (",", ";"))
             if not (self.accept(",") and self.kinds[self.i] == "ident"):
@@ -565,7 +578,9 @@ class _Extractor:
         elif text in _SKIP_STMT_KEYWORDS:
             self.skip_to_statement_end()
         elif text in ("class", "interface", "enum"):
-            self.parse_type_decl(enclosing)
+            # a local class: its TD stands beside the method's class, not in
+            # the method's sequence; its members are paths under the method
+            self.parse_type_decl(enclosing, enclosing.rpartition(".")[0])
         elif text in MODIFIERS:  # e.g. "final X x = ..."
             self.skip_modifiers()
             self.parse_statement(enclosing)
@@ -604,8 +619,9 @@ class _Extractor:
         self.accept(")")
 
     def parse_local_type(self, enclosing: str) -> str | None:
-        """Read the type of a local declaration and emit its VD; None, the
-        cursor unmoved, when the statement is not a declaration."""
+        """Read the type of a local declaration and emit its VD, which names
+        the type of the first declarator; the type read, or None, the cursor
+        unmoved, when the statement is not a declaration."""
         start = self.i
         text = self.texts[start]
         if self.kinds[start] == "ident":
@@ -619,7 +635,8 @@ class _Extractor:
         else:
             return None
         rtype = self.resolve_type(type_text)
-        self.emit(ItemKind.VD, rtype, enclosing, start)
+        dims = self.declarator_dims(self.i + 1) if self.kinds[self.i] == "ident" else 0
+        self.emit(ItemKind.VD, rtype + "[]" * dims, enclosing, start)
         return rtype
 
     def parse_type_text(self) -> str:
@@ -773,7 +790,11 @@ class _Extractor:
         recv = "super" if is_super else lower_camel(self.current_class())
         fields = self.class_fields[-1] if self.class_fields and not is_super else {}
         field_type = None
-        while self.accept(".") and self.kinds[self.i] == "ident":
+        while self.accept("."):
+            if texts[self.i] == "<":
+                self.i = self.after_type_args(self.i)
+            if self.kinds[self.i] != "ident":
+                break
             member = texts[self.i]
             self.i += 1
             if texts[self.i] == "(":
@@ -796,10 +817,14 @@ class _Extractor:
         while texts[i] == "." and kinds[i + 1] == "ident" and texts[i + 2] != "(":
             segments.append(texts[i + 1])
             i += 2
-        if texts[i] == "." and kinds[i + 1] == "ident":  # a call segment
-            self.i = i + 2
-            self.emit_call(self.render_receiver(segments), texts[i + 1], start, enclosing)
-            return self.parse_postfix(enclosing, "unknown")
+        if texts[i] == ".":
+            j = i + 1
+            if texts[j] == "<":
+                j = self.after_type_args(j)
+            if kinds[j] == "ident" and texts[j + 1] == "(":  # a call segment
+                self.i = j + 1
+                self.emit_call(self.render_receiver(segments), texts[j], start, enclosing)
+                return self.parse_postfix(enclosing, "unknown")
         self.i = i
         if len(segments) == 1 and texts[i] == "(":
             # unqualified call: instance method of the enclosing class
@@ -817,13 +842,26 @@ class _Extractor:
     def parse_postfix(self, enclosing: str, current: str) -> str:
         # member accesses and calls chained on an unknown intermediate value
         texts, kinds = self.texts, self.kinds
-        while texts[self.i] == "." and kinds[self.i + 1] == "ident":
+        while texts[self.i] == ".":
             dot = self.i
-            self.i += 2
+            name = dot + 1
+            if texts[name] == "<":
+                name = self.after_type_args(name)
+            if kinds[name] != "ident":
+                break
+            self.i = name + 1
             if texts[self.i] == "(":
-                self.emit_call("unknown", texts[dot + 1], dot, enclosing)
+                self.emit_call("unknown", texts[name], dot, enclosing)
             current = "unknown"
         return current
+
+    def after_type_args(self, i: int) -> int:
+        """The index after the explicit type arguments of a generic call,
+        '<...>' in 'x.<T>m()', that open at i; i when they do not close."""
+        cursor, self.i = self.i, i
+        self.skip_generics()
+        i, self.i = self.i, cursor
+        return i
 
     def render_receiver(self, segments: list[str]) -> str:
         """Receiver rendering for invocations/field writes.

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from . import kernels
 from .transactions import SequenceDatabase
@@ -57,22 +57,28 @@ class SequentialPattern(NamedTuple):
         return Fraction(len(self.elements) * self.support_count, self.db_size)
 
 
-def sort_patterns(patterns: Iterable[SequentialPattern]) -> list[SequentialPattern]:
-    """Ranking desc, support desc, then lexicographic on names and kinds.
+def ranking_key(lcm: int) -> Callable[[SequentialPattern], tuple]:
+    """The sort key of sort_patterns, for patterns whose database sizes all
+    divide lcm: ranking desc, support desc, then names and kinds.
 
     The ranking k * count / db_size is compared as the exact integer
-    k * count * (L // db_size), L the lcm of the patterns' database sizes,
-    so patterns mined from databases of different sizes still order exactly.
+    k * count * (lcm // db_size), so patterns mined from databases of
+    different sizes still order exactly; any common multiple gives the same
+    order.
     """
-    patterns = list(patterns)
-    lcm = math.lcm(*{p.db_size for p in patterns})
-
-    def key(p: SequentialPattern):
+    def key(p: SequentialPattern) -> tuple:
         kinds, names = zip(*p.elements)
         return (-len(kinds) * p.support_count * (lcm // p.db_size), -p.support_count,
                 names, kinds)
 
-    patterns.sort(key=key)
+    return key
+
+
+def sort_patterns(patterns: Iterable[SequentialPattern]) -> list[SequentialPattern]:
+    """Ranking desc, support desc, then lexicographic on names and kinds,
+    exactly (ranking_key over the lcm of the patterns' database sizes)."""
+    patterns = list(patterns)
+    patterns.sort(key=ranking_key(math.lcm(*{p.db_size for p in patterns})))
     return patterns
 
 

@@ -9,16 +9,24 @@ the escapes ``serialize`` uses. It reads line by line; any other byte is a
 SchemaViolation naming the line and the element path. Within one call the
 reader checks each distinct pattern head and item line once and the writer
 renders each once: mined stores repeat them heavily.
+
+``merge_update`` updates a store bytes in, bytes out. It checks the store
+with the same reader, and that its patterns stand in ranking order, then
+copies the stored pattern blocks as they are and renders only the fresh
+patterns, each at the place bisection on the exact sort key finds for it.
+Its output is what ``serialize`` writes for the merged repository.
 """
 
 from __future__ import annotations
 
+import math
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable
 
 from .items import ItemKind
-from .mining import RankedPatterns, SequentialPattern, sort_patterns
+from .mining import Element, RankedPatterns, SequentialPattern, ranking_key, sort_patterns
 
 
 class SchemaViolation(Exception):
@@ -72,6 +80,53 @@ def _unesc(text: str) -> str:
             .replace("&amp;", "&"))
 
 
+def _check_writable(metadata: Iterable[str], patterns: Iterable[SequentialPattern]) -> None:
+    """ValueError for text the reader would refuse: a control character in
+    metadata, or an item name that is empty, padded with whitespace or holds
+    a control character other than tab."""
+    for value in metadata:
+        if re.fullmatch(_ATTR, _esc_attr(value)) is None:
+            raise ValueError(f"repository metadata {value!r} holds a control character")
+    for name in {name for p in patterns for _, name in p.elements}:
+        if re.fullmatch(_NAME, _esc(name)) is None or name.strip() != name:
+            raise ValueError(f"item name {name!r} is blank, padded or holds a control character")
+
+
+def _header(corpus_label: str, created_at: str, min_support_used: int) -> str:
+    return (f'<esdp-repository version="1" corpus="{_esc_attr(corpus_label)}"'
+            f' created="{_esc_attr(created_at)}" min-support="{min_support_used}">')
+
+
+def _render(patterns: Iterable[SequentialPattern], out: list[str]) -> list[str]:
+    """Append the pattern blocks to out: per pattern its head, its item lines
+    and its closing lines, each entry without the final line feed."""
+    # Heads and item lines repeat across patterns (den is the database
+    # size and supports are small), so each distinct one is rendered once.
+    heads: dict[tuple, str] = {}
+    items: dict[tuple, str] = {}
+    for p in patterns:
+        key = (p.kind, p.k, p.support_count, p.db_size, p.prefix_count)
+        head = heads.get(key)
+        if head is None:
+            kind, k, num, den, cden = key
+            head = heads[key] = (
+                f'    <pattern kind="{kind}" k="{k}">\n'
+                f'      <support num="{num}" den="{den}">{two_dp(num, den)}</support>\n'
+                f'      <confidence num="{num}" den="{cden}">'
+                f'{two_dp(num, cden)}</confidence>\n'
+                f"      <ranking>{two_dp(k * num, den)}</ranking>\n"
+                "      <sequence>")
+        out.append(head)
+        for i, (kind, name) in enumerate(p.elements, start=1):
+            line = items.get((i, kind, name))
+            if line is None:
+                line = f'        <s i="{i}" kind="{kind}">{_esc(name)}</s>'
+                items[i, kind, name] = line
+            out.append(line)
+        out.append("      </sequence>\n    </pattern>")
+    return out
+
+
 def serialize(repo: MinedRepository) -> bytes:
     """Canonical document bytes: UTF-8, LF, 2-space indent, fixed attribute order.
 
@@ -79,46 +134,13 @@ def serialize(repo: MinedRepository) -> bytes:
     character, or an item name is empty, padded with whitespace or holds a
     control character other than tab: the reader refuses each of these.
     """
-    for value in (repo.corpus_label, repo.created_at):
-        if re.fullmatch(_ATTR, _esc_attr(value)) is None:
-            raise ValueError(f"repository metadata {value!r} holds a control character")
-    for name in {name for p in repo.patterns for _, name in p.elements}:
-        if re.fullmatch(_NAME, _esc(name)) is None or name.strip() != name:
-            raise ValueError(f"item name {name!r} is blank, padded or holds a control character")
-    out: list[str] = []
-    out.append(
-        f'<esdp-repository version="1" corpus="{_esc_attr(repo.corpus_label)}"'
-        f' created="{_esc_attr(repo.created_at)}"'
-        f' min-support="{repo.min_support_used}">'
-    )
+    _check_writable((repo.corpus_label, repo.created_at), repo.patterns)
+    out = [_header(repo.corpus_label, repo.created_at, repo.min_support_used)]
     if not repo.patterns:
         out.append("  <patterns/>")
     else:
         out.append("  <patterns>")
-        # Heads and item lines repeat across patterns (den is the database
-        # size and supports are small), so each distinct one is rendered once.
-        heads: dict[tuple, str] = {}
-        items: dict[tuple, str] = {}
-        for p in repo.patterns:
-            key = (p.kind, p.k, p.support_count, p.db_size, p.prefix_count)
-            head = heads.get(key)
-            if head is None:
-                kind, k, num, den, cden = key
-                head = heads[key] = (
-                    f'    <pattern kind="{kind}" k="{k}">\n'
-                    f'      <support num="{num}" den="{den}">{two_dp(num, den)}</support>\n'
-                    f'      <confidence num="{num}" den="{cden}">'
-                    f'{two_dp(num, cden)}</confidence>\n'
-                    f"      <ranking>{two_dp(k * num, den)}</ranking>\n"
-                    "      <sequence>")
-            out.append(head)
-            for i, (kind, name) in enumerate(p.elements, start=1):
-                line = items.get((i, kind, name))
-                if line is None:
-                    line = f'        <s i="{i}" kind="{kind}">{_esc(name)}</s>'
-                    items[i, kind, name] = line
-                out.append(line)
-            out.append("      </sequence>\n    </pattern>")
+        _render(repo.patterns, out)
         out.append("  </patterns>")
     out.append("</esdp-repository>")
     out.append("")
@@ -230,6 +252,18 @@ def parse(data: bytes) -> MinedRepository:
 
     Whatever it accepts, ``serialize`` writes back byte for byte.
     """
+    corpus, created, min_support, patterns, _ = _read(data)
+    return MinedRepository(
+        patterns=tuple(patterns),
+        corpus_label=corpus,
+        created_at=created,
+        min_support_used=min_support,
+    )
+
+
+def _read(data: bytes) -> tuple[str, str, int, list[SequentialPattern], dict[tuple, int]]:
+    """The reader of parse: (corpus label, creation stamp, min-support,
+    patterns, the index of each pattern's element list)."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -247,11 +281,11 @@ def parse(data: bytes) -> MinedRepository:
     corpus, created, min_support = _unesc(m[1]), _unesc(m[2]), int(m[3])
 
     patterns: list[SequentialPattern] = []
+    seen: dict[tuple, int] = {}
     if lines[1] == "  <patterns/>":
         n = 2
     elif lines[1] == "  <patterns>":
         n = 2
-        seen: set[tuple] = set()
         # Text that passed _read_head or _read_item once passes again, so
         # each distinct head and (item line, ordinal) is checked once per
         # call; a line not seen before gets every check, in the same order.
@@ -291,7 +325,7 @@ def parse(data: bytes) -> MinedRepository:
                 raise _pattern_violation(n - k - 6, "pattern kind must match its first item", idx)
             if key in seen:
                 raise _pattern_violation(n - k - 6, "duplicate pattern element-list", idx)
-            seen.add(key)
+            seen[key] = idx - 1
             patterns.append(SequentialPattern(key, num, den, cden))
             if lines[n] == "  </patterns>":
                 n += 1
@@ -303,31 +337,96 @@ def parse(data: bytes) -> MinedRepository:
         raise _violation(n + 1, _expected("</esdp-repository>", lines[n]))
     if n != len(lines) - 2:
         raise _violation(n + 2, "text after </esdp-repository>")
-    return MinedRepository(
-        patterns=tuple(patterns),
-        corpus_label=corpus,
-        created_at=created,
-        min_support_used=min_support,
-    )
+    return corpus, created, min_support, patterns, seen
 
 
 # --- incremental update ----------------------------------------------------------
 
-def merge_update(existing: MinedRepository, fresh: Iterable[SequentialPattern],
-                 created_at: str | None = None,
-                 min_support_used: int | None = None) -> MinedRepository:
-    """Fold freshly mined patterns into a repository.
+_PATTERNS_END = b"  </patterns>\n</esdp-repository>\n"
+# In a store the reader accepted this text opens every pattern block and
+# occurs nowhere else: names and attribute values hold no raw "<".
+_BLOCK_HEAD = re.compile(b"    <pattern ")
 
-    Patterns with identical element-lists take the fresh scores; new ones
-    are inserted; nothing is deleted. The result is re-sorted, keeps the
-    corpus label and carries updated metadata where given.
+
+def merge_update(data: bytes, fresh: Iterable[SequentialPattern], created_at: str,
+                 min_support_used: int) -> bytes:
+    """Fold freshly mined patterns into the store ``data``; the new store.
+
+    Patterns with identical element lists take the fresh scores (of equal
+    fresh element lists, the last); new ones are inserted; nothing is
+    deleted. The corpus label is kept; the creation stamp and min-support
+    are replaced. The bytes are those ``serialize`` writes for the merged
+    repository, re-ranked, but only fresh patterns are rendered: the stored
+    blocks are already in ranking order, which the lcm of the database sizes
+    only scales, so they are copied as they are, each fresh block inserted
+    where bisection on the exact sort key puts it.
+
+    SchemaViolation when ``parse`` refuses data, or when its patterns are
+    not in ranking order; ValueError when a fresh item name cannot be written.
     """
-    merged = {p.elements: p for p in existing.patterns}
-    for p in fresh:
-        merged[p.elements] = p
-    return make_repository(
-        merged.values(),
-        corpus_label=existing.corpus_label,
-        created_at=existing.created_at if created_at is None else created_at,
-        min_support_used=existing.min_support_used if min_support_used is None else min_support_used,
-    )
+    corpus, _, _, stored, index = _read(data)
+    # where each stored block starts, and where the last one ends
+    starts = [m.start() for m in _BLOCK_HEAD.finditer(data)]
+    starts.append(len(data) - len(_PATTERNS_END))
+    latest = {p.elements: p for p in fresh}
+    lcm = math.lcm(*{p.db_size for p in stored}, *{p.db_size for p in latest.values()})
+    key = ranking_key(lcm)
+    _check_order(stored, data, starts)
+    _check_writable((corpus, created_at), latest.values())
+
+    # (stored position, 0, fresh block) inserts the block before that stored
+    # block; (position, 1, None) drops the stored block a fresh one replaces.
+    cuts = [(index[e], 1, None) for e in latest if e in index]
+    at = 0
+    for p in sort_patterns(latest.values()):
+        at = bisect_left(stored, key(p), at, key=key)
+        cuts.append((at, 0, "\n".join(_render([p], [])).encode() + b"\n"))
+    cuts.sort(key=lambda cut: cut[:2])  # stable: fresh blocks keep their order
+
+    view = memoryview(data)
+    body: list = []
+    copied = 0  # stored blocks before this one are written or dropped
+    for at, drop, block in cuts:
+        body.append(view[starts[copied]:starts[at]])
+        if drop:
+            copied = at + 1
+        else:
+            copied = at
+            body.append(block)
+    body.append(view[starts[copied]:starts[-1]])
+    head = _header(corpus, created_at, min_support_used).encode()
+    if not stored and not latest:
+        return head + b"\n  <patterns/>\n</esdp-repository>\n"
+    return b"".join([head, b"\n  <patterns>\n", *body, _PATTERNS_END])
+
+
+def _check_order(patterns: list[SequentialPattern], data: bytes, starts: list[int]) -> None:
+    """SchemaViolation at the first pattern that sorts before the one above
+    it in ranking_key order.
+
+    Neighbours are compared in place, rankings by cross-multiplying: a key
+    built for every stored pattern would cost more time than the rest of the
+    splice, and the tuples would raise update's peak memory.
+    """
+    if not patterns:
+        return
+    a, num_a, den_a, _ = patterns[0]
+    for i in range(1, len(patterns)):
+        b, num_b, den_b, _ = patterns[i]
+        rise = len(b) * num_b * den_a - len(a) * num_a * den_b
+        if rise > 0 or rise == 0 and (num_b > num_a or num_b == num_a and not _precedes(a, b)):
+            raise _pattern_violation(
+                data.count(b"\n", 0, starts[i]) + 1,
+                f"pattern ranks above pattern[{i}]: stored patterns must be in ranking order",
+                i + 1)
+        a, num_a, den_a = b, num_b, den_b
+
+
+def _precedes(a: tuple[Element, ...], b: tuple[Element, ...]) -> bool:
+    """Whether element list a sorts before b on names, then kinds."""
+    for (_, x), (_, y) in zip(a, b):
+        if x != y:
+            return x < y
+    if len(a) != len(b):
+        return len(a) < len(b)
+    return [kind for kind, _ in a] < [kind for kind, _ in b]

@@ -6,7 +6,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from itertools import combinations, permutations
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from esdp.extractor import (
     _CONST_NAME_RE,
@@ -55,6 +55,7 @@ from esdp.repository import (
     _pattern_violation,
     _unesc,
     _violation,
+    make_repository,
     two_dp,
 )
 
@@ -714,14 +715,17 @@ class _ExtractorReference:
 
     # --- type declarations --------------------------------------------------
 
-    def parse_type_decl(self, outer_path: str) -> None:
+    def parse_type_decl(self, outer_path: str, declared_in: str | None = None) -> None:
         is_interface = self.advance().text == "interface"  # class | interface | enum
         name_tok = self.cur()
         if name_tok.kind != "ident":
             self.skip_to_statement_end()
             return
         name = self.advance().text
-        self.emit(ItemKind.TD, name, outer_path, name_tok.line, name_tok.col)
+        # fixed as in esdp.extractor: a local class's TD is declared_in its
+        # method's class, outside the method's sequence
+        self.emit(ItemKind.TD, name, outer_path if declared_in is None else declared_in,
+                  name_tok.line, name_tok.col)
         class_path = f"{outer_path}.{name}" if outer_path else name
         self.descend()
         self.skip_generics()
@@ -771,15 +775,23 @@ class _ExtractorReference:
             return
         # field declaration: one item per statement, all declarators registered
         rtype = self.resolve_type(type_text)
-        self.emit(ItemKind.FD, rtype, class_path, t.line, t.col)
+        self.emit(ItemKind.FD, rtype + "[]" * self.declarator_dims(0), class_path, t.line, t.col)
         self.parse_declarators(name_tok.text, rtype, class_path)
+
+    def declarator_dims(self, k: int) -> int:
+        """Fixed as in esdp.extractor: every C-style '[]' pair after a
+        declarator's name, k tokens ahead, adds a dimension."""
+        dims = 0
+        while self.la(k).text == "[" and self.la(k + 1).text == "]":
+            dims += 1
+            k += 2
+        return dims
 
     def parse_declarators(self, name: str, rtype: str, enclosing: str) -> None:
         while True:
-            while self.accept("["):  # C-style array suffix on declarator
-                self.accept("]")
-                rtype = rtype + "[]" if not rtype.endswith("[]") else rtype
-            self.bind(name, rtype)
+            dims = self.declarator_dims(0)
+            self.i += 2 * dims
+            self.bind(name, rtype + "[]" * dims)
             if self.accept("="):
                 self.scan_expression(enclosing, (",", ";"))
             if not (self.accept(",") and self.cur().kind == "ident"):
@@ -901,7 +913,7 @@ class _ExtractorReference:
         elif t.text in _SKIP_STMT_KEYWORDS:
             self.skip_to_statement_end()
         elif t.text in ("class", "interface", "enum"):
-            self.parse_type_decl(enclosing)
+            self.parse_type_decl(enclosing, enclosing.rpartition(".")[0])
         elif t.text in MODIFIERS:  # e.g. "final X x = ..."
             self.skip_modifiers()
             self.parse_statement(enclosing)
@@ -951,7 +963,9 @@ class _ExtractorReference:
         else:
             return None
         rtype = self.resolve_type(type_text)
-        self.emit(ItemKind.VD, rtype, enclosing, start.line, start.col)
+        # fixed as in esdp.extractor: the VD names the first declarator's type
+        dims = self.declarator_dims(1) if self.cur().kind == "ident" else 0
+        self.emit(ItemKind.VD, rtype + "[]" * dims, enclosing, start.line, start.col)
         return rtype
 
     def parse_type_text(self) -> str:
@@ -1094,7 +1108,10 @@ class _ExtractorReference:
         recv = "super" if is_super else lower_camel(self.current_class())
         fields = self.class_fields[-1] if self.class_fields and not is_super else {}
         value, field_type = "unknown", None
-        while self.accept(".") and self.cur().kind == "ident":
+        while self.accept("."):
+            self.skip_generics()  # fixed as in esdp.extractor: type arguments of a call
+            if self.cur().kind != "ident":
+                break
             member = self.advance().text
             if self.at("("):
                 self.emit_call(recv, member, start, enclosing)
@@ -1118,10 +1135,15 @@ class _ExtractorReference:
         while self.at(".") and self.la().kind == "ident" and self.la(2).text != "(":
             self.advance()
             segments.append(self.advance().text)
-        if self.at(".") and self.la().kind == "ident":  # a call segment
+        if self.at("."):  # a call segment, perhaps with explicit type arguments
+            save = self.i
             self.advance()
-            self.emit_call(self.render_receiver(segments), self.advance().text, start, enclosing)
-            return self.parse_postfix(enclosing, "unknown")
+            self.skip_generics()
+            if self.cur().kind == "ident" and self.la().text == "(":
+                self.emit_call(self.render_receiver(segments), self.advance().text, start,
+                               enclosing)
+                return self.parse_postfix(enclosing, "unknown")
+            self.i = save
         if len(segments) == 1 and self.at("("):
             # unqualified call: instance method of the enclosing class
             self.emit_call(lower_camel(self.current_class()), segments[0], start, enclosing)
@@ -1140,8 +1162,13 @@ class _ExtractorReference:
 
     def parse_postfix(self, enclosing: str, current: str) -> str:
         # member accesses and calls chained on an unknown intermediate value
-        while self.at(".") and self.la().kind == "ident":
+        while self.at("."):
+            save = self.i
             dot = self.advance()
+            self.skip_generics()  # fixed as in esdp.extractor: type arguments of a call
+            if self.cur().kind != "ident":
+                self.i = save
+                break
             member = self.advance().text
             if self.at("("):
                 self.emit_call("unknown", member, dot, enclosing)
@@ -1417,4 +1444,28 @@ def parse_reference(data: bytes) -> MinedRepository:
         corpus_label=corpus,
         created_at=created,
         min_support_used=min_support,
+    )
+
+
+def merge_update_reference(existing: MinedRepository, fresh: Iterable[SequentialPattern],
+                           created_at: str | None = None,
+                           min_support_used: int | None = None) -> MinedRepository:
+    """The object-level merge before ``esdp.repository.merge_update`` spliced
+    store bytes, kept verbatim as its reference: ``serialize`` of this
+    result is what the splice must write.
+
+    Fold freshly mined patterns into a repository.
+
+    Patterns with identical element-lists take the fresh scores; new ones
+    are inserted; nothing is deleted. The result is re-sorted, keeps the
+    corpus label and carries updated metadata where given.
+    """
+    merged = {p.elements: p for p in existing.patterns}
+    for p in fresh:
+        merged[p.elements] = p
+    return make_repository(
+        merged.values(),
+        corpus_label=existing.corpus_label,
+        created_at=existing.created_at if created_at is None else created_at,
+        min_support_used=existing.min_support_used if min_support_used is None else min_support_used,
     )

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import write_fixture_corpus
 from esdp.cli import main
-from esdp.repository import parse
+from esdp.repository import SchemaViolation, make_repository, parse, serialize
 
 
 @pytest.fixture()
@@ -351,7 +351,7 @@ def test_query_time_includes_store_parse(corpus, tmp_path, capsys, monkeypatch):
     assert float(shown.split()[2]) >= 50.0
 
 
-@pytest.mark.parametrize("failing", ["serialize", "replace"])
+@pytest.mark.parametrize("failing", ["merge_update", "replace"])
 def test_failed_update_leaves_store_whole(corpus, tmp_path, capsys, monkeypatch, failing):
     import esdp.cli
 
@@ -364,8 +364,8 @@ def test_failed_update_leaves_store_whole(corpus, tmp_path, capsys, monkeypatch,
     def fail(*args):
         raise OSError(f"{failing} failed")
 
-    if failing == "serialize":
-        monkeypatch.setattr(esdp.cli, "serialize", fail)
+    if failing == "merge_update":
+        monkeypatch.setattr(esdp.cli, "merge_update", fail)
     else:
         monkeypatch.setattr(os, "replace", fail)
     status, out = run(["update", "--corpus", str(corpus), "--min-support", "2",
@@ -429,3 +429,46 @@ def test_deep_nesting_names_file(tmp_path, capsys, opener, closer):
               + closer * 400 + "\n  }\n}\n")
     bad, out = _mine_bad_file(tmp_path, capsys, "Deep.java", source.encode())
     assert out.startswith(f"UnparsableSource: {bad}: nesting deeper than ")
+
+
+def _refused_update(tmp_path, capsys, store: bytes) -> str:
+    """Run update against store; assert that it is refused and left whole,
+    with no temporary file; the error line it prints."""
+    corpus = tmp_path / "corpus"
+    if not corpus.exists():
+        corpus.mkdir()
+        (corpus / "A.java").write_text("class A { void m() { x.f(); } }", encoding="utf-8")
+    repo_path = tmp_path / "store" / "store.xml"
+    repo_path.parent.mkdir(exist_ok=True)
+    repo_path.write_bytes(store)
+    status, out = run(["update", "--corpus", str(corpus), "--min-support", "1",
+                       "--repo", str(repo_path)], capsys)
+    assert status == 1
+    assert repo_path.read_bytes() == store
+    assert [p.name for p in repo_path.parent.iterdir()] == ["store.xml"]
+    return out
+
+
+def test_update_refuses_what_parse_refuses(tmp_path, capsys):
+    from test_repository import mutated_documents
+
+    refused = 0
+    for mutant in mutated_documents():
+        with pytest.raises(SchemaViolation) as err:
+            parse(mutant)
+        assert _refused_update(tmp_path, capsys, mutant) == f"SchemaViolation: {err.value}\n"
+        refused += 1
+    assert refused >= 100
+
+
+def test_update_refuses_a_store_out_of_ranking_order(tmp_path, capsys):
+    from test_repository import _swap_blocks, pattern_of
+
+    repo = make_repository([pattern_of(["x()", "y()"], count=2, size=4),
+                            pattern_of(["z()"], count=3, size=4)], "c", "t", 1)
+    assert repo.patterns[0].ranking > repo.patterns[1].ranking
+    swapped = _swap_blocks(serialize(repo), 0)
+    parse(swapped)  # parse checks no order
+    assert _refused_update(tmp_path, capsys, swapped) == (
+        "SchemaViolation: /esdp-repository/patterns/pattern[2]: line 11: pattern ranks above "
+        "pattern[1]: stored patterns must be in ranking order\n")

@@ -19,6 +19,7 @@ from esdp.extractor import (
     tokenize,
 )
 from esdp.items import ItemKind
+from esdp.transactions import build_sequence_db
 from oracles import extract_items_reference, tokenize_reference
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -277,7 +278,8 @@ _JAVA_LEXEMES = st.sampled_from([
     "new B(", "new int[", "x.f(", "a.b().c(", "this.", "super(", "(A) ", "final ",
     "@A ", "List<String> ", "import a.b.C;", "package p;", "int ", "y", "x", "2.5",
     '"s"', "'c'", "->", "\n", "for (A a = x, b = y; ; ) ", "this.f.g(", "(A) (B) ",
-    "do x(); while (", "import a.*;", "l: ", "new int[] {",
+    "do x(); while (", "import a.*;", "l: ", "new int[] {", "x.<A>f(", "class L { } ",
+    "int v[][] ",
 ])
 _NESTINGS = [("if (a) {", "}"), ("{", "}"), ("if (a) ", ""), ("(", ")"), ("f(", ")"),
              ("a.b().c(", ")"), ("new A(", ")"), ("a[", "]"), ("class Q {", "}")]
@@ -384,6 +386,17 @@ def test_else_if_chain_reads_without_nesting():
     ("void m() { final Widget w = make(); w.run(); }",
      [("MD", "m():void"), ("VD", "Widget"), ("MI", "a.make()"), ("MI", "widget.run()")]),
     ("void m(int v[]) { v[0] = 1; }", [("MD", "m(int[]):void"), ("AA", "int[]")]),
+    # explicit type arguments of a generic call are skipped
+    ("Foo f; void m() { f.<String>get(); Foo.<K, V>make(); this.<T>h(); f.g().<T>k(); }",
+     [("FD", "Foo"), ("MD", "m():void"), ("MI", "foo.get()"), ("MI", "Foo.make()"),
+      ("MI", "a.h()"), ("MI", "foo.g()"), ("MI", "unknown.k()")]),
+    # every C-style '[]' after a declarator adds a dimension, to that declarator
+    ("void m() { int w[][] = null; w[0][0] = 1; int[] u[] = null; u[0][0] = 2; }",
+     [("MD", "m():void"), ("VD", "int[][]"), ("AA", "int[][]"), ("VD", "int[][]"),
+      ("AA", "int[][]")]),
+    ("int f[][], g; void m() { int a[], b = 1; f[0][0] = a[b]; }",
+     [("FD", "int[][]"), ("MD", "m():void"), ("VD", "int[]"), ("AA", "int[][]"),
+      ("AA", "int[]")]),
 ])
 def test_reader_items(body, expected):
     items, _ = extract_items("class A extends B { " + body + " }", "a.java")
@@ -401,6 +414,15 @@ def test_reader_items(body, expected):
 ])
 def test_unit_items(source, expected):
     assert [it.identity for it in extract_items(source, "a.java")[0]] == expected
+
+
+def test_local_class_stays_out_of_its_method_record():
+    source = "class C { void m() { class L { void n() { y.g(); } } x.f(); } }"
+    items, _ = extract_items(source, "c.java")
+    assert [it.identity for it in items if it.kind is ItemKind.TD] == [("TD", "C"), ("TD", "L")]
+    records = {r.sid: r.items for r in build_sequence_db(items).records}
+    assert records == {"c.java.C.m()": (("MD", "m():void"), ("MI", "unknown.f()")),
+                       "c.java.C.m().L.n()": (("MD", "n():void"), ("MI", "unknown.g()"))}
 
 
 def test_labeled_loop_keeps_its_markers():

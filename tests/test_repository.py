@@ -2,16 +2,19 @@ from __future__ import annotations
 
 import random
 import re
+import sys
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_sequence_db
+from conftest import random_sequence_db, write_fixture_corpus
+from esdp.extractor import extract_corpus
 from esdp.items import ItemKind
-from esdp.mining import SequentialPattern, mine_prefixspan, sort_patterns
+from esdp.mining import SequentialPattern, adaptive_mine, mine_prefixspan, sort_patterns
 from esdp.repository import (
     _ITEM,
     _NAME,
@@ -23,7 +26,8 @@ from esdp.repository import (
     serialize,
     two_dp,
 )
-from oracles import NAME_REFERENCE, parse_reference, serialize_reference
+from esdp.transactions import build_sequence_db
+from oracles import NAME_REFERENCE, merge_update_reference, parse_reference, serialize_reference
 
 FIG35_ELEMENTS = (
     ("MI", "dom.ASTParser.newParser(int)"),
@@ -374,9 +378,23 @@ def test_store_cut_inside_last_pattern_names_a_line():
         _agrees_with_reference(cut)
 
 
+# --- incremental update: the splice against the reference merge -------------------
+
+def _merged(repo: MinedRepository, fresh, created_at: str = "u",
+            min_support_used: int = 3) -> bytes:
+    """merge_update on the bytes of repo, which must equal what serialize
+    writes for the reference merge."""
+    data = merge_update(serialize(repo), fresh, created_at, min_support_used)
+    assert data == serialize(merge_update_reference(repo, fresh, created_at, min_support_used))
+    return data
+
+
 def test_merge_with_nothing_is_identity():
     repo = make_repository([fig35_pattern()], "c", "t", 2)
-    assert merge_update(repo, []) == repo
+    assert merge_update_reference(repo, []) == repo
+    assert _merged(repo, [], "t", 2) == serialize(repo)
+    empty = make_repository([], "c", "t", 2)
+    assert _merged(empty, [], "t", 2) == serialize(empty)
 
 
 def test_merge_rescoring_updates_only_that_pattern():
@@ -384,32 +402,134 @@ def test_merge_rescoring_updates_only_that_pattern():
     b = pattern_of(["z()"], count=3, size=4)
     repo = make_repository([a, b], "c", "t", 1)
     rescored = pattern_of(["x()", "y()"], count=3, size=4)
-    merged = merge_update(repo, [rescored])
+    merged = parse(_merged(repo, [rescored]))
     by_elements = {p.elements: p for p in merged.patterns}
     assert by_elements[a.elements].support_count == 3
     assert by_elements[b.elements] == b
     assert len(merged.patterns) == 2
+    assert (merged.corpus_label, merged.created_at, merged.min_support_used) == ("c", "u", 3)
 
 
 def test_merge_adds_disjoint_pattern_and_resorts():
     a = pattern_of(["x()"], count=1, size=4)
     repo = make_repository([a], "c", "t", 1)
     fresh = pattern_of(["p()", "q()", "r()"], count=4, size=4)
-    merged = merge_update(repo, [fresh])
+    merged = parse(_merged(repo, [fresh]))
     assert len(merged.patterns) == 2
     assert merged.patterns[0].elements == fresh.elements  # ranking 3.0 first
+
+
+def test_merge_last_of_equal_fresh_element_lists_wins():
+    a = pattern_of(["x()"], count=1, size=4)
+    first, last = pattern_of(["y()"], count=4, size=4), pattern_of(["y()"], count=2, size=4)
+    merged = parse(_merged(make_repository([a], "c", "t", 1), [first, last, a]))
+    assert merged.patterns == (last, a)
 
 
 @settings(max_examples=50, deadline=None)
 @given(repositories(), repositories(), st.data())
 def test_merge_update_is_idempotent(repo, other, data):
     # fresh patterns: some stored element-lists rescored, plus other patterns
+    repo = make_repository(repo.patterns, repo.corpus_label, repo.created_at)
     stored = data.draw(st.lists(st.sampled_from(repo.patterns), max_size=3)) \
         if repo.patterns else []
     rescored = [SequentialPattern(p.elements, 1, p.db_size + 1, 1) for p in stored]
     fresh = rescored + list(other.patterns)
-    once = merge_update(repo, fresh)
-    assert merge_update(once, fresh) == once
+    once = merge_update_reference(repo, fresh)
+    assert merge_update_reference(once, fresh) == once
+    once = _merged(repo, fresh)
+    assert merge_update(once, fresh, "u", 3) == once
+
+
+_FEW_ELEMENTS = st.tuples(st.sampled_from(["MI", "FD"]), st.sampled_from(["a", "b", 'c<&"d']))
+
+
+@st.composite
+def mixed_size_pattern(draw, elements=None) -> SequentialPattern:
+    """A pattern over few elements from one of several database sizes, so
+    that equal rankings (1/3 = 2/6 = 4/12) and equal supports are common."""
+    if elements is None:
+        elements = draw(st.lists(_FEW_ELEMENTS, min_size=1, max_size=3).map(tuple))
+    size = draw(st.sampled_from([1, 3, 4, 6, 12, 35]))
+    count = draw(st.integers(1, size))
+    prefix_count = count if len(elements) == 1 else draw(st.integers(count, size))
+    return SequentialPattern(elements, count, size, prefix_count)
+
+
+@st.composite
+def store_updates(draw) -> tuple[MinedRepository, list[SequentialPattern]]:
+    """A store ranked by make_repository and fresh patterns for it: stored
+    element lists with the same scores (replaced) or new ones (re-scored),
+    new element lists, and element lists given more than once."""
+    stored = draw(st.lists(mixed_size_pattern(), max_size=10))
+    repo = make_repository(stored, draw(_LABELS), "t", draw(st.integers(1, 9)))
+    fresh = draw(st.lists(st.sampled_from(repo.patterns), max_size=4)) if repo.patterns else []
+    for p in draw(st.lists(st.sampled_from(repo.patterns), max_size=4)) if repo.patterns else []:
+        fresh.append(draw(mixed_size_pattern(p.elements)))
+    fresh += draw(st.lists(mixed_size_pattern(), max_size=6))
+    fresh += [draw(mixed_size_pattern(p.elements))
+              for p in draw(st.lists(st.sampled_from(fresh), max_size=3))] if fresh else []
+    return repo, draw(st.permutations(fresh))
+
+
+@settings(max_examples=300, deadline=None)
+@given(store_updates())
+def test_merge_update_writes_what_serialize_writes(update):
+    repo, fresh = update
+    _merged(repo, fresh, "2020-01-01T00:00:00Z", 7)
+
+
+def _mined_stores(name: str, tmp_path) -> tuple[MinedRepository, list[SequentialPattern]]:
+    """(store, fresh patterns): the fixture corpus mined at min-support 3,
+    then at 2; or the update-adaptive benchmark inputs (seed 3)."""
+    if name == "fixture":
+        corpus = write_fixture_corpus(tmp_path / "corpus")
+        db = build_sequence_db(extract_corpus([str(corpus)], ".java")[0])
+        return make_repository(mine_prefixspan(db, 3), "fixture"), mine_prefixspan(db, 2)
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import gen  # the benchmark's seeded corpus generator
+
+    gen.write_inputs(tmp_path / "base", 3, 40, 5, without_idiom=0)
+    gen.write_inputs(tmp_path / "fresh", 3 + 1_000_003, 10, 5)
+    dbs = [build_sequence_db(extract_corpus([str(tmp_path / side / "corpus")], ".java")[0])
+           for side in ("base", "fresh")]
+    return make_repository(mine_prefixspan(dbs[0], 12), "base"), adaptive_mine(dbs[1], 50)
+
+
+@pytest.mark.parametrize("name", ["fixture", "update-adaptive"])
+def test_merge_update_on_mined_stores(name, tmp_path):
+    repo, fresh = _mined_stores(name, tmp_path)
+    assert repo.patterns and fresh
+    _merged(repo, fresh)
+
+
+def _swap_blocks(data: bytes, j: int) -> bytes:
+    """data with its pattern blocks j and j + 1 (from 0) swapped."""
+    blocks = re.split(rb"(?m)^(?=    <pattern |  </patterns>)", data)
+    blocks[j + 1], blocks[j + 2] = blocks[j + 2], blocks[j + 1]
+    return b"".join(blocks)
+
+
+@pytest.mark.parametrize("elements,counts", [
+    ((("x()",), ("y()",)), (3, 2)),          # different rankings
+    ((("x()",), ("y()", "z()")), (2, 1)),    # equal rankings, different supports
+    ((("x()",), ("y()",)), (2, 2)),          # equal rankings and supports: names decide
+])
+def test_update_refuses_a_store_out_of_ranking_order(elements, counts):
+    patterns = [pattern_of(names, count=c, size=4) for names, c in zip(elements, counts)]
+    first = pattern_of(["w()"], count=4, size=4)
+    repo = make_repository(patterns + [first], "c", "t", 1)
+    assert repo.patterns[1:] == tuple(patterns)
+    swapped = _swap_blocks(serialize(repo), 1)
+    assert parse(swapped).patterns == (first, patterns[1], patterns[0])  # parse checks no order
+    with pytest.raises(SchemaViolation) as err:
+        merge_update(swapped, [], "t", 1)
+    heads = [n for n, text in enumerate(swapped.split(b"\n"), 1)
+             if text.startswith(b"    <pattern ")]
+    line = heads[2]
+    assert str(err.value) == (f"/esdp-repository/patterns/pattern[3]: line {line}: "
+                              "pattern ranks above pattern[2]: stored patterns must be in "
+                              "ranking order")
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -432,7 +552,7 @@ def test_sorted_by_ranking_after_every_operation():
         repo = random_repo(rng)
         rankings = [p.ranking for p in repo.patterns]
         assert rankings == sorted(rankings, reverse=True)
-        merged = merge_update(repo, [pattern_of(["fresh()"], count=1, size=9)])
+        merged = parse(_merged(repo, [pattern_of(["fresh()"], count=1, size=9)]))
         rankings = [p.ranking for p in merged.patterns]
         assert rankings == sorted(rankings, reverse=True)
 
@@ -480,9 +600,10 @@ def _duplicate_first_pattern(doc: str) -> str | None:
     return doc.replace(block, block + block, 1)
 
 
-def test_mutated_documents_rejected():
+def mutated_documents():
+    """Schema-violating variants of random mined stores: 120 tries, taking
+    each mutator in turn, of which those that apply."""
     rng = random.Random(31)
-    rejected = 0
     produced = 0
     while produced < 120:
         repo = random_repo(rng)
@@ -490,11 +611,15 @@ def test_mutated_documents_rejected():
             continue
         doc = serialize(repo).decode()
         mutant = mutate(doc, produced, rng)
-        if mutant is None or mutant == doc:
-            produced += 1
-            continue
         produced += 1
+        if mutant is not None and mutant != doc:
+            yield mutant.encode()
+
+
+def test_mutated_documents_rejected():
+    rejected = 0
+    for mutant in mutated_documents():
         with pytest.raises(SchemaViolation):
-            parse(mutant.encode())
+            parse(mutant)
         rejected += 1
     assert rejected >= 100
