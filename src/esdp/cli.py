@@ -10,14 +10,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import tempfile
 import time
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
 
-from . import groum as groum_mod
-from . import metrics
 from .extractor import UnparsableSource, dump_items, extract_corpus
 from .mining import InvalidThreshold, adaptive_mine, mine_prefixspan
 from .query import (
@@ -42,12 +39,26 @@ _DOMAIN_ERRORS = (
     UnparsableQuery,
     SchemaViolation,
     InvalidThreshold,
-    groum_mod.MalformedControlNesting,
-    metrics.UndefinedMetric,
-    metrics.DegenerateLabels,
     OSError,
     ValueError,
 )
+
+
+def _domain_errors() -> tuple[type[Exception], ...]:
+    """The errors main reports in one line, with exit status 1.
+
+    groum and metrics are imported only by the commands that use them, so
+    their errors count once a command has imported the module: before
+    that, neither can have raised.
+    """
+    errors = _DOMAIN_ERRORS
+    groum = sys.modules.get(f"{__package__}.groum")
+    if groum is not None:
+        errors += (groum.MalformedControlNesting,)
+    metrics = sys.modules.get(f"{__package__}.metrics")
+    if metrics is not None:
+        errors += (metrics.UndefinedMetric, metrics.DegenerateLabels)
+    return errors
 
 
 def _repo_path(args: argparse.Namespace) -> str:
@@ -64,6 +75,8 @@ def _created_stamp() -> str:
 def _write_atomic(path: str, data: bytes) -> None:
     """Replace path with data in one step: a failure at any point leaves the
     previous file whole and no temporary file behind."""
+    import tempfile
+
     target = Path(path)
     try:
         fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.", suffix=".tmp")
@@ -199,6 +212,8 @@ def _cmd_query(args: argparse.Namespace) -> str:
 
 
 def _cmd_groum(args: argparse.Namespace) -> str:
+    from . import groum as groum_mod
+
     items, markers = _extract(args)
     groums = groum_mod.build_groums_for_methods(items, markers)
     patterns = groum_mod.patt_explorer(groums, args.sigma)
@@ -231,6 +246,8 @@ def _parse_gold_line(line: str, where: str) -> tuple[str, list[str], int | None]
 
 
 def _cmd_eval(args: argparse.Namespace) -> str:
+    from . import metrics
+
     if not args.gold:
         raise ValueError("no gold file given")
     repo = parse(Path(_repo_path(args)).read_bytes())
@@ -285,16 +302,6 @@ def _cmd_eval(args: argparse.Namespace) -> str:
     return "\n".join(out)
 
 
-_COMMANDS = {
-    "extract": _cmd_extract,
-    "mine": _cmd_mine,
-    "update": _cmd_update,
-    "query": _cmd_query,
-    "groum": _cmd_groum,
-    "eval": _cmd_eval,
-}
-
-
 # --- argument parsing -----------------------------------------------------------
 
 def _positive_int(text: str) -> int:
@@ -313,48 +320,41 @@ def _binding(text: str) -> tuple[str, str]:
     return name, type_name
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="esdp",
-        description="API usage pattern mining and code recommendation.")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _corpus_opts(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--corpus", action="append", required=True, metavar="DIR",
+                   help="corpus directory (repeatable)")
+    p.add_argument("--ext", default=".java", help="source extension filter")
 
-    def corpus_opts(p):
-        p.add_argument("--corpus", action="append", required=True, metavar="DIR",
-                       help="corpus directory (repeatable)")
-        p.add_argument("--ext", default=".java", help="source extension filter")
 
-    def repo_opt(p):
-        p.add_argument("--repo", default="", metavar="FILE",
-                       help="repository path (default: $ESDP_REPO or esdp-repo.xml)")
+def _repo_opt(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--repo", default="", metavar="FILE",
+                   help="repository path (default: $ESDP_REPO or esdp-repo.xml)")
 
-    def context_opts(p):
-        p.add_argument("--var", action="append", default=[], type=_binding,
-                       metavar="NAME=TYPE", help="context variable binding (repeatable)")
-        p.add_argument("--import", dest="imports", action="append", default=[],
-                       metavar="QNAME", help="context import (repeatable)")
 
-    p = sub.add_parser("extract", help="dump the abstracted item stream")
-    corpus_opts(p)
+def _context_opts(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--var", action="append", default=[], type=_binding,
+                   metavar="NAME=TYPE", help="context variable binding (repeatable)")
+    p.add_argument("--import", dest="imports", action="append", default=[],
+                   metavar="QNAME", help="context import (repeatable)")
 
-    def mining_opts(p):
-        corpus_opts(p)
-        repo_opt(p)
-        p.add_argument("--min-support", type=_positive_int, default=2)
-        p.add_argument("--adaptive", action="store_true",
-                       help="pick min-support dynamically under --max-patterns")
-        p.add_argument("--max-patterns", type=_positive_int, default=50)
 
-    p = sub.add_parser("mine", help="mine a corpus into a pattern repository")
-    mining_opts(p)
+def _mining_opts(p: argparse.ArgumentParser) -> None:
+    _corpus_opts(p)
+    _repo_opt(p)
+    p.add_argument("--min-support", type=_positive_int, default=2)
+    p.add_argument("--adaptive", action="store_true",
+                   help="pick min-support dynamically under --max-patterns")
+    p.add_argument("--max-patterns", type=_positive_int, default=50)
+
+
+def _mine_opts(p: argparse.ArgumentParser) -> None:
+    _mining_opts(p)
     p.add_argument("--corpus-label", default="")
 
-    p = sub.add_parser("update", help="merge a fresh mine into an existing repository")
-    mining_opts(p)
 
-    p = sub.add_parser("query", help="recommend sequences for one statement")
-    repo_opt(p)
-    context_opts(p)
+def _query_opts(p: argparse.ArgumentParser) -> None:
+    _repo_opt(p)
+    _context_opts(p)
     p.add_argument("--top", type=_positive_int, default=5)
     p.add_argument("--pick", type=int, default=0,
                    help="recommendation to render (1..N; 0: ask on a terminal, else 1)")
@@ -363,23 +363,62 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--time", action="store_true", help="print wall-clock per query")
     p.add_argument("statement")
 
-    p = sub.add_parser("groum", help="build object usage graphs and mine subgraph patterns")
-    corpus_opts(p)
+
+def _groum_opts(p: argparse.ArgumentParser) -> None:
+    _corpus_opts(p)
     p.add_argument("--sigma", type=_positive_int, default=2)
 
-    p = sub.add_parser("eval", help="score recommendations against a gold file")
-    repo_opt(p)
-    context_opts(p)
+
+def _eval_opts(p: argparse.ArgumentParser) -> None:
+    _repo_opt(p)
+    _context_opts(p)
     p.add_argument("--gold", required=True, metavar="FILE")
     p.add_argument("--format", choices=("table", "csv"), default="table")
+
+
+# name: (command, help line, what adds the subcommand's options to its parser)
+_COMMANDS = {
+    "extract": (_cmd_extract, "dump the abstracted item stream", _corpus_opts),
+    "mine": (_cmd_mine, "mine a corpus into a pattern repository", _mine_opts),
+    "update": (_cmd_update, "merge a fresh mine into an existing repository", _mining_opts),
+    "query": (_cmd_query, "recommend sequences for one statement", _query_opts),
+    "groum": (_cmd_groum, "build object usage graphs and mine subgraph patterns", _groum_opts),
+    "eval": (_cmd_eval, "score recommendations against a gold file", _eval_opts),
+}
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of command alone.
+
+    The parser of one subcommand spells all of them out as the metavar, so
+    its usage line, and with it every help text and error on arguments
+    that start with that subcommand, is the full parser's. The full parser
+    keeps argparse's default, under which a missing subcommand is named
+    "command".
+    """
+    parser = argparse.ArgumentParser(
+        prog="esdp",
+        description="API usage pattern mining and code recommendation.")
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if command is None else "{" + ",".join(_COMMANDS) + "}")
+    for name, (_, help_text, add_options) in _COMMANDS.items():
+        if command is None or name == command:
+            add_options(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # Building all six subcommands costs some twenty times what parsing
+    # costs, so only the one argv names is built. No arguments, -h or an
+    # unknown word get the full parser, whose help or error names them all.
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = _build_parser(command).parse_args(argv)
     try:
-        status, report = 0, _COMMANDS[args.command](args)
-    except _DOMAIN_ERRORS as exc:
+        status, report = 0, _COMMANDS[args.command][0](args)
+    except _domain_errors() as exc:
         status, report = 1, f"{type(exc).__name__}: {exc}"
     print(report)
     return status

@@ -8,8 +8,8 @@ the same item.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 
 class ItemKind(Enum):
@@ -39,8 +39,7 @@ class MarkerKind(Enum):
     LOOP_END = "LOOP_END"
 
 
-@dataclass(frozen=True)
-class SourceItem:
+class SourceItem(NamedTuple):
     """One abstracted code entity.
 
     Mining identity is the (kind, name) pair only; ``enclosing`` (block path
@@ -57,8 +56,7 @@ class SourceItem:
         return (self.kind.value, self.name)
 
 
-@dataclass(frozen=True)
-class ControlMarker:
+class ControlMarker(NamedTuple):
     """Begin/end of an if or loop region inside a method block."""
 
     kind: MarkerKind

@@ -7,8 +7,9 @@ canonical bytes ``serialize`` writes: UTF-8, LF line ends, the fixed
 indentation and attribute order, numbers without leading zeros, and only
 the escapes ``serialize`` uses. It reads line by line; any other byte is a
 SchemaViolation naming the line and the element path. Within one call the
-reader checks each distinct pattern head and item line once and the writer
-renders each once: mined stores repeat them heavily.
+reader checks each distinct head line and item line once, and the checks
+that span a head's lines once per distinct head; the writer renders each
+distinct head and item line once: mined stores repeat them heavily.
 
 ``merge_update`` updates a store bytes in, bytes out. It checks the store
 with the same reader, and that its patterns stand in ranking order, then
@@ -167,7 +168,6 @@ _HEADER = re.compile(f'<esdp-repository version="1" corpus="{_ATTR}" created="{_
 _PATTERN = re.compile(f'    <pattern kind="{_KIND}" k="{_NUM}">')
 _SUPPORT = re.compile(f'      <support num="{_NUM}" den="{_NUM}">([^<]*)</support>')
 _CONFIDENCE = re.compile(f'      <confidence num="{_NUM}" den="{_NUM}">([^<]*)</confidence>')
-_RANKING = re.compile("      <ranking>([^<]*)</ranking>")
 _ITEM = re.compile(f'        <s i="{_NUM}" kind="{_KIND}">{_NAME}</s>')
 
 
@@ -184,48 +184,70 @@ def _expected(what: str, line: str) -> str:
     return f"expected {what}, found {line[:120]!r}"
 
 
-def _read_head(lines: list[str], n: int, idx: int) -> tuple[str, int, int, int, int]:
+def _read_head(lines: list[str], n: int, idx: int,
+               accepted: tuple[dict, dict, dict]) -> tuple[str, int, int, int, int]:
     """Check a pattern's four opening lines, lines[n:n + 4]; (kind, k, num, den, cden).
 
-    Every check here depends on the text of those lines alone, so text
-    accepted once is accepted again wherever it stands.
+    The checks on one line's text alone run once per distinct line: accepted
+    maps each <pattern>, <support> and <confidence> line read before to what
+    it holds. The checks that span lines run on every call, in their order
+    among the others, and each line is read only when the checks reach it.
     """
-    m = _PATTERN.fullmatch(lines[n])
-    if m is None:
-        raise _pattern_violation(n + 1, _expected('<pattern kind=".." k="..">', lines[n]), idx)
-    kind, k = m[1], int(m[2])
+    pattern_lines, support_lines, confidence_lines = accepted
+    line = lines[n]
+    got = pattern_lines.get(line)
+    if got is None:
+        m = _PATTERN.fullmatch(line)
+        if m is None:
+            raise _pattern_violation(n + 1, _expected('<pattern kind=".." k="..">', line), idx)
+        got = pattern_lines[line] = m[1], int(m[2])
+    kind, k = got
 
-    m = _SUPPORT.fullmatch(lines[n + 1])
-    if m is None:
-        raise _pattern_violation(
-            n + 2, _expected('<support num=".." den="..">', lines[n + 1]), idx, "support")
-    num, den = int(m[1]), int(m[2])
-    if num > den:
-        raise _pattern_violation(n + 2, "num must be within 1..den", idx, "support")
-    if m[3] != two_dp(num, den):
-        raise _pattern_violation(
-            n + 2, f"display value {m[3]!r} inconsistent with {num}/{den}", idx, "support")
+    line = lines[n + 1]
+    got = support_lines.get(line)
+    if got is None:
+        m = _SUPPORT.fullmatch(line)
+        if m is None:
+            raise _pattern_violation(
+                n + 2, _expected('<support num=".." den="..">', line), idx, "support")
+        num, den = int(m[1]), int(m[2])
+        if num > den:
+            raise _pattern_violation(n + 2, "num must be within 1..den", idx, "support")
+        if m[3] != two_dp(num, den):
+            raise _pattern_violation(
+                n + 2, f"display value {m[3]!r} inconsistent with {num}/{den}", idx, "support")
+        got = support_lines[line] = num, den
+    num, den = got
 
-    m = _CONFIDENCE.fullmatch(lines[n + 2])
-    if m is None:
-        raise _pattern_violation(
-            n + 3, _expected('<confidence num=".." den="..">', lines[n + 2]), idx, "confidence")
-    cnum, cden = int(m[1]), int(m[2])
+    line = lines[n + 2]
+    got = confidence_lines.get(line)
+    if got is None:
+        m = _CONFIDENCE.fullmatch(line)
+        if m is None:
+            raise _pattern_violation(
+                n + 3, _expected('<confidence num=".." den="..">', line), idx, "confidence")
+        cnum, cden = int(m[1]), int(m[2])
+        # a display value at odds with the fraction is refused only after
+        # the checks against the support and k, which come first
+        got = confidence_lines[line] = cnum, cden, (None if m[3] == two_dp(cnum, cden)
+                                                    else m[3])
+    cnum, cden, wrong_display = got
     if cnum != num:
         raise _pattern_violation(
             n + 3, "confidence numerator must equal the support count", idx, "confidence")
     if cnum > cden or (k == 1 and cden != cnum):
         raise _pattern_violation(
             n + 3, f"confidence {cnum}/{cden} out of range for k={k}", idx, "confidence")
-    if m[3] != two_dp(cnum, cden):
+    if wrong_display is not None:
         raise _pattern_violation(
-            n + 3, f"display value {m[3]!r} inconsistent with {cnum}/{cden}", idx, "confidence")
+            n + 3, f"display value {wrong_display!r} inconsistent with {cnum}/{cden}", idx,
+            "confidence")
 
-    m = _RANKING.fullmatch(lines[n + 3])
-    if m is None or m[1] != two_dp(k * num, den):
+    shown = two_dp(k * num, den)
+    if lines[n + 3] != f"      <ranking>{shown}</ranking>":
         raise _pattern_violation(
-            n + 4, _expected(f"<ranking>{two_dp(k * num, den)}</ranking> (k * support)",
-                             lines[n + 3]), idx, "ranking")
+            n + 4, _expected(f"<ranking>{shown}</ranking> (k * support)", lines[n + 3]), idx,
+            "ranking")
     return kind, k, num, den, cden
 
 
@@ -288,17 +310,19 @@ def _read(data: bytes) -> tuple[str, str, int, list[SequentialPattern], dict[tup
         n = 2
         # Text that passed _read_head or _read_item once passes again, so
         # each distinct head and (item line, ordinal) is checked once per
-        # call; a line not seen before gets every check, in the same order.
-        # The head key is a slice, so a document cut short yields a short
-        # key that misses and _read_head reports the cut.
+        # call, and within a new head each distinct line; text not seen
+        # before gets every check, in the same order. The head key is a
+        # slice, so a document cut short yields a short key that misses and
+        # _read_head reports the cut.
         heads: dict[tuple, tuple[str, int, int, int, int]] = {}
+        head_lines: tuple[dict, dict, dict] = ({}, {}, {})
         items: dict[tuple, tuple[str, str]] = {}
         while True:
             idx = len(patterns) + 1
             text = tuple(lines[n:n + 4])
             head = heads.get(text)
             if head is None:
-                head = heads[text] = _read_head(lines, n, idx)
+                head = heads[text] = _read_head(lines, n, idx, head_lines)
             kind, k, num, den, cden = head
             if lines[n + 4] != "      <sequence>":
                 raise _pattern_violation(
@@ -326,7 +350,7 @@ def _read(data: bytes) -> tuple[str, str, int, list[SequentialPattern], dict[tup
             if key in seen:
                 raise _pattern_violation(n - k - 6, "duplicate pattern element-list", idx)
             seen[key] = idx - 1
-            patterns.append(SequentialPattern(key, num, den, cden))
+            patterns.append(SequentialPattern._make((key, num, den, cden)))
             if lines[n] == "  </patterns>":
                 n += 1
                 break

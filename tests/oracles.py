@@ -46,7 +46,6 @@ from esdp.repository import (
     _ITEM,
     _NAME,
     _PATTERN,
-    _RANKING,
     _SUPPORT,
     MinedRepository,
     _esc,
@@ -1318,6 +1317,11 @@ def serialize_reference(repo: MinedRepository) -> bytes:
     out.append("</esdp-repository>")
     out.append("")
     return "\n".join(out).encode("utf-8")
+
+
+# The reader compares a ranking line with the one text it may hold; the
+# reference matches it against this expression and then checks the value.
+_RANKING = re.compile("      <ranking>([^<]*)</ranking>")
 
 
 def parse_reference(data: bytes) -> MinedRepository:

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import importlib
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import esdp.cli
 from conftest import write_fixture_corpus
 from esdp.cli import main
 from esdp.repository import SchemaViolation, make_repository, parse, serialize
@@ -221,6 +225,33 @@ def test_domain_error_exits_1(tmp_path, capsys):
     assert "FileNotFoundError" in out
 
 
+
+@pytest.mark.parametrize("module,function,error", [
+    ("groum", "patt_explorer", "MalformedControlNesting"),
+    ("metrics", "sequence_pr", "UndefinedMetric"),
+    ("metrics", "roc_points", "DegenerateLabels"),
+])
+def test_error_of_a_lazily_imported_module_exits_1(corpus, tmp_path, capsys, monkeypatch,
+                                                   module, function, error):
+    # groum and metrics are imported by the commands that use them
+    imported = importlib.import_module(f"esdp.{module}")
+
+    def fail(*args):
+        raise getattr(imported, error)("refused")
+
+    monkeypatch.setattr(imported, function, fail)
+    if module == "groum":
+        argv = ["groum", "--corpus", str(corpus)]
+    else:
+        repo_path = tmp_path / "repo.xml"
+        run(["mine", "--corpus", str(corpus), "--repo", str(repo_path)], capsys)
+        gold = tmp_path / "gold.tsv"
+        gold.write_text("parser.setKind(0);\taSTParser.setKind(int)\t1\n"
+                        "ghost.vanish();\tno.such(item)\t0\n", encoding="utf-8")
+        argv = ["eval", "--repo", str(repo_path), "--gold", str(gold),
+                "--var", "parser=ASTParser"]
+    assert run(argv, capsys) == (1, f"{error}: refused\n")
+
 def test_directory_in_place_of_a_file_exits_1(corpus, tmp_path, capsys):
     repo_path = tmp_path / "repo.xml"
     run(["mine", "--corpus", str(corpus), "--repo", str(repo_path)], capsys)
@@ -334,8 +365,6 @@ def test_corpus_may_name_a_source_file(corpus, capsys):
 def test_query_time_includes_store_parse(corpus, tmp_path, capsys, monkeypatch):
     import time
 
-    import esdp.cli
-
     repo_path = tmp_path / "out.xml"
     run(["mine", "--corpus", str(corpus), "--repo", str(repo_path)], capsys)
 
@@ -353,8 +382,6 @@ def test_query_time_includes_store_parse(corpus, tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("failing", ["merge_update", "replace"])
 def test_failed_update_leaves_store_whole(corpus, tmp_path, capsys, monkeypatch, failing):
-    import esdp.cli
-
     (tmp_path / "store").mkdir()
     repo_path = tmp_path / "store" / "store.xml"
     run(["mine", "--corpus", str(corpus), "--min-support", "3", "--repo", str(repo_path)],
@@ -472,3 +499,37 @@ def test_update_refuses_a_store_out_of_ranking_order(tmp_path, capsys):
     assert _refused_update(tmp_path, capsys, swapped) == (
         "SchemaViolation: /esdp-repository/patterns/pattern[2]: line 11: pattern ranks above "
         "pattern[1]: stored patterns must be in ranking order\n")
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["frobnicate"],
+    ["query"], ["query", "-h"], ["query", "x.y();", "extra"],
+    ["mine", "--help"], ["groum", "--sigma", "0", "--corpus", "c"],
+], ids=repr)
+def test_subcommand_parser_answers_as_the_full_parser(argv, capsys):
+    # main builds only the subcommand argv names; its help, usage errors and
+    # exit status are those of the parser with every subcommand built
+    def outcome(parse_args):
+        with pytest.raises(SystemExit) as err:
+            parse_args(argv)
+        captured = capsys.readouterr()
+        return captured.out, captured.err, err.value.code
+
+    built = outcome(main)
+    assert built == outcome(lambda argv: esdp.cli._build_parser().parse_args(argv))
+    if argv == ["query", "x.y();", "extra"]:
+        assert built[1].startswith("usage: esdp [-h] {extract,mine,update,query,groum,eval} ...\n")
+
+
+def test_query_imports_neither_groum_nor_metrics(tmp_path):
+    code = ("import sys\n"
+            "import esdp.cli\n"
+            "status = esdp.cli.main(sys.argv[1:])\n"
+            "print(status, *(m for m in ('esdp.groum', 'esdp.metrics') if m in sys.modules))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(esdp.cli.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", code, "query", "--repo",
+                           str(_two_call_store(tmp_path)), "--pick", "1", *_SET_KIND],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert "--- skeleton ---" in done.stdout
+    assert done.stdout.splitlines()[-1] == "0"

@@ -378,6 +378,80 @@ def test_store_cut_inside_last_pattern_names_a_line():
         _agrees_with_reference(cut)
 
 
+# A line that passed its own checks in one head may fail those that span
+# lines in another: each such check runs again for every distinct head.
+
+def _with_head_line_of_first(first: SequentialPattern, second: SequentialPattern,
+                             offset: int) -> bytes:
+    """The store of first then second, the head line at offset (0 pattern,
+    1 support, 2 confidence, 3 ranking) of second replaced by first's."""
+    lines = serialize(MinedRepository((first, second))).split(b"\n")
+    a, b = (j for j, line in enumerate(lines) if line.startswith(b"    <pattern "))
+    lines[b + offset] = lines[a + offset]
+    return b"\n".join(lines)
+
+
+_PREFIX_3 = pattern_of(["a", "b"])._replace(prefix_count=3)
+
+
+@pytest.mark.parametrize("first,second,offset,message", [
+    # a confidence line valid under support 2, read under support 3
+    (_PREFIX_3, pattern_of(["c", "d"], count=3), 2,
+     "confidence numerator must equal the support count"),
+    # a k=1 pattern given the confidence line of a k=2 pattern
+    (_PREFIX_3, pattern_of(["c"]), 2, "confidence 2/3 out of range for k=1"),
+    # and the other way round, which is a valid confidence for k=2
+    (pattern_of(["c"]), _PREFIX_3, 2, None),
+    # a ranking line read under another k, with the same support line
+    (pattern_of(["a", "b"]), pattern_of(["a", "b", "c"]), 3,
+     "expected <ranking>1.50</ranking> (k * support), found '      <ranking>1.00</ranking>'"),
+    # a ranking line read under another den
+    (pattern_of(["a"], count=1, size=2), pattern_of(["b"], count=1, size=3), 3,
+     "expected <ranking>0.33</ranking> (k * support), found '      <ranking>0.50</ranking>'"),
+    # and under another num and den that give the same ranking
+    (pattern_of(["a"], count=1, size=2), pattern_of(["b"], count=2, size=4), 3, None),
+])
+def test_checks_across_lines_run_for_each_head(first, second, offset, message):
+    mutant = _with_head_line_of_first(first, second, offset)
+    _agrees_with_reference(mutant)
+    if message is None:
+        assert len(parse(mutant).patterns) == 2
+    else:
+        with pytest.raises(SchemaViolation) as err:
+            parse(mutant)
+        assert str(err.value).endswith(message)
+        assert err.value.path.startswith("/esdp-repository/patterns/pattern[2]")
+
+
+def test_numerator_refused_before_display_of_one_confidence_line():
+    # the display value would be refused too, but the checks against the
+    # support come first
+    doc = serialize(make_repository([pattern_of(["x()", "y()"])])).decode()
+    mutant = doc.replace('<confidence num="2" den="2">1.00<',
+                         '<confidence num="3" den="4">0.10<').encode()
+    with pytest.raises(SchemaViolation, match="confidence numerator must equal the support"):
+        parse(mutant)
+    _agrees_with_reference(mutant)
+
+
+@pytest.mark.parametrize("kept,expected", [
+    (1, '<support num=".." den="..">'),
+    (2, '<confidence num=".." den="..">'),
+    (3, "<ranking>1.00</ranking> (k * support)"),
+])
+def test_store_cut_inside_a_head_seen_before_names_the_cut(kept, expected):
+    # the first kept lines of the second head were each accepted in the first
+    first, second = pattern_of(["x()", "y()"]), pattern_of(["x()", "z()"])
+    lines = serialize(MinedRepository((first, second))).split(b"\n")
+    b = lines.index(b'    <pattern kind="MI" k="2">', 1)
+    assert lines[b:b + 4] == lines[2:6]
+    cut = b"\n".join(lines[:b + kept]) + b"\n"
+    with pytest.raises(SchemaViolation) as err:
+        parse(cut)
+    assert str(err.value).endswith(f"line {b + kept + 1}: expected {expected}, found ''")
+    _agrees_with_reference(cut)
+
+
 # --- incremental update: the splice against the reference merge -------------------
 
 def _merged(repo: MinedRepository, fresh, created_at: str = "u",
