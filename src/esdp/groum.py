@@ -10,6 +10,10 @@ independent-occurrence frequency reaches the threshold. Two exact prunes
 spare work on candidates that cannot be frequent: a label group with fewer
 candidates than the threshold is dropped before any key is computed, and a
 class found infrequent is remembered, so its frequency is computed once.
+Repeated work is skipped without changing the output: the canonical key is
+computed once per labelled shape (labels and edges of a candidate in
+ascending node-id order), and occurrences that share no node are counted
+without a search.
 """
 
 from __future__ import annotations
@@ -216,9 +220,13 @@ def independent_occurrence_count(occurrences: Sequence[frozenset[int]],
     maximum independent sets add up: each component of at most
     EXACT_OCCURRENCE_LIMIT is counted exactly (branch and bound), a larger
     one greedily in first-seen order, and any greedy component flags the sum
-    as a lower bound. Sets of occurrences are bit masks over their indexes.
+    as a lower bound. Pairwise disjoint occurrences, whose union is as large
+    as their sizes added up, are all counted at once. Sets of occurrences
+    are bit masks over their indexes.
     """
     occs = list(occurrences)
+    if len(frozenset().union(*occs)) == sum(map(len, occs)):  # pairwise disjoint
+        return len(occs), True
     holders: dict[int, int] = {}  # node -> the occurrences that hold it
     for i, occ in enumerate(occs):
         for v in occ:
@@ -304,13 +312,13 @@ class _Host:
     graph: Groum
     labels: dict[int, str]
     neighbors: dict[int, set[int]]  # both edge directions
-    successors: dict[int, list[int]]
+    successors: dict[int, list[int]]  # ascending: equal shapes list their edges alike
 
     @classmethod
     def of(cls, g: Groum) -> "_Host":
         neighbors: dict[int, set[int]] = {n.id: set() for n in g.nodes}
         successors: dict[int, list[int]] = {n.id: [] for n in g.nodes}
-        for a, b in g.edges:
+        for a, b in sorted(g.edges):
             neighbors[a].add(b)
             neighbors[b].add(a)
             successors[a].append(b)
@@ -326,8 +334,9 @@ def patt_explorer(dataset: Sequence[Groum], sigma: int) -> list[GroumPattern]:
     canonical key and classes meeting the threshold recurse. Two exact
     prunes (see _explore) skip a label group with fewer than sigma
     candidates and remember, in a set local to this call, every class found
-    infrequent. Output holds one pattern per canonical key, ordered by
-    (size, canonical key).
+    infrequent; canonical keys are memoized per labelled shape, also only
+    for this call (see _isomorphism_classes). Output holds one pattern per
+    canonical key, ordered by (size, canonical key).
     """
     if sigma < 1:
         raise InvalidThreshold(f"sigma must be >= 1, got {sigma}")
@@ -352,19 +361,21 @@ def patt_explorer(dataset: Sequence[Groum], sigma: int) -> list[GroumPattern]:
             explored[canonical_form(rep)] = GroumPattern(rep, occs, freq, 1, True)
             frequent.add(label)
     keys: dict[tuple[int, frozenset[int]], tuple] = {}
+    shapes: dict[tuple, tuple] = {}
     rejected: set[tuple] = set()
     for pattern in list(explored.values()):
-        _explore(pattern, hosts, frequent, sigma, explored, rejected, keys)
+        _explore(pattern, hosts, frequent, sigma, explored, rejected, keys, shapes)
     return [p for _, p in sorted(explored.items(), key=lambda kv: (kv[1].size, kv[0]))]
 
 
 def _explore(pattern: GroumPattern, hosts: Sequence[_Host], frequent: set[str],
              sigma: int, explored: dict[tuple, GroumPattern], rejected: set[tuple],
-             keys: dict[tuple[int, frozenset[int]], tuple]) -> None:
+             keys: dict[tuple[int, frozenset[int]], tuple],
+             shapes: dict[tuple, tuple]) -> None:
     """Grow pattern depth first, labels in sorted order, adding every new
     frequent class to explored and every infrequent one to rejected, under
-    its canonical key. keys memoizes the canonical key of each (graph index,
-    node set) seen in this call.
+    its canonical key. keys and shapes are the memos of
+    _isomorphism_classes for this call.
 
     Both prunes are exact. A class's frequency is a sum of maximum
     disjoint-occurrence counts, so it is at most its number of distinct
@@ -396,7 +407,7 @@ def _explore(pattern: GroumPattern, hosts: Sequence[_Host], frequent: set[str],
         group = extensions[label]
         if sum(len(s) for s in group.values()) < sigma:
             continue
-        for key, occurrences in _isomorphism_classes(hosts, group, keys):
+        for key, occurrences in _isomorphism_classes(hosts, group, keys, shapes):
             if key in explored or key in rejected:
                 continue
             freq, exact = frequency(occurrences)
@@ -407,26 +418,41 @@ def _explore(pattern: GroumPattern, hosts: Sequence[_Host], frequent: set[str],
             rep = induced_subgraph(hosts[gi].graph, occurrences[gi][0])
             cls = GroumPattern(rep, occurrences, freq, len(rep.nodes), exact)
             explored[key] = cls
-            _explore(cls, hosts, frequent, sigma, explored, rejected, keys)
+            _explore(cls, hosts, frequent, sigma, explored, rejected, keys, shapes)
 
 
 def _isomorphism_classes(hosts: Sequence[_Host],
                          candidates: dict[int, set[frozenset[int]]],
                          keys: dict[tuple[int, frozenset[int]], tuple],
+                         shapes: dict[tuple, tuple],
                          ) -> list[tuple[tuple, dict[int, list[frozenset[int]]]]]:
     """Partition candidate subgraphs into label-isomorphism classes: each
     canonical key with its occurrences, in first-seen order over sorted
     graph indexes and sorted node sets. The first occurrence of a class is
-    its representative. A key missing from keys is computed and stored."""
+    its representative.
+
+    keys maps (graph index, node set) to its canonical key; on a miss the
+    key is looked up in shapes under the candidate's labelled shape, its
+    labels in ascending node-id order and its edges as (position, position)
+    pairs, and computed by _canonical_key only when the shape is new. Both
+    memos are exact: two candidates with equal shapes are mapped onto each
+    other by the position bijection, which keeps labels and edges, and the
+    canonical key depends only on the labelled graph up to isomorphism, so
+    the key of the shape is the key of every occurrence that has it."""
     classes: dict[tuple, dict[int, list[frozenset[int]]]] = {}
     for gi in sorted(candidates):
         host = hosts[gi]
-        for occ in sorted(candidates[gi], key=sorted):
+        for nodes, occ in sorted([(sorted(occ), occ) for occ in candidates[gi]]):
             key = keys.get((gi, occ))
             if key is None:
-                key = keys[gi, occ] = _canonical_key(
-                    {v: host.labels[v] for v in occ},
-                    [(a, b) for a in occ for b in host.successors[a] if b in occ])
+                position = {v: i for i, v in enumerate(nodes)}
+                shape = (tuple(map(host.labels.__getitem__, nodes)),
+                         tuple((i, position[b]) for i, a in enumerate(nodes)
+                               for b in host.successors[a] if b in position))
+                key = shapes.get(shape)
+                if key is None:
+                    key = shapes[shape] = _canonical_key(dict(enumerate(shape[0])), shape[1])
+                keys[gi, occ] = key
             classes.setdefault(key, {}).setdefault(gi, []).append(occ)
     return list(classes.items())
 

@@ -99,10 +99,14 @@ def search(q: UserQuery, repo: MinedRepository, top_n: int) -> list[Recommendati
             if q.item in p.elements:
                 take(Recommendation(p, p.elements.index(q.item)))
     if len(chosen) < top_n:
+        meets: dict[str, bool] = {}  # element name -> substring match, once per name
         for p in repo.patterns:
             for offset, (_, ename) in enumerate(p.elements):
-                ebase = ename.split("(", 1)[0]
-                if base in ebase or ebase in base:
+                hit = meets.get(ename)
+                if hit is None:
+                    ebase = ename.split("(", 1)[0]
+                    hit = meets[ename] = base in ebase or ebase in base
+                if hit:
                     take(Recommendation(p, offset))
                     break
     return chosen[:top_n]

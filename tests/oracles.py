@@ -27,7 +27,6 @@ from esdp.groum import (
     _Host,
     _max_independent,
     canonical_form,
-    frequency,
     induced_subgraph,
 )
 from esdp.items import (
@@ -156,6 +155,39 @@ def pattern_sort_key(p):
 # The item-name expression the unrolled repository._NAME replaced: one
 # alternation of a plain character or an escape, tried at every character.
 NAME_REFERENCE = "((?:[^&<>\\x00-\\x08\\x0a-\\x1f]|&(?:amp|lt|gt);)+)"
+
+
+# --- query search --------------------------------------------------------------------
+
+def search_reference(item: tuple[str, str], patterns, top_n: int) -> list[tuple[object, int]]:
+    """(pattern, match offset) pairs of ``esdp.query.search`` as it was when
+    it split every element name of every pattern it visited: tier 1 patterns
+    led by the item, tier 2 patterns holding it, tier 3 the first element
+    whose name before '(' is a substring of the item's or holds it."""
+    base = item[1].split("(", 1)[0]
+    chosen: list[tuple[object, int]] = []
+    seen: set[tuple] = set()
+
+    def take(p, offset: int) -> None:
+        if p.elements not in seen:
+            seen.add(p.elements)
+            chosen.append((p, offset))
+
+    for p in patterns:
+        if p.elements[0] == item:
+            take(p, 0)
+    if len(chosen) < top_n:
+        for p in patterns:
+            if item in p.elements:
+                take(p, p.elements.index(item))
+    if len(chosen) < top_n:
+        for p in patterns:
+            for offset, (_, ename) in enumerate(p.elements):
+                ebase = ename.split("(", 1)[0]
+                if base in ebase or ebase in base:
+                    take(p, offset)
+                    break
+    return chosen[:top_n]
 
 
 # --- longest common subsequence ------------------------------------------------------
@@ -321,9 +353,12 @@ def exhaustive_groum_patterns(dataset, sigma: int):
 
 
 def patt_explorer_reference(dataset: Sequence[Groum], sigma: int) -> list[GroumPattern]:
-    """The explorer before its label-group bound and its memo of infrequent
-    classes, kept verbatim as the differential reference of
-    ``esdp.groum.patt_explorer``.
+    """The explorer before its label-group bound, its memo of infrequent
+    classes, its memo of keys by labelled shape and its count of disjoint
+    occurrences without a search, kept as the differential reference of
+    ``esdp.groum.patt_explorer``: it computes one canonical key per
+    occurrence and counts occurrences with
+    independent_occurrence_count_reference.
 
     All frequent induced-subgraph patterns of the dataset.
 
@@ -385,7 +420,7 @@ def _explore_reference(pattern: GroumPattern, hosts: Sequence[_Host], frequent: 
         for key, occurrences in _isomorphism_classes_reference(hosts, extensions[label], keys):
             if key in explored:
                 continue
-            freq, exact = frequency(occurrences)
+            freq, exact = _frequency_reference(occurrences)
             if freq < sigma:
                 continue
             gi = next(iter(occurrences))
@@ -393,6 +428,18 @@ def _explore_reference(pattern: GroumPattern, hosts: Sequence[_Host], frequent: 
             cls = GroumPattern(rep, occurrences, freq, len(rep.nodes), exact)
             explored[key] = cls
             _explore_reference(cls, hosts, frequent, sigma, explored, keys)
+
+
+def _frequency_reference(occurrences_per_graph: dict[int, Sequence[frozenset[int]]],
+                         ) -> tuple[int, bool]:
+    """Dataset frequency from independent_occurrence_count_reference, so the
+    explorer reference shares no occurrence count with esdp.groum."""
+    total, exact = 0, True
+    for occs in occurrences_per_graph.values():
+        f_i, is_exact = independent_occurrence_count_reference(occs)
+        total += f_i
+        exact = exact and is_exact
+    return total, exact
 
 
 def _isomorphism_classes_reference(hosts: Sequence[_Host],

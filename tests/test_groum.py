@@ -3,6 +3,8 @@ from __future__ import annotations
 import gc
 import random
 import signal
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +34,9 @@ from oracles import (
     max_independent_brute,
     patt_explorer_reference,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import gen  # noqa: E402  the benchmark's seeded corpus generator
 
 FIG_311 = """
 public class SearchTest
@@ -192,6 +197,63 @@ def test_canonical_form_property(data):
     assert (canonical_form(g1) == canonical_form(g2)) == iso_brute(g1, g2)
 
 
+def shape_of(g: Groum, occ) -> tuple:
+    """Labels of occ in ascending node-id order and its induced edges as
+    (position, position) pairs."""
+    nodes = sorted(occ)
+    labels = {n.id: n.label for n in g.nodes}
+    return (tuple(labels[v] for v in nodes),
+            tuple(sorted((nodes.index(a), nodes.index(b)) for a, b in g.edges
+                         if a in occ and b in occ)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_canonical_key_of_occurrence_equals_key_of_its_shape(data):
+    g = data.draw(digraphs())
+    g = relabelled(g, data.draw(st.permutations([7 * i + 2 for i in range(len(g.nodes))])))
+    occ = data.draw(st.sets(st.sampled_from([n.id for n in g.nodes]), min_size=1))
+    labels, edges = shape_of(g, occ)
+    by_id = {n.id: n.label for n in g.nodes}
+    assert groum._canonical_key({v: by_id[v] for v in occ},
+                                [(a, b) for a, b in g.edges if a in occ and b in occ]) \
+        == groum._canonical_key(dict(enumerate(labels)), edges)
+
+
+def counting_canonical_key(monkeypatch) -> list:
+    """Patch groum._canonical_key to record each call; return the record."""
+    calls = []
+    real = groum._canonical_key
+    monkeypatch.setattr(groum, "_canonical_key",
+                        lambda labels, edges: calls.append(1) or real(labels, edges))
+    return calls
+
+
+def test_occurrences_of_one_shape_share_a_class_and_a_key(monkeypatch):
+    # a->b at nodes (0, 1) and, numbered apart, at (5, 7); in two, a at 3 -> b at 1
+    one = graph_of(["a", "b", "c", "c", "c", "a", "c", "b"], {(0, 1), (5, 7), (1, 2)})
+    two = Groum((GroumNode(1, "b", "action"), GroumNode(3, "a", "action")),
+                frozenset({(3, 1)}), "h")
+    hosts = [groum._Host.of(one), groum._Host.of(two)]
+    key = canonical_form(induced_subgraph(one, {0, 1}))
+    calls = counting_canonical_key(monkeypatch)
+    within = groum._isomorphism_classes(
+        hosts, {0: {frozenset({5, 7}), frozenset({0, 1})}}, {}, {})
+    assert within == [(key, {0: [frozenset({0, 1}), frozenset({5, 7})]})]
+    assert len(calls) == 1  # one labelled shape
+    calls.clear()
+    across = groum._isomorphism_classes(
+        hosts[:1] * 2, {1: {frozenset({5, 7})}, 0: {frozenset({0, 1})}}, {}, {})
+    assert across == [(key, {0: [frozenset({0, 1})], 1: [frozenset({5, 7})]})]
+    assert len(calls) == 1
+    # the same class under another shape: b is numbered below a
+    calls.clear()
+    mixed = groum._isomorphism_classes(
+        hosts, {0: {frozenset({0, 1})}, 1: {frozenset({1, 3})}}, {}, {})
+    assert mixed == [(key, {0: [frozenset({0, 1})], 1: [frozenset({1, 3})]})]
+    assert len(calls) == 2
+
+
 def test_independent_occurrences_examples():
     assert independent_occurrence_count([frozenset({1}), frozenset({2})]) == (2, True)
     assert independent_occurrence_count(
@@ -234,6 +296,20 @@ def test_occurrences_free_of_conflict_are_taken_without_branching(monkeypatch):
     star = [frozenset(range(20))] + [frozenset({i, 100 + i}) for i in range(19)]
     assert independent_occurrence_count(star) == (19, True)
     assert len(calls) == 3  # the component, then without and with the center
+
+
+def test_pairwise_disjoint_occurrences_never_reach_the_search(monkeypatch):
+    calls = []
+    search = groum._max_independent
+    monkeypatch.setattr(groum, "_max_independent", lambda *args: calls.append(args) or search(*args))
+    for occs in ([], [frozenset({3})], [frozenset({2 * i, 2 * i + 1}) for i in range(30)],
+                 [frozenset({1, 2}), frozenset({5}), frozenset({3, 4, 9})]):
+        assert independent_occurrence_count(occs) == (len(occs), True)
+    assert calls == []
+    # one shared node: the two occurrences holding it form a component to search
+    assert independent_occurrence_count(
+        [frozenset({1, 2}), frozenset({5}), frozenset({2, 9})]) == (2, True)
+    assert calls
 
 
 def test_greedy_beyond_limit_flags_lower_bound():
@@ -356,35 +432,36 @@ def test_patt_explorer_leaves_no_garbage_cycles(fixture_corpus):
     assert any(p.size > 2 for p in found)
 
 
-def test_canonical_key_computed_once_per_occurrence(fixture_corpus, monkeypatch):
-    items, markers = extract_corpus([str(fixture_corpus)], ".java")
-    dataset = build_groums_for_methods(items, markers)
-    calls = []
-    real_key, real_classes = groum._canonical_key, groum._isomorphism_classes
+def test_canonical_key_computed_once_per_shape(fixture_corpus, tmp_path, monkeypatch):
+    """On the fixture and on the benchmark's corpus shape, where the same
+    idioms give the same labelled shapes in many methods."""
+    gen.generate_corpus(tmp_path, 3, files=12, methods=5)
+    real_classes = groum._isomorphism_classes
+    calls = counting_canonical_key(monkeypatch)
+    for corpus, sigma in ((fixture_corpus, 2), (tmp_path, 8)):
+        items, markers = extract_corpus([str(corpus)], ".java")
+        dataset = build_groums_for_methods(items, markers)
+        candidates_seen: set[tuple[int, frozenset[int]]] = set()
 
-    def counting_key(labels, edges):
-        calls.append(1)
-        return real_key(labels, edges)
+        def recording_classes(hosts, candidates, *memos):
+            candidates_seen.update((gi, occ) for gi, occs in candidates.items() for occ in occs)
+            return real_classes(hosts, candidates, *memos)
 
-    candidates_seen: set[tuple[int, frozenset[int]]] = set()
+        calls.clear()
+        monkeypatch.setattr(groum, "_isomorphism_classes", recording_classes)
+        memoized = patt_explorer(dataset, sigma)
+        seeds = sum(p.size == 1 for p in memoized)  # keyed by canonical_form
+        shapes = {shape_of(dataset[gi], occ) for gi, occ in candidates_seen}
+        assert len(shapes) < len(candidates_seen)  # shapes repeat
+        assert len(calls) == len(shapes) + seeds
 
-    def recording_classes(hosts, candidates, keys):
-        candidates_seen.update((gi, occ) for gi, occs in candidates.items() for occ in occs)
-        return real_classes(hosts, candidates, keys)
-
-    monkeypatch.setattr(groum, "_canonical_key", counting_key)
-    monkeypatch.setattr(groum, "_isomorphism_classes", recording_classes)
-    memoized = patt_explorer(dataset, 2)
-    seeds = sum(p.size == 1 for p in memoized)  # keyed by canonical_form
-    assert len(calls) == len(candidates_seen) + seeds
-
-    # a fresh memo for every partition computes the repeated keys again
-    calls.clear()
-    monkeypatch.setattr(groum, "_isomorphism_classes",
-                        lambda hosts, candidates, keys: real_classes(hosts, candidates, {}))
-    unmemoized = patt_explorer(dataset, 2)
-    assert len(calls) > len(candidates_seen) + seeds
-    assert memoized == unmemoized
+        # fresh memos for every partition compute the repeated keys again
+        calls.clear()
+        monkeypatch.setattr(groum, "_isomorphism_classes",
+                            lambda hosts, candidates, *memos: real_classes(hosts, candidates, {}, {}))
+        unmemoized = patt_explorer(dataset, sigma)
+        assert len(calls) > len(shapes) + seeds
+        assert memoized == unmemoized
 
 
 @st.composite
@@ -407,6 +484,17 @@ def test_patt_explorer_matches_reference(dataset, sigma):
     assert patt_explorer(dataset, sigma) == patt_explorer_reference(dataset, sigma)
 
 
+def test_patt_explorer_matches_reference_on_generated_corpus(tmp_path):
+    """The benchmark's corpus shape (12 files x 5 methods, sigma 8), where
+    the same idioms give the same labelled shapes in many methods."""
+    gen.generate_corpus(tmp_path, 3, files=12, methods=5)
+    items, markers = extract_corpus([str(tmp_path)], ".java")
+    dataset = build_groums_for_methods(items, markers)
+    found = patt_explorer(dataset, 8)
+    assert found == patt_explorer_reference(dataset, 8)
+    assert len(found) > 50 and any(p.size > 3 for p in found)
+
+
 @pytest.mark.parametrize("sigma", [2, 3])
 def test_patt_explorer_matches_reference_on_fixture(fixture_corpus, sigma):
     items, markers = extract_corpus([str(fixture_corpus)], ".java")
@@ -423,9 +511,9 @@ def test_label_groups_below_sigma_are_never_partitioned(monkeypatch):
     sizes: dict[str, list[int]] = {"explorer": [], "reference": []}
 
     def recording(name, real):
-        def classes(hosts, candidates, keys):
+        def classes(hosts, candidates, *memos):
             sizes[name].append(sum(len(occs) for occs in candidates.values()))
-            return real(hosts, candidates, keys)
+            return real(hosts, candidates, *memos)
         return classes
 
     monkeypatch.setattr(groum, "_isomorphism_classes",

@@ -24,6 +24,7 @@ from esdp.query import (
 )
 from esdp.repository import make_repository
 from esdp.transactions import build_sequence_db
+from oracles import search_reference
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import gen  # noqa: E402  the benchmark's seeded corpus generator
@@ -140,6 +141,7 @@ def test_search_returns_store_patterns_by_tier_in_ranking_order(drawn, item, top
     repo = make_repository(SequentialPattern(e, count, size, count) for e, count, size in drawn)
     store_index = {p: i for i, p in enumerate(repo.patterns)}
     recs = search(UserQuery("", item, QueryContext()), repo, top_n)
+    assert [(r.pattern, r.match_offset) for r in recs] == search_reference(item, repo.patterns, top_n)
     assert len(recs) <= top_n
     assert len({r.pattern for r in recs}) == len(recs)
     assert all(r.pattern in store_index for r in recs)
@@ -153,6 +155,22 @@ def test_search_returns_store_patterns_by_tier_in_ranking_order(drawn, item, top
             assert a.pattern.ranking >= b.pattern.ranking
     if len(recs) < top_n:
         assert {p for p in repo.patterns if item in p.elements} <= {r.pattern for r in recs}
+
+
+def test_search_matches_per_element_split_on_generated_store(tmp_path):
+    """Substring matches (tier 3) on a store mined from a generated corpus,
+    for the benchmark's query mix, equal those of splitting every element
+    name of every pattern visited."""
+    gen.generate_corpus(tmp_path, 3, files=6, methods=5)
+    repo = make_repository(mine_prefixspan(build_sequence_db(extract_corpus([tmp_path])[0]), 3))
+    tier3 = 0
+    for spec in gen.generate_queries(3, 40):
+        q = abstract_query(spec["statement"], QueryContext(dict(spec["vars"]), spec["imports"]))
+        for top_n in (spec["top"], len(repo.patterns)):
+            got = [(r.pattern, r.match_offset) for r in search(q, repo, top_n)]
+            assert got == search_reference(q.item, repo.patterns, top_n)
+            tier3 += sum(q.item not in p.elements for p, _ in got)
+    assert tier3 > 0
 
 
 def test_render_skeleton_fig35(fig35_repo):
