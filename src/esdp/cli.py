@@ -2,7 +2,9 @@
 persistence and update, querying with skeleton output, groum mining, and
 metric evaluation.
 
-Exit status: 0 success, 1 domain error, 2 usage error.
+Exit status: 0 success, 1 refused input (every esdp error is a ValueError,
+and a refusal names its file) or a failed file operation (OSError), 2 usage
+error.
 """
 
 from __future__ import annotations
@@ -15,50 +17,11 @@ from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
 
-from .extractor import UnparsableSource, dump_items, extract_corpus
-from .mining import InvalidThreshold, adaptive_mine, mine_prefixspan
-from .query import (
-    QueryContext,
-    UnparsableQuery,
-    abstract_query,
-    render_skeleton,
-    search,
-)
-from .repository import (
-    SchemaViolation,
-    make_repository,
-    merge_update,
-    parse,
-    serialize,
-    two_dp,
-)
+from .extractor import dump_items, extract_corpus
+from .mining import adaptive_mine, mine_prefixspan
+from .query import QueryContext, UnparsableQuery, abstract_query, render_skeleton, search
+from .repository import SchemaViolation, make_repository, merge_update, parse, serialize, two_dp
 from .transactions import build_sequence_db
-
-_DOMAIN_ERRORS = (
-    UnparsableSource,
-    UnparsableQuery,
-    SchemaViolation,
-    InvalidThreshold,
-    OSError,
-    ValueError,
-)
-
-
-def _domain_errors() -> tuple[type[Exception], ...]:
-    """The errors main reports in one line, with exit status 1.
-
-    groum and metrics are imported only by the commands that use them, so
-    their errors count once a command has imported the module: before
-    that, neither can have raised.
-    """
-    errors = _DOMAIN_ERRORS
-    groum = sys.modules.get(f"{__package__}.groum")
-    if groum is not None:
-        errors += (groum.MalformedControlNesting,)
-    metrics = sys.modules.get(f"{__package__}.metrics")
-    if metrics is not None:
-        errors += (metrics.UndefinedMetric, metrics.DegenerateLabels)
-    return errors
 
 
 def _repo_path(args: argparse.Namespace) -> str:
@@ -91,6 +54,17 @@ def _write_atomic(path: str, data: bytes) -> None:
         os.replace(tmp, target)
     except BaseException:
         os.unlink(tmp)
+        raise
+
+
+def _read_store(path: str, read, *args):
+    """read(the bytes of the store at path, *args); a SchemaViolation it
+    raises names the store file, as a corpus refusal names its source file."""
+    data = Path(path).read_bytes()
+    try:
+        return read(data, *args)
+    except SchemaViolation as exc:
+        exc.args = (f"{path}: {exc}",)
         raise
 
 
@@ -135,8 +109,8 @@ def _cmd_update(args: argparse.Namespace) -> str:
     # when the store is checked and spliced.
     path = _repo_path(args)
     patterns, min_support, sequences = _mine_patterns(args)
-    _write_atomic(path, merge_update(Path(path).read_bytes(), patterns, _created_stamp(),
-                                     min_support))
+    _write_atomic(path, _read_store(path, merge_update, patterns, _created_stamp(),
+                                    min_support))
     return (f"updated {path} with {len(patterns)} fresh patterns at min-support {min_support} "
             f"({sequences} fresh method sequences)")
 
@@ -177,7 +151,7 @@ def _cmd_query(args: argparse.Namespace) -> str:
     if not args.statement:
         raise ValueError("no query statement given")
     started = time.perf_counter()
-    repo = parse(Path(_repo_path(args)).read_bytes())
+    repo = _read_store(_repo_path(args), parse)
     q = abstract_query(args.statement, _query_context(args))
     recs = search(q, repo, args.top)
     elapsed = time.perf_counter() - started
@@ -250,11 +224,11 @@ def _cmd_eval(args: argparse.Namespace) -> str:
 
     if not args.gold:
         raise ValueError("no gold file given")
-    repo = parse(Path(_repo_path(args)).read_bytes())
+    repo = _read_store(_repo_path(args), parse)
     ctx = _query_context(args)
     rows: list[list[str]] = []
     prs: list[tuple[Fraction, Fraction]] = []
-    labeled_scores: list[tuple[float, int]] = []
+    labeled_scores: list[tuple[Fraction, int]] = []
     data = Path(args.gold).read_bytes()
     try:
         gold = data.decode("utf-8")
@@ -263,8 +237,12 @@ def _cmd_eval(args: argparse.Namespace) -> str:
     for lineno, line in enumerate(gold.splitlines(), start=1):
         if not line.strip() or line.startswith("#"):
             continue
-        statement, gold_items, label = _parse_gold_line(line, f"{args.gold}:{lineno}")
-        q = abstract_query(statement, ctx)
+        where = f"{args.gold}:{lineno}"
+        statement, gold_items, label = _parse_gold_line(line, where)
+        try:
+            q = abstract_query(statement, ctx)
+        except UnparsableQuery as exc:
+            raise UnparsableQuery(f"{where}: {exc}") from None
         recs = search(q, repo, 1)
         if recs:
             recommended = [name for _, name in recs[0].pattern.elements]
@@ -274,11 +252,11 @@ def _cmd_eval(args: argparse.Namespace) -> str:
             p, r, score = Fraction(0), Fraction(0), Fraction(0)
         prs.append((p, r))
         if label is not None:
-            labeled_scores.append((float(score), label))
+            labeled_scores.append((score, label))
         rows.append([statement, str(len(recs)),
                      *(two_dp(*x.as_integer_ratio()) for x in (p, r, score))])
     if not rows:
-        raise ValueError("gold file holds no queries")
+        raise ValueError(f"{args.gold}: gold file holds no queries")
     mean_p, mean_r = (two_dp(*x.as_integer_ratio()) for x in metrics.average_pr(prs))
     out = []
     header = ["query", "matched", "precision", "recall", "score"]
@@ -418,7 +396,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser(command).parse_args(argv)
     try:
         status, report = 0, _COMMANDS[args.command][0](args)
-    except _domain_errors() as exc:
+    except (OSError, ValueError) as exc:
         status, report = 1, f"{type(exc).__name__}: {exc}"
     print(report)
     return status

@@ -33,7 +33,7 @@ from .items import (
 )
 
 
-class UnparsableSource(Exception):
+class UnparsableSource(ValueError):
     """Lexical failure, unbalanced braces, nesting beyond MAX_NESTING or a
     corpus file that is not UTF-8; never raised for merely unrecognized
     statement forms."""

@@ -27,7 +27,7 @@ from .items import (ControlMarker, ItemKind, MarkerKind, SourceItem, lower_camel
 from .mining import InvalidThreshold
 
 
-class MalformedControlNesting(Exception):
+class MalformedControlNesting(ValueError):
     pass
 
 

@@ -8,11 +8,11 @@ from fractions import Fraction
 from typing import Hashable, Iterable, Sequence
 
 
-class UndefinedMetric(Exception):
+class UndefinedMetric(ValueError):
     pass
 
 
-class DegenerateLabels(Exception):
+class DegenerateLabels(ValueError):
     pass
 
 
@@ -64,8 +64,8 @@ def sequence_pr(recommended: Sequence, gold: Sequence) -> tuple[Fraction, Fracti
     return Fraction(hits, len(recommended)), Fraction(hits, len(gold))
 
 
-def roc_points(scored: Iterable[tuple[float, int]],
-               thresholds: Iterable[float] | None = None,
+def roc_points(scored: Iterable[tuple[Fraction | float, int]],
+               thresholds: Iterable[Fraction | float] | None = None,
                ) -> list[tuple[Fraction, Fraction]]:
     """(FPR, TPR) per threshold (predict positive when score >= threshold),
     sorted by FPR ascending, always including the (0,0) and (1,1) extremes."""

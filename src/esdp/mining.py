@@ -16,7 +16,7 @@ from . import kernels
 from .transactions import SequenceDatabase
 
 
-class InvalidThreshold(Exception):
+class InvalidThreshold(ValueError):
     pass
 
 

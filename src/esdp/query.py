@@ -20,7 +20,7 @@ from .repository import MinedRepository
 _FIELD_MODIFIERS = ("private", "public", "protected", "static", "final")
 
 
-class UnparsableQuery(Exception):
+class UnparsableQuery(ValueError):
     pass
 
 

@@ -30,7 +30,7 @@ from .items import ItemKind
 from .mining import Element, RankedPatterns, SequentialPattern, ranking_key, sort_patterns
 
 
-class SchemaViolation(Exception):
+class SchemaViolation(ValueError):
     def __init__(self, message: str, path: str = ""):
         super().__init__(f"{path}: {message}" if path else message)
         self.path = path

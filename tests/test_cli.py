@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import importlib
 import os
+import pkgutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -198,6 +200,68 @@ def test_eval_bad_gold_line_names_file_and_line(corpus, tmp_path, capsys, bad, m
     assert out == f"ValueError: {gold}:4: {message}\n"
 
 
+def test_eval_refused_gold_statement_names_file_and_line(corpus, tmp_path, capsys):
+    repo_path = tmp_path / "repo.xml"
+    run(["mine", "--corpus", str(corpus), "--repo", str(repo_path)], capsys)
+    gold = tmp_path / "gold.tsv"
+    gold.write_text("# statement, items, label\nx.y();\ta.b()\t1\n\n{{{;\ta.b()\n",
+                    encoding="utf-8")
+    status, out = run(["eval", "--repo", str(repo_path), "--gold", str(gold)], capsys)
+    assert status == 1
+    assert out == f"UnparsableQuery: {gold}:4: unbalanced '{{' at 3:1\n"
+
+
+def test_eval_gold_without_queries_names_file(corpus, tmp_path, capsys):
+    repo_path = tmp_path / "repo.xml"
+    run(["mine", "--corpus", str(corpus), "--repo", str(repo_path)], capsys)
+    gold = tmp_path / "gold.tsv"
+    gold.write_text("# statement, items, label\n\n", encoding="utf-8")
+    status, out = run(["eval", "--repo", str(repo_path), "--gold", str(gold)], capsys)
+    assert (status, out) == (1, f"ValueError: {gold}: gold file holds no queries\n")
+
+
+_LABELLED_GOLD = (
+    "parser = ASTParser.newParser(AST.JLS3);\taSTParser.newParser(int)\t1\n"
+    "parser.setKind(0);\taSTParser.setKind(int)\t1\n"
+    "parser.createAST(null);\taSTParser.createAST(null)\t0\n"
+    'conn = DriverManager.getConnection("x");\tconnection.close()\t1\n'
+    "ghost.vanish();\tno.such(item)\t0\n")
+
+
+@pytest.mark.parametrize("fmt, roc_lines", [
+    ("table", ["ROC points: (0.00,0.00) (0.00,0.33) (0.00,0.67) (0.50,0.67) (0.50,1.00) "
+               "(1.00,1.00)",
+               "AUC 0.8333"]),
+    ("csv", ["fpr,tpr", "0.0000,0.0000", "0.0000,0.3333", "0.0000,0.6667", "0.5000,0.6667",
+             "0.5000,1.0000", "1.0000,1.0000", "auc,0.8333"]),
+])
+def test_eval_roc_from_exact_scores(corpus, tmp_path, capsys, monkeypatch, fmt, roc_lines):
+    import esdp.metrics
+
+    repo_path = tmp_path / "repo.xml"
+    run(["mine", "--corpus", str(corpus), "--repo", str(repo_path)], capsys)
+    gold = tmp_path / "gold.tsv"
+    gold.write_text(_LABELLED_GOLD, encoding="utf-8")
+    scored = []
+    roc_points = esdp.metrics.roc_points
+
+    def recording_roc_points(pairs):
+        scored.extend(pairs)
+        return roc_points(scored)
+
+    monkeypatch.setattr(esdp.metrics, "roc_points", recording_roc_points)
+    status, out = run(["eval", "--repo", str(repo_path), "--gold", str(gold),
+                       "--var", "parser=ASTParser", "--var", "conn=Connection",
+                       "--import", "org.eclipse.jdt.core.dom.ASTParser", "--format", fmt],
+                      capsys)
+    assert status == 0
+    # the scores reach roc_points as the exact fractions the store ranks by
+    assert [(type(score), score, label) for score, label in scored] == [
+        (Fraction, Fraction(35, 12), 1), (Fraction, Fraction(7, 3), 1),
+        (Fraction, Fraction(5, 6), 0), (Fraction, Fraction(1, 2), 1), (Fraction, 0, 0)]
+    assert out.splitlines()[-len(roc_lines):] == roc_lines
+
+
 def test_store_in_missing_directory_is_named(corpus, tmp_path, capsys):
     store = tmp_path / "no-such-dir" / "x.xml"
     status, out = run(["mine", "--corpus", str(corpus), "--repo", str(store)], capsys)
@@ -251,6 +315,38 @@ def test_error_of_a_lazily_imported_module_exits_1(corpus, tmp_path, capsys, mon
         argv = ["eval", "--repo", str(repo_path), "--gold", str(gold),
                 "--var", "parser=ASTParser"]
     assert run(argv, capsys) == (1, f"{error}: refused\n")
+
+def _esdp_exception_classes() -> list[type[Exception]]:
+    """Every Exception subclass an esdp module defines."""
+    classes = []
+    for info in pkgutil.iter_modules(esdp.__path__, "esdp."):
+        module = importlib.import_module(info.name)
+        classes += [obj for obj in vars(module).values()
+                    if isinstance(obj, type) and issubclass(obj, Exception)
+                    and obj.__module__ == module.__name__]
+    return classes
+
+
+_ESDP_EXCEPTIONS = _esdp_exception_classes()
+
+
+def test_every_esdp_error_is_a_value_error():
+    assert {cls.__name__ for cls in _ESDP_EXCEPTIONS} >= {
+        "UnparsableSource", "UnparsableQuery", "SchemaViolation", "InvalidThreshold",
+        "MalformedControlNesting", "UndefinedMetric", "DegenerateLabels"}
+    assert [cls for cls in _ESDP_EXCEPTIONS if not issubclass(cls, ValueError)] == []
+
+
+@pytest.mark.parametrize("error", _ESDP_EXCEPTIONS, ids=lambda cls: cls.__name__)
+def test_every_esdp_error_exits_1_in_one_line(corpus, capsys, monkeypatch, error):
+    def fail(*args):
+        raise error("refused")
+
+    monkeypatch.setattr(esdp.cli, "extract_corpus", fail)
+    status = main(["extract", "--corpus", str(corpus)])
+    out, err = capsys.readouterr()
+    assert (status, out, err) == (1, f"{error.__name__}: refused\n", "")
+
 
 def test_directory_in_place_of_a_file_exits_1(corpus, tmp_path, capsys):
     repo_path = tmp_path / "repo.xml"
@@ -483,7 +579,8 @@ def test_update_refuses_what_parse_refuses(tmp_path, capsys):
     for mutant in mutated_documents():
         with pytest.raises(SchemaViolation) as err:
             parse(mutant)
-        assert _refused_update(tmp_path, capsys, mutant) == f"SchemaViolation: {err.value}\n"
+        assert _refused_update(tmp_path, capsys, mutant) == (
+            f"SchemaViolation: {tmp_path / 'store' / 'store.xml'}: {err.value}\n")
         refused += 1
     assert refused >= 100
 
@@ -497,8 +594,21 @@ def test_update_refuses_a_store_out_of_ranking_order(tmp_path, capsys):
     swapped = _swap_blocks(serialize(repo), 0)
     parse(swapped)  # parse checks no order
     assert _refused_update(tmp_path, capsys, swapped) == (
-        "SchemaViolation: /esdp-repository/patterns/pattern[2]: line 11: pattern ranks above "
+        f"SchemaViolation: {tmp_path / 'store' / 'store.xml'}: "
+        "/esdp-repository/patterns/pattern[2]: line 11: pattern ranks above "
         "pattern[1]: stored patterns must be in ranking order\n")
+
+
+@pytest.mark.parametrize("command", ["query", "eval"])
+def test_refused_store_is_named(tmp_path, capsys, command):
+    store = tmp_path / "bad.xml"
+    store.write_bytes(b"garbage\n")
+    gold = tmp_path / "gold.tsv"
+    gold.write_text("x.y();\ta.b()\n", encoding="utf-8")
+    argv = {"query": ["query", "--repo", str(store), "--pick", "1", "x.y();"],
+            "eval": ["eval", "--repo", str(store), "--gold", str(gold)]}[command]
+    assert run(argv, capsys) == (1, f"SchemaViolation: {store}: /esdp-repository: line 1: "
+                                    "expected the <esdp-repository> header, found 'garbage'\n")
 
 
 @pytest.mark.parametrize("argv", [

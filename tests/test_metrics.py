@@ -51,7 +51,7 @@ def test_undefined_metric_on_empty_denominators():
 
 
 def test_retrieved_must_be_duplicate_free():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="duplicate-free"):
         RetrievalOutcome(retrieved=["a", "a"], relevant={"a"})
 
 
