@@ -14,6 +14,10 @@ Candidate extensions are pruned by co-occurrence (as CMAP does for SPADE,
 Fournier-Viger et al., PAKDD 2014): a pattern ending in ``x`` can grow by
 ``y`` only if ``<x y>`` is frequent and ``y`` also extends the pattern's
 prefix, so most leaves are known without counting.
+
+Under a cap the threshold rises in the same walk, as in the top-k miners
+TKS (Fournier-Viger et al., ADMA 2013) and TSP (Tzvetkov, Yan & Han, ICDM
+2003): while more than ``cap`` of the patterns counted reach it.
 """
 
 from __future__ import annotations
@@ -33,17 +37,33 @@ def _suffix_index(record, frequent) -> dict:
     return node
 
 
-def prefixspan(records, min_support: int, cap: int = -1):
+def _raised(m: int, above: int, tiers: Counter, supports, cap: int | None, n: int):
+    """Count the supports that reach m, then raise m, never past n, while above > cap."""
+    if cap is None:
+        return m, above
+    for support in supports:
+        if support >= m:
+            tiers[support] += 1
+            above += 1
+    while above > cap and m < n:
+        above -= tiers.pop(m, 0)
+        m += 1
+    return m, above
+
+
+def prefixspan(records, min_support: int, cap: int | None = None):
     """Complete frequent-subsequence mining by prefix projection.
 
-    Returns ``(results, exceeded)`` where results is a list of
-    ``(pattern_tuple, support_count)`` in depth-first order, extensions in
-    ascending item id. When ``cap >= 0`` mining stops as soon as more than
-    ``cap`` patterns exist and ``exceeded`` is True; the ``cap + 1``
-    results found so far are then only the overflow signal.
+    Returns ``(results, m)``: each ``(pattern_tuple, support_count)`` with
+    support at least m, in depth-first order, extensions in ascending item
+    id. m is min_support, or under a cap the least threshold from there up
+    that at most ``cap`` patterns reach (``len(records)`` if none does).
     """
+    n, m = len(records), min_support
     support = Counter(chain.from_iterable(map(set, records)))
-    frequent = {x for x, count in support.items() if count >= min_support}
+    above, tiers = 0, Counter()  # under a cap: how many counted reach m, and how many at each
+    m, above = _raised(m, above, tiers, support.values(), cap, n)
+    frequent = {x for x, count in support.items() if count >= m}
     roots = [_suffix_index(rec, frequent) for rec in records]
 
     def extensions(proj, candidates):
@@ -52,18 +72,20 @@ def prefixspan(records, min_support: int, cap: int = -1):
         found = []
         for y in sorted(candidates):
             child = [node[y] for node in proj if y in node]
-            if len(child) >= min_support:
+            if len(child) >= m:
                 found.append((y, child))
         return found
 
     singles = extensions(roots, frequent)
+    pairs = [(x, Counter(chain.from_iterable(proj))) for x, proj in singles]  # <x y> supports
+    pair_supports = chain.from_iterable(counts.values() for _, counts in pairs)
+    m, above = _raised(m, above, tiers, pair_supports, cap, n)  # not counted again below
     # follow[x]: the items y with <x y> frequent. A pattern ending in x grows
     # only by such a y that also extends the pattern's prefix, since both
     # <x y> and prefix + <y> are subsequences of the grown pattern.
     follow = {}
-    for x, proj in singles:
-        counts = Counter(chain.from_iterable(proj))
-        follow[x] = {y for y, count in counts.items() if count >= min_support}
+    for x, counts in pairs:
+        follow[x] = {y for y, count in counts.items() if count >= m}
     results: list[tuple[tuple[int, ...], int]] = []
     # (pattern, its projection, the extensions of its prefix); the next
     # pattern in depth-first order on top. The explicit stack keeps pattern
@@ -71,10 +93,12 @@ def prefixspan(records, min_support: int, cap: int = -1):
     stack = [((x,), proj, frequent) for x, proj in reversed(singles)]
     while stack:
         pattern, proj, allowed = stack.pop()
+        if len(proj) < m:
+            continue  # pushed before m rose
         results.append((pattern, len(proj)))
-        if 0 <= cap < len(results):
-            return results, True
         children = extensions(proj, allowed & follow[pattern[-1]])
         grown = {y for y, _ in children}
         stack += [(pattern + (y,), child, grown) for y, child in reversed(children)]
-    return results, False
+        if cap is not None and len(pattern) > 1:  # a single's children: pairs, counted
+            m, above = _raised(m, above, tiers, (len(c) for _, c in children), cap, n)
+    return [r for r in results if r[1] >= m], m

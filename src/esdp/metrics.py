@@ -3,7 +3,7 @@ sequence precision/recall, and ROC points for scored binary outcomes."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Iterable, Sequence
 
@@ -20,7 +20,6 @@ class DegenerateLabels(ValueError):
 class RetrievalOutcome:
     retrieved: list[Hashable]
     relevant: set[Hashable]
-    scores: dict[Hashable, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if len(set(self.retrieved)) != len(self.retrieved):
@@ -64,20 +63,17 @@ def sequence_pr(recommended: Sequence, gold: Sequence) -> tuple[Fraction, Fracti
     return Fraction(hits, len(recommended)), Fraction(hits, len(gold))
 
 
-def roc_points(scored: Iterable[tuple[Fraction | float, int]],
-               thresholds: Iterable[Fraction | float] | None = None,
-               ) -> list[tuple[Fraction, Fraction]]:
-    """(FPR, TPR) per threshold (predict positive when score >= threshold),
-    sorted by FPR ascending, always including the (0,0) and (1,1) extremes."""
+def roc_points(scored: Iterable[tuple[Fraction | float, int]]) -> list[tuple[Fraction, Fraction]]:
+    """(FPR, TPR) at each distinct score as the threshold (predict positive
+    when score >= threshold), sorted by FPR ascending, always including the
+    (0,0) and (1,1) extremes."""
     pairs = list(scored)
     positives = sum(1 for _, label in pairs if label)
     negatives = len(pairs) - positives
     if positives == 0 or negatives == 0:
         raise DegenerateLabels("need at least one positive and one negative label")
-    if thresholds is None:
-        thresholds = sorted({score for score, _ in pairs})
     points = {(Fraction(0), Fraction(0)), (Fraction(1), Fraction(1))}
-    for t in thresholds:
+    for t in {score for score, _ in pairs}:
         tp = sum(1 for s, label in pairs if label and s >= t)
         fp = sum(1 for s, label in pairs if not label and s >= t)
         points.add((Fraction(fp, negatives), Fraction(tp, positives)))

@@ -116,8 +116,6 @@ def mine_prefixspan(db: SequenceDatabase, min_support: int) -> RankedPatterns:
     """All sequences with support >= min_support, exactly; sorted by ranking."""
     if min_support < 1:
         raise InvalidThreshold(f"min_support must be >= 1, got {min_support}")
-    if not db.records:
-        return RankedPatterns()
     records, alphabet = _encode(db)
     raw, _ = kernels.prefixspan(records, min_support)
     return _build_patterns(raw, alphabet, len(records))
@@ -138,26 +136,7 @@ def adaptive_mine(db: SequenceDatabase, max_patterns: int = 50) -> AdaptivePatte
     if no threshold fits, the top max_patterns by ranking at the largest."""
     if max_patterns < 1:
         raise InvalidThreshold(f"max_patterns must be >= 1, got {max_patterns}")
-    if not db.records:
-        return AdaptivePatterns([], 1)
     records, alphabet = _encode(db)
-    n = len(records)
-    # The pattern count never rises with min_support, so bisect for the
-    # smallest fitting m in [lo, hi]; hi == n + 1 stands for "none fits".
-    lo, hi = 1, n + 1
-    while lo < hi:
-        m = (lo + hi) // 2
-        raw, exceeded = kernels.prefixspan(records, m, cap=max_patterns)
-        if exceeded:
-            lo = m + 1
-        else:
-            hi = m
-    if lo <= n:
-        # The last probe overflowed unless it was at lo: mine at lo again, so
-        # the result is always that of the last kernel call, at the threshold
-        # chosen, as with the linear scan.
-        if m != lo:
-            raw, _ = kernels.prefixspan(records, lo, cap=max_patterns)
-        return AdaptivePatterns(_build_patterns(raw, alphabet, n), lo)
-    raw, _ = kernels.prefixspan(records, n)
-    return AdaptivePatterns(_build_patterns(raw, alphabet, n)[:max_patterns], n)
+    raw, min_support = kernels.prefixspan(records, 1, cap=max_patterns)
+    patterns = _build_patterns(raw, alphabet, len(records))
+    return AdaptivePatterns(patterns[:max_patterns], min_support)  # all unless none fits

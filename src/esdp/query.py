@@ -51,22 +51,22 @@ def abstract_query(statement: str, context: QueryContext | None = None) -> UserQ
     """Abstract one typed statement with the same normalization the corpus
     extraction uses, so query and corpus share one identity space."""
     context = context or QueryContext()
-    text = statement.strip()
-    if not text:
+    text = statement.rstrip()  # leading space kept: positions stay the statement's
+    if not text.strip():
         raise UnparsableQuery("empty query statement")
     if not text.endswith((";", "}")):
         text += ";"
-    import_lines = "".join(f"import {imp};\n" for imp in context.imports)
-    first_word = text.split(None, 1)[0] if text.split() else ""
-    if first_word in _FIELD_MODIFIERS:
-        # field-style statement: abstract at class level
-        source = f"{import_lines}class Query {{\n{text}\n}}\n"
-    else:
-        source = f"{import_lines}class Query {{\nvoid query() {{\n{text}\n}}\n}}\n"
+    head = "".join(f"import {imp};\n" for imp in context.imports) + "class Query {\n"
+    tail = "}\n"
+    if text.split(None, 1)[0] not in _FIELD_MODIFIERS:
+        # not a field-style statement: abstract inside a method
+        head, tail = head + "void query() {\n", tail + "}\n"
     try:
-        items, _ = extract_items(source, "<query>", context_vars=context.variables)
+        items, _ = extract_items(f"{head}{text}\n{tail}", "<query>", context_vars=context.variables)
     except UnparsableSource as exc:
-        raise UnparsableQuery(str(exc)) from None
+        line = (exc.line or 0) - head.count("\n")  # the statement's line, if in it
+        at = f" at {line}:{exc.column}" if 1 <= line <= text.count("\n") + 1 else ""
+        raise UnparsableQuery(exc.message + at) from None
     wrapper = {ItemKind.TD, ItemKind.MD, ItemKind.ID, ItemKind.PD}
     content = [it for it in items if it.kind not in wrapper]
     if not content:

@@ -88,18 +88,14 @@ def exhaustive_mine(records, min_support: int) -> dict[tuple, int]:
     return result
 
 
-def prefixspan_reference(records, min_support: int, cap: int = -1):
+def prefixspan_reference(records, min_support: int) -> list[tuple[tuple[int, ...], int]]:
     """The scanning kernel the next-occurrence index replaced: each
     projection rescans its records for the next occurrence of the item,
-    counting extensions with a per-record seen set. Same contract as
-    esdp.kernels.prefixspan, including the partial results under cap."""
+    counting extensions with a per-record seen set. The results of
+    esdp.kernels.prefixspan, in the same depth-first order."""
     results: list[tuple[tuple[int, ...], int]] = []
-    exceeded = False
 
     def grow(prefix: tuple[int, ...], projections: list[tuple[int, int]]) -> None:
-        nonlocal exceeded
-        if exceeded:
-            return
         counts: dict[int, int] = {}
         for rid, pos in projections:
             rec = records[rid]
@@ -114,9 +110,6 @@ def prefixspan_reference(records, min_support: int, cap: int = -1):
                 continue
             grown = prefix + (x,)
             results.append((grown, counts[x]))
-            if 0 <= cap < len(results):
-                exceeded = True
-                return
             next_proj: list[tuple[int, int]] = []
             for rid, pos in projections:
                 rec = records[rid]
@@ -125,17 +118,16 @@ def prefixspan_reference(records, min_support: int, cap: int = -1):
                         next_proj.append((rid, p + 1))
                         break
             grow(grown, next_proj)
-            if exceeded:
-                return
 
     grow((), [(rid, 0) for rid in range(len(records))])
-    return results, exceeded
+    return results
 
 
 def adaptive_mine_reference(db, max_patterns: int):
-    """The linear threshold scan adaptive_mine's bisection replaced:
-    (min_support, patterns) at the smallest min_support whose result holds
-    at most max_patterns, else the top max_patterns at min_support n."""
+    """The linear threshold scan adaptive_mine's one capped kernel pass
+    answers: (min_support, patterns) at the smallest min_support whose
+    result holds at most max_patterns, else the top max_patterns at
+    min_support n."""
     n = len(db.records)
     for m in range(1, n + 1):
         patterns = mine_prefixspan(db, m)

@@ -204,11 +204,14 @@ def test_eval_refused_gold_statement_names_file_and_line(corpus, tmp_path, capsy
     repo_path = tmp_path / "repo.xml"
     run(["mine", "--corpus", str(corpus), "--repo", str(repo_path)], capsys)
     gold = tmp_path / "gold.tsv"
-    gold.write_text("# statement, items, label\nx.y();\ta.b()\t1\n\n{{{;\ta.b()\n",
-                    encoding="utf-8")
-    status, out = run(["eval", "--repo", str(repo_path), "--gold", str(gold)], capsys)
-    assert status == 1
-    assert out == f"UnparsableQuery: {gold}:4: unbalanced '{{' at 3:1\n"
+    # the position is the statement's own, stripped, not the query wrapper's
+    for statement, message in [("{{{;", "unbalanced '{' at 1:1"),
+                               ("  x = `y`;", "illegal character '`' at 1:5")]:
+        gold.write_text(f"# statement, items, label\nx.y();\ta.b()\t1\n\n{statement}\ta.b()\n",
+                        encoding="utf-8")
+        status, out = run(["eval", "--repo", str(repo_path), "--gold", str(gold)], capsys)
+        assert status == 1
+        assert out == f"UnparsableQuery: {gold}:4: {message}\n"
 
 
 def test_eval_gold_without_queries_names_file(corpus, tmp_path, capsys):

@@ -85,15 +85,15 @@ def test_lcs_matches_brute_force(a, b):
 
 def test_roc_extreme_thresholds():
     scored = [(0.9, 1), (0.4, 1), (0.6, 0), (0.1, 0)]
-    points = roc_points(scored, thresholds=[-1e9, 1e9])
-    assert (Fraction(0), Fraction(0)) in points
-    assert (Fraction(1), Fraction(1)) in points
+    points = roc_points(scored)
+    assert points[0] == (Fraction(0), Fraction(0))
+    assert points[-1] == (Fraction(1), Fraction(1))
 
 
 def test_roc_mixed_threshold():
+    # at threshold 0.6 one positive (0.9) and one negative (0.6) score at or above
     scored = [(0.9, 1), (0.4, 1), (0.6, 0), (0.1, 0)]
-    points = roc_points(scored, thresholds=[0.5])
-    assert (Fraction(1, 2), Fraction(1, 2)) in points
+    assert (Fraction(1, 2), Fraction(1, 2)) in roc_points(scored)
 
 
 def test_roc_perfect_separator_passes_corner():

@@ -1,8 +1,9 @@
 from __future__ import annotations
 
-import math
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import PLANTED_ELEMENTS, random_sequence_db
 from esdp import kernels
+from esdp.extractor import extract_corpus
 from esdp.mining import (
     InvalidThreshold,
     SequentialPattern,
@@ -18,13 +20,16 @@ from esdp.mining import (
     mine_prefixspan,
     sort_patterns,
 )
-from esdp.transactions import SequenceDatabase, SequenceRecord
+from esdp.transactions import SequenceDatabase, SequenceRecord, build_sequence_db
 from oracles import (
     adaptive_mine_reference,
     exhaustive_mine,
     pattern_sort_key,
     prefixspan_reference,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import gen  # noqa: E402  the benchmark's seeded corpus generator
 
 
 def db_of(*sequences: str) -> SequenceDatabase:
@@ -199,38 +204,72 @@ def test_adaptive_smallest_qualifying_support_property():
 
 @st.composite
 def kernel_inputs(draw):
-    """(records, min_support, cap): a small random database of item ids, a
-    threshold in 1..n+1, and a cap that is absent (-1), zero, small or large."""
+    """(records, min_support): a small random database of item ids and a
+    threshold in 1..n+1."""
     records = draw(st.lists(st.lists(st.integers(0, 5), max_size=8), max_size=8))
-    min_support = draw(st.integers(1, len(records) + 1))
-    cap = draw(st.sampled_from([-1, 0, 1000]) | st.integers(1, 6))
-    return records, min_support, cap
+    return records, draw(st.integers(1, len(records) + 1))
 
 
 @settings(max_examples=400, deadline=None)
 @given(kernel_inputs())
 def test_prefixspan_equals_the_scanning_kernel(inputs):
-    # results in the same order, the partial list under cap, and the flag
-    assert kernels.prefixspan(*inputs) == prefixspan_reference(*inputs)
+    # the same results in the same order, at the threshold given
+    records, min_support = inputs
+    assert kernels.prefixspan(records, min_support) == (
+        prefixspan_reference(records, min_support), min_support)
+
+
+@settings(max_examples=400, deadline=None)
+@given(kernel_inputs(), st.sampled_from([0, 1000]) | st.integers(1, 6))
+def test_capped_prefixspan_mines_at_the_smallest_fitting_threshold(inputs, cap):
+    records, min_support = inputs
+    n = len(records)
+    results, m = kernels.prefixspan(records, min_support, cap=cap)
+    assert results == prefixspan_reference(records, m)
+    fitting = (t for t in range(min_support, n + 1)
+               if len(prefixspan_reference(records, t)) <= cap)
+    assert m == next(fitting, max(n, min_support))
 
 
 def test_prefixspan_long_pattern_needs_no_recursion():
-    results, exceeded = kernels.prefixspan([[0] * 1500] * 2, 2)
-    assert not exceeded
-    assert results == [((0,) * k, 2) for k in range(1, 1501)]
+    expected = [((0,) * k, 2) for k in range(1, 1501)]
+    assert kernels.prefixspan([[0] * 1500] * 2, 2) == (expected, 2)
+    # no threshold fits a cap of 10: every pattern at the largest
+    assert kernels.prefixspan([[0] * 1500] * 2, 1, cap=10) == (expected, 2)
 
 
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), max_patterns=st.integers(1, 15))
-def test_adaptive_bisection_equals_the_linear_scan(seed, max_patterns):
+def test_adaptive_one_kernel_pass_equals_the_linear_scan(seed, max_patterns):
     db = random_sequence_db(random.Random(seed), max_records=10, max_items=7)
-    n = len(db.records)
     with mock.patch.object(kernels, "prefixspan", wraps=kernels.prefixspan) as kernel:
         got = adaptive_mine(db, max_patterns)
     expected_support, expected = adaptive_mine_reference(db, max_patterns)
     assert got.min_support == expected_support
     assert list(got) == expected
-    assert kernel.call_count <= math.ceil(math.log2(n + 1)) + 1
+    assert kernel.call_count == 1
+
+
+@pytest.fixture(scope="module")
+def gen_dbs(tmp_path_factory):
+    """Sequence databases of small generated corpora, by generator seed."""
+    dbs = {}
+    for seed in (1, 2):
+        root = tmp_path_factory.mktemp(f"gen{seed}")
+        gen.generate_corpus(root, seed, files=6, methods=5)
+        dbs[seed] = build_sequence_db(extract_corpus([root])[0])
+    return dbs
+
+
+@pytest.mark.parametrize("cap", [10, 50, 200, 1000])
+@pytest.mark.parametrize("seed", [1, 2], ids=["gen-seed1", "gen-seed2"])
+def test_adaptive_on_generated_corpora(seed, cap, gen_dbs):
+    db = gen_dbs[seed]
+    got = adaptive_mine(db, cap)
+    m = got.min_support
+    assert list(got) == mine_prefixspan(db, m)[:cap]
+    assert len(mine_prefixspan(db, m)) <= cap or m == len(db.records)
+    assert m == 1 or len(mine_prefixspan(db, m - 1)) > cap
 
 
 def test_adaptive_falls_back_when_no_threshold_fits():

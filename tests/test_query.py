@@ -64,6 +64,20 @@ def test_abstract_query_empty_raises():
         abstract_query("}{")
 
 
+@pytest.mark.parametrize("statement, imports, message", [
+    ("{{{;", [], "unbalanced '{' at 1:1"),
+    ("{{{;", ["a.B", "c.D"], "unbalanced '{' at 1:1"),
+    ("  x = `y`;", [], "illegal character '`' at 1:7"),
+    ("\n a();\n  b = `c`;", [], "illegal character '`' at 3:7"),
+    ("private int x = `y`;", ["a.B"], "illegal character '`' at 1:17"),
+    ("}}", [], "unbalanced '}'"),  # the brace left over is the wrapper's
+])
+def test_abstract_query_error_names_the_statement_position(statement, imports, message):
+    with pytest.raises(UnparsableQuery) as exc:
+        abstract_query(statement, QueryContext(imports=imports))
+    assert str(exc.value) == message
+
+
 def test_identity_space_coherence():
     # statement-level constructs abstract to the items corpus extraction emits
     cases = [
