@@ -13,6 +13,7 @@ import argparse
 import os
 import sys
 import time
+from contextlib import contextmanager
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
@@ -35,9 +36,9 @@ def _created_stamp() -> str:
     return when.strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def _write_atomic(path: str, data: bytes) -> None:
-    """Replace path with data in one step: a failure at any point leaves the
-    previous file whole and no temporary file behind."""
+def _write_atomic(path: str, write) -> None:
+    """Replace path with the file write(file) writes, in one step: a failure
+    at any point leaves the previous file whole and no temporary file behind."""
     import tempfile
 
     target = Path(path)
@@ -48,7 +49,7 @@ def _write_atomic(path: str, data: bytes) -> None:
         raise type(exc)(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, "wb") as f:
-            f.write(data)
+            write(f)
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, target)
@@ -57,15 +58,18 @@ def _write_atomic(path: str, data: bytes) -> None:
         raise
 
 
-def _read_store(path: str, read, *args):
-    """read(the bytes of the store at path, *args); a SchemaViolation it
-    raises names the store file, as a corpus refusal names its source file."""
-    data = Path(path).read_bytes()
-    try:
-        return read(data, *args)
-    except SchemaViolation as exc:
-        exc.args = (f"{path}: {exc}",)
-        raise
+@contextmanager
+def _open_store(path: str):
+    """The store at path open for binary reading; a SchemaViolation raised
+    while it is open names the store file, as a corpus refusal names its
+    source file. update reads it a line at a time, so it is buffered in
+    64 KiB reads, not in reads of the file system's block size."""
+    with open(path, "rb", buffering=1 << 16) as store:
+        try:
+            yield store
+        except SchemaViolation as exc:
+            exc.args = (f"{path}: {exc}",)
+            raise
 
 
 def _extract(args: argparse.Namespace):
@@ -100,7 +104,8 @@ def _cmd_mine(args: argparse.Namespace) -> str:
     repo = make_repository(patterns, corpus_label=label, created_at=_created_stamp(),
                            min_support_used=min_support)
     path = _repo_path(args)
-    _write_atomic(path, serialize(repo))
+    data = serialize(repo)
+    _write_atomic(path, lambda out: out.write(data))
     return f"mined {len(repo.patterns)} patterns from {sequences} method sequences -> {path}"
 
 
@@ -109,8 +114,9 @@ def _cmd_update(args: argparse.Namespace) -> str:
     # when the store is checked and spliced.
     path = _repo_path(args)
     patterns, min_support, sequences = _mine_patterns(args)
-    _write_atomic(path, _read_store(path, merge_update, patterns, _created_stamp(),
-                                    min_support))
+    stamp = _created_stamp()
+    with _open_store(path) as store:
+        _write_atomic(path, lambda out: merge_update(store, patterns, stamp, min_support, out))
     return (f"updated {path} with {len(patterns)} fresh patterns at min-support {min_support} "
             f"({sequences} fresh method sequences)")
 
@@ -151,7 +157,8 @@ def _cmd_query(args: argparse.Namespace) -> str:
     if not args.statement:
         raise ValueError("no query statement given")
     started = time.perf_counter()
-    repo = _read_store(_repo_path(args), parse)
+    with _open_store(_repo_path(args)) as store:
+        repo = parse(store.read())
     q = abstract_query(args.statement, _query_context(args))
     recs = search(q, repo, args.top)
     elapsed = time.perf_counter() - started
@@ -224,7 +231,8 @@ def _cmd_eval(args: argparse.Namespace) -> str:
 
     if not args.gold:
         raise ValueError("no gold file given")
-    repo = _read_store(_repo_path(args), parse)
+    with _open_store(_repo_path(args)) as store:
+        repo = parse(store.read())
     ctx = _query_context(args)
     rows: list[list[str]] = []
     prs: list[tuple[Fraction, Fraction]] = []

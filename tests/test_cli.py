@@ -646,3 +646,83 @@ def test_query_imports_neither_groum_nor_metrics(tmp_path):
     assert done.returncode == 0, done.stderr
     assert "--- skeleton ---" in done.stdout
     assert done.stdout.splitlines()[-1] == "0"
+
+
+def _last_block_line(store: bytes, text: bytes) -> int:
+    """The number of the first line from the last pattern block on that
+    starts with text."""
+    lines = store.split(b"\n")
+    last = max(n for n, line in enumerate(lines) if line.startswith(b"    <pattern "))
+    return next(n for n in range(last, len(lines)) if lines[n].startswith(text)) + 1
+
+
+def _three_pattern_store() -> bytes:
+    from test_repository import pattern_of
+
+    return serialize(make_repository([pattern_of(["a()"], count=4, size=4),
+                                      pattern_of(["b()"], count=3, size=4),
+                                      pattern_of(["c()", "d()"], count=1, size=4)], "c", "t", 1))
+
+
+def _refused_as_parse_refuses(tmp_path, capsys, store: bytes) -> str:
+    """update refuses store with parse's error, after the store path, and
+    leaves it whole; that error."""
+    with pytest.raises(SchemaViolation) as err:
+        parse(store)
+    assert _refused_update(tmp_path, capsys, store) == (
+        f"SchemaViolation: {tmp_path / 'store' / 'store.xml'}: {err.value}\n")
+    return str(err.value)
+
+
+def test_update_reports_a_later_schema_fault_before_an_order_fault(tmp_path, capsys):
+    from test_repository import _swap_blocks
+
+    swapped = _swap_blocks(_three_pattern_store(), 0)  # pattern[2] ranks above pattern[1]
+    line = _last_block_line(swapped, b'        <s i="2"')
+    bad = swapped.replace(b'<s i="2"', b'<s i="9"')
+    error = _refused_as_parse_refuses(tmp_path, capsys, bad)
+    assert error.startswith(f"/esdp-repository/patterns/pattern[3]/sequence/s[2]: line {line}: ")
+
+
+def test_update_refuses_a_store_cut_inside_its_last_block(tmp_path, capsys):
+    store = _three_pattern_store()
+    line = _last_block_line(store, b"      <sequence>")
+    cut = b"\n".join(store.split(b"\n")[:line]) + b"\n"
+    error = _refused_as_parse_refuses(tmp_path, capsys, cut)
+    assert error == (f'/esdp-repository/patterns/pattern[3]/sequence/s[1]: line {line + 1}: '
+                     "expected <s i=\"1\" kind=\"..\">name</s>, found ''")
+
+
+def test_update_refuses_a_byte_not_utf8_on_the_last_line(tmp_path, capsys):
+    store = _three_pattern_store()
+    bad = store.replace(b"</esdp-repository>", b"</esdp-repository\xff>")
+    error = _refused_as_parse_refuses(tmp_path, capsys, bad)
+    last = store.count(b"\n")
+    assert error == f"/esdp-repository: line {last}: not UTF-8 (invalid start byte)"
+
+
+def test_update_peak_memory_stays_below_the_store_size(tmp_path):
+    # The two-pass update holds neither the store nor a copy of it: its
+    # traced peak stays under the store's size (the in-memory splice peaked
+    # at 4.6 times it).
+    import tracemalloc
+
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import gen  # the benchmark's seeded corpus generator
+
+    corpus = tmp_path / "corpus"
+    gen.generate_corpus(corpus, 11, files=6, methods=5)
+    store = tmp_path / "store.xml"
+    assert main(["mine", "--corpus", str(corpus), "--min-support", "2",
+                 "--repo", str(store)]) == 0
+    update = ["update", "--adaptive", "--corpus", str(corpus), "--repo", str(store)]
+    assert main(update) == 0  # warm-up: lazy imports and their caches
+    size = store.stat().st_size
+    tracemalloc.start()
+    try:
+        assert main(update) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert size > 1_000_000
+    assert peak < size

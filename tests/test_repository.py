@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import random
 import re
 import sys
@@ -27,7 +28,13 @@ from esdp.repository import (
     two_dp,
 )
 from esdp.transactions import build_sequence_db
-from oracles import NAME_REFERENCE, merge_update_reference, parse_reference, serialize_reference
+from oracles import (
+    NAME_REFERENCE,
+    merge_update_reference,
+    merge_update_splice_reference,
+    parse_reference,
+    serialize_reference,
+)
 
 FIG35_ELEMENTS = (
     ("MI", "dom.ASTParser.newParser(int)"),
@@ -454,11 +461,18 @@ def test_store_cut_inside_a_head_seen_before_names_the_cut(kept, expected):
 
 # --- incremental update: the splice against the reference merge -------------------
 
+def _update(data: bytes, fresh, created_at: str, min_support_used: int) -> bytes:
+    """What merge_update writes for the store data."""
+    out = io.BytesIO()
+    merge_update(io.BytesIO(data), fresh, created_at, min_support_used, out)
+    return out.getvalue()
+
+
 def _merged(repo: MinedRepository, fresh, created_at: str = "u",
             min_support_used: int = 3) -> bytes:
     """merge_update on the bytes of repo, which must equal what serialize
     writes for the reference merge."""
-    data = merge_update(serialize(repo), fresh, created_at, min_support_used)
+    data = _update(serialize(repo), fresh, created_at, min_support_used)
     assert data == serialize(merge_update_reference(repo, fresh, created_at, min_support_used))
     return data
 
@@ -512,7 +526,7 @@ def test_merge_update_is_idempotent(repo, other, data):
     once = merge_update_reference(repo, fresh)
     assert merge_update_reference(once, fresh) == once
     once = _merged(repo, fresh)
-    assert merge_update(once, fresh, "u", 3) == once
+    assert _update(once, fresh, "u", 3) == once
 
 
 _FEW_ELEMENTS = st.tuples(st.sampled_from(["MI", "FD"]), st.sampled_from(["a", "b", 'c<&"d']))
@@ -577,6 +591,72 @@ def test_merge_update_on_mined_stores(name, tmp_path):
     _merged(repo, fresh)
 
 
+# --- the two-pass update against the in-memory splice ------------------------------
+
+def _agrees_with_splice(data: bytes, fresh, created_at: str = "u",
+                        min_support_used: int = 3) -> None:
+    """merge_update writes what merge_update_splice_reference returns for the
+    store data, or raises its error: the same type, message and path."""
+    try:
+        want = merge_update_splice_reference(data, fresh, created_at, min_support_used)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as err:
+            _update(data, fresh, created_at, min_support_used)
+        assert type(err.value) is type(exc)
+        assert (str(err.value), getattr(err.value, "path", None)) == (
+            str(exc), getattr(exc, "path", None))
+    else:
+        assert _update(data, fresh, created_at, min_support_used) == want
+
+
+@st.composite
+def splice_cases(draw) -> tuple[MinedRepository, list[SequentialPattern]]:
+    """A store, in ranking order or as drawn, and fresh patterns for it:
+    stored patterns as they are and re-scored, and patterns of another
+    store."""
+    stores = st.one_of(repositories(), repetitive_repositories())
+    repo = draw(stores)
+    if draw(st.booleans()):
+        repo = make_repository(repo.patterns, repo.corpus_label, repo.created_at,
+                               repo.min_support_used)
+    stored = st.lists(st.sampled_from(repo.patterns), max_size=3) if repo.patterns \
+        else st.just([])
+    fresh = draw(stored)
+    fresh += [draw(mixed_size_pattern(p.elements)) for p in draw(stored)]
+    fresh += draw(stores).patterns
+    return repo, draw(st.permutations(fresh))
+
+
+@settings(max_examples=200, deadline=None)
+@given(splice_cases(), st.lists(_EDITS.map(lambda edits: edits[0]), max_size=6))
+def test_merge_update_agrees_with_the_splice(case, edits):
+    repo, fresh = case
+    doc = serialize(repo)
+    _agrees_with_splice(doc, fresh)
+    for edit in edits:
+        _agrees_with_splice(_edit(doc, *edit), fresh)
+
+
+_A, _B, _C = (pattern_of(["a()"], count=3), pattern_of(["b()"], count=2),
+              pattern_of(["c()"], count=1))
+
+
+@pytest.mark.parametrize("stored,fresh", [
+    ([], []),                                               # <patterns/>, nothing fresh
+    ([], [_A, _B]),                                         # <patterns/>, fresh blocks
+    ([_A, _B, _C], []),                                     # no fresh patterns
+    ([_B], [pattern_of(["x()", "y()"], 4, 4), _C]),         # before the first, after the last
+    ([_A, _B, _C], [pattern_of(["a()"], 1, 4), pattern_of(["b()"], 4, 4),
+                    pattern_of(["c()"], 2, 4)]),            # every stored block replaced
+    ([_A, _B, _C], [_A, _B, _C]),                           # every block replaced by itself
+], ids=["empty-store", "empty-store-fresh", "no-fresh", "before-first-after-last",
+        "all-replaced", "all-replaced-same"])
+def test_merge_update_splice_cases(stored, fresh):
+    repo = make_repository(stored, "c", "t", 2)
+    _agrees_with_splice(serialize(repo), fresh)
+    _merged(repo, fresh)
+
+
 def _swap_blocks(data: bytes, j: int) -> bytes:
     """data with its pattern blocks j and j + 1 (from 0) swapped."""
     blocks = re.split(rb"(?m)^(?=    <pattern |  </patterns>)", data)
@@ -597,7 +677,7 @@ def test_update_refuses_a_store_out_of_ranking_order(elements, counts):
     swapped = _swap_blocks(serialize(repo), 1)
     assert parse(swapped).patterns == (first, patterns[1], patterns[0])  # parse checks no order
     with pytest.raises(SchemaViolation) as err:
-        merge_update(swapped, [], "t", 1)
+        _update(swapped, [], "t", 1)
     heads = [n for n, text in enumerate(swapped.split(b"\n"), 1)
              if text.startswith(b"    <pattern ")]
     line = heads[2]

@@ -25,6 +25,31 @@ def test_traced_name_resolves(module, attr):
     assert callable(getattr(importlib.import_module(module), attr, None))
 
 
+def _traced(argv: list[str]) -> dict:
+    """The layers of one traced call of main(argv), which must succeed."""
+    tracer = Tracer()
+    tracer.install()
+    try:
+        assert main(argv) == 0
+    finally:
+        tracer.uninstall()
+    return tracer.collect(0.0)
+
+
+def test_traced_mine_and_query_count_the_store(tmp_path):
+    # The tracer counts the bytes serialize returns and the patterns of the
+    # repository parse returns; a traced `mine` and a traced `query` check
+    # that both still read that way.
+    corpus = write_fixture_corpus(tmp_path / "corpus")
+    store = tmp_path / "store.xml"
+    layers = _traced(["mine", "--corpus", str(corpus), "--min-support", "3",
+                      "--repo", str(store)])
+    assert layers["repository.store_bytes"] == store.stat().st_size > 0
+    layers = _traced(["query", "--repo", str(store), "--pick", "1",
+                      "--var", "parser=ASTParser", "parser.setKind(0);"])
+    assert layers["repository.patterns_parsed"] > 0
+
+
 def test_traced_adaptive_update_completes(tmp_path):
     # The tracer counts each kernel call's patterns as len(result[0]); one
     # traced `update --adaptive` checks that the kernel's result still reads
@@ -33,13 +58,6 @@ def test_traced_adaptive_update_completes(tmp_path):
     store = tmp_path / "store.xml"
     assert main(["mine", "--corpus", str(corpus), "--min-support", "3",
                  "--repo", str(store)]) == 0
-    tracer = Tracer()
-    tracer.install()
-    try:
-        assert main(["update", "--adaptive", "--corpus", str(corpus),
-                     "--repo", str(store)]) == 0
-    finally:
-        tracer.uninstall()
-    layers = tracer.collect(0.0)
+    layers = _traced(["update", "--adaptive", "--corpus", str(corpus), "--repo", str(store)])
     assert layers["kernels.calls"] == 1
     assert layers["mining.patterns"] == 31
