@@ -14,8 +14,6 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from datetime import datetime, timezone
-from fractions import Fraction
 from pathlib import Path
 
 from .extractor import dump_items, extract_corpus
@@ -29,19 +27,44 @@ def _repo_path(args: argparse.Namespace) -> str:
     return args.repo or os.environ.get("ESDP_REPO", "esdp-repo.xml")
 
 
+# the seconds of 0001-01-01T00:00:00Z and 9999-12-31T23:59:59Z
+_FIRST_STAMP, _LAST_STAMP = -62135596800, 253402300799
+
+
 def _created_stamp() -> str:
+    """The UTC time of SOURCE_DATE_EPOCH when set, else now; ValueError
+    for a value that is not an integer within years 1..9999."""
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    when = datetime.fromtimestamp(int(epoch), tz=timezone.utc) if epoch \
-        else datetime.now(tz=timezone.utc)
-    return when.strftime("%Y-%m-%dT%H:%M:%SZ")
+    if not epoch:
+        return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+    try:
+        seconds = int(epoch)
+    except ValueError:
+        seconds = None
+    if seconds is None or not _FIRST_STAMP <= seconds <= _LAST_STAMP:
+        raise ValueError(f"SOURCE_DATE_EPOCH must be an integer from {_FIRST_STAMP} to "
+                         f"{_LAST_STAMP} (years 1..9999), got {epoch!r}")
+    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(seconds))
+
+
+def _file_mode(path: Path) -> int:
+    """The permission bits of the file at path, or those open() gives a new one."""
+    try:
+        return path.stat().st_mode & 0o777
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        return 0o666 & ~umask
 
 
 def _write_atomic(path: str, write) -> None:
     """Replace path with the file write(file) writes, in one step: a failure
-    at any point leaves the previous file whole and no temporary file behind."""
+    at any point leaves the previous file whole and no temporary file behind.
+    The file keeps the permissions of the one it replaces."""
     import tempfile
 
     target = Path(path)
+    mode = _file_mode(target)
     try:
         fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.", suffix=".tmp")
     except OSError as exc:
@@ -49,6 +72,7 @@ def _write_atomic(path: str, write) -> None:
         raise type(exc)(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, "wb") as f:
+            os.fchmod(fd, mode)
             write(f)
             f.flush()
             os.fsync(f.fileno())
@@ -182,7 +206,8 @@ def _cmd_query(args: argparse.Namespace) -> str:
             raise ValueError(f"--pick {pick} out of range 1..{len(recs)}")
         skeleton = render_skeleton(recs[pick - 1], q)
         if args.out:
-            Path(args.out).write_text(skeleton + "\n", encoding="utf-8")
+            data = (skeleton + "\n").encode("utf-8")
+            _write_atomic(args.out, lambda out: out.write(data))
             out.append(f"skeleton -> {args.out}")
         else:
             out.append("--- skeleton ---")
@@ -227,6 +252,8 @@ def _parse_gold_line(line: str, where: str) -> tuple[str, list[str], int | None]
 
 
 def _cmd_eval(args: argparse.Namespace) -> str:
+    from fractions import Fraction
+
     from . import metrics
 
     if not args.gold:

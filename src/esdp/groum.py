@@ -18,9 +18,8 @@ without a search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, groupby, permutations, product
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .items import (ControlMarker, ItemKind, MarkerKind, SourceItem, lower_camel,
                     simple_name, upper_first)
@@ -40,15 +39,13 @@ _ACTION_KINDS = frozenset(
 EXACT_OCCURRENCE_LIMIT = 20
 
 
-@dataclass(frozen=True)
-class GroumNode:
+class GroumNode(NamedTuple):
     id: int
     label: str
     role: str  # "action" | "control"
 
 
-@dataclass(frozen=True)
-class Groum:
+class Groum(NamedTuple):
     nodes: tuple[GroumNode, ...]
     edges: frozenset[tuple[int, int]]
     origin: str = ""
@@ -57,8 +54,7 @@ class Groum:
         return tuple(n.label for n in self.nodes)
 
 
-@dataclass
-class GroumPattern:
+class GroumPattern(NamedTuple):
     representative: Groum
     occurrences: dict[int, list[frozenset[int]]]  # graph index -> node sets
     frequency: int
@@ -306,8 +302,7 @@ def frequency(occurrences_per_graph: dict[int, Sequence[frozenset[int]]],
 
 # --- pattern exploration -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Host:
+class _Host(NamedTuple):
     """One dataset graph with the lookups growth needs, built once per call."""
     graph: Groum
     labels: dict[int, str]

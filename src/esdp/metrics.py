@@ -3,9 +3,8 @@ sequence precision/recall, and ROC points for scored binary outcomes."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable, NamedTuple, Sequence
 
 
 class UndefinedMetric(ValueError):
@@ -16,14 +15,21 @@ class DegenerateLabels(ValueError):
     pass
 
 
-@dataclass
-class RetrievalOutcome:
+class _Outcome(NamedTuple):
     retrieved: list[Hashable]
     relevant: set[Hashable]
 
-    def __post_init__(self) -> None:
-        if len(set(self.retrieved)) != len(self.retrieved):
+
+class RetrievalOutcome(_Outcome):
+    """What a query retrieved, in rank order and duplicate-free, and what
+    is relevant to it."""
+
+    __slots__ = ()
+
+    def __new__(cls, retrieved: list[Hashable], relevant: set[Hashable]):
+        if len(set(retrieved)) != len(retrieved):
             raise ValueError("retrieved must be duplicate-free")
+        return super().__new__(cls, retrieved, relevant)
 
 
 def precision_recall(outcome: RetrievalOutcome) -> tuple[Fraction, Fraction]:

@@ -9,11 +9,13 @@ and no rounding; display rounding happens only at serialization time.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import Callable, Iterable, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 
 from . import kernels
 from .transactions import SequenceDatabase
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class InvalidThreshold(ValueError):
@@ -26,7 +28,8 @@ Element = tuple[str, str]  # (kind, name)
 class SequentialPattern(NamedTuple):
     """A mined sequence: support_count of db_size sequences hold it and
     prefix_count hold its first k-1 elements (support_count when k == 1).
-    The scores are exact rationals computed from these on demand."""
+    The scores are exact rationals computed from these on demand; fractions
+    is imported only then, as no command but eval asks for a score."""
 
     elements: tuple[Element, ...]
     support_count: int
@@ -46,14 +49,17 @@ class SequentialPattern(NamedTuple):
 
     @property
     def support_ratio(self) -> Fraction:
+        from fractions import Fraction
         return Fraction(self.support_count, self.db_size)
 
     @property
     def confidence(self) -> Fraction:
+        from fractions import Fraction
         return Fraction(self.support_count, self.prefix_count)
 
     @property
     def ranking(self) -> Fraction:
+        from fractions import Fraction
         return Fraction(len(self.elements) * self.support_count, self.db_size)
 
 

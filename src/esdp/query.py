@@ -9,13 +9,15 @@ item sequence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from typing import TYPE_CHECKING, NamedTuple
 
 from .extractor import UnparsableSource, extract_items
 from .items import ItemKind, lower_camel, simple_name, upper_first
 from .mining import SequentialPattern
 from .repository import MinedRepository
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 _FIELD_MODIFIERS = ("private", "public", "protected", "static", "final")
 
@@ -24,21 +26,33 @@ class UnparsableQuery(ValueError):
     pass
 
 
-@dataclass
 class QueryContext:
-    variables: dict[str, str] = field(default_factory=dict)  # name -> type
-    imports: list[str] = field(default_factory=list)
+    """The variables (name -> type) and imports a statement is read under;
+    each context holds its own dict and list, so it is unhashable."""
+
+    __slots__ = ("variables", "imports")
+
+    def __init__(self, variables: dict[str, str] | None = None,
+                 imports: list[str] | None = None):
+        self.variables = {} if variables is None else variables
+        self.imports = [] if imports is None else imports
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not QueryContext:
+            return NotImplemented
+        return (self.variables, self.imports) == (other.variables, other.imports)
+
+    def __repr__(self) -> str:
+        return f"QueryContext(variables={self.variables!r}, imports={self.imports!r})"
 
 
-@dataclass
-class UserQuery:
+class UserQuery(NamedTuple):
     raw_statement: str
     item: tuple[str, str]
     context: QueryContext
 
 
-@dataclass
-class Recommendation:
+class Recommendation(NamedTuple):
     pattern: SequentialPattern
     match_offset: int
 

@@ -30,8 +30,7 @@ from __future__ import annotations
 
 import io
 import re
-from dataclasses import dataclass
-from typing import BinaryIO, Iterable, Iterator
+from typing import BinaryIO, Iterable, Iterator, NamedTuple
 
 from .items import ItemKind
 from .mining import Element, RankedPatterns, SequentialPattern, sort_patterns
@@ -43,8 +42,7 @@ class SchemaViolation(ValueError):
         self.path = path
 
 
-@dataclass(frozen=True)
-class MinedRepository:
+class MinedRepository(NamedTuple):
     patterns: tuple[SequentialPattern, ...]
     corpus_label: str = ""
     created_at: str = "1970-01-01T00:00:00Z"
@@ -451,7 +449,8 @@ def merge_update(store: BinaryIO, fresh: Iterable[SequentialPattern], created_at
     fresh item name cannot be written.
     """
     latest = {p.elements: p for p in fresh}
-    queue = sort_patterns(latest.values())
+    # mined RankedPatterns are sorted already, with no element list twice
+    queue = fresh if isinstance(fresh, RankedPatterns) else sort_patterns(latest.values())
     corpus, _, _, blocks = _read(store)
     # The new pattern list as steps (start, stop, fresh patterns): copy the
     # stored bytes [start, stop), then write the fresh blocks. The stored

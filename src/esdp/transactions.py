@@ -7,23 +7,38 @@ head, then the items of its body in line order, duplicates kept.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .items import ItemKind, SourceItem
 
 
-@dataclass(frozen=True)
-class SequenceRecord:
+class SequenceRecord(NamedTuple):
     sid: str
     items: tuple[tuple[str, str], ...]
 
 
-@dataclass(frozen=True)
 class SequenceDatabase:
-    records: tuple[SequenceRecord, ...] = ()
+    """The records in sid order; len() counts them. A class of its own, not
+    a NamedTuple, whose len() would count its fields."""
+
+    __slots__ = ("records",)
+
+    def __init__(self, records: tuple[SequenceRecord, ...] = ()):
+        self.records = records
 
     def __len__(self) -> int:
         return len(self.records)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not SequenceDatabase:
+            return NotImplemented
+        return self.records == other.records
+
+    def __hash__(self) -> int:
+        return hash(self.records)
+
+    def __repr__(self) -> str:
+        return f"SequenceDatabase(records={self.records!r})"
 
 
 def _is_method_path(path: str) -> bool:

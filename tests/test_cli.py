@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import importlib
+import json
 import os
 import pkgutil
 import subprocess
@@ -372,6 +373,39 @@ def test_mine_determinism(corpus, tmp_path, capsys, monkeypatch):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("epoch, created", [
+    ("0", "1970-01-01T00:00:00Z"), ("-1", "1969-12-31T23:59:59Z"),
+    ("1445558400", "2015-10-23T00:00:00Z"), ("253402300799", "9999-12-31T23:59:59Z")])
+def test_source_date_epoch_stamps_created(corpus, tmp_path, capsys, monkeypatch, epoch,
+                                          created):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+    repo_path = tmp_path / "out.xml"
+    status, _ = run(["mine", "--corpus", str(corpus), "--repo", str(repo_path)], capsys)
+    assert status == 0
+    assert f' created="{created}" '.encode() in repo_path.read_bytes().split(b"\n", 1)[0]
+
+
+@pytest.mark.parametrize("epoch", ["100000000000000000000", "253402300800", "-62135596801",
+                                   "1.5", "soon"])
+@pytest.mark.parametrize("command", ["mine", "update"])
+def test_source_date_epoch_outside_years_1_to_9999_is_refused(
+        corpus, tmp_path, capsys, monkeypatch, epoch, command):
+    repo_path = tmp_path / "out.xml"
+    before = None
+    if command == "update":
+        run(["mine", "--corpus", str(corpus), "--repo", str(repo_path)], capsys)
+        before = repo_path.read_bytes()
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+    status, out = run([command, "--corpus", str(corpus), "--repo", str(repo_path)], capsys)
+    assert status == 1
+    assert out == ("ValueError: SOURCE_DATE_EPOCH must be an integer from -62135596800 to "
+                   f"253402300799 (years 1..9999), got {epoch!r}\n")
+    if before is None:
+        assert not repo_path.exists()
+    else:
+        assert repo_path.read_bytes() == before
+
+
 def test_esdp_repo_env_default(corpus, tmp_path, capsys, monkeypatch):
     repo_path = tmp_path / "env.xml"
     monkeypatch.setenv("ESDP_REPO", str(repo_path))
@@ -441,6 +475,43 @@ def test_query_out_writes_the_skeleton_to_the_file(tmp_path, capsys):
     assert out_path.read_text(encoding="utf-8") == "parser.flush();\n"
     assert out.splitlines()[-1] == f"skeleton -> {out_path}"
     assert "--- skeleton ---" not in out
+
+
+def test_failed_query_out_leaves_the_file_whole(tmp_path, capsys, monkeypatch):
+    store = _two_call_store(tmp_path)
+    (tmp_path / "out").mkdir()
+    out_path = tmp_path / "out" / "skeleton.java"
+    out_path.write_text("old\n", encoding="utf-8")
+
+    def fail(fd):
+        raise OSError("fsync failed")
+
+    monkeypatch.setattr(os, "fsync", fail)  # after the skeleton is written
+    status, out = run(["query", "--repo", str(store), "--pick", "1",
+                       "--out", str(out_path), *_SET_KIND], capsys)
+    assert status == 1
+    assert out == "OSError: fsync failed\n"
+    assert out_path.read_text(encoding="utf-8") == "old\n"
+    assert [p.name for p in out_path.parent.iterdir()] == ["skeleton.java"]
+
+
+def test_written_files_keep_the_mode_of_the_file_they_replace(corpus, tmp_path, capsys):
+    umask = os.umask(0)
+    os.umask(umask)
+    store = tmp_path / "store.xml"
+    run(["mine", "--corpus", str(corpus), "--repo", str(store)], capsys)
+    assert store.stat().st_mode & 0o777 == 0o666 & ~umask
+    store.chmod(0o640)
+    run(["update", "--corpus", str(corpus), "--repo", str(store)], capsys)
+    assert store.stat().st_mode & 0o777 == 0o640
+    skeleton = tmp_path / "skeleton.java"
+    query = ["query", "--repo", str(_two_call_store(tmp_path)), "--pick", "1",
+             "--out", str(skeleton), *_SET_KIND]
+    assert main(query) == 0
+    assert skeleton.stat().st_mode & 0o777 == 0o666 & ~umask
+    skeleton.chmod(0o604)
+    assert main(query) == 0
+    assert skeleton.stat().st_mode & 0o777 == 0o604
 
 
 def test_query_pick_beyond_the_list_exits_1(tmp_path, capsys):
@@ -646,6 +717,33 @@ def test_query_imports_neither_groum_nor_metrics(tmp_path):
     assert done.returncode == 0, done.stderr
     assert "--- skeleton ---" in done.stdout
     assert done.stdout.splitlines()[-1] == "0"
+
+
+def test_commands_import_no_dataclasses_fractions_or_datetime(tmp_path):
+    # The standard modules dataclasses (with inspect), fractions (with
+    # decimal) and datetime are not loaded by mine, update, query or groum;
+    # eval may load fractions.
+    corpus = write_fixture_corpus(tmp_path / "corpus")
+    store = tmp_path / "store.xml"
+    commands = [["mine", "--corpus", str(corpus), "--repo", str(store)],
+                ["update", "--adaptive", "--corpus", str(corpus), "--repo", str(store)],
+                ["query", "--repo", str(store), "--pick", "1", "--out",
+                 str(tmp_path / "skeleton.java"), "--var", "parser=ASTParser",
+                 "parser.setKind(0);"],
+                ["groum", "--corpus", str(corpus)]]
+    code = ("import json, sys\n"
+            "import esdp.cli\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert esdp.cli.main(argv) == 0, argv\n"
+            "print(*(m for m in ('dataclasses', 'inspect', 'fractions', 'decimal', 'datetime')\n"
+            "        if m in sys.modules))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(esdp.cli.__file__).resolve().parents[1]),
+               SOURCE_DATE_EPOCH="0")
+    done = subprocess.run([sys.executable, "-c", code, json.dumps(commands)],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert "pattern size=" in done.stdout and "skeleton -> " in done.stdout
+    assert done.stdout.splitlines()[-1] == ""
 
 
 def _last_block_line(store: bytes, text: bytes) -> int:

@@ -12,10 +12,17 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import esdp.repository
 from conftest import random_sequence_db, write_fixture_corpus
 from esdp.extractor import extract_corpus
 from esdp.items import ItemKind
-from esdp.mining import SequentialPattern, adaptive_mine, mine_prefixspan, sort_patterns
+from esdp.mining import (
+    RankedPatterns,
+    SequentialPattern,
+    adaptive_mine,
+    mine_prefixspan,
+    sort_patterns,
+)
 from esdp.repository import (
     _ITEM,
     _NAME,
@@ -589,6 +596,25 @@ def test_merge_update_on_mined_stores(name, tmp_path):
     repo, fresh = _mined_stores(name, tmp_path)
     assert repo.patterns and fresh
     _merged(repo, fresh)
+
+
+@pytest.mark.parametrize("name", ["fixture", "update-adaptive"])
+def test_merge_update_takes_ranked_patterns_as_they_stand(name, tmp_path, monkeypatch):
+    # The miners' RankedPatterns are written in their order, not sorted
+    # again; the same patterns as a shuffled plain list are sorted first,
+    # to the same bytes.
+    repo, fresh = _mined_stores(name, tmp_path)
+    assert isinstance(fresh, RankedPatterns)
+    shuffled = list(fresh)
+    random.Random(7).shuffle(shuffled)
+    data = serialize(repo)
+    want = _update(data, shuffled, "u", 3)
+
+    def no_sort(patterns):
+        raise AssertionError("RankedPatterns sorted again")
+
+    monkeypatch.setattr(esdp.repository, "sort_patterns", no_sort)
+    assert _update(data, fresh, "u", 3) == want
 
 
 # --- the two-pass update against the in-memory splice ------------------------------
