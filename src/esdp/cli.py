@@ -158,10 +158,17 @@ def _format_rec_rows(recs) -> list[list[str]]:
     return rows
 
 
+def _csv_cell(cell: str) -> str:
+    """cell as RFC 4180 writes it: quoted when it holds a comma, a double
+    quote or a line break, each double quote in it doubled."""
+    if any(c in cell for c in ',"\r\n'):
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
 def _csv_lines(header: list[str], rows: list[list[str]]) -> list[str]:
-    """The header and rows as CSV lines; a cell holding a comma is quoted."""
-    return [",".join(header)] + [",".join(f'"{c}"' if "," in c else c for c in row)
-                                 for row in rows]
+    """The header and rows as CSV lines."""
+    return [",".join(header)] + [",".join(map(_csv_cell, row)) for row in rows]
 
 
 def _render_table(header: list[str], rows: list[list[str]]) -> str:
@@ -197,11 +204,13 @@ def _cmd_query(args: argparse.Namespace) -> str:
     if recs:
         pick = args.pick
         if pick == 0:
+            choice = ""
             if sys.stdin.isatty():
-                choice = input(f"select recommendation 1..{len(recs)}: ").strip()
-                pick = int(choice) if choice.isdigit() else 1
-            else:
-                pick = 1
+                try:
+                    choice = input(f"select recommendation 1..{len(recs)}: ").strip()
+                except EOFError:  # end of input answers as a non-digit does
+                    pass
+            pick = int(choice) if choice.isdigit() else 1
         if not 1 <= pick <= len(recs):
             raise ValueError(f"--pick {pick} out of range 1..{len(recs)}")
         skeleton = render_skeleton(recs[pick - 1], q)
@@ -235,6 +244,11 @@ def _cmd_groum(args: argparse.Namespace) -> str:
         out.append(groum_mod.dump_groum(p.representative))
         out.append("")
     return "\n".join(out).rstrip()
+
+
+def _shown(x, places: int = 2) -> str:
+    """The exact rational x (>= 0) rounded half-up as the store rounds it."""
+    return two_dp(*x.as_integer_ratio(), places)
 
 
 def _parse_gold_line(line: str, where: str) -> tuple[str, list[str], int | None]:
@@ -288,11 +302,10 @@ def _cmd_eval(args: argparse.Namespace) -> str:
         prs.append((p, r))
         if label is not None:
             labeled_scores.append((score, label))
-        rows.append([statement, str(len(recs)),
-                     *(two_dp(*x.as_integer_ratio()) for x in (p, r, score))])
+        rows.append([statement, str(len(recs)), *map(_shown, (p, r, score))])
     if not rows:
         raise ValueError(f"{args.gold}: gold file holds no queries")
-    mean_p, mean_r = (two_dp(*x.as_integer_ratio()) for x in metrics.average_pr(prs))
+    mean_p, mean_r = map(_shown, metrics.average_pr(prs))
     out = []
     header = ["query", "matched", "precision", "recall", "score"]
     if args.format == "csv":
@@ -306,12 +319,12 @@ def _cmd_eval(args: argparse.Namespace) -> str:
         auc = metrics.auc_trapezoid(points)
         if args.format == "csv":
             out.append("fpr,tpr")
-            out += [f"{float(x):.4f},{float(y):.4f}" for x, y in points]
-            out.append(f"auc,{float(auc):.4f}")
+            out += [f"{_shown(x, 4)},{_shown(y, 4)}" for x, y in points]
+            out.append(f"auc,{_shown(auc, 4)}")
         else:
             out.append("ROC points: " + " ".join(
-                f"({float(x):.2f},{float(y):.2f})" for x, y in points))
-            out.append(f"AUC {float(auc):.4f}")
+                f"({_shown(x)},{_shown(y)})" for x, y in points))
+            out.append(f"AUC {_shown(auc, 4)}")
     return "\n".join(out)
 
 

@@ -26,7 +26,6 @@ from typing import Iterable, Iterator
 from .items import (
     ControlMarker,
     ItemKind,
-    MarkerKind,
     SourceItem,
     lower_camel,
     simple_name,
@@ -255,8 +254,8 @@ class _Extractor:
     def emit(self, kind: ItemKind, name: str, enclosing: str, at: int) -> None:
         self.out.append((at, SourceItem(kind, name, enclosing or self.file_label, self.line(at))))
 
-    def mark(self, kind: MarkerKind, enclosing: str, at: int) -> None:
-        self.markers.append(ControlMarker(kind, enclosing, self.line(at)))
+    def mark(self, label: str, enclosing: str, at: int) -> None:
+        self.markers.append(ControlMarker(label, enclosing, self.line(at)))
 
     def emit_call(self, recv: str, method: str, start: int, enclosing: str) -> None:
         """Read the argument list of recv.method(...) and emit the call."""
@@ -534,12 +533,9 @@ class _Extractor:
         elif text == ";":
             self.i += 1
         elif text == "if":
-            # an else-if chain is read in this loop, not by recursion;
-            # its IF_END markers all close after the last branch
-            opened = 0
+            # an else-if chain is read in this loop, not by recursion
             while True:
-                self.mark(MarkerKind.IF_BEGIN, enclosing, self.i)
-                opened += 1
+                self.mark("IF", enclosing, self.i)
                 self.i += 1
                 self.parse_parens(enclosing)
                 self.parse_statement(enclosing)
@@ -548,10 +544,8 @@ class _Extractor:
                 if texts[self.i] != "if":
                     self.parse_statement(enclosing)
                     break
-            for _ in range(opened):
-                self.mark(MarkerKind.IF_END, enclosing, self.i - 1)
         elif text in ("while", "do", "for"):
-            self.mark(MarkerKind.LOOP_BEGIN, enclosing, start)
+            self.mark("LOOP", enclosing, start)
             self.i += 1
             if text == "while":
                 self.parse_parens(enclosing)
@@ -562,7 +556,6 @@ class _Extractor:
                 if self.accept("while"):
                     self.parse_parens(enclosing)
                 self.accept(";")
-            self.mark(MarkerKind.LOOP_END, enclosing, self.i - 1)
         elif text == "return":
             self.emit(ItemKind.RT, self.return_types[-1], enclosing, start)
             self.i += 1

@@ -1,7 +1,9 @@
 """Graph-based object usage models and frequent induced-subgraph mining.
 
 A groum is a labeled DAG built from one method's action items (calls,
-creations, field writes) and control regions. Mining grows patterns one
+creations, field writes) and control regions. Each node carries only an id
+and a label; a region is one IF or LOOP node at the line where it begins,
+so a control marker's label is its node's label. Mining grows patterns one
 node at a time by extending every stored occurrence with an adjacent node
 of a frequent label, groups the candidates into isomorphism classes by one
 canonical key (colour refinement, then the smallest edge list over the
@@ -21,14 +23,8 @@ from __future__ import annotations
 from itertools import chain, groupby, permutations, product
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .items import (ControlMarker, ItemKind, MarkerKind, SourceItem, lower_camel,
-                    simple_name, upper_first)
+from .items import ControlMarker, ItemKind, SourceItem, lower_camel, simple_name, upper_first
 from .mining import InvalidThreshold
-
-
-class MalformedControlNesting(ValueError):
-    pass
-
 
 _ACTION_KINDS = frozenset(
     {ItemKind.CI, ItemKind.MI, ItemKind.FA, ItemKind.CTI, ItemKind.SCI}
@@ -42,7 +38,6 @@ EXACT_OCCURRENCE_LIMIT = 20
 class GroumNode(NamedTuple):
     id: int
     label: str
-    role: str  # "action" | "control"
 
 
 class Groum(NamedTuple):
@@ -90,45 +85,25 @@ def build_groum(items: Sequence[SourceItem], markers: Sequence[ControlMarker] = 
     use between (data dependency) or b immediately follows a (usage order);
     transitive edges are omitted.
     """
-    _check_nesting(markers)
-    entries: list[tuple[tuple[int, int], str, str, str | None]] = []
+    entries: list[tuple[tuple[int, int], str, str | None]] = []
     for it in items:
         if it.kind in _ACTION_KINDS:
-            label, tag = _action(it)
-            entries.append(((it.line, 1), label, "action", tag))
-    for m in markers:
-        if m.kind is MarkerKind.IF_BEGIN:
-            entries.append(((m.line, 0), "IF", "control", None))
-        elif m.kind is MarkerKind.LOOP_BEGIN:
-            entries.append(((m.line, 0), "LOOP", "control", None))
+            entries.append(((it.line, 1), *_action(it)))
+    entries += [((m.line, 0), m.label, None) for m in markers]
     entries.sort(key=lambda e: e[0])
 
-    nodes = tuple(GroumNode(i, label, role) for i, (_, label, role, _) in enumerate(entries))
+    nodes = tuple(GroumNode(i, label) for i, (_, label, _) in enumerate(entries))
     edges: set[tuple[int, int]] = set()
     for i in range(len(entries) - 1):
         edges.add((i, i + 1))
     last_use: dict[str, int] = {}
-    for i, (_, _, _, tag) in enumerate(entries):
+    for i, (_, _, tag) in enumerate(entries):
         if tag is None:
             continue
         if tag in last_use:
             edges.add((last_use[tag], i))
         last_use[tag] = i
     return Groum(nodes, frozenset(edges), origin=origin or (items[0].enclosing if items else ""))
-
-
-def _check_nesting(markers: Sequence[ControlMarker]) -> None:
-    stack: list[MarkerKind] = []
-    pairs = {MarkerKind.IF_END: MarkerKind.IF_BEGIN, MarkerKind.LOOP_END: MarkerKind.LOOP_BEGIN}
-    for m in markers:
-        if m.kind in (MarkerKind.IF_BEGIN, MarkerKind.LOOP_BEGIN):
-            stack.append(m.kind)
-        else:
-            if not stack or stack[-1] is not pairs[m.kind]:
-                raise MalformedControlNesting(f"unmatched {m.kind.value} at line {m.line}")
-            stack.pop()
-    if stack:
-        raise MalformedControlNesting(f"unclosed {stack[-1].value}")
 
 
 def build_groums_for_methods(items: Sequence[SourceItem],
@@ -155,7 +130,7 @@ def induced_subgraph(g: Groum, node_ids: Iterable[int]) -> Groum:
     keep = sorted(set(node_ids))
     remap = {old: new for new, old in enumerate(keep)}
     by_id = {n.id: n for n in g.nodes}
-    nodes = tuple(GroumNode(remap[i], by_id[i].label, by_id[i].role) for i in keep)
+    nodes = tuple(GroumNode(remap[i], by_id[i].label) for i in keep)
     edges = frozenset((remap[a], remap[b]) for a, b in g.edges
                       if a in remap and b in remap)
     return Groum(nodes, edges, origin=g.origin)

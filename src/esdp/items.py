@@ -3,7 +3,8 @@
 A source file is reduced to a stream of items. Each item is identified by
 its kind tag and a normalized name that never contains a local variable
 identifier, so `Connection connection;` and `Connection conn;` abstract to
-the same item.
+the same item. Beside the items, a control marker records where an if or
+a loop region begins in a method; where it ends is not recorded.
 """
 
 from __future__ import annotations
@@ -32,13 +33,6 @@ class ItemKind(Enum):
     SC = "SC"    # super class inheritance
 
 
-class MarkerKind(Enum):
-    IF_BEGIN = "IF_BEGIN"
-    IF_END = "IF_END"
-    LOOP_BEGIN = "LOOP_BEGIN"
-    LOOP_END = "LOOP_END"
-
-
 class SourceItem(NamedTuple):
     """One abstracted code entity.
 
@@ -57,9 +51,10 @@ class SourceItem(NamedTuple):
 
 
 class ControlMarker(NamedTuple):
-    """Begin/end of an if or loop region inside a method block."""
+    """Where an if or loop region begins inside a method block; ``label``,
+    ``"IF"`` or ``"LOOP"``, is that of the graph node it becomes."""
 
-    kind: MarkerKind
+    label: str
     enclosing: str
     line: int
 

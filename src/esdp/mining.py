@@ -80,6 +80,31 @@ def ranking_key(lcm: int) -> Callable[[SequentialPattern], tuple]:
     return key
 
 
+def precedes(a: SequentialPattern, b: SequentialPattern) -> bool:
+    """Whether a sorts before b in sort_patterns order: ranking desc,
+    compared by cross-multiplying, support desc, then names and kinds.
+    This is ranking_key's order, found without a common multiple of the
+    database sizes."""
+    elements_a, count_a, size_a, _ = a
+    elements_b, count_b, size_b, _ = b
+    rise = len(elements_a) * count_a * size_b - len(elements_b) * count_b * size_a
+    if rise:
+        return rise > 0
+    if count_a != count_b:
+        return count_a > count_b
+    return _elements_precede(elements_a, elements_b)
+
+
+def _elements_precede(a: tuple[Element, ...], b: tuple[Element, ...]) -> bool:
+    """Whether element list a sorts before b on names, then kinds."""
+    for (_, x), (_, y) in zip(a, b):
+        if x != y:
+            return x < y
+    if len(a) != len(b):
+        return len(a) < len(b)
+    return [kind for kind, _ in a] < [kind for kind, _ in b]
+
+
 def sort_patterns(patterns: Iterable[SequentialPattern]) -> list[SequentialPattern]:
     """Ranking desc, support desc, then lexicographic on names and kinds,
     exactly (ranking_key over the lcm of the patterns' database sizes)."""

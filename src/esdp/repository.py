@@ -33,7 +33,7 @@ import re
 from typing import BinaryIO, Iterable, Iterator, NamedTuple
 
 from .items import ItemKind
-from .mining import Element, RankedPatterns, SequentialPattern, sort_patterns
+from .mining import RankedPatterns, SequentialPattern, precedes, sort_patterns
 
 
 class SchemaViolation(ValueError):
@@ -67,10 +67,12 @@ def make_repository(patterns: Iterable[SequentialPattern], corpus_label: str = "
 
 # --- rendering -----------------------------------------------------------------
 
-def two_dp(num: int, den: int) -> str:
-    """num/den (>= 0) rounded half-up to two decimals, exactly: 1/8 -> "0.13"."""
-    q = (200 * num + den) // (2 * den)
-    return f"{q // 100}.{q % 100:02d}"
+def two_dp(num: int, den: int, places: int = 2) -> str:
+    """num/den (>= 0) rounded half-up to places (default two) decimals,
+    exactly: 1/8 -> "0.13", 29/32 at four places -> "0.9063"."""
+    scale = 10 ** places
+    q = (2 * scale * num + den) // (2 * den)
+    return f"{q // scale}.{str(q % scale).zfill(places)}"
 
 
 def _esc(text: str) -> str:
@@ -461,12 +463,12 @@ def merge_update(store: BinaryIO, fresh: Iterable[SequentialPattern], created_at
     for idx, (line, start, stop, p) in enumerate(blocks, 1):
         if above is None:
             cut = start
-        elif fault is None and not _before(above, p):
+        elif fault is None and not precedes(above, p):
             fault = _pattern_violation(
                 line, f"pattern ranks above pattern[{idx - 1}]: stored patterns must be in "
                 "ranking order", idx)
         i = j
-        while j < len(queue) and _before(queue[j], p):
+        while j < len(queue) and precedes(queue[j], p):
             j += 1
         if j > i:
             steps.append((cut, start, queue[i:j]))
@@ -501,26 +503,3 @@ def _copy(src: BinaryIO, start: int, stop: int, dst: BinaryIO) -> None:
             raise SchemaViolation("store cut short while it was updated")
         dst.write(chunk)
         start += len(chunk)
-
-
-def _before(a: SequentialPattern, b: SequentialPattern) -> bool:
-    """Whether a sorts before b in sort_patterns order: ranking desc,
-    compared by cross-multiplying, support desc, then names and kinds."""
-    elements_a, count_a, size_a, _ = a
-    elements_b, count_b, size_b, _ = b
-    rise = len(elements_a) * count_a * size_b - len(elements_b) * count_b * size_a
-    if rise:
-        return rise > 0
-    if count_a != count_b:
-        return count_a > count_b
-    return _precedes(elements_a, elements_b)
-
-
-def _precedes(a: tuple[Element, ...], b: tuple[Element, ...]) -> bool:
-    """Whether element list a sorts before b on names, then kinds."""
-    for (_, x), (_, y) in zip(a, b):
-        if x != y:
-            return x < y
-    if len(a) != len(b):
-        return len(a) < len(b)
-    return [kind for kind, _ in a] < [kind for kind, _ in b]

@@ -34,7 +34,6 @@ from esdp.groum import (
 from esdp.items import (
     ControlMarker,
     ItemKind,
-    MarkerKind,
     SourceItem,
     lower_camel,
     simple_name,
@@ -645,9 +644,6 @@ class _ExtractorReference:
             self.i += 1
         return t
 
-    def prev_line(self) -> int:
-        return self.toks[max(self.i - 1, 0)].line
-
     def descend(self) -> None:
         """Enter one nested parse method; the caller decrements depth on
         leaving it (a raise abandons the whole parse)."""
@@ -661,8 +657,8 @@ class _ExtractorReference:
     def emit(self, kind: ItemKind, name: str, enclosing: str, line: int, col: int) -> None:
         self.out.append((line, col, SourceItem(kind, name, enclosing or self.file_label, line)))
 
-    def mark(self, kind: MarkerKind, enclosing: str, line: int) -> None:
-        self.markers.append(ControlMarker(kind, enclosing, line))
+    def mark(self, label: str, enclosing: str, line: int) -> None:
+        self.markers.append(ControlMarker(label, enclosing, line))
 
     def emit_call(self, recv: str, method: str, start: Token, enclosing: str) -> None:
         """Read the argument list of recv.method(...) and emit the call."""
@@ -919,12 +915,11 @@ class _ExtractorReference:
         elif t.text == ";":
             self.advance()
         elif t.text == "if":
-            # an else-if chain is read in this loop, not by recursion;
-            # its IF_END markers all close after the last branch
-            opened = 0
+            # an else-if chain is read in this loop, not by recursion.
+            # Changed as in esdp.extractor: a marker records where an if or
+            # a loop begins, under its node label, and no end is marked
             while True:
-                self.mark(MarkerKind.IF_BEGIN, enclosing, self.cur().line)
-                opened += 1
+                self.mark("IF", enclosing, self.cur().line)
                 self.advance()
                 self.parse_parens(enclosing)
                 self.parse_statement(enclosing)
@@ -933,10 +928,8 @@ class _ExtractorReference:
                 if not self.at("if"):
                     self.parse_statement(enclosing)
                     break
-            for _ in range(opened):
-                self.mark(MarkerKind.IF_END, enclosing, self.prev_line())
         elif t.text in ("while", "do", "for"):
-            self.mark(MarkerKind.LOOP_BEGIN, enclosing, t.line)
+            self.mark("LOOP", enclosing, t.line)
             self.advance()
             if t.text == "while":
                 self.parse_parens(enclosing)
@@ -947,7 +940,6 @@ class _ExtractorReference:
                 if self.accept("while"):
                     self.parse_parens(enclosing)
                 self.accept(";")
-            self.mark(MarkerKind.LOOP_END, enclosing, self.prev_line())
         elif t.text == "return":
             self.emit(ItemKind.RT, self.return_types[-1], enclosing, t.line, t.col)
             self.advance()

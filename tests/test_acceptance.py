@@ -87,7 +87,7 @@ def test_worked_metric_fixtures():
 
 def _random_groum(rng: random.Random) -> Groum:
     n = rng.randint(1, 5)
-    nodes = tuple(GroumNode(i, f"L{rng.randint(1, 3)}", "action") for i in range(n))
+    nodes = tuple(GroumNode(i, f"L{rng.randint(1, 3)}") for i in range(n))
     edges = frozenset((i, j) for i in range(n) for j in range(i + 1, n)
                       if rng.random() < 0.45)
     return Groum(nodes, edges, "rand")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import importlib
 import json
 import os
@@ -176,6 +177,25 @@ def test_eval_csv_format(corpus, tmp_path, capsys):
     assert out.splitlines()[0] == "query,matched,precision,recall,score"
 
 
+def test_eval_csv_reads_back_as_the_table_cells(corpus, tmp_path, capsys):
+    # RFC 4180: a cell with a comma or a double quote is quoted, and each
+    # double quote in it doubled
+    repo_path = tmp_path / "repo.xml"
+    run(["mine", "--corpus", str(corpus), "--repo", str(repo_path)], capsys)
+    gold = tmp_path / "gold.tsv"
+    gold.write_text('s.f("a,b");\ta.b()\ns.g("x");\ta.b()\n'
+                    "parser.setKind(0);\taSTParser.setKind(int)\n", encoding="utf-8")
+    status, out = run(["eval", "--repo", str(repo_path), "--gold", str(gold),
+                       "--var", "parser=ASTParser", "--format", "csv"], capsys)
+    assert status == 0
+    assert list(csv.reader(out.splitlines())) == [
+        ["query", "matched", "precision", "recall", "score"],
+        ['s.f("a,b");', "0", "0.00", "0.00", "0.00"],
+        ['s.g("x");', "0", "0.00", "0.00", "0.00"],
+        ["parser.setKind(0);", "1", "0.25", "1.00", "2.33"],
+        ["mean", "", "0.08", "0.33", ""]]
+
+
 def test_eval_gold_not_utf8_names_file_and_byte_offset(corpus, tmp_path, capsys):
     repo_path = tmp_path / "repo.xml"
     run(["mine", "--corpus", str(corpus), "--repo", str(repo_path)], capsys)
@@ -266,6 +286,34 @@ def test_eval_roc_from_exact_scores(corpus, tmp_path, capsys, monkeypatch, fmt, 
     assert out.splitlines()[-len(roc_lines):] == roc_lines
 
 
+@pytest.mark.parametrize("fmt, roc_lines", [
+    ("table", ["ROC points: (0.00,0.00) (0.00,0.75) (0.13,0.75) (0.25,0.75) (0.38,0.75) "
+               "(0.38,1.00) (0.50,1.00) (0.63,1.00) (0.75,1.00) (0.88,1.00) (1.00,1.00)",
+               "AUC 0.9063"]),
+    ("csv", ["fpr,tpr", "0.0000,0.0000", "0.0000,0.7500", "0.1250,0.7500", "0.2500,0.7500",
+             "0.3750,0.7500", "0.3750,1.0000", "0.5000,1.0000", "0.6250,1.0000",
+             "0.7500,1.0000", "0.8750,1.0000", "1.0000,1.0000", "auc,0.9063"]),
+])
+def test_eval_roc_rounds_half_up_as_the_store_does(tmp_path, capsys, fmt, roc_lines):
+    # eight negatives put the FPR at eighths and four positives the AUC at
+    # 29/32: 1/8, 5/8 and 29/32 are ties that round up, where a binary
+    # float rounds them to 0.12, 0.62 and 0.9062
+    from esdp.mining import SequentialPattern
+
+    counts = [2, 4, 6, 8, 10, 12, 14, 16, 18, 18, 18, 11]  # of 20; negatives first
+    store = tmp_path / "store.xml"
+    store.write_bytes(serialize(make_repository(
+        [SequentialPattern((("MI", f"aSTParser.m{i}()"),), n, 20, n)
+         for i, n in enumerate(counts)])))
+    gold = tmp_path / "gold.tsv"
+    gold.write_text("".join(f"parser.m{i}();\taSTParser.m{i}()\t{int(i >= 8)}\n"
+                            for i in range(len(counts))), encoding="utf-8")
+    status, out = run(["eval", "--repo", str(store), "--gold", str(gold),
+                       "--var", "parser=ASTParser", "--format", fmt], capsys)
+    assert status == 0
+    assert out.splitlines()[-len(roc_lines):] == roc_lines
+
+
 def test_store_in_missing_directory_is_named(corpus, tmp_path, capsys):
     store = tmp_path / "no-such-dir" / "x.xml"
     status, out = run(["mine", "--corpus", str(corpus), "--repo", str(store)], capsys)
@@ -295,7 +343,7 @@ def test_domain_error_exits_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("module,function,error", [
-    ("groum", "patt_explorer", "MalformedControlNesting"),
+    ("groum", "patt_explorer", "InvalidThreshold"),
     ("metrics", "sequence_pr", "UndefinedMetric"),
     ("metrics", "roc_points", "DegenerateLabels"),
 ])
@@ -337,7 +385,7 @@ _ESDP_EXCEPTIONS = _esdp_exception_classes()
 def test_every_esdp_error_is_a_value_error():
     assert {cls.__name__ for cls in _ESDP_EXCEPTIONS} >= {
         "UnparsableSource", "UnparsableQuery", "SchemaViolation", "InvalidThreshold",
-        "MalformedControlNesting", "UndefinedMetric", "DegenerateLabels"}
+        "UndefinedMetric", "DegenerateLabels"}
     assert [cls for cls in _ESDP_EXCEPTIONS if not issubclass(cls, ValueError)] == []
 
 
@@ -519,6 +567,29 @@ def test_query_pick_beyond_the_list_exits_1(tmp_path, capsys):
                        *_SET_KIND], capsys)
     assert status == 1
     assert out.strip() == "ValueError: --pick 2 out of range 1..1"
+
+
+@pytest.mark.parametrize("answer, picked", [("2", 2), ("second", 1), (EOFError, 1)],
+                         ids=["digit", "non-digit", "eof"])
+def test_pick_prompt_on_a_terminal(corpus, tmp_path, capsys, monkeypatch, answer, picked):
+    # a non-digit answer and end of input (Ctrl-D) both pick the first
+    repo_path = tmp_path / "repo.xml"
+    run(["mine", "--corpus", str(corpus), "--repo", str(repo_path)], capsys)
+    query = ["query", "--repo", str(repo_path), "--var", "parser=ASTParser",
+             "parser.setKind(0);"]
+    expected = run(query + ["--pick", str(picked)], capsys)
+    prompts = []
+
+    def ask(prompt):
+        prompts.append(prompt)
+        if answer is EOFError:
+            raise EOFError
+        return answer
+
+    monkeypatch.setattr(sys.stdin, "isatty", lambda: True)
+    monkeypatch.setattr("builtins.input", ask)
+    assert run(query, capsys) == expected
+    assert prompts == ["select recommendation 1..5: "]
 
 
 def test_corpus_may_name_a_source_file(corpus, capsys):

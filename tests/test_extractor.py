@@ -204,8 +204,7 @@ def test_control_markers_nest():
 }
 """
     _, markers = extract_items(source, "c.java")
-    order = [m.kind.value for m in markers]
-    assert order == ["IF_BEGIN", "LOOP_BEGIN", "LOOP_END", "IF_END"]
+    assert [(m.label, m.line) for m in markers] == [("IF", 3), ("LOOP", 4)]
 
 
 def test_dump_format():
@@ -314,7 +313,7 @@ def test_nesting_within_limit_parses():
               + ")" * depth + ";\n" + "}\n" * depth + "  }\n}\n")
     items, markers = extract_items(source, "k.java")
     assert sum(it.kind is ItemKind.MI for it in items) == depth
-    assert len(markers) == 2 * depth
+    assert len(markers) == depth
 
 
 def test_else_if_chain_reads_without_nesting():
@@ -322,8 +321,7 @@ def test_else_if_chain_reads_without_nesting():
     source = ("class K { void m() { if (a) x.f(); "
               + "else if (b) x.f(); " * branches + "else x.g(); } }")
     items, markers = extract_items(source, "k.java")
-    kinds = [m.kind.value for m in markers]
-    assert kinds == ["IF_BEGIN"] * (branches + 1) + ["IF_END"] * (branches + 1)
+    assert [m.label for m in markers] == ["IF"] * (branches + 1)
     assert sum(it.kind is ItemKind.MI for it in items) == branches + 2
 
 
@@ -428,7 +426,7 @@ def test_local_class_stays_out_of_its_method_record():
 def test_labeled_loop_keeps_its_markers():
     source = "class C { void m() { outer: while (a) { if (b) { continue outer; } } } }"
     _, markers = extract_items(source, "c.java")
-    assert [m.kind.value for m in markers] == ["LOOP_BEGIN", "IF_BEGIN", "IF_END", "LOOP_END"]
+    assert [m.label for m in markers] == ["LOOP", "IF"]
 
 
 @pytest.mark.parametrize("source, expected", [
@@ -477,7 +475,7 @@ def _extraction(extract, source):
     except UnparsableSource as exc:
         return ("error", exc.message, exc.line, exc.column)
     return ([(it.kind, it.name, it.enclosing, it.line) for it in items],
-            [(m.kind, m.enclosing, m.line) for m in markers])
+            [(m.label, m.enclosing, m.line) for m in markers])
 
 
 @settings(max_examples=300, deadline=None)

@@ -16,7 +16,6 @@ from esdp.groum import (
     Groum,
     GroumNode,
     InvalidThreshold,
-    MalformedControlNesting,
     build_groum,
     build_groums_for_methods,
     canonical_form,
@@ -26,7 +25,7 @@ from esdp.groum import (
     induced_subgraph,
     patt_explorer,
 )
-from esdp.items import ControlMarker, ItemKind, MarkerKind, SourceItem
+from esdp.items import ItemKind, SourceItem
 import oracles
 from oracles import (
     exhaustive_groum_patterns,
@@ -57,7 +56,7 @@ public class SearchTest
 
 
 def graph_of(labels: list[str], edges: set[tuple[int, int]], origin="g") -> Groum:
-    nodes = tuple(GroumNode(i, lab, "action") for i, lab in enumerate(labels))
+    nodes = tuple(GroumNode(i, lab) for i, lab in enumerate(labels))
     return Groum(nodes, frozenset(edges), origin)
 
 
@@ -112,18 +111,9 @@ def test_control_regions_become_nodes():
         "class C { void m() { if (x.p()) { y.q(); } } }", "c.java")
     body = [it for it in items if it.enclosing.endswith(".m()")]
     g = build_groum(body, markers)
-    assert "IF" in [n.label for n in g.nodes]
-    roles = {n.label: n.role for n in g.nodes}
-    assert roles["IF"] == "control"
-
-
-def test_malformed_nesting_raises():
-    bad = [ControlMarker(MarkerKind.IF_END, "p.C.m()", 3)]
-    with pytest.raises(MalformedControlNesting):
-        build_groum([], bad)
-    with pytest.raises(MalformedControlNesting):
-        build_groum([], [ControlMarker(MarkerKind.IF_BEGIN, "p.C.m()", 1),
-                         ControlMarker(MarkerKind.LOOP_END, "p.C.m()", 2)])
+    # the region's node stands at the line where it begins, before the
+    # calls on that line
+    assert g.labels() == ("IF", "Unknown.p", "Unknown.q")
 
 
 def test_groum_is_acyclic():
@@ -182,7 +172,7 @@ def digraphs(draw, max_nodes=6):
 
 def relabelled(g: Groum, ids: list[int]) -> Groum:
     """g with node i renamed ids[i] and the nodes listed in a new order."""
-    nodes = tuple(GroumNode(ids[n.id], n.label, n.role) for n in reversed(g.nodes))
+    nodes = tuple(GroumNode(ids[n.id], n.label) for n in reversed(g.nodes))
     return Groum(nodes, frozenset((ids[a], ids[b]) for a, b in g.edges), g.origin)
 
 
@@ -232,7 +222,7 @@ def counting_canonical_key(monkeypatch) -> list:
 def test_occurrences_of_one_shape_share_a_class_and_a_key(monkeypatch):
     # a->b at nodes (0, 1) and, numbered apart, at (5, 7); in two, a at 3 -> b at 1
     one = graph_of(["a", "b", "c", "c", "c", "a", "c", "b"], {(0, 1), (5, 7), (1, 2)})
-    two = Groum((GroumNode(1, "b", "action"), GroumNode(3, "a", "action")),
+    two = Groum((GroumNode(1, "b"), GroumNode(3, "a")),
                 frozenset({(3, 1)}), "h")
     hosts = [groum._Host.of(one), groum._Host.of(two)]
     key = canonical_form(induced_subgraph(one, {0, 1}))

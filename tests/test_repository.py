@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import math
 import random
 import re
 import sys
@@ -21,6 +22,8 @@ from esdp.mining import (
     SequentialPattern,
     adaptive_mine,
     mine_prefixspan,
+    precedes,
+    ranking_key,
     sort_patterns,
 )
 from esdp.repository import (
@@ -102,6 +105,15 @@ def test_round_trip_identities():
 def test_two_dp_rounds_exact_value_half_up(num, den):
     exact = Decimal(num) / Decimal(den)  # 28 digits: far finer than 1/(200 * den)
     assert two_dp(num, den) == str(exact.quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
+
+
+@given(st.integers(0, 10**9), st.integers(1, 10**9), st.integers(1, 6))
+@example(29, 32, 4)  # 0.90625 -> 0.9063, where a binary float rounds to 0.9062
+@example(1, 8, 3)
+def test_two_dp_rounds_exact_value_half_up_to_any_places(num, den, places):
+    exact = Decimal(num) / Decimal(den)
+    assert two_dp(num, den, places) == str(
+        exact.quantize(Decimal(1).scaleb(-places), rounding=ROUND_HALF_UP))
 
 
 def test_parse_minimal_hand_written_document():
@@ -549,6 +561,13 @@ def mixed_size_pattern(draw, elements=None) -> SequentialPattern:
     count = draw(st.integers(1, size))
     prefix_count = count if len(elements) == 1 else draw(st.integers(count, size))
     return SequentialPattern(elements, count, size, prefix_count)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_size_pattern(), mixed_size_pattern())
+def test_precedes_is_the_order_of_ranking_key(a, b):
+    key = ranking_key(math.lcm(a.db_size, b.db_size))
+    assert precedes(a, b) == (key(a) < key(b))
 
 
 @st.composite
