@@ -135,7 +135,7 @@ def _cmd_mine(args: argparse.Namespace) -> str:
 
 def _cmd_update(args: argparse.Namespace) -> str:
     # The store is read after mining, so that the sequence database is gone
-    # when the store is checked and spliced.
+    # during the one pass that checks the store and writes the new one.
     path = _repo_path(args)
     patterns, min_support, sequences = _mine_patterns(args)
     stamp = _created_stamp()
@@ -210,7 +210,8 @@ def _cmd_query(args: argparse.Namespace) -> str:
                     choice = input(f"select recommendation 1..{len(recs)}: ").strip()
                 except EOFError:  # end of input answers as a non-digit does
                     pass
-            pick = int(choice) if choice.isdigit() else 1
+            # an answer that names no recommendation picks the first
+            pick = int(choice) if choice.isdecimal() and 1 <= int(choice) <= len(recs) else 1
         if not 1 <= pick <= len(recs):
             raise ValueError(f"--pick {pick} out of range 1..{len(recs)}")
         skeleton = render_skeleton(recs[pick - 1], q)

@@ -5,25 +5,26 @@ Numbers display at two decimals (half-up) while exact rational num/den
 attributes make the round trip lossless. The reader accepts only the
 canonical bytes ``serialize`` writes: UTF-8, LF line ends, the fixed
 indentation and attribute order, numbers without leading zeros, and only
-the escapes ``serialize`` uses. It reads a binary stream line by line,
-bytes as they are, after one pass over the whole stream that refuses a byte
-that is not UTF-8 and a last line without a line feed; any other fault is a
-SchemaViolation naming the line and the element path. Within one call the
-reader checks each distinct head line and item line once, decoding only
-those, and the checks that span a head's lines once per distinct head; the
-writer renders each distinct head and item line once: mined stores repeat
-them heavily.
+the escapes ``serialize`` uses. It reads a binary stream once, line by
+line, bytes as they are. Each line it accepts is decoded or byte-equal to
+one it decoded before or to a fixed ASCII line, and the last is
+</esdp-repository> with its line feed, so an accepted stream holds no
+text fault; only on the way to a refusal does it read the stream again to
+report the first byte that is not UTF-8, then a last line without a line
+feed, ahead of any other fault, which is a SchemaViolation naming the line
+and the element path. Within one call the reader checks each distinct head
+line and item line once, decoding only those, and the checks that span a
+head's lines once per distinct head; the writer renders each distinct head
+and item line once: mined stores repeat them heavily.
 
-``merge_update`` updates a store file to file in two passes. The first is
-the reader: it checks the store, and that its patterns stand in ranking
-order, and notes the byte offsets where fresh blocks go in and replaced
-blocks come out. The second runs only on an accepted store, so a refused one
-gets nothing written: it copies the stored bytes between those cuts a chunk
-at a time and renders only the fresh patterns. Its output is what
-``serialize`` writes for the merged repository. Neither pass holds the
-store: what stays in memory is the reader's memos of distinct lines and its
-index of the stored element lists, about 120 bytes per stored pattern (a
-traced peak of 17 MB for the 149,000 patterns of an 82 MB store).
+``merge_update`` updates a store file to file in one read of the store:
+the reader checks each block, and that the patterns stand in ranking order,
+and the update writes each block it keeps from the lines the reader
+checked, in batches, with the fresh blocks rendered at their cuts. Its
+output is what ``serialize`` writes for the merged repository; a refused
+store leaves a partial output, which the caller discards. The store is not
+held: what stays in memory is the reader's memos of distinct lines and its
+index of the stored element lists, about 120 bytes per stored pattern.
 """
 
 from __future__ import annotations
@@ -289,46 +290,59 @@ def parse(data: bytes) -> MinedRepository:
     """
     corpus, created, min_support, blocks = _read(io.BytesIO(data))
     return MinedRepository(
-        patterns=tuple(block[3] for block in blocks),
+        patterns=tuple(block[1] for block in blocks),
         corpus_label=corpus,
         created_at=created,
         min_support_used=min_support,
     )
 
 
-_CHUNK = 1 << 16  # bytes read at a time by the text check and by the update's copy
+_CHUNK = 1 << 16  # bytes read at a time by the text check
 # the lines of a pattern block around its items
 _SEQUENCE, _SEQUENCE_END, _PATTERN_END = (b"      <sequence>\n", b"      </sequence>\n",
                                           b"    </pattern>\n")
 
-_Block = tuple[int, int, int, SequentialPattern]
+_Block = tuple[int, SequentialPattern, tuple[bytes, bytes, bytes, bytes], list[bytes]]
+_new = tuple.__new__
 
 
 def _read(store: BinaryIO) -> tuple[str, str, int, Iterator[_Block]]:
     """The reader of parse, over a binary stream at its start: (corpus
     label, creation stamp, min-support, the pattern blocks).
 
-    The blocks are read as they are taken, each as (line of its head, byte
-    offset of the block, byte offset after it, the pattern). The iterator
-    checks the store's closing lines as it ends, so a caller runs it to its
-    end before it trusts the store.
+    The blocks are read as they are taken, each as (line of its head, the
+    pattern, its four head lines, its item lines). The iterator checks the
+    store's closing lines as it ends, so a caller runs it to its end before
+    it trusts the store. The store is read once; only a refusal reads it
+    again, with _check_text, whose refusal wins.
     """
-    _check_text(store)
-    line = _text(store.readline())
-    m = _HEADER.fullmatch(line)
-    if m is None:
-        raise _violation(1, _expected("the <esdp-repository> header", line))
-    opening = store.readline()
-    if opening not in (b"  <patterns>\n", b"  <patterns/>\n"):
-        raise _violation(2, _expected("<patterns> or <patterns/>", _text(opening)), "patterns")
+    try:
+        line = _text(store.readline())
+        m = _HEADER.fullmatch(line)
+        if m is None:
+            raise _violation(1, _expected("the <esdp-repository> header", line))
+        opening = store.readline()
+        if opening not in (b"  <patterns>\n", b"  <patterns/>\n"):
+            raise _violation(2, _expected("<patterns> or <patterns/>", _text(opening)),
+                             "patterns")
+    except (SchemaViolation, UnicodeDecodeError):
+        _check_text(store)
+        raise
     return (_unesc(m[1]), _unesc(m[2]), int(m[3]),
             _blocks(store, opening == b"  <patterns>\n"))
 
 
 def _check_text(store: BinaryIO) -> None:
-    """The reader's first two refusals, in one pass over whole lines: a byte
-    that is not UTF-8, then a last line without a line feed. Rewinds the
-    stream."""
+    """The reader's first two refusals, in one pass over the whole stream
+    from its start: a byte that is not UTF-8, then a last line without a
+    line feed.
+
+    The reader runs it only when it is about to refuse the store: a store it
+    accepts decodes every line it has not seen byte for byte before or met
+    as a fixed ASCII line, and ends with the line feed of
+    </esdp-repository>, so it holds neither fault.
+    """
+    store.seek(0)
     lines = 0
     last = b"\n"
     # a chunk ends at a line feed, which no multi-byte character holds
@@ -341,92 +355,94 @@ def _check_text(store: BinaryIO) -> None:
         lines += chunk.count(b"\n")
         last = chunk
     if not last.endswith(b"\n"):
-        raise _violation(lines + 1, "document does not end with a line feed")
-    store.seek(0)
+        raise _violation(lines + 1, "document does not end with a line feed") from None
 
 
 def _blocks(store: BinaryIO, listed: bool) -> Iterator[_Block]:
     """The blocks of _read: the pattern blocks from the third line of the
     store, if <patterns> opened the list (listed), then the closing lines.
 
-    The store passed _check_text, so every line is UTF-8 and ends with a
-    line feed; readline past the end gives b"", which no line position
-    accepts.
+    Reading past the end gives b"", which no line position accepts. Before
+    it refuses the store, a SchemaViolation or a line that does not decode,
+    it runs _check_text, so a text fault anywhere in the store is the one
+    reported.
     """
     readline = store.readline
     n = 2  # lines read
-    if listed:
-        # Text that passed _read_head or _read_item once passes again, so
-        # each distinct head and (item line, ordinal) is checked once per
-        # call, and within a new head each distinct line; text not seen
-        # before gets every check, in the same order. A head cut short holds
-        # b"" where no accepted head does, so its key misses and _read_head
-        # reports the cut. A block's end is counted from the lengths of its
-        # lines, since tell() on a buffered file costs a system call.
-        heads: dict[tuple, tuple[str, int, int, int, int, int]] = {}
-        head_lines: tuple[dict, dict, dict] = ({}, {}, {})
-        items: dict[tuple, tuple[str, str]] = {}
-        seen: set[tuple] = set()  # the element lists read: no pattern twice
-        idx = 0
-        end = store.tell()
-        line = readline()
-        while True:
-            idx += 1
-            start = end
-            head = (line, readline(), readline(), readline())
-            got = heads.get(head)
-            if got is None:
-                # the block's bytes but for its item lines
-                size = sum(map(len, head)) + len(_SEQUENCE + _SEQUENCE_END + _PATTERN_END)
-                got = heads[head] = (*_read_head(head, n + 1, idx, head_lines), size)
-            kind, k, num, den, cden, size = got
+    try:
+        if listed:
+            # Text that passed _read_head or _read_item once passes again, so
+            # each distinct head and (item line, ordinal) is checked once per
+            # call, and within a new head each distinct line; text not seen
+            # before gets every check, in the same order. A head cut short
+            # holds b"" where no accepted head does, so its key misses and
+            # _read_head reports the cut.
+            heads: dict[tuple, tuple[str, int, int, int, int]] = {}
+            head_lines: tuple[dict, dict, dict] = ({}, {}, {})
+            items: dict[tuple, tuple[str, str]] = {}
+            seen: set[tuple] = set()  # the element lists read: no pattern twice
+            idx = 0
             line = readline()
-            if line != _SEQUENCE:
-                raise _pattern_violation(
-                    n + 5, _expected("<sequence>", _text(line)), idx, "sequence")
-
-            elements = []
-            for i in range(1, k + 1):
+            while True:
+                idx += 1
+                head = (line, readline(), readline(), readline())
+                got = heads.get(head)
+                if got is None:
+                    got = heads[head] = _read_head(head, n + 1, idx, head_lines)
+                kind, k, num, den, cden = got
                 line = readline()
-                size += len(line)
-                element = items.get((line, i))
-                if element is None:
-                    element = items[line, i] = _read_item(line, n + 5 + i, idx, i)
-                elements.append(element)
-            n += 5 + k
-            line = readline()
-            if line != _SEQUENCE_END:
-                raise _pattern_violation(
-                    n + 1, _expected(f"</sequence> after k={k} items", _text(line)), idx,
-                    "sequence")
-            line = readline()
-            if line != _PATTERN_END:
-                raise _pattern_violation(n + 2, _expected("</pattern>", _text(line)), idx)
-            n += 2
+                if line != _SEQUENCE:
+                    raise _pattern_violation(
+                        n + 5, _expected("<sequence>", _text(line)), idx, "sequence")
 
-            key = tuple(elements)
-            if key[0][0] != kind:
-                raise _pattern_violation(n - k - 6, "pattern kind must match its first item", idx)
-            seen.add(key)  # one hash of key: a repeated one leaves seen's size as it was
-            if len(seen) != idx:
-                raise _pattern_violation(n - k - 6, "duplicate pattern element-list", idx)
-            end = start + size
-            yield n - k - 6, start, end, SequentialPattern._make((key, num, den, cden))
-            line = readline()
-            if line == b"  </patterns>\n":
-                n += 1
-                break
+                item_lines = []
+                elements = []
+                for i in range(1, k + 1):
+                    line = readline()
+                    item_lines.append(line)
+                    element = items.get((line, i))
+                    if element is None:
+                        element = items[line, i] = _read_item(line, n + 5 + i, idx, i)
+                    elements.append(element)
+                n += 5 + k
+                line = readline()
+                if line != _SEQUENCE_END:
+                    raise _pattern_violation(
+                        n + 1, _expected(f"</sequence> after k={k} items", _text(line)), idx,
+                        "sequence")
+                line = readline()
+                if line != _PATTERN_END:
+                    raise _pattern_violation(n + 2, _expected("</pattern>", _text(line)), idx)
+                n += 2
 
-    line = readline()
-    if line != b"</esdp-repository>\n":
-        raise _violation(n + 1, _expected("</esdp-repository>", _text(line)))
-    if readline():
-        raise _violation(n + 2, "text after </esdp-repository>")
+                key = tuple(elements)
+                if key[0][0] != kind:
+                    raise _pattern_violation(n - k - 6, "pattern kind must match its first item",
+                                             idx)
+                seen.add(key)  # one hash of key: a repeated one leaves seen's size as it was
+                if len(seen) != idx:
+                    raise _pattern_violation(n - k - 6, "duplicate pattern element-list", idx)
+                # SequentialPattern._make without its Python frame
+                yield n - k - 6, _new(SequentialPattern, (key, num, den, cden)), head, item_lines
+                line = readline()
+                if line == b"  </patterns>\n":
+                    n += 1
+                    break
+
+        line = readline()
+        if line != b"</esdp-repository>\n":
+            raise _violation(n + 1, _expected("</esdp-repository>", _text(line)))
+        if readline():
+            raise _violation(n + 2, "text after </esdp-repository>")
+    except (SchemaViolation, UnicodeDecodeError):
+        _check_text(store)
+        raise
 
 
 # --- incremental update ----------------------------------------------------------
 
 _PATTERNS_END = b"  </patterns>\n</esdp-repository>\n"
+_BATCH = 4096  # stored lines joined into one write of the update
 
 
 def merge_update(store: BinaryIO, fresh: Iterable[SequentialPattern], created_at: str,
@@ -440,11 +456,12 @@ def merge_update(store: BinaryIO, fresh: Iterable[SequentialPattern], created_at
     are replaced. The bytes are those ``serialize`` writes for the merged
     repository, re-ranked, but only fresh patterns are rendered.
 
-    Two passes over the store. The first checks it with the reader of
-    ``parse``, and that its patterns stand in ranking order, and notes
-    where each fresh block goes: before the first stored block it ranks
-    above. The second, on an accepted store only, copies the stored bytes
-    between those cuts to out and writes the fresh blocks at them.
+    One read of the store, with the reader of ``parse``: each stored block
+    it accepts is written from the lines it checked, unless a fresh one
+    replaces it, and each fresh block before the first stored block it ranks
+    above, in writes of some _BATCH lines. A store refused part way has left
+    the new store's start in ``out``, which the caller discards (the CLI
+    writes ``out`` to a temporary file it removes on any error).
 
     SchemaViolation when ``parse`` refuses the store, or when its patterns
     are not in ranking order (after any other refusal); ValueError when a
@@ -454,16 +471,22 @@ def merge_update(store: BinaryIO, fresh: Iterable[SequentialPattern], created_at
     # mined RankedPatterns are sorted already, with no element list twice
     queue = fresh if isinstance(fresh, RankedPatterns) else sort_patterns(latest.values())
     corpus, _, _, blocks = _read(store)
-    # The new pattern list as steps (start, stop, fresh patterns): copy the
-    # stored bytes [start, stop), then write the fresh blocks. The stored
-    # bytes from cut on are in no step yet; stop ends up after the last block.
-    steps: list[tuple[int, int, list[SequentialPattern]]] = []
-    cut = stop = j = 0
+    # Text that cannot be encoded is refused after the store's refusals and
+    # the check of what is written, as when nothing was written before them.
+    unwritable: list[UnicodeEncodeError] = []
+
+    def encode(text: str) -> bytes:
+        try:
+            return text.encode()
+        except UnicodeEncodeError as exc:
+            unwritable.append(exc)
+            return b""
+
+    batch = [encode(_header(corpus, created_at, min_support_used)), b"\n  <patterns>\n"]
+    j = 0
     above = fault = None
-    for idx, (line, start, stop, p) in enumerate(blocks, 1):
-        if above is None:
-            cut = start
-        elif fault is None and not precedes(above, p):
+    for idx, (line, p, head, item_lines) in enumerate(blocks, 1):
+        if above is not None and fault is None and not precedes(above, p):
             fault = _pattern_violation(
                 line, f"pattern ranks above pattern[{idx - 1}]: stored patterns must be in "
                 "ranking order", idx)
@@ -471,35 +494,25 @@ def merge_update(store: BinaryIO, fresh: Iterable[SequentialPattern], created_at
         while j < len(queue) and precedes(queue[j], p):
             j += 1
         if j > i:
-            steps.append((cut, start, queue[i:j]))
-            cut = start
-        if p.elements in latest:  # replaced: its stored bytes are not copied
-            steps.append((cut, start, []))
-            cut = stop
+            batch.append(encode("\n".join(_render(queue[i:j], [])) + "\n"))
+        if p.elements not in latest:  # else replaced: its stored lines are not written
+            batch += head
+            batch.append(_SEQUENCE)
+            batch += item_lines
+            batch += _SEQUENCE_END, _PATTERN_END
+            if len(batch) >= _BATCH:
+                out.write(b"".join(batch))
+                batch.clear()
         above = p
     if fault is not None:
         raise fault
     _check_writable((corpus, created_at), latest.values())
-    steps.append((cut, stop, queue[j:]))
-
-    out.write(_header(corpus, created_at, min_support_used).encode())
     if above is None and not latest:
-        out.write(b"\n  <patterns/>\n</esdp-repository>\n")
-        return
-    out.write(b"\n  <patterns>\n")
-    for start, stop, patterns in steps:
-        _copy(store, start, stop, out)
-        if patterns:
-            out.write("\n".join(_render(patterns, [])).encode() + b"\n")
-    out.write(_PATTERNS_END)
-
-
-def _copy(src: BinaryIO, start: int, stop: int, dst: BinaryIO) -> None:
-    """Write the bytes [start, stop) of src to dst, _CHUNK bytes at a time."""
-    src.seek(start)
-    while start < stop:
-        chunk = src.read(min(_CHUNK, stop - start))
-        if not chunk:
-            raise SchemaViolation("store cut short while it was updated")
-        dst.write(chunk)
-        start += len(chunk)
+        batch[1] = b"\n  <patterns/>\n</esdp-repository>\n"  # nothing was written
+    else:
+        if j < len(queue):
+            batch.append(encode("\n".join(_render(queue[j:], [])) + "\n"))
+        batch.append(_PATTERNS_END)
+    if unwritable:
+        raise unwritable[0]
+    out.write(b"".join(batch))

@@ -1696,7 +1696,7 @@ def merge_update_splice_reference(data: bytes, fresh: Iterable[SequentialPattern
                                   created_at: str, min_support_used: int) -> bytes:
     """The bytes-in, bytes-out splice before ``esdp.repository.merge_update``
     streamed the store, kept verbatim with its reader and order check as the
-    differential reference of the two-pass update.
+    differential reference of the streaming update.
 
     Fold freshly mined patterns into the store ``data``; the new store.
 

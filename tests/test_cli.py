@@ -569,10 +569,13 @@ def test_query_pick_beyond_the_list_exits_1(tmp_path, capsys):
     assert out.strip() == "ValueError: --pick 2 out of range 1..1"
 
 
-@pytest.mark.parametrize("answer, picked", [("2", 2), ("second", 1), (EOFError, 1)],
-                         ids=["digit", "non-digit", "eof"])
+@pytest.mark.parametrize("answer, picked", [("2", 2), ("second", 1), (EOFError, 1), ("0", 1),
+                                            ("6", 1), ("\u00b2", 1)],
+                         ids=["digit", "non-digit", "eof", "zero", "past-the-list",
+                              "superscript-two"])
 def test_pick_prompt_on_a_terminal(corpus, tmp_path, capsys, monkeypatch, answer, picked):
-    # a non-digit answer and end of input (Ctrl-D) both pick the first
+    # a non-digit answer, end of input (Ctrl-D) and a number outside 1..5
+    # all pick the first
     repo_path = tmp_path / "repo.xml"
     run(["mine", "--corpus", str(corpus), "--repo", str(repo_path)], capsys)
     query = ["query", "--repo", str(repo_path), "--var", "parser=ASTParser",
@@ -871,7 +874,7 @@ def test_update_refuses_a_byte_not_utf8_on_the_last_line(tmp_path, capsys):
 
 
 def test_update_peak_memory_stays_below_the_store_size(tmp_path):
-    # The two-pass update holds neither the store nor a copy of it: its
+    # The one-pass update holds neither the store nor a copy of it: its
     # traced peak stays under the store's size (the in-memory splice peaked
     # at 4.6 times it).
     import tracemalloc

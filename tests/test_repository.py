@@ -346,6 +346,16 @@ _MEMOIZED_LINES = (b"    <pattern ", b"      <support ", b"      <confidence ",
                    b"      <ranking>", b"        <s ")
 
 
+def _edit_all(doc: bytes, edits) -> bytes:
+    """doc with every edit applied in turn, so a store may carry an early
+    structural fault and a later text fault; the empty document stays
+    empty."""
+    for edit in edits:
+        if doc:
+            doc = _edit(doc, *edit)
+    return doc
+
+
 @settings(max_examples=150, deadline=None)
 @given(repositories(), _EDITS)
 def test_parse_agrees_with_reference_on_edits(repo, edits):
@@ -353,6 +363,7 @@ def test_parse_agrees_with_reference_on_edits(repo, edits):
     _agrees_with_reference(doc)
     for edit in edits:
         _agrees_with_reference(_edit(doc, *edit))
+    _agrees_with_reference(_edit_all(doc, edits))
 
 
 @settings(max_examples=300, deadline=None)
@@ -402,6 +413,37 @@ def test_store_cut_inside_last_pattern_names_a_line():
         with pytest.raises(SchemaViolation, match=r"^/esdp-repository[^:]*: line [0-9]+: "):
             parse(cut)
         _agrees_with_reference(cut)
+
+
+def _late_text_fault() -> bytes:
+    """A store with a structural fault on line 5 and a byte that is not
+    UTF-8 on its last line."""
+    doc = serialize(make_repository([pattern_of(["x()", "y()"]), pattern_of(["z()"])]))
+    lines = doc.split(b"\n")
+    assert lines[4].startswith(b"      <confidence ")
+    lines[4] = lines[4].replace(b"<confidence", b"<confidance")
+    lines[-2] += b"\xff"
+    return b"\n".join(lines)
+
+
+def test_reader_checks_the_text_only_to_refuse(monkeypatch):
+    # An accepted store is read once: the text check runs only on the way
+    # to a refusal, and then a text fault anywhere wins over a structural
+    # one before it.
+    data = _late_text_fault()
+    last = data.count(b"\n")
+    for refuse in (lambda: parse(data), lambda: _update(data, [], "u", 3)):
+        with pytest.raises(SchemaViolation) as err:
+            refuse()
+        assert str(err.value) == f"/esdp-repository: line {last}: not UTF-8 (invalid start byte)"
+
+    def no_text_pass(store):
+        raise AssertionError("text check on an accepted store")
+
+    monkeypatch.setattr(esdp.repository, "_check_text", no_text_pass)
+    repo = make_repository([pattern_of(["x()", "y()"]), pattern_of(["z()"])], "c", "t", 2)
+    assert parse(serialize(repo)) == repo
+    _merged(repo, [pattern_of(["w()"], count=3)])
 
 
 # A line that passed its own checks in one head may fail those that span
@@ -636,7 +678,7 @@ def test_merge_update_takes_ranked_patterns_as_they_stand(name, tmp_path, monkey
     assert _update(data, fresh, "u", 3) == want
 
 
-# --- the two-pass update against the in-memory splice ------------------------------
+# --- the one-pass update against the in-memory splice ------------------------------
 
 def _agrees_with_splice(data: bytes, fresh, created_at: str = "u",
                         min_support_used: int = 3) -> None:
@@ -680,6 +722,7 @@ def test_merge_update_agrees_with_the_splice(case, edits):
     _agrees_with_splice(doc, fresh)
     for edit in edits:
         _agrees_with_splice(_edit(doc, *edit), fresh)
+    _agrees_with_splice(_edit_all(doc, edits), fresh)
 
 
 _A, _B, _C = (pattern_of(["a()"], count=3), pattern_of(["b()"], count=2),

@@ -39,7 +39,8 @@ def _traced(argv: list[str]) -> dict:
 def test_traced_mine_and_query_count_the_store(tmp_path):
     # The tracer counts the bytes serialize returns and the patterns of the
     # repository parse returns; a traced `mine` and a traced `query` check
-    # that both still read that way.
+    # that both still read that way, and that the store read shows under
+    # repository.parse_s.
     corpus = write_fixture_corpus(tmp_path / "corpus")
     store = tmp_path / "store.xml"
     layers = _traced(["mine", "--corpus", str(corpus), "--min-support", "3",
@@ -48,12 +49,14 @@ def test_traced_mine_and_query_count_the_store(tmp_path):
     layers = _traced(["query", "--repo", str(store), "--pick", "1",
                       "--var", "parser=ASTParser", "parser.setKind(0);"])
     assert layers["repository.patterns_parsed"] > 0
+    assert layers["repository.parse_s"] > 0
 
 
 def test_traced_adaptive_update_completes(tmp_path):
     # The tracer counts each kernel call's patterns as len(result[0]); one
     # traced `update --adaptive` checks that the kernel's result still reads
-    # that way, so a run with `--trace 1` does not fail on it.
+    # that way, so a run with `--trace 1` does not fail on it, and that the
+    # store's read and rewrite show under repository.merge_s.
     corpus = write_fixture_corpus(tmp_path / "corpus")
     store = tmp_path / "store.xml"
     assert main(["mine", "--corpus", str(corpus), "--min-support", "3",
@@ -61,3 +64,4 @@ def test_traced_adaptive_update_completes(tmp_path):
     layers = _traced(["update", "--adaptive", "--corpus", str(corpus), "--repo", str(store)])
     assert layers["kernels.calls"] == 1
     assert layers["mining.patterns"] == 31
+    assert layers["repository.merge_s"] > 0
