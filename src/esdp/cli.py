@@ -3,8 +3,8 @@ persistence and update, querying with skeleton output, groum mining, and
 metric evaluation.
 
 Exit status: 0 success, 1 refused input (every esdp error is a ValueError,
-and a refusal names its file) or a failed file operation (OSError), 2 usage
-error.
+and a refusal names its file), a failed file operation (OSError) or a
+reader that closed standard output, 2 usage error.
 """
 
 from __future__ import annotations
@@ -340,6 +340,13 @@ def _positive_int(text: str) -> int:
     raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
 
 
+def _extension(text: str) -> str:
+    # an extension starts with its dot: "java" would also take Foojava
+    if len(text) < 2 or not text.startswith("."):
+        raise argparse.ArgumentTypeError(f"must be a '.' and a suffix, like .java, got {text!r}")
+    return text
+
+
 def _binding(text: str) -> tuple[str, str]:
     name, sep, type_name = text.partition("=")
     if not sep or not name or not type_name:
@@ -350,7 +357,8 @@ def _binding(text: str) -> tuple[str, str]:
 def _corpus_opts(p: argparse.ArgumentParser) -> None:
     p.add_argument("--corpus", action="append", required=True, metavar="DIR",
                    help="corpus directory (repeatable)")
-    p.add_argument("--ext", default=".java", help="source extension filter")
+    p.add_argument("--ext", default=".java", type=_extension,
+                   help="source extension filter, with its leading dot")
 
 
 def _repo_opt(p: argparse.ArgumentParser) -> None:
@@ -447,7 +455,16 @@ def main(argv: list[str] | None = None) -> int:
         status, report = 0, _COMMANDS[args.command][0](args)
     except (OSError, ValueError) as exc:
         status, report = 1, f"{type(exc).__name__}: {exc}"
-    print(report)
+    try:
+        print(report)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe (`esdp extract ... | head -1`). Standard
+        # output goes to devnull, so the flush at exit does not fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     return status
 
 

@@ -80,7 +80,17 @@ _SINGLE_PUNCT = "{}()[];,.<>=+-*%!&|^?:@~"  # and '/' when no '*' follows
 MAX_NESTING = 200
 
 _CONST_NAME_RE = re.compile(r"^[A-Z][A-Z0-9_]*$")
-_TYPE_START_RE = re.compile(r"^[A-Za-z_$]")
+
+# scan_expression's stops: its terminators and the closers at its level
+_CLOSERS = frozenset((")", "]", "}", ""))
+_TO_SEMICOLON = _CLOSERS | {";"}
+_TO_COMMA = _CLOSERS | {","}
+_TO_EITHER = _TO_SEMICOLON | _TO_COMMA
+
+# The kinds a statement emits, as globals: a member read off the enum class
+# goes through EnumType's attribute hook, at some six times the cost.
+_MI, _FA, _AA, _AC, _CI, _VD, _RT = (ItemKind.MI, ItemKind.FA, ItemKind.AA, ItemKind.AC,
+                                     ItemKind.CI, ItemKind.VD, ItemKind.RT)
 
 # the type a literal reads as, keyed by token kind, or by text for a keyword
 _LITERAL_TYPES = {"str": "String", "char": "char", "true": "boolean", "false": "boolean",
@@ -155,15 +165,21 @@ class Tokens:
     def __len__(self) -> int:
         return len(self.texts)
 
-    def line(self, i: int) -> int:
+    def line_starts(self) -> list[int]:
+        """The offset of each line's start, in order; computed once."""
         if self._line_starts is None:
             self._line_starts = list(accumulate(
                 map((1).__add__, map(len, self._source.split("\n"))), initial=0))
-        return bisect_right(self._line_starts, self.starts[i])
+        return self._line_starts
+
+    def lines(self, indexes: Iterable[int]) -> Iterator[int]:
+        """The line of each token in indexes."""
+        return map(bisect_right, repeat(self.line_starts()), map(self.starts.__getitem__, indexes))
 
     def position(self, i: int) -> tuple[int, int]:
-        line = self.line(i)
-        return line, self.starts[i] - self._line_starts[line - 1] + 1
+        line_starts = self.line_starts()
+        line = bisect_right(line_starts, self.starts[i])
+        return line, self.starts[i] - line_starts[line - 1] + 1
 
 
 def tokenize(source: str) -> Tokens:
@@ -207,12 +223,19 @@ class _Extractor:
     keywords are recognised by their text alone: an ident is never a
     keyword, literals start with a quote or a digit, and only eof has the
     text ''. Token kinds are tested only to tell idents and literals apart.
-    An item is emitted with the index of the token its construct starts at.
+
+    An item or a control marker is recorded as a row that leads with the
+    index of the token its construct starts at; extract_items turns the
+    rows into records, the lines of all their tokens found in one pass.
+    Each parse method that nests (statements, expressions, argument lists,
+    type declarations, array initializers) counts itself in ``depth`` on
+    entry, raising ``nesting_error()`` past MAX_NESTING, and uncounts
+    itself on leaving; a raise abandons the whole parse.
     """
 
     def __init__(self, tokens: Tokens, file_label: str,
                  context_vars: dict[str, str] | None = None):
-        self.texts, self.kinds, self.line = tokens.texts, tokens.kinds, tokens.line
+        self.texts, self.kinds = tokens.texts, tokens.kinds
         self.position = tokens.position
         self.i = 0
         self.file_label = file_label or "<memory>"
@@ -223,8 +246,9 @@ class _Extractor:
         self.class_stack: list[str] = []
         self.class_fields: list[dict[str, str]] = []  # the field scope of each class
         self.return_types: list[str] = []
-        self.out: list[tuple[int, SourceItem]] = []
-        self.markers: list[ControlMarker] = []
+        self.receivers: dict[str, str] = {}  # declared type -> its variable as receiver
+        self.out: list[tuple[int, ItemKind, str, str]] = []  # (at, kind, name, enclosing)
+        self.markers: list[tuple[int, str, str]] = []       # (at, label, enclosing)
         self.depth = 0  # parse methods active; see MAX_NESTING
 
     # --- token cursor -----------------------------------------------------
@@ -242,37 +266,30 @@ class _Extractor:
             self.i += 1
         return text
 
-    def descend(self) -> None:
-        """Enter one nested parse method; the caller decrements depth on
-        leaving it (a raise abandons the whole parse)."""
-        self.depth += 1
-        if self.depth > MAX_NESTING:
-            raise UnparsableSource(f"nesting deeper than {MAX_NESTING}", *self.position(self.i))
+    def nesting_error(self) -> UnparsableSource:
+        return UnparsableSource(f"nesting deeper than {MAX_NESTING}", *self.position(self.i))
 
     # --- emit helpers -----------------------------------------------------
 
     def emit(self, kind: ItemKind, name: str, enclosing: str, at: int) -> None:
-        self.out.append((at, SourceItem(kind, name, enclosing or self.file_label, self.line(at))))
-
-    def mark(self, label: str, enclosing: str, at: int) -> None:
-        self.markers.append(ControlMarker(label, enclosing, self.line(at)))
+        self.out.append((at, kind, name, enclosing))
 
     def emit_call(self, recv: str, method: str, start: int, enclosing: str) -> None:
         """Read the argument list of recv.method(...) and emit the call."""
         args = self.parse_args(enclosing)
-        self.emit(ItemKind.MI, f"{recv}.{method}({','.join(args)})", enclosing, start)
+        self.emit(_MI, f"{recv}.{method}({','.join(args)})", enclosing, start)
 
     def assign_field(self, recv: str, field: str, start: int, enclosing: str) -> str:
         """Emit the write of recv.field, the cursor at its '=', and read the value."""
-        self.emit(ItemKind.FA, f"{recv}.{field}", enclosing, start)
+        self.emit(_FA, f"{recv}.{field}", enclosing, start)
         self.i += 1
-        self.scan_expression(enclosing, (";", ",", ")"))
+        self.scan_expression(enclosing, _TO_EITHER)
         return "unknown"
 
     def index_array(self, arr_type: str | None, start: int, enclosing: str) -> str:
         """Emit the access of an array of arr_type (None: not known), the
         cursor at its first '[', and read the indexes and what follows."""
-        self.emit(ItemKind.AA, arr_type or "unknown[]", enclosing, start)
+        self.emit(_AA, arr_type or "unknown[]", enclosing, start)
         self.parse_brackets(enclosing)
         elem = arr_type[:-2] if arr_type and arr_type.endswith("[]") else "unknown"
         return self.parse_postfix(enclosing, elem)
@@ -296,11 +313,6 @@ class _Extractor:
         if "." not in base and base in self.imports:
             return self.imports[base] + suffix
         return written
-
-    def is_type_name(self, name: str) -> bool:
-        if name in self.imports or name in self.class_stack:
-            return True
-        return bool(name) and name[0].isupper() and self.lookup(name) is None
 
     def current_class(self) -> str:
         return self.class_stack[-1] if self.class_stack else "unknown"
@@ -382,7 +394,9 @@ class _Extractor:
         self.i += 1
         self.emit(ItemKind.TD, name, outer_path if declared_in is None else declared_in, name_at)
         class_path = f"{outer_path}.{name}" if outer_path else name
-        self.descend()
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise self.nesting_error()
         self.skip_generics()
         for keyword, kind in (("extends", ItemKind.II if is_interface else ItemKind.SC),
                               ("implements", ItemKind.II)):
@@ -455,7 +469,7 @@ class _Extractor:
             self.i += 2 * dims
             self.bind(name, rtype + "[]" * dims)
             if self.accept("="):
-                self.scan_expression(enclosing, (",", ";"))
+                self.scan_expression(enclosing, _TO_EITHER)
             if not (self.accept(",") and self.kinds[self.i] == "ident"):
                 break
             name = self.texts[self.i]
@@ -515,27 +529,37 @@ class _Extractor:
     # --- statements -----------------------------------------------------------
 
     def parse_block(self, enclosing: str) -> None:
-        self.accept("{")
-        self.scopes.append({})
         texts = self.texts
+        if texts[self.i] == "{":
+            self.i += 1
+        self.scopes.append({})
         while texts[self.i] not in ("}", ""):
             self.parse_statement(enclosing)
-        self.accept("}")
+        if texts[self.i] == "}":
+            self.i += 1
         self.scopes.pop()
 
     def parse_statement(self, enclosing: str) -> None:
-        self.descend()
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise self.nesting_error()
         texts = self.texts
         start = self.i
         text = texts[start]
-        if text == "{":
+        if self.kinds[start] == "ident":  # never a keyword nor punctuation
+            if texts[start + 1] == ":":  # a label
+                self.i += 2
+                self.parse_statement(enclosing)
+            else:
+                self.parse_local_statement(enclosing)
+        elif text == "{":
             self.parse_block(enclosing)
         elif text == ";":
             self.i += 1
         elif text == "if":
             # an else-if chain is read in this loop, not by recursion
             while True:
-                self.mark("IF", enclosing, self.i)
+                self.markers.append((self.i, "IF", enclosing))
                 self.i += 1
                 self.parse_parens(enclosing)
                 self.parse_statement(enclosing)
@@ -545,7 +569,7 @@ class _Extractor:
                     self.parse_statement(enclosing)
                     break
         elif text in ("while", "do", "for"):
-            self.mark("LOOP", enclosing, start)
+            self.markers.append((start, "LOOP", enclosing))
             self.i += 1
             if text == "while":
                 self.parse_parens(enclosing)
@@ -557,10 +581,10 @@ class _Extractor:
                     self.parse_parens(enclosing)
                 self.accept(";")
         elif text == "return":
-            self.emit(ItemKind.RT, self.return_types[-1], enclosing, start)
+            self.emit(_RT, self.return_types[-1], enclosing, start)
             self.i += 1
             if texts[self.i] != ";":
-                self.scan_expression(enclosing, (";",))
+                self.scan_expression(enclosing, _TO_SEMICOLON)
             self.accept(";")
         elif text in ("this", "super") and texts[start + 1] == "(":
             self.i += 1
@@ -577,22 +601,26 @@ class _Extractor:
         elif text in MODIFIERS:  # e.g. "final X x = ..."
             self.skip_modifiers()
             self.parse_statement(enclosing)
-        elif self.kinds[start] == "ident" and texts[start + 1] == ":":  # a label
-            self.i += 2
-            self.parse_statement(enclosing)
         else:
-            rtype = self.parse_local_type(enclosing)
-            if rtype is None:
-                self.scan_expression(enclosing, (";",))
-                if not self.accept(";") and texts[self.i] not in ("}", ""):
-                    self.i += 1  # ensure progress on malformed input
-            elif self.kinds[self.i] == "ident":
-                name = texts[self.i]
-                self.i += 1
-                self.parse_declarators(name, rtype, enclosing)
-            else:
-                self.skip_to_statement_end()
+            self.parse_local_statement(enclosing)
         self.depth -= 1
+
+    def parse_local_statement(self, enclosing: str) -> None:
+        """A local declaration or an expression statement."""
+        texts = self.texts
+        rtype = self.parse_local_type(enclosing)
+        if rtype is None:
+            self.scan_expression(enclosing, _TO_SEMICOLON)
+            # past ';', or past any other token to ensure progress on
+            # malformed input
+            if texts[self.i] not in ("}", ""):
+                self.i += 1
+        elif self.kinds[self.i] == "ident":
+            name = texts[self.i]
+            self.i += 1
+            self.parse_declarators(name, rtype, enclosing)
+        else:
+            self.skip_to_statement_end()
 
     def parse_for_control(self, enclosing: str) -> None:
         # classic "init; cond; update" or enhanced "Type v : iterable"
@@ -602,25 +630,33 @@ class _Extractor:
             name = self.texts[self.i - 1]
             if self.accept(":"):  # for-each
                 self.bind(name, rtype)
-                self.scan_expression(enclosing, (")",))
+                self.scan_expression(enclosing, _CLOSERS)
                 self.accept(")")
                 return
             self.parse_declarators(name, rtype, enclosing)
-        self.scan_expression(enclosing, (";", ")"))
+        self.scan_expression(enclosing, _TO_SEMICOLON)
         while self.accept(";"):
-            self.scan_expression(enclosing, (";", ")"))
+            self.scan_expression(enclosing, _TO_SEMICOLON)
         self.accept(")")
 
     def parse_local_type(self, enclosing: str) -> str | None:
         """Read the type of a local declaration and emit its VD, which names
         the type of the first declarator; the type read, or None, the cursor
         unmoved, when the statement is not a declaration."""
-        start = self.i
-        text = self.texts[start]
-        if self.kinds[start] == "ident":
+        texts, kinds = self.texts, self.kinds
+        start = i = self.i
+        text = texts[start]
+        if kinds[start] == "ident":
+            # A declaration's type name ident(.ident)* is followed by its
+            # first declarator, a '<' or a '['; calls and assignments stop here.
+            i += 1
+            while texts[i] == "." and kinds[i + 1] == "ident":
+                i += 2
+            if kinds[i] != "ident" and texts[i] not in ("<", "["):
+                return None
             type_text = self.parse_type_text()
-            if not (type_text and self.kinds[self.i] == "ident"
-                    and self.texts[self.i + 1] in (";", "=", ",", ":", "[")):
+            if not (type_text and kinds[self.i] == "ident"
+                    and texts[self.i + 1] in (";", "=", ",", ":", "[")):
                 self.i = start
                 return None
         elif text in PRIMITIVE_TYPES and text != "void":
@@ -629,7 +665,7 @@ class _Extractor:
             return None
         rtype = self.resolve_type(type_text)
         dims = self.declarator_dims(self.i + 1) if self.kinds[self.i] == "ident" else 0
-        self.emit(ItemKind.VD, rtype + "[]" * dims, enclosing, start)
+        self.emit(_VD, rtype + "[]" * dims, enclosing, start)
         return rtype
 
     def parse_type_text(self) -> str:
@@ -653,7 +689,7 @@ class _Extractor:
         while texts[i] == "[" and texts[i + 1] == "]":
             i += 2
             base += "[]"
-        if not _TYPE_START_RE.match(base):
+        if not base[0].isascii():  # an identifier that starts with a non-ASCII letter
             self.i = start
             return ""
         self.i = i
@@ -680,13 +716,15 @@ class _Extractor:
 
     # --- expressions --------------------------------------------------------
 
-    def scan_expression(self, enclosing: str, terminators: tuple[str, ...]) -> str:
+    def scan_expression(self, enclosing: str, stops: frozenset[str]) -> str:
         """Emit items from an expression, consuming up to (not including) a
-        terminator or closer at this nesting level. Returns the classification
-        of the first primary for argument typing."""
-        self.descend()
+        token in stops: its terminators and the closers, _CLOSERS, at this
+        nesting level. Returns the classification of the first primary for
+        argument typing."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise self.nesting_error()
         texts, kinds = self.texts, self.kinds
-        stops = terminators + (")", "]", "}", "")
         first: str | None = None
         while True:
             i = self.i
@@ -718,10 +756,13 @@ class _Extractor:
 
     def parse_parens(self, enclosing: str) -> str:
         """Read '( expr )' if the cursor is at '('; the classification of expr."""
-        if not self.accept("("):
+        texts = self.texts
+        if texts[self.i] != "(":
             return "unknown"
-        ty = self.scan_expression(enclosing, (")",))
-        self.accept(")")
+        self.i += 1
+        ty = self.scan_expression(enclosing, _CLOSERS)
+        if texts[self.i] == ")":
+            self.i += 1
         return ty
 
     def parse_brackets(self, enclosing: str) -> int:
@@ -730,7 +771,7 @@ class _Extractor:
         while self.accept("["):
             groups += 1
             if self.texts[self.i] != "]":
-                self.scan_expression(enclosing, ("]",))
+                self.scan_expression(enclosing, _CLOSERS)
             self.accept("]")
         return groups
 
@@ -755,7 +796,7 @@ class _Extractor:
         if self.texts[self.i] == "[" or rtype.endswith("[]"):
             # one '[]' per dimension: written in the type or given a size
             base = rtype + "[]" * self.parse_brackets(enclosing)
-            self.emit(ItemKind.AC, base, enclosing, start)
+            self.emit(_AC, base, enclosing, start)
             if self.texts[self.i] == "{":
                 self.scan_braced_init(enclosing)
             return base
@@ -764,7 +805,7 @@ class _Extractor:
             self.emit(ItemKind.ACD, rtype, enclosing, start)
             self.skip_balanced("{", "}")
             return rtype
-        self.emit(ItemKind.CI, f"{rtype}({','.join(args)})", enclosing, start)
+        self.emit(_CI, f"{rtype}({','.join(args)})", enclosing, start)
         return rtype
 
     def parse_this_chain(self, enclosing: str) -> str:
@@ -867,10 +908,15 @@ class _Extractor:
             name = segments[0]
             var_type = self.lookup(name)
             if var_type is not None:
-                return lower_camel(simple_name(var_type))
-            if self.is_type_name(name):
-                return self.resolve_type(name)
-            return "unknown"
+                recv = self.receivers.get(var_type)
+                if recv is None:
+                    recv = self.receivers[var_type] = lower_camel(simple_name(var_type))
+                return recv
+            # a type name: imported (and resolved), enclosing or capitalized
+            imported = self.imports.get(name)
+            if imported is not None:
+                return imported
+            return name if name[0].isupper() or name in self.class_stack else "unknown"
         if self.lookup(segments[0]) is None and any(s[0].isupper() for s in segments):
             return ".".join(segments)
         return "unknown"
@@ -884,28 +930,35 @@ class _Extractor:
         return "int" if _CONST_NAME_RE.match(segments[-1]) else "unknown"
 
     def parse_args(self, enclosing: str) -> list[str]:
-        types: list[str] = []
-        if not self.accept("("):
-            return types
-        self.descend()
         texts = self.texts
+        types: list[str] = []
+        if texts[self.i] != "(":
+            return types
+        self.i += 1
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise self.nesting_error()
         while texts[self.i] not in (")", ""):
-            types.append(self.scan_expression(enclosing, (",", ")")))
-            if not self.accept(","):
+            types.append(self.scan_expression(enclosing, _TO_COMMA))
+            if texts[self.i] != ",":
                 break
-        self.accept(")")
+            self.i += 1
+        if texts[self.i] == ")":
+            self.i += 1
         self.depth -= 1
         return types
 
     def scan_braced_init(self, enclosing: str) -> None:
-        self.descend()
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise self.nesting_error()
         self.accept("{")
         texts = self.texts
         while texts[self.i] not in ("}", ""):
             if texts[self.i] == "{":
                 self.scan_braced_init(enclosing)
                 continue
-            self.scan_expression(enclosing, (",", "}"))
+            self.scan_expression(enclosing, _TO_COMMA)
             if not self.accept(","):
                 break
         self.accept("}")
@@ -942,6 +995,18 @@ class _Extractor:
             self.i += 1
 
 
+_new = tuple.__new__
+
+
+def _records(record: type, rows: list[tuple], tokens: Tokens) -> list:
+    """The records of rows, each (token index, *fields): (*fields, the
+    token's line), made without a Python frame per record."""
+    if not rows:
+        return []
+    at, *fields = zip(*rows)
+    return list(map(_new, repeat(record), zip(*fields, tokens.lines(at))))
+
+
 def extract_items(source: str, file_label: str = "<memory>",
                   context_vars: dict[str, str] | None = None,
                   ) -> tuple[list[SourceItem], list[ControlMarker]]:
@@ -959,21 +1024,30 @@ def extract_items(source: str, file_label: str = "<memory>",
     ex = _Extractor(tokens, file_label, context_vars)
     ex.parse_unit()
     ex.out.sort(key=itemgetter(0))
-    return list(map(itemgetter(1), ex.out)), ex.markers
+    return _records(SourceItem, ex.out, tokens), _records(ControlMarker, ex.markers, tokens)
 
 
 # --- corpus walking ----------------------------------------------------------
 
 def iter_source_files(corpus_dirs: Iterable[str | Path], ext: str = ".java") -> Iterator[Path]:
     """Recursively discover source files under the corpus directories,
-    in deterministic sorted order."""
+    each directory's in sorted order; a root that is a file is taken when
+    its name ends in ext, as the walk of a directory takes it. A file
+    reached through more than one root (overlapping roots, or a link) is
+    yielded once, where it is first found; files are told apart as
+    ``os.path.samefile`` does, by device and inode."""
+    seen: set[tuple[int, int]] = set()
     for root in corpus_dirs:
         root = Path(root)
         if root.is_file():
-            if root.suffix == ext:
-                yield root
-            continue
-        yield from sorted(p for p in root.rglob(f"*{ext}") if p.is_file())
+            found = [root] if root.match(f"*{ext}") else []
+        else:
+            found = sorted(p for p in root.rglob(f"*{ext}") if p.is_file())
+        for path in found:
+            stat = path.stat()
+            if (stat.st_dev, stat.st_ino) not in seen:
+                seen.add((stat.st_dev, stat.st_ino))
+                yield path
 
 
 def extract_corpus(corpus_dirs: Iterable[str | Path], ext: str = ".java",

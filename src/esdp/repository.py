@@ -111,13 +111,14 @@ def _render(patterns: Iterable[SequentialPattern], out: list[str]) -> list[str]:
     and its closing lines, each entry without the final line feed."""
     # Heads and item lines repeat across patterns (den is the database
     # size and supports are small), so each distinct one is rendered once.
+    # A pattern is unpacked, not read through its kind and k properties,
+    # each a Python frame.
     heads: dict[tuple, str] = {}
     items: dict[tuple, str] = {}
-    for p in patterns:
-        key = (p.kind, p.k, p.support_count, p.db_size, p.prefix_count)
-        head = heads.get(key)
+    for elements, num, den, cden in patterns:
+        kind, k = elements[0][0], len(elements)
+        head = heads.get(key := (kind, k, num, den, cden))
         if head is None:
-            kind, k, num, den, cden = key
             head = heads[key] = (
                 f'    <pattern kind="{kind}" k="{k}">\n'
                 f'      <support num="{num}" den="{den}">{two_dp(num, den)}</support>\n'
@@ -126,11 +127,11 @@ def _render(patterns: Iterable[SequentialPattern], out: list[str]) -> list[str]:
                 f"      <ranking>{two_dp(k * num, den)}</ranking>\n"
                 "      <sequence>")
         out.append(head)
-        for i, (kind, name) in enumerate(p.elements, start=1):
-            line = items.get((i, kind, name))
+        for i, element in enumerate(elements, start=1):
+            line = items.get((i, element))
             if line is None:
-                line = f'        <s i="{i}" kind="{kind}">{_esc(name)}</s>'
-                items[i, kind, name] = line
+                kind, name = element
+                line = items[i, element] = f'        <s i="{i}" kind="{kind}">{_esc(name)}</s>'
             out.append(line)
         out.append("      </sequence>\n    </pattern>")
     return out

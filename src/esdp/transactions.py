@@ -41,27 +41,21 @@ class SequenceDatabase:
         return f"SequenceDatabase(records={self.records!r})"
 
 
-def _is_method_path(path: str) -> bool:
-    return path.endswith("()")
-
-
-def _method_path_of_md(item: SourceItem) -> str:
-    method = item.name.split("(", 1)[0]
-    return f"{item.enclosing}.{method}()"
-
-
 def build_sequence_db(items: list[SourceItem]) -> SequenceDatabase:
     """Line-ordered sequence per method block, duplicates preserved,
     with the MD item as head when present; records sorted by sid."""
     heads: dict[str, tuple[str, str]] = {}
     bodies: dict[str, list[tuple[str, str]]] = {}
-    for item in items:
-        if item.kind is ItemKind.MD:
-            path = _method_path_of_md(item)
+    md = ItemKind.MD
+    # an item's (kind, name) is its identity, the kind read as _value_: the
+    # identity property and Enum.value each cost a Python frame per item
+    for kind, name, enclosing, _ in items:
+        if kind is md:
+            path = f"{enclosing}.{name.split('(', 1)[0]}()"
             bodies.setdefault(path, [])
-            heads.setdefault(path, item.identity)
-        elif _is_method_path(item.enclosing):
-            bodies.setdefault(item.enclosing, []).append(item.identity)
+            heads.setdefault(path, ("MD", name))
+        elif enclosing.endswith("()"):  # a method's path
+            bodies.setdefault(enclosing, []).append((kind._value_, name))
 
     records = []
     for sid in sorted(bodies):

@@ -14,7 +14,6 @@ from esdp.extractor import (
     _CONST_NAME_RE,
     _LITERAL_TYPES,
     _SKIP_STMT_KEYWORDS,
-    _TYPE_START_RE,
     KEYWORDS,
     MAX_NESTING,
     MODIFIERS,
@@ -594,6 +593,11 @@ def _check_braces_reference(toks: list[Token]) -> None:
     if stack:
         t = stack[-1]
         raise UnparsableSource("unbalanced '{'", t.line, t.col)
+
+
+# the first character of a type name: identifiers that start with a
+# non-ASCII letter are not types
+_TYPE_START_RE = re.compile(r"^[A-Za-z_$]")
 
 
 class _ExtractorReference:

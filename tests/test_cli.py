@@ -102,6 +102,9 @@ def test_bad_threshold_exits_2(corpus, capsys):
     (["query", "--top", "two", "x.y();"], "--top"),
     (["query", "--var", "bad", "x.y();"], "--var"),
     (["eval", "--gold", "g.tsv", "--var", "=Type"], "--var"),
+    # an extension starts with its dot
+    (["extract", "--corpus", "c", "--ext", "java"], "--ext"),
+    (["mine", "--corpus", "c", "--ext", "."], "--ext"),
 ])
 def test_usage_error_names_argument(argv, named, capsys):
     with pytest.raises(SystemExit) as err:
@@ -604,6 +607,46 @@ def test_corpus_may_name_a_source_file(corpus, capsys):
     items, _ = extract_items(path.read_text(encoding="utf-8"), str(path))
     assert out == dump_items(items) + "\n"
     assert "MI\tconnection.close()\tcom.fixture.Dao1.open1()\t8" in out.splitlines()
+
+
+def test_ext_takes_a_file_root_as_it_takes_a_file_in_a_directory(tmp_path, capsys):
+    (tmp_path / "K.src.java").write_text("class K { void run(Conn c) { c.open(); } }\n")
+    path = str(tmp_path / "K.src.java")
+    status, out = run(["extract", "--corpus", path, "--ext", ".src.java"], capsys)
+    assert status == 0 and f"MI\tconn.open()\t{path}.K.run()\t1" in out.splitlines()
+    assert run(["extract", "--corpus", str(tmp_path), "--ext", ".src.java"], capsys) == (0, out)
+
+
+def test_overlapping_corpus_roots_read_each_file_once(tmp_path, capsys, monkeypatch):
+    # D/sub is under D: its file is one method sequence, not two
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+    sub = tmp_path / "D" / "sub"
+    sub.mkdir(parents=True)
+    (sub / "K.java").write_text("class K { void run(Conn c) { c.open(); c.close(); } }\n")
+    root = str(tmp_path / "D")
+    both, one = tmp_path / "both.xml", tmp_path / "one.xml"
+    status, out = run(["mine", "--min-support", "1", "--corpus", root, "--corpus", str(sub),
+                       "--corpus-label", "D", "--repo", str(both)], capsys)
+    assert (status, out) == (0, f"mined 7 patterns from 1 method sequences -> {both}\n")
+    assert main(["mine", "--min-support", "1", "--corpus", root, "--corpus-label", "D",
+                 "--repo", str(one)]) == 0
+    assert both.read_bytes() == one.read_bytes()
+    status, out = run(["extract", "--corpus", str(sub / "K.java"), "--corpus", root], capsys)
+    assert out.count("\tK\t") == 1 and f"\t{sub / 'K.java'}\t" in out
+
+
+def test_closed_standard_output_exits_1_without_a_traceback(corpus):
+    # as in `esdp extract --corpus D | head -1`, the reader is gone before
+    # esdp writes
+    code = "import sys, esdp.cli\nsys.exit(esdp.cli.main(sys.argv[1:]))\n"
+    env = dict(os.environ, PYTHONPATH=str(Path(esdp.cli.__file__).resolve().parents[1]))
+    child = subprocess.Popen([sys.executable, "-c", code, "extract", "--corpus", str(corpus)],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    child.stdout.close()
+    with child.stderr:
+        stderr = child.stderr.read().decode()
+    assert child.wait(timeout=60) == 1
+    assert stderr == ""
 
 
 def test_query_time_includes_store_parse(corpus, tmp_path, capsys, monkeypatch):

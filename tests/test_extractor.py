@@ -395,10 +395,42 @@ def test_else_if_chain_reads_without_nesting():
     ("int f[][], g; void m() { int a[], b = 1; f[0][0] = a[b]; }",
      [("FD", "int[][]"), ("MD", "m():void"), ("VD", "int[]"), ("AA", "int[][]"),
       ("AA", "int[]")]),
+    # A statement is a declaration only if an ident, a '<' or a '[' follows
+    # the dotted name it starts with; a call or an assignment is not
+    # read as a type first.
+    ("void m() { a.b.C x = y; x.f(); }", [("MD", "m():void"), ("VD", "a.b.C"), ("MI", "c.f()")]),
+    ("void m() { Outer.Inner<T> y; y.g(); }",
+     [("MD", "m():void"), ("VD", "Outer.Inner"), ("MI", "inner.g()")]),
+    ("void m() { Foo[] z; z[0].h(); }",
+     [("MD", "m():void"), ("VD", "Foo[]"), ("AA", "Foo[]"), ("MI", "unknown.h()")]),
+    ("void m(X x) { x.y = 3; }", [("MD", "m(X):void"), ("FA", "x.y")]),
+    ("void m() { f(1); }", [("MD", "m():void"), ("MI", "a.f(int)")]),
+    ("void m(X x) { x.m(a).n(); }",
+     [("MD", "m(X):void"), ("MI", "x.m(unknown)"), ("MI", "unknown.n()")]),
+    ("void m(X x) { lbl: x.f(); x.g(); }", [("MD", "m(X):void"), ("MI", "x.f()"), ("MI", "x.g()")]),
+    # a type name starts with an ASCII letter, '_' or '$'
+    ("void m() { Été x = y; x.f(); }", [("MD", "m():void"), ("MI", "unknown.f()")]),
+    ("void m() { $T x = y; _U w; x.f(); w.g(); }",
+     [("MD", "m():void"), ("VD", "$T"), ("VD", "_U"), ("MI", "$T.f()"), ("MI", "_U.g()")]),
 ])
 def test_reader_items(body, expected):
     items, _ = extract_items("class A extends B { " + body + " }", "a.java")
     assert [it.identity for it in items] == [("TD", "A"), ("SC", "B")] + expected
+
+
+def test_items_emitted_out_of_token_order_keep_their_lines():
+    # A call or a creation is emitted after the items of its arguments,
+    # which it comes before in the source. Each item is listed in token
+    # order, with the line its construct starts on, also across the local
+    # class between the calls.
+    source = ("class C {\n void m(X x) {\n  x.f(\n   y.g(),\n   new D(\n    z.h()));\n"
+              "  class L {\n   void n() { w.k(); }\n  }\n  x.e();\n }\n}\n")
+    items, _ = extract_items(source, "c.java")
+    assert [(it.identity, it.line) for it in items] == [
+        (("TD", "C"), 1), (("MD", "m(X):void"), 2), (("MI", "x.f(unknown,D)"), 3),
+        (("MI", "unknown.g()"), 4), (("CI", "D(unknown)"), 5), (("MI", "unknown.h()"), 6),
+        (("TD", "L"), 7), (("MD", "n():void"), 8), (("MI", "unknown.k()"), 8),
+        (("MI", "x.e()"), 10)]
 
 
 @pytest.mark.parametrize("source, expected", [

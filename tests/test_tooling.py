@@ -40,12 +40,16 @@ def test_traced_mine_and_query_count_the_store(tmp_path):
     # The tracer counts the bytes serialize returns and the patterns of the
     # repository parse returns; a traced `mine` and a traced `query` check
     # that both still read that way, and that the store read shows under
-    # repository.parse_s.
+    # repository.parse_s. The traced `mine` shows time in the layers of its
+    # write path: parsing the corpus, building the sequences and writing
+    # the store.
     corpus = write_fixture_corpus(tmp_path / "corpus")
     store = tmp_path / "store.xml"
     layers = _traced(["mine", "--corpus", str(corpus), "--min-support", "3",
                       "--repo", str(store)])
     assert layers["repository.store_bytes"] == store.stat().st_size > 0
+    for layer in ("extractor.parse_s", "transactions.build_s", "repository.serialize_s"):
+        assert layers[layer] > 0, layer
     layers = _traced(["query", "--repo", str(store), "--pick", "1",
                       "--var", "parser=ASTParser", "parser.setKind(0);"])
     assert layers["repository.patterns_parsed"] > 0
