@@ -456,7 +456,13 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ValueError) as exc:
         status, report = 1, f"{type(exc).__name__}: {exc}"
     try:
-        print(report)
+        try:
+            print(report)
+        except UnicodeEncodeError:
+            # text standard output cannot encode, such as a path that is not
+            # UTF-8 (argv and file names read as os.fsdecode reads them):
+            # written back as the path's own bytes
+            sys.stdout.buffer.write(os.fsencode(report + "\n"))
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader closed the pipe (`esdp extract ... | head -1`). Standard

@@ -23,13 +23,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .items import (
-    ControlMarker,
-    ItemKind,
-    SourceItem,
-    lower_camel,
-    simple_name,
-)
+from .items import ControlMarker, SourceItem, lower_camel, simple_name
 
 
 class UnparsableSource(ValueError):
@@ -86,11 +80,6 @@ _CLOSERS = frozenset((")", "]", "}", ""))
 _TO_SEMICOLON = _CLOSERS | {";"}
 _TO_COMMA = _CLOSERS | {","}
 _TO_EITHER = _TO_SEMICOLON | _TO_COMMA
-
-# The kinds a statement emits, as globals: a member read off the enum class
-# goes through EnumType's attribute hook, at some six times the cost.
-_MI, _FA, _AA, _AC, _CI, _VD, _RT = (ItemKind.MI, ItemKind.FA, ItemKind.AA, ItemKind.AC,
-                                     ItemKind.CI, ItemKind.VD, ItemKind.RT)
 
 # the type a literal reads as, keyed by token kind, or by text for a keyword
 _LITERAL_TYPES = {"str": "String", "char": "char", "true": "boolean", "false": "boolean",
@@ -247,7 +236,7 @@ class _Extractor:
         self.class_fields: list[dict[str, str]] = []  # the field scope of each class
         self.return_types: list[str] = []
         self.receivers: dict[str, str] = {}  # declared type -> its variable as receiver
-        self.out: list[tuple[int, ItemKind, str, str]] = []  # (at, kind, name, enclosing)
+        self.out: list[tuple[int, str, str, str]] = []  # (at, kind, name, enclosing)
         self.markers: list[tuple[int, str, str]] = []       # (at, label, enclosing)
         self.depth = 0  # parse methods active; see MAX_NESTING
 
@@ -271,17 +260,17 @@ class _Extractor:
 
     # --- emit helpers -----------------------------------------------------
 
-    def emit(self, kind: ItemKind, name: str, enclosing: str, at: int) -> None:
+    def emit(self, kind: str, name: str, enclosing: str, at: int) -> None:
         self.out.append((at, kind, name, enclosing))
 
     def emit_call(self, recv: str, method: str, start: int, enclosing: str) -> None:
         """Read the argument list of recv.method(...) and emit the call."""
         args = self.parse_args(enclosing)
-        self.emit(_MI, f"{recv}.{method}({','.join(args)})", enclosing, start)
+        self.emit("MI", f"{recv}.{method}({','.join(args)})", enclosing, start)
 
     def assign_field(self, recv: str, field: str, start: int, enclosing: str) -> str:
         """Emit the write of recv.field, the cursor at its '=', and read the value."""
-        self.emit(_FA, f"{recv}.{field}", enclosing, start)
+        self.emit("FA", f"{recv}.{field}", enclosing, start)
         self.i += 1
         self.scan_expression(enclosing, _TO_EITHER)
         return "unknown"
@@ -289,7 +278,7 @@ class _Extractor:
     def index_array(self, arr_type: str | None, start: int, enclosing: str) -> str:
         """Emit the access of an array of arr_type (None: not known), the
         cursor at its first '[', and read the indexes and what follows."""
-        self.emit(_AA, arr_type or "unknown[]", enclosing, start)
+        self.emit("AA", arr_type or "unknown[]", enclosing, start)
         self.parse_brackets(enclosing)
         elem = arr_type[:-2] if arr_type and arr_type.endswith("[]") else "unknown"
         return self.parse_postfix(enclosing, elem)
@@ -326,7 +315,7 @@ class _Extractor:
             self.i += 1
             self.package = self.parse_qualified_name()
             self.accept(";")
-            self.emit(ItemKind.PD, self.package, self.file_label, start)
+            self.emit("PD", self.package, self.file_label, start)
         while texts[self.i] == "import":
             start = self.i
             self.i += 1
@@ -335,7 +324,7 @@ class _Extractor:
             wildcard = self.accept(".") and self.accept("*")
             self.accept(";")
             display = qname + (".*" if wildcard else "")
-            self.emit(ItemKind.ID, display, self.package or self.file_label, start)
+            self.emit("ID", display, self.package or self.file_label, start)
             if not wildcard:
                 parts = qname.split(".")
                 simple = parts[-1]
@@ -392,14 +381,14 @@ class _Extractor:
             return
         name = self.texts[name_at]
         self.i += 1
-        self.emit(ItemKind.TD, name, outer_path if declared_in is None else declared_in, name_at)
+        self.emit("TD", name, outer_path if declared_in is None else declared_in, name_at)
         class_path = f"{outer_path}.{name}" if outer_path else name
         self.depth += 1
         if self.depth > MAX_NESTING:
             raise self.nesting_error()
-        self.skip_generics()
-        for keyword, kind in (("extends", ItemKind.II if is_interface else ItemKind.SC),
-                              ("implements", ItemKind.II)):
+        self.i = self.generics_end(self.i)
+        for keyword, kind in (("extends", "II" if is_interface else "SC"),
+                              ("implements", "II")):
             listed = self.accept(keyword)
             while listed:
                 start = self.i
@@ -421,8 +410,8 @@ class _Extractor:
 
     def parse_member(self, class_path: str) -> None:
         self.skip_modifiers()
+        start = self.i = self.generics_end(self.i)  # a generic method's type parameters
         texts = self.texts
-        start = self.i
         text = texts[start]
         if text in ("class", "interface", "enum"):
             self.parse_type_decl(class_path)
@@ -448,7 +437,7 @@ class _Extractor:
             return
         # field declaration: one item per statement, all declarators registered
         rtype = self.resolve_type(type_text)
-        self.emit(ItemKind.FD, rtype + "[]" * self.declarator_dims(self.i), class_path, start)
+        self.emit("FD", rtype + "[]" * self.declarator_dims(self.i), class_path, start)
         self.parse_declarators(name, rtype, class_path)
 
     def declarator_dims(self, i: int) -> int:
@@ -484,7 +473,7 @@ class _Extractor:
         param_types = self.parse_params()
         rtype = self.resolve_type(return_type) if return_type else ""
         md_name = f"{name}({','.join(param_types)})" + (f":{rtype}" if rtype else "")
-        self.emit(ItemKind.MD, md_name, class_path, start)
+        self.emit("MD", md_name, class_path, start)
         while self.accept("throws"):
             self.parse_qualified_name()
             while self.accept(","):
@@ -581,7 +570,7 @@ class _Extractor:
                     self.parse_parens(enclosing)
                 self.accept(";")
         elif text == "return":
-            self.emit(_RT, self.return_types[-1], enclosing, start)
+            self.emit("RT", self.return_types[-1], enclosing, start)
             self.i += 1
             if texts[self.i] != ";":
                 self.scan_expression(enclosing, _TO_SEMICOLON)
@@ -589,7 +578,7 @@ class _Extractor:
         elif text in ("this", "super") and texts[start + 1] == "(":
             self.i += 1
             args = self.parse_args(enclosing)
-            kind = ItemKind.CTI if text == "this" else ItemKind.SCI
+            kind = "CTI" if text == "this" else "SCI"
             self.emit(kind, f"{text}({','.join(args)})", enclosing, start)
             self.accept(";")
         elif text in _SKIP_STMT_KEYWORDS:
@@ -665,13 +654,13 @@ class _Extractor:
             return None
         rtype = self.resolve_type(type_text)
         dims = self.declarator_dims(self.i + 1) if self.kinds[self.i] == "ident" else 0
-        self.emit(_VD, rtype + "[]" * dims, enclosing, start)
+        self.emit("VD", rtype + "[]" * dims, enclosing, start)
         return rtype
 
     def parse_type_text(self) -> str:
-        """Parse a type reference; returns '' (cursor restored) when absent."""
+        """Parse a type reference; returns '' (cursor unmoved) when absent."""
         texts, kinds = self.texts, self.kinds
-        start = i = self.i
+        i = self.i
         base = texts[i]
         if base in PRIMITIVE_TYPES:
             i += 1
@@ -682,37 +671,36 @@ class _Extractor:
                 i += 2
         else:
             return ""
-        if texts[i] == "<":
-            self.i = i
-            self.skip_generics()
-            i = self.i
+        i = self.generics_end(i)
         while texts[i] == "[" and texts[i + 1] == "]":
             i += 2
             base += "[]"
         if not base[0].isascii():  # an identifier that starts with a non-ASCII letter
-            self.i = start
             return ""
         self.i = i
         return base
 
-    def skip_generics(self) -> None:
+    def generics_end(self, i: int) -> int:
+        """The index after the '<...>' group, type parameters or arguments,
+        that opens at i; i when none opens there or it does not close ('<'
+        as a comparison)."""
         texts, kinds = self.texts, self.kinds
-        i = self.i
         if texts[i] != "<":
-            return
+            return i
         depth = 0
-        while texts[i]:
-            text = texts[i]
+        j = i
+        while texts[j]:
+            text = texts[j]
             if text == "<":
                 depth += 1
             elif text == ">":
                 depth -= 1
                 if depth == 0:
-                    self.i = i + 1
-                    return
-            elif kinds[i] not in ("ident", "kw") and text not in (",", ".", "?", "[", "]"):
-                return  # not a generic group ('<' as comparison)
-            i += 1
+                    return j + 1
+            elif kinds[j] not in ("ident", "kw") and text not in (",", ".", "?", "[", "]"):
+                break
+            j += 1
+        return i
 
     # --- expressions --------------------------------------------------------
 
@@ -796,16 +784,16 @@ class _Extractor:
         if self.texts[self.i] == "[" or rtype.endswith("[]"):
             # one '[]' per dimension: written in the type or given a size
             base = rtype + "[]" * self.parse_brackets(enclosing)
-            self.emit(_AC, base, enclosing, start)
+            self.emit("AC", base, enclosing, start)
             if self.texts[self.i] == "{":
                 self.scan_braced_init(enclosing)
             return base
         args = self.parse_args(enclosing)
         if self.texts[self.i] == "{":
-            self.emit(ItemKind.ACD, rtype, enclosing, start)
+            self.emit("ACD", rtype, enclosing, start)
             self.skip_balanced("{", "}")
             return rtype
-        self.emit(_CI, f"{rtype}({','.join(args)})", enclosing, start)
+        self.emit("CI", f"{rtype}({','.join(args)})", enclosing, start)
         return rtype
 
     def parse_this_chain(self, enclosing: str) -> str:
@@ -826,7 +814,7 @@ class _Extractor:
         field_type = None
         while self.accept("."):
             if texts[self.i] == "<":
-                self.i = self.after_type_args(self.i)
+                self.i = self.generics_end(self.i)
             if self.kinds[self.i] != "ident":
                 break
             member = texts[self.i]
@@ -854,7 +842,7 @@ class _Extractor:
         if texts[i] == ".":
             j = i + 1
             if texts[j] == "<":
-                j = self.after_type_args(j)
+                j = self.generics_end(j)
             if kinds[j] == "ident" and texts[j + 1] == "(":  # a call segment
                 self.i = j + 1
                 self.emit_call(self.render_receiver(segments), texts[j], start, enclosing)
@@ -880,7 +868,7 @@ class _Extractor:
             dot = self.i
             name = dot + 1
             if texts[name] == "<":
-                name = self.after_type_args(name)
+                name = self.generics_end(name)
             if kinds[name] != "ident":
                 break
             self.i = name + 1
@@ -888,14 +876,6 @@ class _Extractor:
                 self.emit_call("unknown", texts[name], dot, enclosing)
             current = "unknown"
         return current
-
-    def after_type_args(self, i: int) -> int:
-        """The index after the explicit type arguments of a generic call,
-        '<...>' in 'x.<T>m()', that open at i; i when they do not close."""
-        cursor, self.i = self.i, i
-        self.skip_generics()
-        i, self.i = self.i, cursor
-        return i
 
     def render_receiver(self, segments: list[str]) -> str:
         """Receiver rendering for invocations/field writes.
@@ -1073,5 +1053,5 @@ def extract_corpus(corpus_dirs: Iterable[str | Path], ext: str = ".java",
 def dump_items(items: Iterable[SourceItem]) -> str:
     """Line-oriented debug dump: KIND<TAB>name<TAB>enclosing<TAB>line."""
     return "\n".join(
-        f"{it.kind.value}\t{it.name}\t{it.enclosing}\t{it.line}" for it in items
+        f"{it.kind}\t{it.name}\t{it.enclosing}\t{it.line}" for it in items
     )

@@ -1,11 +1,12 @@
 """Graph-based object usage models and frequent induced-subgraph mining.
 
 A groum is a labeled DAG built from one method's action items (calls,
-creations, field writes) and control regions. Each node carries only an id
-and a label; a region is one IF or LOOP node at the line where it begins,
-so a control marker's label is its node's label. Mining grows patterns one
-node at a time by extending every stored occurrence with an adjacent node
-of a frequent label, groups the candidates into isomorphism classes by one
+creations, field writes) and control regions, held as its node labels and
+its edges: node i is its position, labels[i] its label, in line order. A
+region is one IF or LOOP node at the line where it begins, so a control
+marker's label is its node's label. Mining grows patterns one node at a
+time by extending every stored occurrence with an adjacent node of a
+frequent label, groups the candidates into isomorphism classes by one
 canonical key (colour refinement, then the smallest edge list over the
 orders the refinement leaves open), and keeps classes whose
 independent-occurrence frequency reaches the threshold. Two exact prunes
@@ -14,7 +15,7 @@ candidates than the threshold is dropped before any key is computed, and a
 class found infrequent is remembered, so its frequency is computed once.
 Repeated work is skipped without changing the output: the canonical key is
 computed once per labelled shape (labels and edges of a candidate in
-ascending node-id order), and occurrences that share no node are counted
+ascending node order), and occurrences that share no node are counted
 without a search.
 """
 
@@ -23,30 +24,20 @@ from __future__ import annotations
 from itertools import chain, groupby, permutations, product
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .items import ControlMarker, ItemKind, SourceItem, lower_camel, simple_name, upper_first
+from .items import ControlMarker, SourceItem, lower_camel, simple_name, upper_first
 from .mining import InvalidThreshold
 
-_ACTION_KINDS = frozenset(
-    {ItemKind.CI, ItemKind.MI, ItemKind.FA, ItemKind.CTI, ItemKind.SCI}
-)
+_ACTION_KINDS = frozenset({"CI", "MI", "FA", "CTI", "SCI"})
 
 # exact independent-set search above this many occurrences is replaced by a
 # greedy lower bound
 EXACT_OCCURRENCE_LIMIT = 20
 
 
-class GroumNode(NamedTuple):
-    id: int
-    label: str
-
-
 class Groum(NamedTuple):
-    nodes: tuple[GroumNode, ...]
+    labels: tuple[str, ...]  # node i is labels[i]
     edges: frozenset[tuple[int, int]]
     origin: str = ""
-
-    def labels(self) -> tuple[str, ...]:
-        return tuple(n.label for n in self.nodes)
 
 
 class GroumPattern(NamedTuple):
@@ -62,13 +53,13 @@ def _action(item: SourceItem) -> tuple[str, str | None]:
     object identity proxy for data-dependency edges: the lower-camel
     receiver or created type, or None when nothing is shareable."""
     kind = item.kind
-    if kind is ItemKind.CTI:
+    if kind == "CTI":
         # enclosing "pkg.Cls.m()" -> its class
         return f"{item.enclosing.split('.')[-2]}.<init>", "this"
-    if kind is ItemKind.SCI:
+    if kind == "SCI":
         return "super.<init>", "super"
     head = item.name.split("(", 1)[0]
-    if kind is ItemKind.CI:
+    if kind == "CI":
         return f"{simple_name(head)}.<init>", lower_camel(simple_name(head))
     receiver, dot, member = head.rpartition(".")
     if not dot:
@@ -92,7 +83,7 @@ def build_groum(items: Sequence[SourceItem], markers: Sequence[ControlMarker] = 
     entries += [((m.line, 0), m.label, None) for m in markers]
     entries.sort(key=lambda e: e[0])
 
-    nodes = tuple(GroumNode(i, label) for i, (_, label, _) in enumerate(entries))
+    labels = tuple(label for _, label, _ in entries)
     edges: set[tuple[int, int]] = set()
     for i in range(len(entries) - 1):
         edges.add((i, i + 1))
@@ -103,7 +94,7 @@ def build_groum(items: Sequence[SourceItem], markers: Sequence[ControlMarker] = 
         if tag in last_use:
             edges.add((last_use[tag], i))
         last_use[tag] = i
-    return Groum(nodes, frozenset(edges), origin=origin or (items[0].enclosing if items else ""))
+    return Groum(labels, frozenset(edges), origin=origin or (items[0].enclosing if items else ""))
 
 
 def build_groums_for_methods(items: Sequence[SourceItem],
@@ -119,7 +110,7 @@ def build_groums_for_methods(items: Sequence[SourceItem],
     groums = []
     for path in sorted(by_method):
         g = build_groum(by_method[path], marks.get(path, ()), origin=path)
-        if g.nodes:
+        if g.labels:
             groums.append(g)
     return groums
 
@@ -127,18 +118,17 @@ def build_groums_for_methods(items: Sequence[SourceItem],
 # --- canonical form ----------------------------------------------------------------
 
 def induced_subgraph(g: Groum, node_ids: Iterable[int]) -> Groum:
+    """The subgraph on node_ids, its nodes renumbered in ascending order."""
     keep = sorted(set(node_ids))
     remap = {old: new for new, old in enumerate(keep)}
-    by_id = {n.id: n for n in g.nodes}
-    nodes = tuple(GroumNode(remap[i], by_id[i].label) for i in keep)
     edges = frozenset((remap[a], remap[b]) for a, b in g.edges
                       if a in remap and b in remap)
-    return Groum(nodes, edges, origin=g.origin)
+    return Groum(tuple(g.labels[i] for i in keep), edges, origin=g.origin)
 
 
 def canonical_form(g: Groum) -> tuple:
     """Order-independent key: equal keys iff the graphs are label-isomorphic."""
-    return _canonical_key({n.id: n.label for n in g.nodes}, g.edges)
+    return _canonical_key(dict(enumerate(g.labels)), g.edges)
 
 
 def _canonical_key(labels: dict[int, str], edges: Iterable[tuple[int, int]]) -> tuple:
@@ -278,21 +268,21 @@ def frequency(occurrences_per_graph: dict[int, Sequence[frozenset[int]]],
 # --- pattern exploration -----------------------------------------------------------
 
 class _Host(NamedTuple):
-    """One dataset graph with the lookups growth needs, built once per call."""
+    """One dataset graph with the lookups growth needs, built once per call;
+    each list is indexed by node."""
     graph: Groum
-    labels: dict[int, str]
-    neighbors: dict[int, set[int]]  # both edge directions
-    successors: dict[int, list[int]]  # ascending: equal shapes list their edges alike
+    neighbors: list[set[int]]  # both edge directions
+    successors: list[list[int]]  # ascending: equal shapes list their edges alike
 
     @classmethod
     def of(cls, g: Groum) -> "_Host":
-        neighbors: dict[int, set[int]] = {n.id: set() for n in g.nodes}
-        successors: dict[int, list[int]] = {n.id: [] for n in g.nodes}
+        neighbors: list[set[int]] = [set() for _ in g.labels]
+        successors: list[list[int]] = [[] for _ in g.labels]
         for a, b in sorted(g.edges):
             neighbors[a].add(b)
             neighbors[b].add(a)
             successors[a].append(b)
-        return cls(g, {n.id: n.label for n in g.nodes}, neighbors, successors)
+        return cls(g, neighbors, successors)
 
 
 def patt_explorer(dataset: Sequence[Groum], sigma: int) -> list[GroumPattern]:
@@ -317,9 +307,8 @@ def patt_explorer(dataset: Sequence[Groum], sigma: int) -> list[GroumPattern]:
     # size-1 patterns: distinct single nodes are always disjoint
     unit_occs: dict[str, dict[int, list[frozenset[int]]]] = {}
     for gi, host in enumerate(hosts):
-        for node in host.graph.nodes:
-            unit_occs.setdefault(node.label, {}).setdefault(gi, []).append(
-                frozenset([node.id]))
+        for v, label in enumerate(host.graph.labels):
+            unit_occs.setdefault(label, {}).setdefault(gi, []).append(frozenset([v]))
     explored: dict[tuple, GroumPattern] = {}
     frequent: set[str] = set()
     for label in sorted(unit_occs):
@@ -364,13 +353,13 @@ def _explore(pattern: GroumPattern, hosts: Sequence[_Host], frequent: set[str],
     # (induced extension)
     extensions: dict[str, dict[int, set[frozenset[int]]]] = {}
     for gi, occs in pattern.occurrences.items():
-        host = hosts[gi]
+        neighbors, labels = hosts[gi].neighbors, hosts[gi].graph.labels
         for occ in occs:
             adjacent: set[int] = set()
             for v in occ:
-                adjacent |= host.neighbors[v]
+                adjacent |= neighbors[v]
             for y in adjacent - occ:
-                label = host.labels[y]
+                label = labels[y]
                 if label in frequent:
                     extensions.setdefault(label, {}).setdefault(gi, set()).add(occ | {y})
     for label in sorted(extensions):
@@ -386,7 +375,7 @@ def _explore(pattern: GroumPattern, hosts: Sequence[_Host], frequent: set[str],
                 continue
             gi = next(iter(occurrences))
             rep = induced_subgraph(hosts[gi].graph, occurrences[gi][0])
-            cls = GroumPattern(rep, occurrences, freq, len(rep.nodes), exact)
+            cls = GroumPattern(rep, occurrences, freq, len(rep.labels), exact)
             explored[key] = cls
             _explore(cls, hosts, frequent, sigma, explored, rejected, keys, shapes)
 
@@ -411,14 +400,14 @@ def _isomorphism_classes(hosts: Sequence[_Host],
     the key of the shape is the key of every occurrence that has it."""
     classes: dict[tuple, dict[int, list[frozenset[int]]]] = {}
     for gi in sorted(candidates):
-        host = hosts[gi]
+        labels, successors = hosts[gi].graph.labels, hosts[gi].successors
         for nodes, occ in sorted([(sorted(occ), occ) for occ in candidates[gi]]):
             key = keys.get((gi, occ))
             if key is None:
                 position = {v: i for i, v in enumerate(nodes)}
-                shape = (tuple(map(host.labels.__getitem__, nodes)),
+                shape = (tuple(map(labels.__getitem__, nodes)),
                          tuple((i, position[b]) for i, a in enumerate(nodes)
-                               for b in host.successors[a] if b in position))
+                               for b in successors[a] if b in position))
                 key = shapes.get(shape)
                 if key is None:
                     key = shapes[shape] = _canonical_key(dict(enumerate(shape[0])), shape[1])
@@ -431,6 +420,6 @@ def _isomorphism_classes(hosts: Sequence[_Host],
 
 def dump_groum(g: Groum) -> str:
     """Line-oriented text form: node/edge lines."""
-    lines = [f"node {n.id} {n.label}" for n in g.nodes]
+    lines = [f"node {i} {label}" for i, label in enumerate(g.labels)]
     lines += [f"edge {a} {b}" for a, b in sorted(g.edges)]
     return "\n".join(lines)

@@ -1,36 +1,37 @@
 """Abstracted source items: the (kind, name) units every later stage mines.
 
 A source file is reduced to a stream of items. Each item is identified by
-its kind tag and a normalized name that never contains a local variable
-identifier, so `Connection connection;` and `Connection conn;` abstract to
-the same item. Beside the items, a control marker records where an if or
-a loop region begins in a method; where it ends is not recorded.
+its kind, a code string of ITEM_KINDS such as ``"MI"``, and a normalized
+name that never contains a local variable identifier, so
+`Connection connection;` and `Connection conn;` abstract to the same item.
+Beside the items, a control marker records where an if or a loop region
+begins in a method; where it ends is not recorded.
 """
 
 from __future__ import annotations
 
-from enum import Enum
 from typing import NamedTuple
 
-
-class ItemKind(Enum):
-    PD = "PD"    # package declaration
-    ID = "ID"    # import declaration
-    TD = "TD"    # type declaration
-    FD = "FD"    # field declaration
-    CI = "CI"    # class instance creation
-    MD = "MD"    # method declaration
-    MI = "MI"    # method invocation
-    II = "II"    # interface implementation
-    VD = "VD"    # local variable declaration
-    ACD = "ACD"  # anonymous class declaration
-    AA = "AA"    # array access
-    AC = "AC"    # array creation
-    CTI = "CTI"  # constructor invocation
-    FA = "FA"    # field access
-    SCI = "SCI"  # super constructor invocation
-    RT = "RT"    # return statement
-    SC = "SC"    # super class inheritance
+# The 17 item kinds: each code and what it stands for
+ITEM_KINDS: dict[str, str] = {
+    "PD": "package declaration",
+    "ID": "import declaration",
+    "TD": "type declaration",
+    "FD": "field declaration",
+    "CI": "class instance creation",
+    "MD": "method declaration",
+    "MI": "method invocation",
+    "II": "interface implementation",
+    "VD": "local variable declaration",
+    "ACD": "anonymous class declaration",
+    "AA": "array access",
+    "AC": "array creation",
+    "CTI": "constructor invocation",
+    "FA": "field access",
+    "SCI": "super constructor invocation",
+    "RT": "return statement",
+    "SC": "super class inheritance",
+}
 
 
 class SourceItem(NamedTuple):
@@ -40,14 +41,14 @@ class SourceItem(NamedTuple):
     such as ``com.Test`` or ``com.Test.parse()``) and ``line`` are metadata.
     """
 
-    kind: ItemKind
+    kind: str  # a code of ITEM_KINDS
     name: str
     enclosing: str
     line: int
 
     @property
     def identity(self) -> tuple[str, str]:
-        return (self.kind.value, self.name)
+        return (self.kind, self.name)
 
 
 class ControlMarker(NamedTuple):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, NamedTuple
 
 from .extractor import UnparsableSource, extract_items
-from .items import ItemKind, lower_camel, simple_name, upper_first
+from .items import lower_camel, simple_name, upper_first
 from .mining import SequentialPattern
 from .repository import MinedRepository
 
@@ -81,8 +81,7 @@ def abstract_query(statement: str, context: QueryContext | None = None) -> UserQ
         line = (exc.line or 0) - head.count("\n")  # the statement's line, if in it
         at = f" at {line}:{exc.column}" if 1 <= line <= text.count("\n") + 1 else ""
         raise UnparsableQuery(exc.message + at) from None
-    wrapper = {ItemKind.TD, ItemKind.MD, ItemKind.ID, ItemKind.PD}
-    content = [it for it in items if it.kind not in wrapper]
+    content = [it for it in items if it.kind not in ("TD", "MD", "ID", "PD")]
     if not content:
         raise UnparsableQuery(f"no abstractable construct in {statement!r}")
     return UserQuery(statement, content[0].identity, context)

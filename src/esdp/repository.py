@@ -33,7 +33,7 @@ import io
 import re
 from typing import BinaryIO, Iterable, Iterator, NamedTuple
 
-from .items import ItemKind
+from .items import ITEM_KINDS
 from .mining import RankedPatterns, SequentialPattern, precedes, sort_patterns
 
 
@@ -90,15 +90,25 @@ def _unesc(text: str) -> str:
 
 
 def _check_writable(metadata: Iterable[str], patterns: Iterable[SequentialPattern]) -> None:
-    """ValueError for text the reader would refuse: a control character in
-    metadata, or an item name that is empty, padded with whitespace or holds
-    a control character other than tab."""
+    """ValueError for text UTF-8 cannot encode (a lone surrogate, as a path
+    that is not UTF-8 decodes to) or the reader would refuse: a control
+    character in metadata, or an item name that is empty, padded with
+    whitespace or holds a control character other than tab."""
     for value in metadata:
         if re.fullmatch(_ATTR, _esc_attr(value)) is None:
             raise ValueError(f"repository metadata {value!r} holds a control character")
+        _check_utf8("repository metadata", value)
     for name in {name for p in patterns for _, name in p.elements}:
         if re.fullmatch(_NAME, _esc(name)) is None or name.strip() != name:
             raise ValueError(f"item name {name!r} is blank, padded or holds a control character")
+        _check_utf8("item name", name)
+
+
+def _check_utf8(what: str, text: str) -> None:
+    try:
+        text.encode()
+    except UnicodeEncodeError:
+        raise ValueError(f"{what} {text!r} cannot be encoded as UTF-8") from None
 
 
 def _header(corpus_label: str, created_at: str, min_support_used: int) -> str:
@@ -164,7 +174,7 @@ def serialize(repo: MinedRepository) -> bytes:
 # characters, which XML forbids or rewrites, are refused.
 
 _NUM = "([1-9][0-9]*)"
-_KIND = "(" + "|".join(k.value for k in ItemKind) + ")"
+_KIND = "(" + "|".join(ITEM_KINDS) + ")"
 _ATTR = '((?:[^&<>"\\x00-\\x1f]|&(?:amp|lt|gt|quot);)*)'
 # Item names: one or more characters or escapes, written as run (escape run)*
 # behind a lookahead that refuses the empty name, so the engine scans a run
@@ -446,6 +456,13 @@ _PATTERNS_END = b"  </patterns>\n</esdp-repository>\n"
 _BATCH = 4096  # stored lines joined into one write of the update
 
 
+def _encoded(text: str) -> bytes:
+    """text in UTF-8, a lone surrogate as its surrogatepass bytes: such text
+    reaches only an output that merge_update's _check_writable refuses,
+    after the store's refusals."""
+    return text.encode("utf-8", "surrogatepass")
+
+
 def merge_update(store: BinaryIO, fresh: Iterable[SequentialPattern], created_at: str,
                  min_support_used: int, out: BinaryIO) -> None:
     """Fold freshly mined patterns into the store open for reading in
@@ -466,24 +483,13 @@ def merge_update(store: BinaryIO, fresh: Iterable[SequentialPattern], created_at
 
     SchemaViolation when ``parse`` refuses the store, or when its patterns
     are not in ranking order (after any other refusal); ValueError when a
-    fresh item name cannot be written.
+    fresh item name or the stamp cannot be written.
     """
     latest = {p.elements: p for p in fresh}
     # mined RankedPatterns are sorted already, with no element list twice
     queue = fresh if isinstance(fresh, RankedPatterns) else sort_patterns(latest.values())
     corpus, _, _, blocks = _read(store)
-    # Text that cannot be encoded is refused after the store's refusals and
-    # the check of what is written, as when nothing was written before them.
-    unwritable: list[UnicodeEncodeError] = []
-
-    def encode(text: str) -> bytes:
-        try:
-            return text.encode()
-        except UnicodeEncodeError as exc:
-            unwritable.append(exc)
-            return b""
-
-    batch = [encode(_header(corpus, created_at, min_support_used)), b"\n  <patterns>\n"]
+    batch = [_encoded(_header(corpus, created_at, min_support_used)), b"\n  <patterns>\n"]
     j = 0
     above = fault = None
     for idx, (line, p, head, item_lines) in enumerate(blocks, 1):
@@ -495,7 +501,7 @@ def merge_update(store: BinaryIO, fresh: Iterable[SequentialPattern], created_at
         while j < len(queue) and precedes(queue[j], p):
             j += 1
         if j > i:
-            batch.append(encode("\n".join(_render(queue[i:j], [])) + "\n"))
+            batch.append(_encoded("\n".join(_render(queue[i:j], [])) + "\n"))
         if p.elements not in latest:  # else replaced: its stored lines are not written
             batch += head
             batch.append(_SEQUENCE)
@@ -512,8 +518,6 @@ def merge_update(store: BinaryIO, fresh: Iterable[SequentialPattern], created_at
         batch[1] = b"\n  <patterns/>\n</esdp-repository>\n"  # nothing was written
     else:
         if j < len(queue):
-            batch.append(encode("\n".join(_render(queue[j:], [])) + "\n"))
+            batch.append(_encoded("\n".join(_render(queue[j:], [])) + "\n"))
         batch.append(_PATTERNS_END)
-    if unwritable:
-        raise unwritable[0]
     out.write(b"".join(batch))

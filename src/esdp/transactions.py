@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .items import ItemKind, SourceItem
+from .items import SourceItem
 
 
 class SequenceRecord(NamedTuple):
@@ -46,16 +46,14 @@ def build_sequence_db(items: list[SourceItem]) -> SequenceDatabase:
     with the MD item as head when present; records sorted by sid."""
     heads: dict[str, tuple[str, str]] = {}
     bodies: dict[str, list[tuple[str, str]]] = {}
-    md = ItemKind.MD
-    # an item's (kind, name) is its identity, the kind read as _value_: the
-    # identity property and Enum.value each cost a Python frame per item
+    # unpacked: the identity property costs a Python frame per item
     for kind, name, enclosing, _ in items:
-        if kind is md:
+        if kind == "MD":
             path = f"{enclosing}.{name.split('(', 1)[0]}()"
             bodies.setdefault(path, [])
             heads.setdefault(path, ("MD", name))
         elif enclosing.endswith("()"):  # a method's path
-            bodies.setdefault(enclosing, []).append((kind._value_, name))
+            bodies.setdefault(enclosing, []).append((kind, name))
 
     records = []
     for sid in sorted(bodies):

@@ -32,7 +32,6 @@ from esdp.groum import (
 )
 from esdp.items import (
     ControlMarker,
-    ItemKind,
     SourceItem,
     lower_camel,
     simple_name,
@@ -229,7 +228,7 @@ def weakly_connected(nodes: frozenset[int], edges) -> bool:
 
 
 def connected_induced_node_sets(g) -> list[frozenset[int]]:
-    ids = [n.id for n in g.nodes]
+    ids = range(len(g.labels))
     out = []
     for k in range(1, len(ids) + 1):
         for combo in combinations(ids, k):
@@ -241,15 +240,14 @@ def connected_induced_node_sets(g) -> list[frozenset[int]]:
 
 def iso_brute(g1, g2) -> bool:
     """Label-isomorphism by trying every bijection."""
-    if len(g1.nodes) != len(g2.nodes):
+    if len(g1.labels) != len(g2.labels):
         return False
-    ids1 = [n.id for n in g1.nodes]
-    labels1 = {n.id: n.label for n in g1.nodes}
-    labels2 = {n.id: n.label for n in g2.nodes}
+    ids1 = range(len(g1.labels))
+    labels1, labels2 = g1.labels, g2.labels
     e1, e2 = set(g1.edges), set(g2.edges)
     if len(e1) != len(e2):
         return False
-    for perm in permutations([n.id for n in g2.nodes]):
+    for perm in permutations(range(len(g2.labels))):
         mapping = dict(zip(ids1, perm))
         if any(labels1[a] != labels2[mapping[a]] for a in ids1):
             continue
@@ -379,9 +377,8 @@ def patt_explorer_reference(dataset: Sequence[Groum], sigma: int) -> list[GroumP
     # size-1 patterns: distinct single nodes are always disjoint
     unit_occs: dict[str, dict[int, list[frozenset[int]]]] = {}
     for gi, host in enumerate(hosts):
-        for node in host.graph.nodes:
-            unit_occs.setdefault(node.label, {}).setdefault(gi, []).append(
-                frozenset([node.id]))
+        for v, label in enumerate(host.graph.labels):
+            unit_occs.setdefault(label, {}).setdefault(gi, []).append(frozenset([v]))
     explored: dict[tuple, GroumPattern] = {}
     frequent: set[str] = set()
     for label in sorted(unit_occs):
@@ -415,7 +412,7 @@ def _explore_reference(pattern: GroumPattern, hosts: Sequence[_Host], frequent: 
             for v in occ:
                 adjacent |= host.neighbors[v]
             for y in adjacent - occ:
-                label = host.labels[y]
+                label = host.graph.labels[y]
                 if label in frequent:
                     extensions.setdefault(label, {}).setdefault(gi, set()).add(occ | {y})
     for label in sorted(extensions):
@@ -427,7 +424,7 @@ def _explore_reference(pattern: GroumPattern, hosts: Sequence[_Host], frequent: 
                 continue
             gi = next(iter(occurrences))
             rep = induced_subgraph(hosts[gi].graph, occurrences[gi][0])
-            cls = GroumPattern(rep, occurrences, freq, len(rep.nodes), exact)
+            cls = GroumPattern(rep, occurrences, freq, len(rep.labels), exact)
             explored[key] = cls
             _explore_reference(cls, hosts, frequent, sigma, explored, keys)
 
@@ -459,7 +456,7 @@ def _isomorphism_classes_reference(hosts: Sequence[_Host],
             key = keys.get((gi, occ))
             if key is None:
                 key = keys[gi, occ] = _canonical_key(
-                    {v: host.labels[v] for v in occ},
+                    {v: host.graph.labels[v] for v in occ},
                     [(a, b) for a in occ for b in host.successors[a] if b in occ])
             classes.setdefault(key, {}).setdefault(gi, []).append(occ)
     return list(classes.items())
@@ -658,7 +655,7 @@ class _ExtractorReference:
 
     # --- emit helpers -----------------------------------------------------
 
-    def emit(self, kind: ItemKind, name: str, enclosing: str, line: int, col: int) -> None:
+    def emit(self, kind: str, name: str, enclosing: str, line: int, col: int) -> None:
         self.out.append((line, col, SourceItem(kind, name, enclosing or self.file_label, line)))
 
     def mark(self, label: str, enclosing: str, line: int) -> None:
@@ -667,11 +664,11 @@ class _ExtractorReference:
     def emit_call(self, recv: str, method: str, start: Token, enclosing: str) -> None:
         """Read the argument list of recv.method(...) and emit the call."""
         args = self.parse_args(enclosing)
-        self.emit(ItemKind.MI, f"{recv}.{method}({','.join(args)})", enclosing, start.line, start.col)
+        self.emit("MI", f"{recv}.{method}({','.join(args)})", enclosing, start.line, start.col)
 
     def assign_field(self, recv: str, field: str, start: Token, enclosing: str) -> str:
         """Emit the write of recv.field, the cursor at its '=', and read the value."""
-        self.emit(ItemKind.FA, f"{recv}.{field}", enclosing, start.line, start.col)
+        self.emit("FA", f"{recv}.{field}", enclosing, start.line, start.col)
         self.advance()
         self.scan_expression(enclosing, (";", ",", ")"))
         return "unknown"
@@ -717,7 +714,7 @@ class _ExtractorReference:
             t = self.advance()
             self.package = self.parse_qualified_name()
             self.accept(";")
-            self.emit(ItemKind.PD, self.package, self.file_label, t.line, t.col)
+            self.emit("PD", self.package, self.file_label, t.line, t.col)
         while self.at("import"):
             t = self.advance()
             self.accept("static")
@@ -725,7 +722,7 @@ class _ExtractorReference:
             wildcard = self.accept(".") and self.accept("*")
             self.accept(";")
             display = qname + (".*" if wildcard else "")
-            self.emit(ItemKind.ID, display, self.package or self.file_label, t.line, t.col)
+            self.emit("ID", display, self.package or self.file_label, t.line, t.col)
             if not wildcard:
                 parts = qname.split(".")
                 simple = parts[-1]
@@ -774,13 +771,13 @@ class _ExtractorReference:
         name = self.advance().text
         # fixed as in esdp.extractor: a local class's TD is declared_in its
         # method's class, outside the method's sequence
-        self.emit(ItemKind.TD, name, outer_path if declared_in is None else declared_in,
+        self.emit("TD", name, outer_path if declared_in is None else declared_in,
                   name_tok.line, name_tok.col)
         class_path = f"{outer_path}.{name}" if outer_path else name
         self.descend()
         self.skip_generics()
-        for keyword, kind in (("extends", ItemKind.II if is_interface else ItemKind.SC),
-                              ("implements", ItemKind.II)):
+        for keyword, kind in (("extends", "II" if is_interface else "SC"),
+                              ("implements", "II")):
             listed = self.accept(keyword)
             while listed:
                 t = self.cur()
@@ -802,6 +799,7 @@ class _ExtractorReference:
 
     def parse_member(self, class_path: str) -> None:
         self.skip_modifiers()
+        self.skip_generics()  # fixed as in esdp.extractor: a generic method's type parameters
         t = self.cur()
         if t.text in ("class", "interface", "enum"):
             self.parse_type_decl(class_path)
@@ -825,7 +823,7 @@ class _ExtractorReference:
             return
         # field declaration: one item per statement, all declarators registered
         rtype = self.resolve_type(type_text)
-        self.emit(ItemKind.FD, rtype + "[]" * self.declarator_dims(0), class_path, t.line, t.col)
+        self.emit("FD", rtype + "[]" * self.declarator_dims(0), class_path, t.line, t.col)
         self.parse_declarators(name_tok.text, rtype, class_path)
 
     def declarator_dims(self, k: int) -> int:
@@ -857,7 +855,7 @@ class _ExtractorReference:
         param_types = self.parse_params()
         rtype = self.resolve_type(return_type) if return_type else ""
         md_name = f"{name}({','.join(param_types)})" + (f":{rtype}" if rtype else "")
-        self.emit(ItemKind.MD, md_name, class_path, start.line, start.col)
+        self.emit("MD", md_name, class_path, start.line, start.col)
         while self.accept("throws"):
             self.parse_qualified_name()
             while self.accept(","):
@@ -945,7 +943,7 @@ class _ExtractorReference:
                     self.parse_parens(enclosing)
                 self.accept(";")
         elif t.text == "return":
-            self.emit(ItemKind.RT, self.return_types[-1], enclosing, t.line, t.col)
+            self.emit("RT", self.return_types[-1], enclosing, t.line, t.col)
             self.advance()
             if not self.at(";"):
                 self.scan_expression(enclosing, (";",))
@@ -953,7 +951,7 @@ class _ExtractorReference:
         elif t.text in ("this", "super") and self.la().text == "(":
             self.advance()
             args = self.parse_args(enclosing)
-            kind = ItemKind.CTI if t.text == "this" else ItemKind.SCI
+            kind = "CTI" if t.text == "this" else "SCI"
             self.emit(kind, f"{t.text}({','.join(args)})", enclosing, t.line, t.col)
             self.accept(";")
         elif t.text in _SKIP_STMT_KEYWORDS:
@@ -1011,7 +1009,7 @@ class _ExtractorReference:
         rtype = self.resolve_type(type_text)
         # fixed as in esdp.extractor: the VD names the first declarator's type
         dims = self.declarator_dims(1) if self.cur().kind == "ident" else 0
-        self.emit(ItemKind.VD, rtype + "[]" * dims, enclosing, start.line, start.col)
+        self.emit("VD", rtype + "[]" * dims, enclosing, start.line, start.col)
         return rtype
 
     def parse_type_text(self) -> str:
@@ -1128,16 +1126,16 @@ class _ExtractorReference:
         rtype = self.resolve_type(type_text) if type_text else "unknown"
         if self.at("[") or rtype.endswith("[]"):
             base = rtype + "[]" * self.parse_brackets(enclosing)
-            self.emit(ItemKind.AC, base, enclosing, start.line, start.col)
+            self.emit("AC", base, enclosing, start.line, start.col)
             if self.at("{"):
                 self.scan_braced_init(enclosing)
             return base
         args = self.parse_args(enclosing)
         if self.at("{"):
-            self.emit(ItemKind.ACD, rtype, enclosing, start.line, start.col)
+            self.emit("ACD", rtype, enclosing, start.line, start.col)
             self.skip_balanced("{", "}")
             return rtype
-        self.emit(ItemKind.CI, f"{rtype}({','.join(args)})", enclosing, start.line, start.col)
+        self.emit("CI", f"{rtype}({','.join(args)})", enclosing, start.line, start.col)
         return rtype
 
     def parse_this_chain(self, enclosing: str) -> str:
@@ -1169,7 +1167,7 @@ class _ExtractorReference:
             value = field_type or "unknown"
             fields = {}
         if self.at("["):  # fixed as in esdp.extractor: an index into the field
-            self.emit(ItemKind.AA, field_type or "unknown[]", enclosing, start.line, start.col)
+            self.emit("AA", field_type or "unknown[]", enclosing, start.line, start.col)
             self.parse_brackets(enclosing)
             elem = field_type[:-2] if field_type and field_type.endswith("[]") else "unknown"
             return self.parse_postfix(enclosing, elem)
@@ -1196,7 +1194,7 @@ class _ExtractorReference:
             return self.parse_postfix(enclosing, "unknown")
         if self.at("["):
             arr_type = self.lookup(segments[0]) if len(segments) == 1 else None
-            self.emit(ItemKind.AA, arr_type or "unknown[]", enclosing, start.line, start.col)
+            self.emit("AA", arr_type or "unknown[]", enclosing, start.line, start.col)
             self.parse_brackets(enclosing)
             elem = arr_type[:-2] if arr_type and arr_type.endswith("[]") else "unknown"
             return self.parse_postfix(enclosing, elem)

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_sequence_db
-from esdp.groum import GroumNode, Groum, patt_explorer
+from esdp.groum import Groum, patt_explorer
 from esdp.metrics import RetrievalOutcome, precision_recall, sequence_pr
 from esdp.mining import SequentialPattern, mine_prefixspan
 from esdp.query import (
@@ -87,10 +87,10 @@ def test_worked_metric_fixtures():
 
 def _random_groum(rng: random.Random) -> Groum:
     n = rng.randint(1, 5)
-    nodes = tuple(GroumNode(i, f"L{rng.randint(1, 3)}") for i in range(n))
+    labels = tuple(f"L{rng.randint(1, 3)}" for _ in range(n))
     edges = frozenset((i, j) for i in range(n) for j in range(i + 1, n)
                       if rng.random() < 0.45)
-    return Groum(nodes, edges, "rand")
+    return Groum(labels, edges, "rand")
 
 
 def test_groum_oracle_equivalence():

@@ -699,6 +699,59 @@ def test_control_character_in_label_is_refused(corpus, tmp_path, capsys):
     assert not repo_path.exists()
 
 
+def _esdp_child(argv: list, **env: str) -> subprocess.CompletedProcess:
+    """esdp run as its own process with argv, str or bytes, and env added."""
+    code = "import sys, esdp.cli\nsys.exit(esdp.cli.main(sys.argv[1:]))\n"
+    env = dict(os.environ, PYTHONPATH=str(Path(esdp.cli.__file__).resolve().parents[1]),
+               SOURCE_DATE_EPOCH="0", **env)
+    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, env=env,
+                          timeout=60)
+
+
+def _corpus_not_utf8(tmp_path) -> bytes:
+    """The fixture corpus in a directory whose name is not UTF-8; its path."""
+    path = os.fsencode(tmp_path) + b"/d\xff"
+    write_fixture_corpus(Path(os.fsdecode(path)))
+    return path
+
+
+@pytest.mark.parametrize("label", [None, b"team\xff"])
+def test_corpus_label_not_utf8_is_refused(tmp_path, label):
+    # the default label is the corpus path
+    corpus = _corpus_not_utf8(tmp_path)
+    store = tmp_path / "out.xml"
+    done = _esdp_child(["mine", "--corpus", corpus, "--repo", str(store),
+                        *(["--corpus-label", label] if label else [])])
+    assert (done.returncode, done.stderr) == (1, b"")
+    shown = os.fsdecode(label or corpus)
+    assert done.stdout == (f"ValueError: repository metadata {shown!r} cannot be encoded "
+                           "as UTF-8\n").encode()
+    assert not store.exists()
+
+
+def test_reports_write_a_path_as_its_bytes(tmp_path):
+    # a strict standard output, as a UTF-8 locale gives without UTF-8 mode
+    corpus = _corpus_not_utf8(tmp_path)
+    store = os.fsencode(tmp_path) + b"/s\xff.xml"
+    strict = {"PYTHONIOENCODING": "utf-8:strict"}
+    done = _esdp_child(["extract", "--corpus", corpus], **strict)
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert b"\nPD\tcom.fixture\t" + corpus + b"/Dao1.java\t1\n" in b"\n" + done.stdout
+    done = _esdp_child(["extract", "--corpus", corpus + b"x"], **strict)
+    assert (done.returncode, done.stderr) == (1, b"")
+    assert done.stdout == b"FileNotFoundError: corpus path not found: " + corpus + b"x\n"
+    done = _esdp_child(["mine", "--corpus", corpus, "--corpus-label", "c", "--repo", store],
+                       **strict)
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout.endswith(b" method sequences -> " + store + b"\n")
+    assert parse(Path(os.fsdecode(store)).read_bytes()).corpus_label == "c"
+    # a UTF-8 path on a standard output that cannot encode it
+    missing = os.fsencode(tmp_path) + "/é".encode()
+    done = _esdp_child(["extract", "--corpus", missing], PYTHONIOENCODING="ascii:strict")
+    assert (done.returncode, done.stderr) == (1, b"")
+    assert done.stdout == b"FileNotFoundError: corpus path not found: " + missing + b"\n"
+
+
 def _mine_bad_file(tmp_path, capsys, name: str, data: bytes):
     corpus = tmp_path / "corpus"
     corpus.mkdir()

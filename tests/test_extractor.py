@@ -18,7 +18,7 @@ from esdp.extractor import (
     iter_source_files,
     tokenize,
 )
-from esdp.items import ItemKind
+from esdp.items import ITEM_KINDS
 from esdp.transactions import build_sequence_db
 from oracles import extract_items_reference, tokenize_reference
 
@@ -60,7 +60,7 @@ def method_items(items, suffix=".parse()"):
 def test_field_declaration_abstracts_to_type_at_line():
     source = "package com;\n\npublic class Test {\n\n    private Connection conn;\n}\n"
     items, _ = extract_items(source, "Test.java")
-    fd = [it for it in items if it.kind is ItemKind.FD]
+    fd = [it for it in items if it.kind == "FD"]
     assert len(fd) == 1
     assert fd[0].name == "Connection"
     assert fd[0].enclosing == "com.Test"
@@ -134,13 +134,13 @@ public class Example_Class extends SuperClass implements Runnable {
 
 
 def test_exactly_seventeen_item_kinds():
-    assert len(ItemKind) == 17
+    assert len(ITEM_KINDS) == 17
 
 
 def test_all_seventeen_kinds_covered():
     items, _ = extract_items(SEVENTEEN_KINDS, "e.java")
     kinds = {it.kind for it in items}
-    assert kinds == set(ItemKind), f"missing: {set(ItemKind) - kinds}"
+    assert kinds == set(ITEM_KINDS), f"missing: {set(ITEM_KINDS) - kinds}"
 
 
 def test_import_resolution_uses_last_package_segment():
@@ -217,7 +217,7 @@ def test_dump_format():
 def test_duplicate_invocations_both_emitted():
     source = "class C { void m() { x.tick(); x.tick(); } }"
     items, _ = extract_items(source, "c.java")
-    ticks = [it for it in items if it.kind is ItemKind.MI]
+    ticks = [it for it in items if it.kind == "MI"]
     assert len(ticks) == 2
 
 
@@ -312,7 +312,7 @@ def test_nesting_within_limit_parses():
     source = ("class K {\n  void m() {\n" + "if (a) {\n" * depth + "x.f(" * depth + "y"
               + ")" * depth + ";\n" + "}\n" * depth + "  }\n}\n")
     items, markers = extract_items(source, "k.java")
-    assert sum(it.kind is ItemKind.MI for it in items) == depth
+    assert sum(it.kind == "MI" for it in items) == depth
     assert len(markers) == depth
 
 
@@ -322,7 +322,7 @@ def test_else_if_chain_reads_without_nesting():
               + "else if (b) x.f(); " * branches + "else x.g(); } }")
     items, markers = extract_items(source, "k.java")
     assert [m.label for m in markers] == ["IF"] * (branches + 1)
-    assert sum(it.kind is ItemKind.MI for it in items) == branches + 2
+    assert sum(it.kind == "MI" for it in items) == branches + 2
 
 
 
@@ -441,6 +441,17 @@ def test_items_emitted_out_of_token_order_keep_their_lines():
      [("TD", "A"), ("FD", "T"), ("FD", "Map")]),
     ("interface I { void m(); int n(String s); }",
      [("TD", "I"), ("MD", "m():void"), ("MD", "n(String):int")]),
+    # a generic method or constructor: its type parameters are skipped
+    ('class G { public <T> T first(List<T> xs) { Log.info("x"); return xs.get(0); } }',
+     [("TD", "G"), ("MD", "first(List):T"), ("MI", "Log.info(String)"), ("RT", "T"),
+      ("MI", "list.get(int)")]),
+    ("class G { static <K, V extends Comparable<V>> void put(Map<K, V> m, K k) "
+     "{ m.put(k, null); } }",
+     [("TD", "G"), ("MD", "put(Map,K):void"), ("MI", "map.put(K,null)")]),
+    ("class G { <T> G(T t) { super(); } }", [("TD", "G"), ("MD", "G(T)"), ("SCI", "super()")]),
+    # a '<' in a method body is still a comparison
+    ("class G { boolean m(int a) { if (a < 3) { x.f(a); } return a < 3; } }",
+     [("TD", "G"), ("MD", "m(int):boolean"), ("MI", "unknown.f(int)"), ("RT", "boolean")]),
 ])
 def test_unit_items(source, expected):
     assert [it.identity for it in extract_items(source, "a.java")[0]] == expected
@@ -449,7 +460,7 @@ def test_unit_items(source, expected):
 def test_local_class_stays_out_of_its_method_record():
     source = "class C { void m() { class L { void n() { y.g(); } } x.f(); } }"
     items, _ = extract_items(source, "c.java")
-    assert [it.identity for it in items if it.kind is ItemKind.TD] == [("TD", "C"), ("TD", "L")]
+    assert [it.identity for it in items if it.kind == "TD"] == [("TD", "C"), ("TD", "L")]
     records = {r.sid: r.items for r in build_sequence_db(items).records}
     assert records == {"c.java.C.m()": (("MD", "m():void"), ("MI", "unknown.f()")),
                        "c.java.C.m().L.n()": (("MD", "n():void"), ("MI", "unknown.g()"))}

@@ -14,7 +14,6 @@ from esdp import groum
 from esdp.extractor import extract_corpus, extract_items
 from esdp.groum import (
     Groum,
-    GroumNode,
     InvalidThreshold,
     build_groum,
     build_groums_for_methods,
@@ -25,7 +24,7 @@ from esdp.groum import (
     induced_subgraph,
     patt_explorer,
 )
-from esdp.items import ItemKind, SourceItem
+from esdp.items import SourceItem
 import oracles
 from oracles import (
     exhaustive_groum_patterns,
@@ -56,8 +55,7 @@ public class SearchTest
 
 
 def graph_of(labels: list[str], edges: set[tuple[int, int]], origin="g") -> Groum:
-    nodes = tuple(GroumNode(i, lab) for i, lab in enumerate(labels))
-    return Groum(nodes, frozenset(edges), origin)
+    return Groum(tuple(labels), frozenset(edges), origin)
 
 
 def random_groum(rng: random.Random, max_nodes=5, n_labels=3) -> Groum:
@@ -68,14 +66,14 @@ def random_groum(rng: random.Random, max_nodes=5, n_labels=3) -> Groum:
 
 
 def mi(name: str, line: int) -> SourceItem:
-    return SourceItem(ItemKind.MI, name, "p.C.m()", line)
+    return SourceItem("MI", name, "p.C.m()", line)
 
 
 def test_fig311_builds_receiver_chain():
     items, markers = extract_items(FIG_311, "s.java")
     body = [it for it in items if it.enclosing.endswith(".parse()")]
     g = build_groum(body, markers)
-    assert [n.label for n in g.nodes] == [
+    assert list(g.labels) == [
         "ASTParser.newParser", "ASTParser.setKind", "ASTParser.setSource",
         "ASTParser.setResolveBindings", "ASTParser.createAST"]
     assert g.edges == frozenset({(0, 1), (1, 2), (2, 3), (3, 4)})
@@ -83,25 +81,25 @@ def test_fig311_builds_receiver_chain():
 
 def test_single_call_single_node():
     g = build_groum([mi("x.only()", 1)])
-    assert len(g.nodes) == 1 and len(g.edges) == 0
+    assert len(g.labels) == 1 and len(g.edges) == 0
 
 
 def test_unrelated_calls_get_usage_order_edge():
     g = build_groum([mi("alpha.a()", 1), mi("beta.b()", 2)])
-    assert len(g.nodes) == 2
+    assert len(g.labels) == 2
     assert g.edges == frozenset({(0, 1)})
 
 
 # a method path under a package, and under a file label when there is none
 @pytest.mark.parametrize("enclosing", ["p.q.C.C()", "src/C.java.C.C()"])
 def test_constructor_calls_label_their_class_and_tag_this_or_super(enclosing):
-    items = [SourceItem(ItemKind.CTI, "this(int)", enclosing, 1),
-             SourceItem(ItemKind.SCI, "super()", enclosing, 2),
-             SourceItem(ItemKind.MI, "super.g()", enclosing, 3),
-             SourceItem(ItemKind.MI, "unknown.h()", enclosing, 4),
-             SourceItem(ItemKind.CTI, "this()", enclosing, 5)]
+    items = [SourceItem("CTI", "this(int)", enclosing, 1),
+             SourceItem("SCI", "super()", enclosing, 2),
+             SourceItem("MI", "super.g()", enclosing, 3),
+             SourceItem("MI", "unknown.h()", enclosing, 4),
+             SourceItem("CTI", "this()", enclosing, 5)]
     g = build_groum(items)
-    assert g.labels() == ("C.<init>", "super.<init>", "Super.g", "Unknown.h", "C.<init>")
+    assert g.labels == ("C.<init>", "super.<init>", "Super.g", "Unknown.h", "C.<init>")
     # usage order, plus one data edge per shared tag: this 0->4, super 1->2
     assert g.edges == frozenset({(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)})
 
@@ -113,7 +111,7 @@ def test_control_regions_become_nodes():
     g = build_groum(body, markers)
     # the region's node stands at the line where it begins, before the
     # calls on that line
-    assert g.labels() == ("IF", "Unknown.p", "Unknown.q")
+    assert g.labels == ("IF", "Unknown.p", "Unknown.q")
 
 
 def test_groum_is_acyclic():
@@ -170,18 +168,19 @@ def digraphs(draw, max_nodes=6):
     return graph_of(labels, {pair for pair, kept in zip(pairs, keep) if kept})
 
 
-def relabelled(g: Groum, ids: list[int]) -> Groum:
-    """g with node i renamed ids[i] and the nodes listed in a new order."""
-    nodes = tuple(GroumNode(ids[n.id], n.label) for n in reversed(g.nodes))
-    return Groum(nodes, frozenset((ids[a], ids[b]) for a, b in g.edges), g.origin)
+def relabelled(g: Groum, order: list[int]) -> Groum:
+    """g with node i moved to position order[i]."""
+    labels = [""] * len(g.labels)
+    for i, label in enumerate(g.labels):
+        labels[order[i]] = label
+    return Groum(tuple(labels), frozenset((order[a], order[b]) for a, b in g.edges), g.origin)
 
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_canonical_form_property(data):
     g1 = data.draw(digraphs())
-    ids = data.draw(st.permutations([10 * i + 3 for i in range(len(g1.nodes))]))
-    copy = relabelled(g1, ids)
+    copy = relabelled(g1, data.draw(st.permutations(range(len(g1.labels)))))
     assert canonical_form(copy) == canonical_form(g1)
     g2 = data.draw(st.one_of(st.just(copy), digraphs()))
     assert (canonical_form(g1) == canonical_form(g2)) == iso_brute(g1, g2)
@@ -191,8 +190,7 @@ def shape_of(g: Groum, occ) -> tuple:
     """Labels of occ in ascending node-id order and its induced edges as
     (position, position) pairs."""
     nodes = sorted(occ)
-    labels = {n.id: n.label for n in g.nodes}
-    return (tuple(labels[v] for v in nodes),
+    return (tuple(g.labels[v] for v in nodes),
             tuple(sorted((nodes.index(a), nodes.index(b)) for a, b in g.edges
                          if a in occ and b in occ)))
 
@@ -201,11 +199,10 @@ def shape_of(g: Groum, occ) -> tuple:
 @given(data=st.data())
 def test_canonical_key_of_occurrence_equals_key_of_its_shape(data):
     g = data.draw(digraphs())
-    g = relabelled(g, data.draw(st.permutations([7 * i + 2 for i in range(len(g.nodes))])))
-    occ = data.draw(st.sets(st.sampled_from([n.id for n in g.nodes]), min_size=1))
+    g = relabelled(g, data.draw(st.permutations(range(len(g.labels)))))
+    occ = data.draw(st.sets(st.sampled_from(range(len(g.labels))), min_size=1))
     labels, edges = shape_of(g, occ)
-    by_id = {n.id: n.label for n in g.nodes}
-    assert groum._canonical_key({v: by_id[v] for v in occ},
+    assert groum._canonical_key({v: g.labels[v] for v in occ},
                                 [(a, b) for a, b in g.edges if a in occ and b in occ]) \
         == groum._canonical_key(dict(enumerate(labels)), edges)
 
@@ -222,8 +219,7 @@ def counting_canonical_key(monkeypatch) -> list:
 def test_occurrences_of_one_shape_share_a_class_and_a_key(monkeypatch):
     # a->b at nodes (0, 1) and, numbered apart, at (5, 7); in two, a at 3 -> b at 1
     one = graph_of(["a", "b", "c", "c", "c", "a", "c", "b"], {(0, 1), (5, 7), (1, 2)})
-    two = Groum((GroumNode(1, "b"), GroumNode(3, "a")),
-                frozenset({(3, 1)}), "h")
+    two = graph_of(["c", "b", "c", "a"], {(3, 1)}, "h")
     hosts = [groum._Host.of(one), groum._Host.of(two)]
     key = canonical_form(induced_subgraph(one, {0, 1}))
     calls = counting_canonical_key(monkeypatch)
@@ -335,7 +331,7 @@ def test_independent_occurrences_match_reference(occs):
 def test_patt_explorer_three_identical_chains():
     dataset = [graph_of(["a", "b"], {(0, 1)}) for _ in range(3)]
     found = patt_explorer(dataset, 3)
-    summary = sorted((p.size, p.frequency, tuple(sorted(p.representative.labels())))
+    summary = sorted((p.size, p.frequency, tuple(sorted(p.representative.labels)))
                      for p in found)
     assert summary == [(1, 3, ("a",)), (1, 3, ("b",)), (2, 3, ("a", "b"))]
 
@@ -542,7 +538,7 @@ def test_growth_soundness():
             continue
         rep = p.representative
         smaller = by_size.get(p.size - 1, [])
-        ids = [n.id for n in rep.nodes]
+        ids = range(len(rep.labels))
         contained = False
         for drop in ids:
             keep = frozenset(ids) - {drop}
@@ -562,7 +558,7 @@ def test_build_groums_for_methods_splits_blocks():
     items, markers = extract_items(source, "c.java")
     groums = build_groums_for_methods(items, markers)
     assert [g.origin for g in groums] == ["c.java.C.m1()", "c.java.C.m2()"]
-    assert [len(g.nodes) for g in groums] == [2, 1]
+    assert [len(g.labels) for g in groums] == [2, 1]
 
 
 def test_dump_format():

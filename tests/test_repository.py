@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import esdp.repository
 from conftest import random_sequence_db, write_fixture_corpus
 from esdp.extractor import extract_corpus
-from esdp.items import ItemKind
+from esdp.items import ITEM_KINDS
 from esdp.mining import (
     RankedPatterns,
     SequentialPattern,
@@ -254,7 +254,7 @@ _LABELS = st.text(_CHARS, max_size=10)
 def repositories(draw) -> MinedRepository:
     size = draw(st.integers(1, 500))
     element_lists = draw(st.lists(
-        st.lists(st.tuples(st.sampled_from([k.value for k in ItemKind]), _NAMES),
+        st.lists(st.tuples(st.sampled_from(list(ITEM_KINDS)), _NAMES),
                  min_size=1, max_size=4).map(tuple),
         max_size=5, unique=True))
     patterns = []
@@ -772,6 +772,28 @@ def test_update_refuses_a_store_out_of_ranking_order(elements, counts):
     assert str(err.value) == (f"/esdp-repository/patterns/pattern[3]: line {line}: "
                               "pattern ranks above pattern[2]: stored patterns must be in "
                               "ranking order")
+
+
+def test_text_utf8_cannot_encode_is_refused_by_its_repr():
+    # a lone surrogate, as a path that is not UTF-8 decodes to
+    with pytest.raises(ValueError) as err:
+        serialize(make_repository([], "d\udcff", "t", 1))
+    assert str(err.value) == "repository metadata 'd\\udcff' cannot be encoded as UTF-8"
+    store = serialize(make_repository([pattern_of(["a()"])], "c", "t", 1))
+    with pytest.raises(ValueError) as err:
+        _update(store, [pattern_of(["b\udcff()"])], "t", 1)
+    assert str(err.value) == "item name 'b\\udcff()' cannot be encoded as UTF-8"
+    with pytest.raises(ValueError, match="repository metadata 't\\\\udcff'"):
+        _update(store, [], "t\udcff", 1)
+
+
+def test_store_fault_wins_over_a_fresh_name_utf8_cannot_encode():
+    store = serialize(make_repository([pattern_of(["x()"], count=3), pattern_of(["y()"])],
+                                      "c", "t", 1))
+    fresh = [pattern_of(["z\udcff()"], count=4)]  # ranks above every stored block
+    for bad in (store.replace(b"y()", b"y\xff()"), _swap_blocks(store, 0)):
+        with pytest.raises(SchemaViolation):
+            _update(bad, fresh, "t", 1)
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -69,3 +69,16 @@ def test_traced_adaptive_update_completes(tmp_path):
     assert layers["kernels.calls"] == 1
     assert layers["mining.patterns"] == 31
     assert layers["repository.merge_s"] > 0
+
+
+def test_traced_groum_counts_graphs_and_patterns(tmp_path):
+    # The tracer counts the groums build_groums_for_methods returns and the
+    # patterns of patt_explorer, with those whose frequency_is_exact is
+    # false; a traced `groum` checks that both still read that way and that
+    # the explorer's time shows under groum.explore_s.
+    corpus = write_fixture_corpus(tmp_path / "corpus")
+    layers = _traced(["groum", "--corpus", str(corpus), "--sigma", "2"])
+    assert layers["groum.graphs"] > 0
+    assert layers["groum.patterns"] > 0
+    assert layers["groum.lower_bound_patterns"] == 0
+    assert layers["groum.explore_s"] > 0
