@@ -99,20 +99,17 @@ def build_groum(items: Sequence[SourceItem], markers: Sequence[ControlMarker] = 
 
 def build_groums_for_methods(items: Sequence[SourceItem],
                              markers: Sequence[ControlMarker]) -> list[Groum]:
-    """One groum per method block that holds at least one action item."""
-    by_method: dict[str, list[SourceItem]] = {}
+    """One groum per method block that holds at least one action item or
+    control region, in method path order."""
+    actions: dict[str, list[SourceItem]] = {}
     marks: dict[str, list[ControlMarker]] = {}
     for it in items:
-        if it.enclosing.endswith("()"):
-            by_method.setdefault(it.enclosing, []).append(it)
+        if it.kind in _ACTION_KINDS and it.enclosing.endswith("()"):
+            actions.setdefault(it.enclosing, []).append(it)
     for m in markers:
         marks.setdefault(m.enclosing, []).append(m)
-    groums = []
-    for path in sorted(by_method):
-        g = build_groum(by_method[path], marks.get(path, ()), origin=path)
-        if g.labels:
-            groums.append(g)
-    return groums
+    return [build_groum(actions.get(path, ()), marks.get(path, ()), origin=path)
+            for path in sorted(actions.keys() | marks.keys())]
 
 
 # --- canonical form ----------------------------------------------------------------
@@ -128,11 +125,12 @@ def induced_subgraph(g: Groum, node_ids: Iterable[int]) -> Groum:
 
 def canonical_form(g: Groum) -> tuple:
     """Order-independent key: equal keys iff the graphs are label-isomorphic."""
-    return _canonical_key(dict(enumerate(g.labels)), g.edges)
+    return _canonical_key(g.labels, g.edges)
 
 
-def _canonical_key(labels: dict[int, str], edges: Iterable[tuple[int, int]]) -> tuple:
-    """Canonical key of the graph with these node labels and edges.
+def _canonical_key(labels: Sequence[str], edges: Iterable[tuple[int, int]]) -> tuple:
+    """Canonical key of the graph whose node i is labelled labels[i], with
+    these edges.
 
     Colour refinement: nodes start coloured by label; each round recolours a
     node by its colour and the sorted colours of its out- and in-neighbours,
@@ -142,24 +140,25 @@ def _canonical_key(labels: dict[int, str], edges: Iterable[tuple[int, int]]) -> 
     is the labels in that order and the smallest sorted edge tuple.
     """
     edges = list(edges)
-    succ: dict[int, list[int]] = {v: [] for v in labels}
-    pred: dict[int, list[int]] = {v: [] for v in labels}
+    nodes = range(len(labels))
+    succ: list[list[int]] = [[] for _ in nodes]
+    pred: list[list[int]] = [[] for _ in nodes]
     for a, b in edges:
         succ[a].append(b)
         pred[b].append(a)
-    colour: dict[int, object] = dict(labels)
-    cells = len(set(labels.values()))
+    colour: list = list(labels)
+    cells = len(set(labels))
     while cells < len(labels):
-        signature = {v: (c, tuple(sorted(colour[w] for w in succ[v])),
-                         tuple(sorted(colour[w] for w in pred[v])))
-                     for v, c in colour.items()}
-        distinct = sorted(set(signature.values()))
+        signature = [(c, tuple(sorted(colour[w] for w in succ[v])),
+                      tuple(sorted(colour[w] for w in pred[v])))
+                     for v, c in enumerate(colour)]
+        distinct = sorted(set(signature))
         if len(distinct) == cells:
             break
         rank = {sig: i for i, sig in enumerate(distinct)}
-        colour = {v: rank[sig] for v, sig in signature.items()}
+        colour = [rank[sig] for sig in signature]
         cells = len(distinct)
-    ordered = sorted(labels, key=colour.__getitem__)
+    ordered = sorted(nodes, key=colour.__getitem__)
     groups = [tuple(cell) for _, cell in groupby(ordered, key=colour.__getitem__)]
     best: tuple | None = None
     for parts in product(*(permutations(cell) for cell in groups)):
@@ -410,7 +409,7 @@ def _isomorphism_classes(hosts: Sequence[_Host],
                                for b in successors[a] if b in position))
                 key = shapes.get(shape)
                 if key is None:
-                    key = shapes[shape] = _canonical_key(dict(enumerate(shape[0])), shape[1])
+                    key = shapes[shape] = _canonical_key(*shape)
                 keys[gi, occ] = key
             classes.setdefault(key, {}).setdefault(gi, []).append(occ)
     return list(classes.items())

@@ -1,12 +1,32 @@
-"""Independent oracles: exhaustive enumerations the implementations are
-checked against. Deliberately brute-force and structure-free."""
+"""Independent oracles the implementations are checked against.
+
+Most state a contract by brute force: exhaustive enumerations of
+subsequences, node sets, bijections and occurrence subsets, against which
+the PrefixSpan kernel is checked directly, and the short specs built on
+them and on the references below for the update (``merge_update_spec``)
+and the explorer (``patt_explorer_spec``). A few references are earlier
+versions of the code, kept because no brute force states their contract:
+
+- ``parse_reference`` and ``serialize_reference``, the store codec: the
+  contract is the exact bytes written and, for each refused document, the
+  line, message and element path of its first fault.
+- ``tokenize_reference`` and ``_ExtractorReference``, the lexer and the
+  extractor: the contract is the abstraction of the Java subset itself,
+  item by item.
+- ``independent_occurrence_count_reference``, for the greedy lower bound
+  beyond EXACT_OCCURRENCE_LIMIT occurrences: which disjoint occurrences
+  the greedy count takes depends on their order, and the brute force only
+  states the exact maximum.
+- ``NAME_REFERENCE``, the item-name expression: the language it accepts is
+  the contract.
+- ``search_reference`` and ``merge_update_reference``: the search tiers and
+  the object-level merge, each already a direct statement of its contract.
+"""
 
 from __future__ import annotations
 
-import math
 import re
-from bisect import bisect_left
-from collections import namedtuple
+from collections import Counter, namedtuple
 from itertools import combinations, permutations
 from typing import Iterable, Sequence
 
@@ -24,8 +44,6 @@ from esdp.groum import (
     EXACT_OCCURRENCE_LIMIT,
     Groum,
     GroumPattern,
-    _canonical_key,
-    _Host,
     _max_independent,
     canonical_form,
     induced_subgraph,
@@ -37,12 +55,9 @@ from esdp.items import (
     simple_name,
 )
 from esdp.mining import (
-    Element,
     InvalidThreshold,
     SequentialPattern,
     mine_prefixspan,
-    ranking_key,
-    sort_patterns,
 )
 from esdp.repository import (
     _ATTR,
@@ -57,9 +72,7 @@ from esdp.repository import (
     _esc,
     _esc_attr,
     _expected,
-    _header,
     _pattern_violation,
-    _render,
     _unesc,
     _violation,
     make_repository,
@@ -95,41 +108,6 @@ def exhaustive_mine(records, min_support: int) -> dict[tuple, int]:
         if count >= min_support:
             result[alpha] = count
     return result
-
-
-def prefixspan_reference(records, min_support: int) -> list[tuple[tuple[int, ...], int]]:
-    """The scanning kernel the next-occurrence index replaced: each
-    projection rescans its records for the next occurrence of the item,
-    counting extensions with a per-record seen set. The results of
-    esdp.kernels.prefixspan, in the same depth-first order."""
-    results: list[tuple[tuple[int, ...], int]] = []
-
-    def grow(prefix: tuple[int, ...], projections: list[tuple[int, int]]) -> None:
-        counts: dict[int, int] = {}
-        for rid, pos in projections:
-            rec = records[rid]
-            seen: set[int] = set()
-            for p in range(pos, len(rec)):
-                x = rec[p]
-                if x not in seen:
-                    seen.add(x)
-                    counts[x] = counts.get(x, 0) + 1
-        for x in sorted(counts):
-            if counts[x] < min_support:
-                continue
-            grown = prefix + (x,)
-            results.append((grown, counts[x]))
-            next_proj: list[tuple[int, int]] = []
-            for rid, pos in projections:
-                rec = records[rid]
-                for p in range(pos, len(rec)):
-                    if rec[p] == x:
-                        next_proj.append((rid, p + 1))
-                        break
-            grow(grown, next_proj)
-
-    grow((), [(rid, 0) for rid in range(len(records))])
-    return results
 
 
 def adaptive_mine_reference(db, max_patterns: int):
@@ -208,33 +186,19 @@ def lcs_brute(a, b) -> int:
 
 # --- groum mining ----------------------------------------------------------------
 
-def weakly_connected(nodes: frozenset[int], edges) -> bool:
-    if not nodes:
-        return False
-    adj = {v: set() for v in nodes}
-    for a, b in edges:
-        if a in nodes and b in nodes:
-            adj[a].add(b)
-            adj[b].add(a)
-    seen = set()
-    stack = [next(iter(nodes))]
-    while stack:
-        v = stack.pop()
-        if v in seen:
-            continue
-        seen.add(v)
-        stack.extend(adj[v] - seen)
-    return seen == set(nodes)
-
-
 def connected_induced_node_sets(g) -> list[frozenset[int]]:
-    ids = range(len(g.labels))
-    out = []
-    for k in range(1, len(ids) + 1):
-        for combo in combinations(ids, k):
-            s = frozenset(combo)
-            if weakly_connected(s, g.edges):
-                out.append(s)
+    """Every weakly connected node set of g, ordered by (size, sorted nodes).
+    Sets of one size are grown from those one smaller by an adjacent node:
+    removing a leaf of its spanning tree leaves a connected set one smaller."""
+    adjacent: list[set[int]] = [set() for _ in g.labels]
+    for a, b in g.edges:
+        adjacent[a].add(b)
+        adjacent[b].add(a)
+    level = {frozenset([v]) for v in range(len(g.labels))}
+    out: list[frozenset[int]] = []
+    while level:
+        out += sorted(level, key=sorted)
+        level = {s | {y} for s in level for v in s for y in adjacent[v] - s}
     return out
 
 
@@ -352,114 +316,45 @@ def exhaustive_groum_patterns(dataset, sigma: int):
     return out
 
 
-def patt_explorer_reference(dataset: Sequence[Groum], sigma: int) -> list[GroumPattern]:
-    """The explorer before its label-group bound, its memo of infrequent
-    classes, its memo of keys by labelled shape and its count of disjoint
-    occurrences without a search, kept as the differential reference of
-    ``esdp.groum.patt_explorer``: it computes one canonical key per
-    occurrence and counts occurrences with
-    independent_occurrence_count_reference.
+def patt_explorer_spec(dataset: Sequence[Groum], sigma: int) -> list[GroumPattern]:
+    """What ``esdp.groum.patt_explorer`` returns, stated over the connected
+    induced node sets of the dataset.
 
-    All frequent induced-subgraph patterns of the dataset.
-
-    Growth is seeded with the frequent single-label patterns; each pattern's
-    full occurrence set is extended by every adjacent node carrying a
-    frequent label, candidates are partitioned into isomorphism classes by
-    canonical key and classes meeting the threshold recurse. Output holds
-    one pattern per canonical key, ordered by (size, canonical key).
+    A single label is reported when at least sigma nodes carry it, so a
+    node set holding any other label is in no reported class. The other
+    sets are grouped into label-isomorphism classes by canonical form, each
+    class's occurrences ordered by graph, then by sorted node set, the
+    first of them its representative, and each class is counted with
+    independent_occurrence_count_reference. Classes are decided in
+    increasing size: one is reported when its count reaches sigma and,
+    above size 1, removing one node leaves a reported class, so a connected
+    one. Output is ordered by (size, canonical form).
     """
     if sigma < 1:
         raise InvalidThreshold(f"sigma must be >= 1, got {sigma}")
-    hosts = [_Host.of(g) for g in dataset]
-    if not hosts:
-        return []
-
-    # size-1 patterns: distinct single nodes are always disjoint
-    unit_occs: dict[str, dict[int, list[frozenset[int]]]] = {}
-    for gi, host in enumerate(hosts):
-        for v, label in enumerate(host.graph.labels):
-            unit_occs.setdefault(label, {}).setdefault(gi, []).append(frozenset([v]))
-    explored: dict[tuple, GroumPattern] = {}
-    frequent: set[str] = set()
-    for label in sorted(unit_occs):
-        occs = unit_occs[label]
-        freq = sum(len(v) for v in occs.values())
-        if freq >= sigma:
-            gi = min(occs)
-            rep = induced_subgraph(hosts[gi].graph, next(iter(occs[gi])))
-            explored[canonical_form(rep)] = GroumPattern(rep, occs, freq, 1, True)
-            frequent.add(label)
-    keys: dict[tuple[int, frozenset[int]], tuple] = {}
-    for pattern in list(explored.values()):
-        _explore_reference(pattern, hosts, frequent, sigma, explored, keys)
-    return [p for _, p in sorted(explored.items(), key=lambda kv: (kv[1].size, kv[0]))]
-
-
-def _explore_reference(pattern: GroumPattern, hosts: Sequence[_Host], frequent: set[str],
-                       sigma: int, explored: dict[tuple, GroumPattern],
-                       keys: dict[tuple[int, frozenset[int]], tuple]) -> None:
-    """Grow pattern depth first, labels in sorted order, adding every new
-    frequent class to explored under its canonical key. keys memoizes the
-    canonical key of each (graph index, node set) seen in this call."""
-    # P (+) U for every frequent label U at once: each occurrence X extended
-    # by an adjacent node Y of that label, with all connecting edges
-    # (induced extension)
-    extensions: dict[str, dict[int, set[frozenset[int]]]] = {}
-    for gi, occs in pattern.occurrences.items():
-        host = hosts[gi]
-        for occ in occs:
-            adjacent: set[int] = set()
-            for v in occ:
-                adjacent |= host.neighbors[v]
-            for y in adjacent - occ:
-                label = host.graph.labels[y]
-                if label in frequent:
-                    extensions.setdefault(label, {}).setdefault(gi, set()).add(occ | {y})
-    for label in sorted(extensions):
-        for key, occurrences in _isomorphism_classes_reference(hosts, extensions[label], keys):
-            if key in explored:
-                continue
-            freq, exact = _frequency_reference(occurrences)
-            if freq < sigma:
-                continue
-            gi = next(iter(occurrences))
-            rep = induced_subgraph(hosts[gi].graph, occurrences[gi][0])
-            cls = GroumPattern(rep, occurrences, freq, len(rep.labels), exact)
-            explored[key] = cls
-            _explore_reference(cls, hosts, frequent, sigma, explored, keys)
-
-
-def _frequency_reference(occurrences_per_graph: dict[int, Sequence[frozenset[int]]],
-                         ) -> tuple[int, bool]:
-    """Dataset frequency from independent_occurrence_count_reference, so the
-    explorer reference shares no occurrence count with esdp.groum."""
-    total, exact = 0, True
-    for occs in occurrences_per_graph.values():
-        f_i, is_exact = independent_occurrence_count_reference(occs)
-        total += f_i
-        exact = exact and is_exact
-    return total, exact
-
-
-def _isomorphism_classes_reference(hosts: Sequence[_Host],
-                                   candidates: dict[int, set[frozenset[int]]],
-                                   keys: dict[tuple[int, frozenset[int]], tuple],
-                                   ) -> list[tuple[tuple, dict[int, list[frozenset[int]]]]]:
-    """Partition candidate subgraphs into label-isomorphism classes: each
-    canonical key with its occurrences, in first-seen order over sorted
-    graph indexes and sorted node sets. The first occurrence of a class is
-    its representative. A key missing from keys is computed and stored."""
+    count = Counter(label for g in dataset for label in g.labels)
     classes: dict[tuple, dict[int, list[frozenset[int]]]] = {}
-    for gi in sorted(candidates):
-        host = hosts[gi]
-        for occ in sorted(candidates[gi], key=sorted):
-            key = keys.get((gi, occ))
-            if key is None:
-                key = keys[gi, occ] = _canonical_key(
-                    {v: host.graph.labels[v] for v in occ},
-                    [(a, b) for a in occ for b in host.successors[a] if b in occ])
-            classes.setdefault(key, {}).setdefault(gi, []).append(occ)
-    return list(classes.items())
+    for gi, g in enumerate(dataset):
+        for s in connected_induced_node_sets(g):
+            if all(count[g.labels[v]] >= sigma for v in s):
+                classes.setdefault(canonical_form(induced_subgraph(g, s)), {}).setdefault(
+                    gi, []).append(s)
+    reported: dict[tuple, GroumPattern] = {}
+    for key in sorted(classes, key=lambda key: (len(key[0]), key)):
+        occurrences = classes[key]
+        gi = min(occurrences)
+        rep = induced_subgraph(dataset[gi], occurrences[gi][0])
+        size = len(rep.labels)
+        if size > 1 and not any(
+                canonical_form(induced_subgraph(rep, set(range(size)) - {y})) in reported
+                for y in range(size)):
+            continue
+        counts = [independent_occurrence_count_reference(occs) for occs in occurrences.values()]
+        frequency = sum(count for count, _ in counts)
+        if frequency >= sigma:
+            reported[key] = GroumPattern(rep, occurrences, frequency, size,
+                                         all(exact for _, exact in counts))
+    return list(reported.values())
 
 
 # --- lexing ------------------------------------------------------------------------
@@ -1501,7 +1396,7 @@ def merge_update_reference(existing: MinedRepository, fresh: Iterable[Sequential
                            min_support_used: int | None = None) -> MinedRepository:
     """The object-level merge before ``esdp.repository.merge_update`` spliced
     store bytes, kept verbatim as its reference: ``serialize`` of this
-    result is what the splice must write.
+    result is what the update must write (see merge_update_spec).
 
     Fold freshly mined patterns into a repository.
 
@@ -1520,264 +1415,23 @@ def merge_update_reference(existing: MinedRepository, fresh: Iterable[Sequential
     )
 
 
-# --- the in-memory store splice -----------------------------------------------------
-
-def _splice_read_head(lines: list[str], n: int, idx: int,
-               accepted: tuple[dict, dict, dict]) -> tuple[str, int, int, int, int]:
-    """Check a pattern's four opening lines, lines[n:n + 4]; (kind, k, num, den, cden).
-
-    The checks on one line's text alone run once per distinct line: accepted
-    maps each <pattern>, <support> and <confidence> line read before to what
-    it holds. The checks that span lines run on every call, in their order
-    among the others, and each line is read only when the checks reach it.
-    """
-    pattern_lines, support_lines, confidence_lines = accepted
-    line = lines[n]
-    got = pattern_lines.get(line)
-    if got is None:
-        m = _PATTERN.fullmatch(line)
-        if m is None:
-            raise _pattern_violation(n + 1, _expected('<pattern kind=".." k="..">', line), idx)
-        got = pattern_lines[line] = m[1], int(m[2])
-    kind, k = got
-
-    line = lines[n + 1]
-    got = support_lines.get(line)
-    if got is None:
-        m = _SUPPORT.fullmatch(line)
-        if m is None:
+def merge_update_spec(data: bytes, fresh: Iterable[SequentialPattern], created_at: str,
+                      min_support_used: int) -> bytes:
+    """What ``esdp.repository.merge_update`` writes for the store data, or
+    the error it raises: the reader's refusal; else a stored pattern that
+    does not sort after the one above it, at the line of its block; else a
+    fresh text that cannot be written. The store is written as serialized
+    from the object-level merge."""
+    stored = parse_reference(data)
+    line = 3  # the first block's head; a block is k + 7 lines
+    for idx in range(1, len(stored.patterns)):
+        above, p = stored.patterns[idx - 1:idx + 1]
+        line += above.k + 7
+        if pattern_sort_key(p) <= pattern_sort_key(above):
             raise _pattern_violation(
-                n + 2, _expected('<support num=".." den="..">', line), idx, "support")
-        num, den = int(m[1]), int(m[2])
-        if num > den:
-            raise _pattern_violation(n + 2, "num must be within 1..den", idx, "support")
-        if m[3] != two_dp(num, den):
-            raise _pattern_violation(
-                n + 2, f"display value {m[3]!r} inconsistent with {num}/{den}", idx, "support")
-        got = support_lines[line] = num, den
-    num, den = got
-
-    line = lines[n + 2]
-    got = confidence_lines.get(line)
-    if got is None:
-        m = _CONFIDENCE.fullmatch(line)
-        if m is None:
-            raise _pattern_violation(
-                n + 3, _expected('<confidence num=".." den="..">', line), idx, "confidence")
-        cnum, cden = int(m[1]), int(m[2])
-        # a display value at odds with the fraction is refused only after
-        # the checks against the support and k, which come first
-        got = confidence_lines[line] = cnum, cden, (None if m[3] == two_dp(cnum, cden)
-                                                    else m[3])
-    cnum, cden, wrong_display = got
-    if cnum != num:
-        raise _pattern_violation(
-            n + 3, "confidence numerator must equal the support count", idx, "confidence")
-    if cnum > cden or (k == 1 and cden != cnum):
-        raise _pattern_violation(
-            n + 3, f"confidence {cnum}/{cden} out of range for k={k}", idx, "confidence")
-    if wrong_display is not None:
-        raise _pattern_violation(
-            n + 3, f"display value {wrong_display!r} inconsistent with {cnum}/{cden}", idx,
-            "confidence")
-
-    shown = two_dp(k * num, den)
-    if lines[n + 3] != f"      <ranking>{shown}</ranking>":
-        raise _pattern_violation(
-            n + 4, _expected(f"<ranking>{shown}</ranking> (k * support)", lines[n + 3]), idx,
-            "ranking")
-    return kind, k, num, den, cden
-
-
-def _splice_read_item(line: str, n: int, idx: int, i: int) -> tuple[str, str]:
-    """Check line, lines[n] of the document, the i-th <s> of a pattern; (kind, name).
-
-    Every check here depends on the line's text and i alone.
-    """
-    m = _ITEM.fullmatch(line)
-    if m is None or int(m[1]) != i:
-        raise _pattern_violation(
-            n + 1, _expected(f'<s i="{i}" kind="..">name</s>', line), idx, "sequence", f"s[{i}]")
-    name = m[3]
-    if "&" in name:
-        name = _unesc(name)
-    if name.strip() != name:
-        raise _pattern_violation(
-            n + 1, f"item name {name!r} is blank or padded", idx, "sequence", f"s[{i}]")
-    return m[2], name
-
-
-def _splice_read(data: bytes) -> tuple[str, str, int, list[SequentialPattern], dict[tuple, int]]:
-    """The reader of parse: (corpus label, creation stamp, min-support,
-    patterns, the index of each pattern's element list)."""
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise _violation(data.count(b"\n", 0, exc.start) + 1,
-                         f"not UTF-8 ({exc.reason})") from None
-    lines = text.split("\n")
-    if lines[-1]:
-        raise _violation(len(lines), "document does not end with a line feed")
-    # From here the last element is "", which no line position accepts, so
-    # every index below stays in range.
-
-    m = _HEADER.fullmatch(lines[0])
-    if m is None:
-        raise _violation(1, _expected("the <esdp-repository> header", lines[0]))
-    corpus, created, min_support = _unesc(m[1]), _unesc(m[2]), int(m[3])
-
-    patterns: list[SequentialPattern] = []
-    seen: dict[tuple, int] = {}
-    if lines[1] == "  <patterns/>":
-        n = 2
-    elif lines[1] == "  <patterns>":
-        n = 2
-        # Text that passed _splice_read_head or _splice_read_item once passes again, so
-        # each distinct head and (item line, ordinal) is checked once per
-        # call, and within a new head each distinct line; text not seen
-        # before gets every check, in the same order. The head key is a
-        # slice, so a document cut short yields a short key that misses and
-        # _splice_read_head reports the cut.
-        heads: dict[tuple, tuple[str, int, int, int, int]] = {}
-        head_lines: tuple[dict, dict, dict] = ({}, {}, {})
-        items: dict[tuple, tuple[str, str]] = {}
-        while True:
-            idx = len(patterns) + 1
-            text = tuple(lines[n:n + 4])
-            head = heads.get(text)
-            if head is None:
-                head = heads[text] = _splice_read_head(lines, n, idx, head_lines)
-            kind, k, num, den, cden = head
-            if lines[n + 4] != "      <sequence>":
-                raise _pattern_violation(
-                    n + 5, _expected("<sequence>", lines[n + 4]), idx, "sequence")
-
-            n += 5
-            elements = []
-            for i in range(1, k + 1):
-                line = lines[n]
-                element = items.get((line, i))
-                if element is None:
-                    element = items[line, i] = _splice_read_item(line, n, idx, i)
-                elements.append(element)
-                n += 1
-            if lines[n] != "      </sequence>":
-                raise _pattern_violation(
-                    n + 1, _expected(f"</sequence> after k={k} items", lines[n]), idx, "sequence")
-            if lines[n + 1] != "    </pattern>":
-                raise _pattern_violation(n + 2, _expected("</pattern>", lines[n + 1]), idx)
-            n += 2
-
-            key = tuple(elements)
-            if key[0][0] != kind:
-                raise _pattern_violation(n - k - 6, "pattern kind must match its first item", idx)
-            if key in seen:
-                raise _pattern_violation(n - k - 6, "duplicate pattern element-list", idx)
-            seen[key] = idx - 1
-            patterns.append(SequentialPattern._make((key, num, den, cden)))
-            if lines[n] == "  </patterns>":
-                n += 1
-                break
-    else:
-        raise _violation(2, _expected("<patterns> or <patterns/>", lines[1]), "patterns")
-
-    if lines[n] != "</esdp-repository>":
-        raise _violation(n + 1, _expected("</esdp-repository>", lines[n]))
-    if n != len(lines) - 2:
-        raise _violation(n + 2, "text after </esdp-repository>")
-    return corpus, created, min_support, patterns, seen
-
-
-_SPLICE_PATTERNS_END = b"  </patterns>\n</esdp-repository>\n"
-# In a store the reader accepted this text opens every pattern block and
-# occurs nowhere else: names and attribute values hold no raw "<".
-_SPLICE_BLOCK_HEAD = re.compile(b"    <pattern ")
-
-
-def merge_update_splice_reference(data: bytes, fresh: Iterable[SequentialPattern],
-                                  created_at: str, min_support_used: int) -> bytes:
-    """The bytes-in, bytes-out splice before ``esdp.repository.merge_update``
-    streamed the store, kept verbatim with its reader and order check as the
-    differential reference of the streaming update.
-
-    Fold freshly mined patterns into the store ``data``; the new store.
-
-    Patterns with identical element lists take the fresh scores (of equal
-    fresh element lists, the last); new ones are inserted; nothing is
-    deleted. The corpus label is kept; the creation stamp and min-support
-    are replaced. The bytes are those ``serialize`` writes for the merged
-    repository, re-ranked, but only fresh patterns are rendered: the stored
-    blocks are already in ranking order, which the lcm of the database sizes
-    only scales, so they are copied as they are, each fresh block inserted
-    where bisection on the exact sort key puts it.
-
-    SchemaViolation when ``parse`` refuses data, or when its patterns are
-    not in ranking order; ValueError when a fresh item name cannot be written.
-    """
-    corpus, _, _, stored, index = _splice_read(data)
-    # where each stored block starts, and where the last one ends
-    starts = [m.start() for m in _SPLICE_BLOCK_HEAD.finditer(data)]
-    starts.append(len(data) - len(_SPLICE_PATTERNS_END))
-    latest = {p.elements: p for p in fresh}
-    lcm = math.lcm(*{p.db_size for p in stored}, *{p.db_size for p in latest.values()})
-    key = ranking_key(lcm)
-    _splice_check_order(stored, data, starts)
-    _check_writable((corpus, created_at), latest.values())
-
-    # (stored position, 0, fresh block) inserts the block before that stored
-    # block; (position, 1, None) drops the stored block a fresh one replaces.
-    cuts = [(index[e], 1, None) for e in latest if e in index]
-    at = 0
-    for p in sort_patterns(latest.values()):
-        at = bisect_left(stored, key(p), at, key=key)
-        cuts.append((at, 0, "\n".join(_render([p], [])).encode() + b"\n"))
-    cuts.sort(key=lambda cut: cut[:2])  # stable: fresh blocks keep their order
-
-    view = memoryview(data)
-    body: list = []
-    copied = 0  # stored blocks before this one are written or dropped
-    for at, drop, block in cuts:
-        body.append(view[starts[copied]:starts[at]])
-        if drop:
-            copied = at + 1
-        else:
-            copied = at
-            body.append(block)
-    body.append(view[starts[copied]:starts[-1]])
-    head = _header(corpus, created_at, min_support_used).encode()
-    if not stored and not latest:
-        return head + b"\n  <patterns/>\n</esdp-repository>\n"
-    return b"".join([head, b"\n  <patterns>\n", *body, _SPLICE_PATTERNS_END])
-
-
-def _splice_check_order(patterns: list[SequentialPattern], data: bytes, starts: list[int]) -> None:
-    """SchemaViolation at the first pattern that sorts before the one above
-    it in ranking_key order.
-
-    Neighbours are compared in place, rankings by cross-multiplying: a key
-    built for every stored pattern would cost more time than the rest of the
-    splice, and the tuples would raise update's peak memory.
-    """
-    if not patterns:
-        return
-    a, num_a, den_a, _ = patterns[0]
-    for i in range(1, len(patterns)):
-        b, num_b, den_b, _ = patterns[i]
-        rise = len(b) * num_b * den_a - len(a) * num_a * den_b
-        if rise > 0 or rise == 0 and (num_b > num_a or
-                                      num_b == num_a and not _splice_precedes(a, b)):
-            raise _pattern_violation(
-                data.count(b"\n", 0, starts[i]) + 1,
-                f"pattern ranks above pattern[{i}]: stored patterns must be in ranking order",
-                i + 1)
-        a, num_a, den_a = b, num_b, den_b
-
-
-def _splice_precedes(a: tuple[Element, ...], b: tuple[Element, ...]) -> bool:
-    """Whether element list a sorts before b on names, then kinds."""
-    for (_, x), (_, y) in zip(a, b):
-        if x != y:
-            return x < y
-    if len(a) != len(b):
-        return len(a) < len(b)
-    return [kind for kind, _ in a] < [kind for kind, _ in b]
+                line, f"pattern ranks above pattern[{idx}]: stored patterns must be in "
+                "ranking order", idx + 1)
+    fresh = list(fresh)
+    _check_writable((stored.corpus_label, created_at), {p.elements: p for p in fresh}.values())
+    return serialize_reference(
+        merge_update_reference(stored, fresh, created_at, min_support_used))

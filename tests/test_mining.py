@@ -7,7 +7,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import PLANTED_ELEMENTS, random_sequence_db
@@ -25,7 +25,6 @@ from oracles import (
     adaptive_mine_reference,
     exhaustive_mine,
     pattern_sort_key,
-    prefixspan_reference,
 )
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -212,22 +211,25 @@ def kernel_inputs(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(kernel_inputs())
-def test_prefixspan_equals_the_scanning_kernel(inputs):
-    # the same results in the same order, at the threshold given
+def test_prefixspan_equals_exhaustive_mining(inputs):
+    # every frequent subsequence with its support, at the threshold given,
+    # in depth-first order with ascending extensions: the order of tuples
     records, min_support = inputs
     assert kernels.prefixspan(records, min_support) == (
-        prefixspan_reference(records, min_support), min_support)
+        sorted(exhaustive_mine(records, min_support).items()), min_support)
 
 
 @settings(max_examples=400, deadline=None)
 @given(kernel_inputs(), st.sampled_from([0, 1000]) | st.integers(1, 6))
+@example(([[], [0, 1, 2]], 1), 6)  # m rises past the supports of patterns already found
 def test_capped_prefixspan_mines_at_the_smallest_fitting_threshold(inputs, cap):
     records, min_support = inputs
     n = len(records)
     results, m = kernels.prefixspan(records, min_support, cap=cap)
-    assert results == prefixspan_reference(records, m)
+    supports = exhaustive_mine(records, 1)
+    assert results == sorted((p, s) for p, s in supports.items() if s >= m)
     fitting = (t for t in range(min_support, n + 1)
-               if len(prefixspan_reference(records, t)) <= cap)
+               if sum(s >= t for s in supports.values()) <= cap)
     assert m == next(fitting, max(n, min_support))
 
 

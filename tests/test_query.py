@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import PLANTED_ELEMENTS
-from esdp.extractor import extract_corpus, extract_items
+from esdp.extractor import extract_corpus
 from esdp.mining import SequentialPattern, mine_prefixspan
 from esdp.query import (
     QueryContext,

@@ -41,7 +41,7 @@ from esdp.transactions import build_sequence_db
 from oracles import (
     NAME_REFERENCE,
     merge_update_reference,
-    merge_update_splice_reference,
+    merge_update_spec,
     parse_reference,
     serialize_reference,
 )
@@ -678,14 +678,14 @@ def test_merge_update_takes_ranked_patterns_as_they_stand(name, tmp_path, monkey
     assert _update(data, fresh, "u", 3) == want
 
 
-# --- the one-pass update against the in-memory splice ------------------------------
+# --- the one-pass update against its spec ------------------------------------------
 
-def _agrees_with_splice(data: bytes, fresh, created_at: str = "u",
-                        min_support_used: int = 3) -> None:
-    """merge_update writes what merge_update_splice_reference returns for the
-    store data, or raises its error: the same type, message and path."""
+def _agrees_with_spec(data: bytes, fresh, created_at: str = "u",
+                      min_support_used: int = 3) -> None:
+    """merge_update writes what merge_update_spec returns for the store
+    data, or raises its error: the same type, message and path."""
     try:
-        want = merge_update_splice_reference(data, fresh, created_at, min_support_used)
+        want = merge_update_spec(data, fresh, created_at, min_support_used)
     except ValueError as exc:
         with pytest.raises(ValueError) as err:
             _update(data, fresh, created_at, min_support_used)
@@ -716,13 +716,13 @@ def splice_cases(draw) -> tuple[MinedRepository, list[SequentialPattern]]:
 
 @settings(max_examples=200, deadline=None)
 @given(splice_cases(), st.lists(_EDITS.map(lambda edits: edits[0]), max_size=6))
-def test_merge_update_agrees_with_the_splice(case, edits):
+def test_merge_update_agrees_with_the_spec(case, edits):
     repo, fresh = case
     doc = serialize(repo)
-    _agrees_with_splice(doc, fresh)
+    _agrees_with_spec(doc, fresh)
     for edit in edits:
-        _agrees_with_splice(_edit(doc, *edit), fresh)
-    _agrees_with_splice(_edit_all(doc, edits), fresh)
+        _agrees_with_spec(_edit(doc, *edit), fresh)
+    _agrees_with_spec(_edit_all(doc, edits), fresh)
 
 
 _A, _B, _C = (pattern_of(["a()"], count=3), pattern_of(["b()"], count=2),
@@ -741,7 +741,7 @@ _A, _B, _C = (pattern_of(["a()"], count=3), pattern_of(["b()"], count=2),
         "all-replaced", "all-replaced-same"])
 def test_merge_update_splice_cases(stored, fresh):
     repo = make_repository(stored, "c", "t", 2)
-    _agrees_with_splice(serialize(repo), fresh)
+    _agrees_with_spec(serialize(repo), fresh)
     _merged(repo, fresh)
 
 
