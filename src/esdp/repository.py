@@ -13,18 +13,20 @@ text fault; only on the way to a refusal does it read the stream again to
 report the first byte that is not UTF-8, then a last line without a line
 feed, ahead of any other fault, which is a SchemaViolation naming the line
 and the element path. Within one call the reader checks each distinct head
-line and item line once, decoding only those, and the checks that span a
-head's lines once per distinct head; the writer renders each distinct head
-and item line once: mined stores repeat them heavily.
+line, ranking value and item line at each ordinal once, decoding only
+those, and the checks that span a head's lines once per distinct head; it
+yields each block as its pattern alone. The writer renders each distinct
+head and item line once: mined stores repeat them heavily.
 
-``merge_update`` updates a store file to file in one read of the store:
-the reader checks each block, and that the patterns stand in ranking order,
-and the update writes each block it keeps from the lines the reader
-checked, in batches, with the fresh blocks rendered at their cuts. Its
-output is what ``serialize`` writes for the merged repository; a refused
-store leaves a partial output, which the caller discards. The store is not
-held: what stays in memory is the reader's memos of distinct lines and its
-index of the stored element lists, about 120 bytes per stored pattern.
+``merge_update`` updates a store file to file in one pass of the reader,
+which checks each block, and a check that the patterns stand in ranking
+order. Between the cuts, where a fresh block goes in or replaces a stored
+one, the update copies each run of kept blocks from the store by offset, in
+reads of at most 64 KiB, and renders the fresh blocks. Its output is what
+``serialize`` writes for the merged repository; a refused store leaves a
+partial output, which the caller discards. The store is not held: what
+stays in memory is the reader's memos of distinct lines and its index of
+the stored element lists, about 120 bytes per stored pattern.
 """
 
 from __future__ import annotations
@@ -209,16 +211,17 @@ def _text(line: bytes) -> str:
 
 
 def _read_head(head: tuple[bytes, bytes, bytes, bytes], n: int, idx: int,
-               accepted: tuple[dict, dict, dict]) -> tuple[str, int, int, int, int]:
+               accepted: tuple[dict, dict, dict, dict]) -> tuple[str, int, int, int, int]:
     """Check a pattern's four opening lines, head, the first of them line n
     of the store; (kind, k, num, den, cden).
 
     The checks on one line's text alone run once per distinct line: accepted
     maps each <pattern>, <support> and <confidence> line read before to what
-    it holds. The checks that span lines run on every call, in their order
-    among the others.
+    it holds, and each (k * num, den) to the <ranking> line accepted for it,
+    which is a function of k * num / den alone. The checks that span lines
+    run on every call, in their order among the others.
     """
-    pattern_lines, support_lines, confidence_lines = accepted
+    pattern_lines, support_lines, confidence_lines, ranking_lines = accepted
     line = head[0]
     got = pattern_lines.get(line)
     if got is None:
@@ -268,10 +271,14 @@ def _read_head(head: tuple[bytes, bytes, bytes, bytes], n: int, idx: int,
             n + 2, f"display value {wrong_display!r} inconsistent with {cnum}/{cden}", idx,
             "confidence")
 
-    shown = two_dp(k * num, den)
-    if (text := _text(head[3])) != f"      <ranking>{shown}</ranking>":
-        raise _pattern_violation(
-            n + 3, _expected(f"<ranking>{shown}</ranking> (k * support)", text), idx, "ranking")
+    line = head[3]
+    if ranking_lines.get(ranking := (k * num, den)) != line:
+        shown = two_dp(*ranking)
+        if (text := _text(line)) != f"      <ranking>{shown}</ranking>":
+            raise _pattern_violation(
+                n + 3, _expected(f"<ranking>{shown}</ranking> (k * support)", text), idx,
+                "ranking")
+        ranking_lines[ranking] = line
     return kind, k, num, den, cden
 
 
@@ -301,31 +308,31 @@ def parse(data: bytes) -> MinedRepository:
     """
     corpus, created, min_support, blocks = _read(io.BytesIO(data))
     return MinedRepository(
-        patterns=tuple(block[1] for block in blocks),
+        patterns=tuple(blocks),
         corpus_label=corpus,
         created_at=created,
         min_support_used=min_support,
     )
 
 
-_CHUNK = 1 << 16  # bytes read at a time by the text check
+_CHUNK = 1 << 16  # bytes read at a time by the text check and the update's copies
 # the lines of a pattern block around its items
 _SEQUENCE, _SEQUENCE_END, _PATTERN_END = (b"      <sequence>\n", b"      </sequence>\n",
                                           b"    </pattern>\n")
 
-_Block = tuple[int, SequentialPattern, tuple[bytes, bytes, bytes, bytes], list[bytes]]
 _new = tuple.__new__
 
 
-def _read(store: BinaryIO) -> tuple[str, str, int, Iterator[_Block]]:
+def _read(store: BinaryIO) -> tuple[str, str, int, Iterator[SequentialPattern]]:
     """The reader of parse, over a binary stream at its start: (corpus
-    label, creation stamp, min-support, the pattern blocks).
+    label, creation stamp, min-support, the patterns).
 
-    The blocks are read as they are taken, each as (line of its head, the
-    pattern, its four head lines, its item lines). The iterator checks the
-    store's closing lines as it ends, so a caller runs it to its end before
-    it trusts the store. The store is read once; only a refusal reads it
-    again, with _check_text, whose refusal wins.
+    The patterns are read as they are taken, each checked block as its
+    pattern, and the stream stands at the end of a block when its pattern
+    is taken. The iterator checks the store's closing lines as it ends, so
+    a caller runs it to its end before it trusts the store. The store is
+    read once; only a refusal reads it again, with _check_text, whose
+    refusal wins.
     """
     try:
         line = _text(store.readline())
@@ -369,28 +376,30 @@ def _check_text(store: BinaryIO) -> None:
         raise _violation(lines + 1, "document does not end with a line feed") from None
 
 
-def _blocks(store: BinaryIO, listed: bool) -> Iterator[_Block]:
-    """The blocks of _read: the pattern blocks from the third line of the
+def _blocks(store: BinaryIO, listed: bool) -> Iterator[SequentialPattern]:
+    """The patterns of _read: the pattern blocks from the third line of the
     store, if <patterns> opened the list (listed), then the closing lines.
 
-    Reading past the end gives b"", which no line position accepts. Before
-    it refuses the store, a SchemaViolation or a line that does not decode,
-    it runs _check_text, so a text fault anywhere in the store is the one
-    reported.
+    Each block is checked whole before its pattern is yielded. Reading past
+    the end gives b"", which no line position accepts. Before it refuses
+    the store, a SchemaViolation or a line that does not decode, it runs
+    _check_text, so a text fault anywhere in the store is the one reported.
     """
     readline = store.readline
     n = 2  # lines read
     try:
         if listed:
             # Text that passed _read_head or _read_item once passes again, so
-            # each distinct head and (item line, ordinal) is checked once per
-            # call, and within a new head each distinct line; text not seen
-            # before gets every check, in the same order. A head cut short
-            # holds b"" where no accepted head does, so its key misses and
-            # _read_head reports the cut.
-            heads: dict[tuple, tuple[str, int, int, int, int]] = {}
-            head_lines: tuple[dict, dict, dict] = ({}, {}, {})
-            items: dict[tuple, tuple[str, str]] = {}
+            # each distinct head and item line at each ordinal is checked
+            # once per call, and within a new head each distinct line; text
+            # not seen before gets every check, in the same order. A head cut
+            # short holds b"" where no accepted head does, so its key misses
+            # and _read_head reports the cut.
+            heads: dict[tuple, tuple] = {}  # to (kind, k, num, den, cden, its ordinals' memos)
+            head_lines: tuple[dict, dict, dict, dict] = ({}, {}, {}, {})
+            # items[i]: each line accepted as s[i + 1], to what it holds; a
+            # head's memo holds those of its k ordinals
+            items: list[dict[bytes, tuple[str, str]]] = []
             seen: set[tuple] = set()  # the element lists read: no pattern twice
             idx = 0
             line = readline()
@@ -399,42 +408,41 @@ def _blocks(store: BinaryIO, listed: bool) -> Iterator[_Block]:
                 head = (line, readline(), readline(), readline())
                 got = heads.get(head)
                 if got is None:
-                    got = heads[head] = _read_head(head, n + 1, idx, head_lines)
-                kind, k, num, den, cden = got
+                    kind, k, num, den, cden = _read_head(head, n + 1, idx, head_lines)
+                    items += ({} for _ in range(len(items), k))
+                    got = heads[head] = kind, k, num, den, cden, tuple(items[:k])
+                kind, k, num, den, cden, ordinals = got
                 line = readline()
                 if line != _SEQUENCE:
                     raise _pattern_violation(
                         n + 5, _expected("<sequence>", _text(line)), idx, "sequence")
 
-                item_lines = []
                 elements = []
-                for i in range(1, k + 1):
+                for accepted in ordinals:
                     line = readline()
-                    item_lines.append(line)
-                    element = items.get((line, i))
+                    element = accepted.get(line)
                     if element is None:
-                        element = items[line, i] = _read_item(line, n + 5 + i, idx, i)
+                        i = len(elements) + 1
+                        element = accepted[line] = _read_item(line, n + 5 + i, idx, i)
                     elements.append(element)
-                n += 5 + k
                 line = readline()
                 if line != _SEQUENCE_END:
                     raise _pattern_violation(
-                        n + 1, _expected(f"</sequence> after k={k} items", _text(line)), idx,
+                        n + k + 6, _expected(f"</sequence> after k={k} items", _text(line)), idx,
                         "sequence")
                 line = readline()
                 if line != _PATTERN_END:
-                    raise _pattern_violation(n + 2, _expected("</pattern>", _text(line)), idx)
-                n += 2
+                    raise _pattern_violation(n + k + 7, _expected("</pattern>", _text(line)), idx)
 
                 key = tuple(elements)
                 if key[0][0] != kind:
-                    raise _pattern_violation(n - k - 6, "pattern kind must match its first item",
-                                             idx)
+                    raise _pattern_violation(n + 1, "pattern kind must match its first item", idx)
                 seen.add(key)  # one hash of key: a repeated one leaves seen's size as it was
                 if len(seen) != idx:
-                    raise _pattern_violation(n - k - 6, "duplicate pattern element-list", idx)
+                    raise _pattern_violation(n + 1, "duplicate pattern element-list", idx)
+                n += k + 7
                 # SequentialPattern._make without its Python frame
-                yield n - k - 6, _new(SequentialPattern, (key, num, den, cden)), head, item_lines
+                yield _new(SequentialPattern, (key, num, den, cden))
                 line = readline()
                 if line == b"  </patterns>\n":
                     n += 1
@@ -453,7 +461,6 @@ def _blocks(store: BinaryIO, listed: bool) -> Iterator[_Block]:
 # --- incremental update ----------------------------------------------------------
 
 _PATTERNS_END = b"  </patterns>\n</esdp-repository>\n"
-_BATCH = 4096  # stored lines joined into one write of the update
 
 
 def _encoded(text: str) -> bytes:
@@ -463,10 +470,26 @@ def _encoded(text: str) -> bytes:
     return text.encode("utf-8", "surrogatepass")
 
 
+def _rendered(patterns: Iterable[SequentialPattern]) -> bytes:
+    """The blocks of patterns, each line with its line feed."""
+    return _encoded("\n".join(_render(patterns, [])) + "\n")
+
+
+def _copy(store: BinaryIO, start: int, stop: int, out: BinaryIO) -> None:
+    """Write the store's bytes from offset start to stop to out, in reads of
+    at most _CHUNK bytes, and seek the store back to where it stood."""
+    if start < stop:
+        at = store.tell()
+        store.seek(start)
+        for offset in range(start, stop, _CHUNK):
+            out.write(store.read(min(_CHUNK, stop - offset)))
+        store.seek(at)
+
+
 def merge_update(store: BinaryIO, fresh: Iterable[SequentialPattern], created_at: str,
                  min_support_used: int, out: BinaryIO) -> None:
     """Fold freshly mined patterns into the store open for reading in
-    ``store``, writing the new store to ``out``.
+    ``store``, a seekable stream, writing the new store to ``out``.
 
     Patterns with identical element lists take the fresh scores (of equal
     fresh element lists, the last); new ones are inserted; nothing is
@@ -474,12 +497,17 @@ def merge_update(store: BinaryIO, fresh: Iterable[SequentialPattern], created_at
     are replaced. The bytes are those ``serialize`` writes for the merged
     repository, re-ranked, but only fresh patterns are rendered.
 
-    One read of the store, with the reader of ``parse``: each stored block
-    it accepts is written from the lines it checked, unless a fresh one
-    replaces it, and each fresh block before the first stored block it ranks
-    above, in writes of some _BATCH lines. A store refused part way has left
-    the new store's start in ``out``, which the caller discards (the CLI
-    writes ``out`` to a temporary file it removes on any error).
+    One pass of the reader of ``parse`` checks the store. A cut falls at a
+    stored block that a fresh one ranks above or replaces. There the run of
+    kept blocks since the last cut is copied from the store by offset, in
+    reads of at most _CHUNK bytes, then the store is sought back to where
+    the reader stands, and the fresh blocks are rendered. The offsets come
+    from ``store.tell()`` at the cuts alone: the reader stands at the end of
+    the block it yielded, which begins the length of its rendering before,
+    as an accepted block is what ``serialize`` writes for its pattern. A
+    store refused part way has left the new store's start in ``out``, which
+    the caller discards (the CLI writes ``out`` to a temporary file it
+    removes on any error).
 
     SchemaViolation when ``parse`` refuses the store, or when its patterns
     are not in ranking order (after any other refusal); ValueError when a
@@ -489,35 +517,45 @@ def merge_update(store: BinaryIO, fresh: Iterable[SequentialPattern], created_at
     # mined RankedPatterns are sorted already, with no element list twice
     queue = fresh if isinstance(fresh, RankedPatterns) else sort_patterns(latest.values())
     corpus, _, _, blocks = _read(store)
-    batch = [_encoded(_header(corpus, created_at, min_support_used)), b"\n  <patterns>\n"]
+    out.write(_encoded(_header(corpus, created_at, min_support_used)) + b"\n")
+    # the kept blocks not yet written run from offset start to the block read
+    start = store.tell()
     j = 0
+    line = 3  # the head of the block read; a block is k + 7 lines
     above = fault = None
-    for idx, (line, p, head, item_lines) in enumerate(blocks, 1):
-        if above is not None and fault is None and not precedes(above, p):
-            fault = _pattern_violation(
-                line, f"pattern ranks above pattern[{idx - 1}]: stored patterns must be in "
-                "ranking order", idx)
+    for idx, p in enumerate(blocks, 1):
+        if above is None:
+            out.write(b"  <patterns>\n")
+        else:
+            line += len(above.elements) + 7
+            if fault is None and not precedes(above, p):
+                fault = _pattern_violation(
+                    line, f"pattern ranks above pattern[{idx - 1}]: stored patterns must be in "
+                    "ranking order", idx)
         i = j
         while j < len(queue) and precedes(queue[j], p):
             j += 1
-        if j > i:
-            batch.append(_encoded("\n".join(_render(queue[i:j], [])) + "\n"))
-        if p.elements not in latest:  # else replaced: its stored lines are not written
-            batch += head
-            batch.append(_SEQUENCE)
-            batch += item_lines
-            batch += _SEQUENCE_END, _PATTERN_END
-            if len(batch) >= _BATCH:
-                out.write(b"".join(batch))
-                batch.clear()
+        replaced = p.elements in latest
+        if j > i or replaced:
+            # the reader stands at the end of p's block, which holds what
+            # serialize writes for p
+            end = store.tell()
+            begin = end - len(_rendered((p,)))
+            _copy(store, start, begin, out)
+            if j > i:
+                out.write(_rendered(queue[i:j]))
+            start = end if replaced else begin
         above = p
     if fault is not None:
         raise fault
     _check_writable((corpus, created_at), latest.values())
-    if above is None and not latest:
-        batch[1] = b"\n  <patterns/>\n</esdp-repository>\n"  # nothing was written
-    else:
-        if j < len(queue):
-            batch.append(_encoded("\n".join(_render(queue[j:], [])) + "\n"))
-        batch.append(_PATTERNS_END)
-    out.write(b"".join(batch))
+    if above is None:  # the store lists no pattern
+        if not latest:
+            out.write(b"  <patterns/>\n</esdp-repository>\n")
+            return
+        out.write(b"  <patterns>\n")
+    else:  # the reader stands at the end of the store, after its closing lines
+        _copy(store, start, store.tell() - len(_PATTERNS_END), out)
+    if j < len(queue):
+        out.write(_rendered(queue[j:]))
+    out.write(_PATTERNS_END)

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import esdp.cli
 import esdp.repository
 from conftest import random_sequence_db, write_fixture_corpus
 from esdp.extractor import extract_corpus
@@ -478,6 +479,9 @@ _PREFIX_3 = pattern_of(["a", "b"])._replace(prefix_count=3)
      "expected <ranking>0.33</ranking> (k * support), found '      <ranking>0.50</ranking>'"),
     # and under another num and den that give the same ranking
     (pattern_of(["a"], count=1, size=2), pattern_of(["b"], count=2, size=4), 3, None),
+    # a ranking line read under the same den and another k * num
+    (pattern_of(["a"], count=1, size=4), pattern_of(["b"], count=2, size=4), 3,
+     "expected <ranking>0.50</ranking> (k * support), found '      <ranking>0.25</ranking>'"),
 ])
 def test_checks_across_lines_run_for_each_head(first, second, offset, message):
     mutant = _with_head_line_of_first(first, second, offset)
@@ -518,6 +522,24 @@ def test_store_cut_inside_a_head_seen_before_names_the_cut(kept, expected):
         parse(cut)
     assert str(err.value).endswith(f"line {b + kept + 1}: expected {expected}, found ''")
     _agrees_with_reference(cut)
+
+
+# The reader keys an item line by its ordinal: a line accepted as one s[i]
+# is checked again as another.
+
+def test_item_line_accepted_at_one_ordinal_is_checked_at_another():
+    repo = MinedRepository((pattern_of(["a", "b"]), pattern_of(["c", "d"])))
+    lines = serialize(repo).split(b"\n")
+    first = lines.index(b'        <s i="1" kind="MI">a</s>')
+    second = lines.index(b'        <s i="2" kind="MI">d</s>')
+    lines[second] = lines[first]
+    mutant = b"\n".join(lines)
+    with pytest.raises(SchemaViolation) as err:
+        parse(mutant)
+    assert str(err.value) == (
+        f"/esdp-repository/patterns/pattern[2]/sequence/s[2]: line {second + 1}: expected "
+        """<s i="2" kind="..">name</s>, found '        <s i="1" kind="MI">a</s>'""")
+    _agrees_with_reference(mutant)
 
 
 # --- incremental update: the splice against the reference merge -------------------
@@ -743,6 +765,72 @@ def test_merge_update_splice_cases(stored, fresh):
     repo = make_repository(stored, "c", "t", 2)
     _agrees_with_spec(serialize(repo), fresh)
     _merged(repo, fresh)
+
+
+def _large_store(count: int) -> MinedRepository:
+    """A store of count patterns of one to five items, ranked, whose
+    rankings and supports repeat."""
+    patterns = [pattern_of([f"m{j}.call{i}()" for i in range(j % 5 + 1)], count=j % 7 + 1,
+                           size=8) for j in range(count)]
+    return make_repository(patterns, "c", "t", 2)
+
+
+def _fresh_around(repo: MinedRepository) -> dict[str, SequentialPattern]:
+    """A fresh pattern at each place a cut falls: before the first stored
+    block, among the middle ones, on the last (replacing it) and after it."""
+    middle, last = repo.patterns[len(repo.patterns) // 2], repo.patterns[-1]
+    return {"before-first": pattern_of(["top()"] * 6, count=8, size=8),
+            "middle": SequentialPattern((("MI", "mid()"),) + middle.elements[1:],
+                                        *middle[1:]),
+            "on-last": last._replace(db_size=2 * last.db_size),  # ranks last still
+            "after-last": pattern_of(["low()"], count=1, size=1_000)}
+
+
+@pytest.mark.parametrize("where", ["before-first", "middle", "on-last", "after-last", "all"])
+def test_merge_update_copies_runs_through_a_file(where, tmp_path):
+    # A store larger than the 64 KiB buffer the CLI opens it with, so the
+    # runs copied between the reader's lines cross buffer and chunk bounds.
+    repo = _large_store(1_200)
+    data = serialize(repo)
+    assert len(data) > 2 * esdp.repository._CHUNK
+    fresh = _fresh_around(repo)
+    fresh = list(fresh.values()) if where == "all" else [fresh[where]]
+    path = tmp_path / "store.xml"
+    path.write_bytes(data)
+    out = io.BytesIO()
+    with esdp.cli._open_store(str(path)) as store:
+        merge_update(store, fresh, "u", 3, out)
+    assert out.getvalue() == merge_update_spec(data, fresh, "u", 3)
+
+
+class _RecordingStore(io.BytesIO):
+    """A store that records the size asked of each read."""
+
+    def __init__(self, data: bytes):
+        super().__init__(data)
+        self.reads: list[int | None] = []
+
+    def read(self, size: int | None = -1) -> bytes:
+        self.reads.append(size)
+        return super().read(size)
+
+
+@pytest.mark.parametrize("where", ["none", "all"])
+def test_merge_update_streams_the_store(where):
+    # The store is never read whole: the runs of kept blocks are copied in
+    # reads of at most _CHUNK bytes; with nothing fresh one run is the store.
+    repo = _large_store(1_200)
+    data = serialize(repo)
+    chunk = esdp.repository._CHUNK
+    assert len(data) >= 4 * chunk
+    fresh = list(_fresh_around(repo).values()) if where == "all" else []
+    store = _RecordingStore(data)
+    out = io.BytesIO()
+    merge_update(store, fresh, "u", 3, out)
+    assert out.getvalue() == merge_update_spec(data, fresh, "u", 3)
+    assert store.reads and all(size is not None and 0 <= size <= chunk for size in store.reads)
+    # the copies read nearly all of the store, in more reads than one
+    assert sum(store.reads) > len(data) - 2 * chunk and len(store.reads) >= 4
 
 
 def _swap_blocks(data: bytes, j: int) -> bytes:
