@@ -376,6 +376,16 @@ def _check_text(store: BinaryIO) -> None:
         raise _violation(lines + 1, "document does not end with a line feed") from None
 
 
+def _ordinals(items: list[dict], k: int) -> Iterator[dict]:
+    """items[0] to items[k - 1], each taken as its item line is about to be
+    read, with an empty memo appended to items for an ordinal not seen
+    before: a store's k alone makes nothing."""
+    for i in range(k):
+        if i == len(items):
+            items.append({})
+        yield items[i]
+
+
 def _blocks(store: BinaryIO, listed: bool) -> Iterator[SequentialPattern]:
     """The patterns of _read: the pattern blocks from the third line of the
     store, if <patterns> opened the list (listed), then the closing lines.
@@ -398,7 +408,7 @@ def _blocks(store: BinaryIO, listed: bool) -> Iterator[SequentialPattern]:
             heads: dict[tuple, tuple] = {}  # to (kind, k, num, den, cden, its ordinals' memos)
             head_lines: tuple[dict, dict, dict, dict] = ({}, {}, {}, {})
             # items[i]: each line accepted as s[i + 1], to what it holds; a
-            # head's memo holds those of its k ordinals
+            # head's memo holds those of its k ordinals, once they all exist
             items: list[dict[bytes, tuple[str, str]]] = []
             seen: set[tuple] = set()  # the element lists read: no pattern twice
             idx = 0
@@ -409,8 +419,13 @@ def _blocks(store: BinaryIO, listed: bool) -> Iterator[SequentialPattern]:
                 got = heads.get(head)
                 if got is None:
                     kind, k, num, den, cden = _read_head(head, n + 1, idx, head_lines)
-                    items += ({} for _ in range(len(items), k))
-                    got = heads[head] = kind, k, num, den, cden, tuple(items[:k])
+                    if k <= len(items):
+                        got = heads[head] = kind, k, num, den, cden, tuple(items[:k])
+                    else:
+                        # k is read from the store, so the memos grow only
+                        # as item lines are read, and the head is memoized
+                        # when it is read again
+                        got = kind, k, num, den, cden, _ordinals(items, k)
                 kind, k, num, den, cden, ordinals = got
                 line = readline()
                 if line != _SEQUENCE:
@@ -475,15 +490,19 @@ def _rendered(patterns: Iterable[SequentialPattern]) -> bytes:
     return _encoded("\n".join(_render(patterns, [])) + "\n")
 
 
-def _copy(store: BinaryIO, start: int, stop: int, out: BinaryIO) -> None:
+def _copy(store: BinaryIO, start: int, stop: int, end: int, out: BinaryIO) -> None:
     """Write the store's bytes from offset start to stop to out, in reads of
-    at most _CHUNK bytes, and seek the store back to where it stood."""
+    at most _CHUNK bytes, and seek the store back to end, where its reader
+    stands. SchemaViolation if the store ends before stop: it was cut short
+    after the reader checked it."""
     if start < stop:
-        at = store.tell()
         store.seek(start)
         for offset in range(start, stop, _CHUNK):
-            out.write(store.read(min(_CHUNK, stop - offset)))
-        store.seek(at)
+            size = min(_CHUNK, stop - offset)
+            if len(chunk := store.read(size)) != size:
+                raise SchemaViolation("the store was cut short while it was updated")
+            out.write(chunk)
+        store.seek(end)
 
 
 def merge_update(store: BinaryIO, fresh: Iterable[SequentialPattern], created_at: str,
@@ -503,23 +522,27 @@ def merge_update(store: BinaryIO, fresh: Iterable[SequentialPattern], created_at
     reads of at most _CHUNK bytes, then the store is sought back to where
     the reader stands, and the fresh blocks are rendered. The offsets come
     from ``store.tell()`` at the cuts alone: the reader stands at the end of
-    the block it yielded, which begins the length of its rendering before,
-    as an accepted block is what ``serialize`` writes for its pattern. A
-    store refused part way has left the new store's start in ``out``, which
+    the block it yielded, which begins where the block before it ended if
+    that was a cut too, else the length of its rendering before, as an
+    accepted block is what ``serialize`` writes for its pattern. So a run
+    of cut blocks, as when most stored patterns are mined again, costs one
+    ``tell()`` a block and renders no stored one. A store refused part way has left the new store's start in ``out``, which
     the caller discards (the CLI writes ``out`` to a temporary file it
     removes on any error).
 
-    SchemaViolation when ``parse`` refuses the store, or when its patterns
-    are not in ranking order (after any other refusal); ValueError when a
-    fresh item name or the stamp cannot be written.
+    SchemaViolation when ``parse`` refuses the store, when its patterns are
+    not in ranking order (after any other refusal), or when a copy finds
+    the store cut short since its check; ValueError when a fresh item name
+    or the stamp cannot be written.
     """
     latest = {p.elements: p for p in fresh}
     # mined RankedPatterns are sorted already, with no element list twice
     queue = fresh if isinstance(fresh, RankedPatterns) else sort_patterns(latest.values())
     corpus, _, _, blocks = _read(store)
     out.write(_encoded(_header(corpus, created_at, min_support_used)) + b"\n")
-    # the kept blocks not yet written run from offset start to the block read
-    start = store.tell()
+    # the kept blocks not yet written run from offset start to the block read;
+    # last is where that block begins if a cut took the end of the one before
+    start = last = store.tell()
     j = 0
     line = 3  # the head of the block read; a block is k + 7 lines
     above = fault = None
@@ -540,11 +563,14 @@ def merge_update(store: BinaryIO, fresh: Iterable[SequentialPattern], created_at
             # the reader stands at the end of p's block, which holds what
             # serialize writes for p
             end = store.tell()
-            begin = end - len(_rendered((p,)))
-            _copy(store, start, begin, out)
+            begin = end - len(_rendered((p,))) if last is None else last
+            _copy(store, start, begin, end, out)
             if j > i:
                 out.write(_rendered(queue[i:j]))
             start = end if replaced else begin
+            last = end
+        else:
+            last = None
         above = p
     if fault is not None:
         raise fault
@@ -555,7 +581,8 @@ def merge_update(store: BinaryIO, fresh: Iterable[SequentialPattern], created_at
             return
         out.write(b"  <patterns>\n")
     else:  # the reader stands at the end of the store, after its closing lines
-        _copy(store, start, store.tell() - len(_PATTERNS_END), out)
+        end = store.tell()
+        _copy(store, start, end - len(_PATTERNS_END), end, out)
     if j < len(queue):
         out.write(_rendered(queue[j:]))
     out.write(_PATTERNS_END)

@@ -5,6 +5,7 @@ import math
 import random
 import re
 import sys
+import tracemalloc
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -542,6 +543,37 @@ def test_item_line_accepted_at_one_ordinal_is_checked_at_another():
     _agrees_with_reference(mutant)
 
 
+# A head's k is the store's word: the reader makes its memos for the item
+# lines it reads, not for the items k promises.
+
+@pytest.mark.parametrize("items,expected", [
+    ([], '<s i="1" kind="..">name</s>'),
+    (["a"], '<s i="2" kind="..">name</s>'),
+])
+def test_head_with_a_huge_k_is_refused_at_its_items(items, expected):
+    k = 10 ** 6
+    lines = ['<esdp-repository version="1" corpus="c" created="t" min-support="1">',
+             "  <patterns>", f'    <pattern kind="MI" k="{k}">',
+             '      <support num="1" den="1">1.00</support>',
+             '      <confidence num="1" den="1">1.00</confidence>',
+             f"      <ranking>{k}.00</ranking>", "      <sequence>"]
+    lines += [f'        <s i="{i}" kind="MI">{name}</s>' for i, name in enumerate(items, 1)]
+    lines += ["      </sequence>", "    </pattern>", "  </patterns>", "</esdp-repository>", ""]
+    data = "\n".join(lines).encode()
+    _agrees_with_reference(data)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SchemaViolation) as err:
+            merge_update(io.BytesIO(data), [], "u", 1, io.BytesIO())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value).startswith(f"/esdp-repository/patterns/pattern[1]/sequence/"
+                                      f"s[{len(items) + 1}]: line {len(items) + 8}: expected "
+                                      f"{expected}")
+    assert peak < 1 << 20  # nothing in proportion to k
+
+
 # --- incremental update: the splice against the reference merge -------------------
 
 def _update(data: bytes, fresh, created_at: str, min_support_used: int) -> bytes:
@@ -786,15 +818,24 @@ def _fresh_around(repo: MinedRepository) -> dict[str, SequentialPattern]:
             "after-last": pattern_of(["low()"], count=1, size=1_000)}
 
 
-@pytest.mark.parametrize("where", ["before-first", "middle", "on-last", "after-last", "all"])
+@pytest.mark.parametrize("where", ["before-first", "middle", "on-last", "after-last", "all",
+                                   "every", "every-other", "between-each"])
 def test_merge_update_copies_runs_through_a_file(where, tmp_path):
     # A store larger than the 64 KiB buffer the CLI opens it with, so the
     # runs copied between the reader's lines cross buffer and chunk bounds.
+    # The last three cut at every block: each stored one replaced; every
+    # other one, each kept one then cut by the fresh one written above it;
+    # or a fresh one ranked just above each stored one (its scores, a first
+    # name that sorts just before).
     repo = _large_store(1_200)
     data = serialize(repo)
     assert len(data) > 2 * esdp.repository._CHUNK
     fresh = _fresh_around(repo)
-    fresh = list(fresh.values()) if where == "all" else [fresh[where]]
+    fresh = {"all": list(fresh.values()), "every": list(repo.patterns),
+             "every-other": list(repo.patterns[::2]),
+             "between-each": [SequentialPattern(((kind, name[:-1]),) + p.elements[1:], *p[1:])
+                              for p in repo.patterns
+                              for (kind, name) in p.elements[:1]]}.get(where) or [fresh[where]]
     path = tmp_path / "store.xml"
     path.write_bytes(data)
     out = io.BytesIO()
@@ -831,6 +872,24 @@ def test_merge_update_streams_the_store(where):
     assert store.reads and all(size is not None and 0 <= size <= chunk for size in store.reads)
     # the copies read nearly all of the store, in more reads than one
     assert sum(store.reads) > len(data) - 2 * chunk and len(store.reads) >= 4
+
+
+class _CutShortStore(io.BytesIO):
+    """A store cut to its first half when it is first sought, as a writer
+    other than esdp's atomic replace could cut it during an update."""
+
+    def seek(self, *args) -> int:
+        if not getattr(self, "cut", False):
+            self.cut = True
+            self.truncate(len(self.getvalue()) // 2)
+        return super().seek(*args)
+
+
+def test_merge_update_refuses_a_store_cut_short_after_its_check():
+    repo = _large_store(1_200)
+    with pytest.raises(SchemaViolation, match="the store was cut short while it was updated"):
+        merge_update(_CutShortStore(serialize(repo)), [_fresh_around(repo)["after-last"]], "u", 3,
+                     io.BytesIO())
 
 
 def _swap_blocks(data: bytes, j: int) -> bytes:
