@@ -13,7 +13,12 @@ entry per kept position and distinct kept item at or after it.
 Candidate extensions are pruned by co-occurrence (as CMAP does for SPADE,
 Fournier-Viger et al., PAKDD 2014): a pattern ending in ``x`` can grow by
 ``y`` only if ``<x y>`` is frequent and ``y`` also extends the pattern's
-prefix, so most leaves are known without counting.
+prefix, so most leaves are known without counting: a pattern left with no
+candidate costs no projection.
+
+Results come in depth-first order with extensions in ascending item id, so
+a k-pattern's prefix is the last (k-1)-pattern before it;
+``mining._build_patterns`` reads prefix counts by that order.
 
 Under a cap the threshold rises in the same walk, as in the top-k miners
 TKS (Fournier-Viger et al., ADMA 2013) and TSP (Tzvetkov, Yan & Han, ICDM
@@ -56,8 +61,11 @@ def prefixspan(records, min_support: int, cap: int | None = None):
 
     Returns ``(results, m)``: each ``(pattern_tuple, support_count)`` with
     support at least m, in depth-first order, extensions in ascending item
-    id. m is min_support, or under a cap the least threshold from there up
-    that at most ``cap`` patterns reach (``len(records)`` if none does).
+    id, so a k-pattern's prefix is the last (k-1)-pattern before it. That
+    holds after the final ``>= m`` filter too, as a prefix's support is at
+    least its pattern's. m is min_support, or under a cap the least
+    threshold from there up that at most ``cap`` patterns reach
+    (``len(records)`` if none does).
     """
     n, m = len(records), min_support
     support = Counter(chain.from_iterable(map(set, records)))
@@ -96,7 +104,10 @@ def prefixspan(records, min_support: int, cap: int | None = None):
         if len(proj) < m:
             continue  # pushed before m rose
         results.append((pattern, len(proj)))
-        children = extensions(proj, allowed & follow[pattern[-1]])
+        candidates = allowed & follow[pattern[-1]]
+        if not candidates:
+            continue  # a leaf: nothing to count, and no supports to raise m by
+        children = extensions(proj, candidates)
         grown = {y for y, _ in children}
         stack += [(pattern + (y,), child, grown) for y, child in reversed(children)]
         if cap is not None and len(pattern) > 1:  # a single's children: pairs, counted

@@ -134,13 +134,32 @@ class RankedPatterns(list):
     is, without sorting it again."""
 
 
+_new = tuple.__new__
+
+
 def _build_patterns(raw: Iterable[tuple[tuple[int, ...], int]],
                     alphabet: list[Element], db_size: int) -> RankedPatterns:
-    counts = dict(raw)  # one pattern per id sequence, and ids name distinct elements
-    return RankedPatterns(sort_patterns(
-        SequentialPattern(tuple(alphabet[i] for i in ids), count, db_size,
-                          counts[ids[:-1]] if len(ids) > 1 else count)
-        for ids, count in counts.items()))
+    """The records of the kernel's (ids, count) results, in sort_patterns order.
+
+    raw is read in the kernel's depth-first order, where a k-pattern's
+    prefix is the last (k-1)-pattern before it, so each record extends its
+    prefix's elements by one element and takes the prefix's count. A filter
+    that drops patterns, such as a closed-pattern filter, must run on the
+    records returned and not on raw, since a record's prefix count is read
+    from its prefix's entry in raw.
+    """
+    # at[d]: (elements, count) of the last d-pattern read. at[0] is the empty
+    # prefix; its count 0 gives a single its own count as prefix count.
+    at = [((), 0)]
+    patterns = []
+    for ids, count in raw:
+        k = len(ids)
+        elements, prefix_count = at[k - 1]
+        elements += (alphabet[ids[-1]],)
+        del at[k:]
+        at.append((elements, count))
+        patterns.append(_new(SequentialPattern, (elements, count, db_size, prefix_count or count)))
+    return RankedPatterns(sort_patterns(patterns))
 
 
 def mine_prefixspan(db: SequenceDatabase, min_support: int) -> RankedPatterns:

@@ -2,9 +2,10 @@
 
 Most state a contract by brute force: exhaustive enumerations of
 subsequences, node sets, bijections and occurrence subsets, against which
-the PrefixSpan kernel is checked directly, and the short specs built on
-them and on the references below for the update (``merge_update_spec``)
-and the explorer (``patt_explorer_spec``). A few references are earlier
+the PrefixSpan kernel and the miners' records (``exhaustive_patterns``) are
+checked directly, and the short specs built on them and on the references
+below for the update (``merge_update_spec``) and the explorer
+(``patt_explorer_spec``). A few references are earlier
 versions of the code, kept because no brute force states their contract:
 
 - ``parse_reference`` and ``serialize_reference``, the store codec: the
@@ -57,7 +58,6 @@ from esdp.items import (
 from esdp.mining import (
     InvalidThreshold,
     SequentialPattern,
-    mine_prefixspan,
 )
 from esdp.repository import (
     _ATTR,
@@ -110,17 +110,27 @@ def exhaustive_mine(records, min_support: int) -> dict[tuple, int]:
     return result
 
 
+def exhaustive_patterns(db, min_support: int) -> list[SequentialPattern]:
+    """The records mine_prefixspan should return, by brute force: each
+    subsequence held by at least min_support records, its prefix count the
+    support of its first k-1 elements, in the rational store order."""
+    n = len(db.records)
+    counts = exhaustive_mine([r.items for r in db.records], min_support)
+    return sorted((SequentialPattern(e, c, n, counts[e[:-1]] if len(e) > 1 else c)
+                   for e, c in counts.items()), key=pattern_sort_key)
+
+
 def adaptive_mine_reference(db, max_patterns: int):
     """The linear threshold scan adaptive_mine's one capped kernel pass
-    answers: (min_support, patterns) at the smallest min_support whose
-    result holds at most max_patterns, else the top max_patterns at
-    min_support n."""
+    answers, over exhaustive_patterns: (min_support, patterns) at the
+    smallest min_support whose result holds at most max_patterns, else the
+    top max_patterns at min_support n."""
     n = len(db.records)
     for m in range(1, n + 1):
-        patterns = mine_prefixspan(db, m)
+        patterns = exhaustive_patterns(db, m)
         if len(patterns) <= max_patterns:
             return m, patterns
-    return n, mine_prefixspan(db, n)[:max_patterns]
+    return n, exhaustive_patterns(db, n)[:max_patterns]
 
 
 def pattern_sort_key(p):

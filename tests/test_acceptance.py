@@ -24,7 +24,7 @@ from esdp.query import (
     search,
 )
 from esdp.repository import SchemaViolation, make_repository, parse, serialize
-from oracles import exhaustive_groum_patterns, exhaustive_mine, iso_brute, parse_reference
+from oracles import exhaustive_groum_patterns, exhaustive_patterns, iso_brute, parse_reference
 from test_repository import mutate, random_repo
 
 
@@ -33,16 +33,15 @@ def _report(name: str) -> None:
 
 
 def test_mining_oracle_equivalence():
-    """>= 200 random databases, exact pattern/support equality, < 30 s."""
+    """>= 200 random databases, exact record equality (elements, support,
+    database size and prefix support) in store order, < 30 s."""
     rng = random.Random(2025)
     started = time.perf_counter()
     runs = 0
     while runs < 200:
         db = random_sequence_db(rng, max_records=8, max_items=6, alphabet=5)
         min_support = rng.randint(1, len(db.records))
-        expected = exhaustive_mine([r.items for r in db.records], min_support)
-        got = {p.elements: p.support_count for p in mine_prefixspan(db, min_support)}
-        assert got == expected
+        assert list(mine_prefixspan(db, min_support)) == exhaustive_patterns(db, min_support)
         runs += 1
     elapsed = time.perf_counter() - started
     assert elapsed < 30, f"mining oracle run took {elapsed:.1f}s"

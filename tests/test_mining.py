@@ -240,15 +240,18 @@ def test_prefixspan_long_pattern_needs_no_recursion():
     assert kernels.prefixspan([[0] * 1500] * 2, 1, cap=10) == (expected, 2)
 
 
-@settings(max_examples=150, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), max_patterns=st.integers(1, 15))
-def test_adaptive_one_kernel_pass_equals_the_linear_scan(seed, max_patterns):
-    db = random_sequence_db(random.Random(seed), max_records=10, max_items=7)
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.text("abcde", max_size=7), min_size=1, max_size=10),
+       st.integers(1, 15) | st.just(1000))
+@example(["abcd", "abcd"], 3)  # no threshold fits: the top 3 of the 15 both hold
+@example(["aab", "ab", "b"], 1)  # fits only at m = n
+def test_adaptive_one_kernel_pass_equals_the_linear_scan(sequences, max_patterns):
+    # record for record, prefix counts and store order included, against a
+    # scan over brute-force results
+    db = db_of(*sequences)
     with mock.patch.object(kernels, "prefixspan", wraps=kernels.prefixspan) as kernel:
         got = adaptive_mine(db, max_patterns)
-    expected_support, expected = adaptive_mine_reference(db, max_patterns)
-    assert got.min_support == expected_support
-    assert list(got) == expected
+    assert (got.min_support, list(got)) == adaptive_mine_reference(db, max_patterns)
     assert kernel.call_count == 1
 
 
