@@ -112,21 +112,20 @@ def _cmd_extract(args: argparse.Namespace) -> str:
 
 
 def _mine_patterns(args: argparse.Namespace):
-    """(patterns, the min-support they were mined at, number of method
-    sequences); the sequence database is not kept past mining."""
+    """(patterns, which carry the min-support they were mined at, number of
+    method sequences); the sequence database is not kept past mining."""
     items, _ = _extract(args)
     db = build_sequence_db(items)
-    if args.adaptive:
-        patterns = adaptive_mine(db, args.max_patterns)
-        return patterns, patterns.min_support, len(db.records)
-    return mine_prefixspan(db, args.min_support), args.min_support, len(db.records)
+    patterns = (adaptive_mine(db, args.max_patterns or 50) if args.adaptive
+                else mine_prefixspan(db, args.min_support))
+    return patterns, len(db.records)
 
 
 def _cmd_mine(args: argparse.Namespace) -> str:
-    patterns, min_support, sequences = _mine_patterns(args)
+    patterns, sequences = _mine_patterns(args)
     label = args.corpus_label or ";".join(args.corpus)
     repo = make_repository(patterns, corpus_label=label, created_at=_created_stamp(),
-                           min_support_used=min_support)
+                           min_support_used=patterns.min_support)
     path = _repo_path(args)
     data = serialize(repo)
     _write_atomic(path, lambda out: out.write(data))
@@ -137,12 +136,13 @@ def _cmd_update(args: argparse.Namespace) -> str:
     # The store is read after mining, so that the sequence database is gone
     # during the one pass that checks the store and writes the new one.
     path = _repo_path(args)
-    patterns, min_support, sequences = _mine_patterns(args)
+    patterns, sequences = _mine_patterns(args)
     stamp = _created_stamp()
     with _open_store(path) as store:
-        _write_atomic(path, lambda out: merge_update(store, patterns, stamp, min_support, out))
-    return (f"updated {path} with {len(patterns)} fresh patterns at min-support {min_support} "
-            f"({sequences} fresh method sequences)")
+        _write_atomic(path, lambda out: merge_update(store, patterns, stamp,
+                                                     patterns.min_support, out))
+    return (f"updated {path} with {len(patterns)} fresh patterns at min-support "
+            f"{patterns.min_support} ({sequences} fresh method sequences)")
 
 
 def _format_rec_rows(recs) -> list[list[str]]:
@@ -376,10 +376,11 @@ def _context_opts(p: argparse.ArgumentParser) -> None:
 def _mining_opts(p: argparse.ArgumentParser) -> None:
     _corpus_opts(p)
     _repo_opt(p)
-    p.add_argument("--min-support", type=_positive_int, default=2)
-    p.add_argument("--adaptive", action="store_true",
-                   help="pick min-support dynamically under --max-patterns")
-    p.add_argument("--max-patterns", type=_positive_int, default=50)
+    threshold = p.add_mutually_exclusive_group()
+    threshold.add_argument("--min-support", type=_positive_int, default=2)
+    threshold.add_argument("--adaptive", action="store_true",
+                           help="pick min-support dynamically under --max-patterns")
+    p.add_argument("--max-patterns", type=_positive_int, help="cap of --adaptive (default 50)")
 
 
 def _mine_opts(p: argparse.ArgumentParser) -> None:
@@ -451,6 +452,10 @@ def main(argv: list[str] | None = None) -> int:
     # unknown word get the full parser, whose help or error names them all.
     command = argv[0] if argv and argv[0] in _COMMANDS else None
     args = _build_parser(command).parse_args(argv)
+    if getattr(args, "max_patterns", None) and not args.adaptive:
+        # the parser is built again: one held through the command would outlive
+        # it, its reference cycles moved to the collector's oldest generation
+        _build_parser(command).error("argument --max-patterns: only with argument --adaptive")
     try:
         status, report = 0, _COMMANDS[args.command][0](args)
     except (OSError, ValueError) as exc:

@@ -129,16 +129,21 @@ def _encode(db: SequenceDatabase) -> tuple[list[list[int]], list[Element]]:
 
 
 class RankedPatterns(list):
-    """Patterns in sort_patterns order, no element list twice: what the
-    miners return. ``repository.make_repository`` stores such a list as it
-    is, without sorting it again."""
+    """Patterns in sort_patterns order, no element list twice, and the
+    min-support they were mined at: what the miners return.
+    ``repository.make_repository`` stores such a list as it is, without
+    sorting it again."""
+
+    def __init__(self, patterns: Iterable[SequentialPattern], min_support: int):
+        super().__init__(patterns)
+        self.min_support = min_support
 
 
 _new = tuple.__new__
 
 
 def _build_patterns(raw: Iterable[tuple[tuple[int, ...], int]],
-                    alphabet: list[Element], db_size: int) -> RankedPatterns:
+                    alphabet: list[Element], db_size: int) -> list[SequentialPattern]:
     """The records of the kernel's (ids, count) results, in sort_patterns order.
 
     raw is read in the kernel's depth-first order, where a k-pattern's
@@ -159,7 +164,7 @@ def _build_patterns(raw: Iterable[tuple[tuple[int, ...], int]],
         del at[k:]
         at.append((elements, count))
         patterns.append(_new(SequentialPattern, (elements, count, db_size, prefix_count or count)))
-    return RankedPatterns(sort_patterns(patterns))
+    return sort_patterns(patterns)
 
 
 def mine_prefixspan(db: SequenceDatabase, min_support: int) -> RankedPatterns:
@@ -168,20 +173,10 @@ def mine_prefixspan(db: SequenceDatabase, min_support: int) -> RankedPatterns:
         raise InvalidThreshold(f"min_support must be >= 1, got {min_support}")
     records, alphabet = _encode(db)
     raw, _ = kernels.prefixspan(records, min_support)
-    return _build_patterns(raw, alphabet, len(records))
+    return RankedPatterns(_build_patterns(raw, alphabet, len(records)), min_support)
 
 
-class AdaptivePatterns(RankedPatterns):
-    """The patterns adaptive_mine kept, in ranking order, and the min-support
-    they were mined at. A list, so callers that iterate or count the
-    patterns read it as before."""
-
-    def __init__(self, patterns: Iterable[SequentialPattern], min_support: int):
-        super().__init__(patterns)
-        self.min_support = min_support
-
-
-def adaptive_mine(db: SequenceDatabase, max_patterns: int = 50) -> AdaptivePatterns:
+def adaptive_mine(db: SequenceDatabase, max_patterns: int = 50) -> RankedPatterns:
     """Mine at the smallest min_support whose result fits under max_patterns;
     if no threshold fits, the top max_patterns by ranking at the largest."""
     if max_patterns < 1:
@@ -189,4 +184,4 @@ def adaptive_mine(db: SequenceDatabase, max_patterns: int = 50) -> AdaptivePatte
     records, alphabet = _encode(db)
     raw, min_support = kernels.prefixspan(records, 1, cap=max_patterns)
     patterns = _build_patterns(raw, alphabet, len(records))
-    return AdaptivePatterns(patterns[:max_patterns], min_support)  # all unless none fits
+    return RankedPatterns(patterns[:max_patterns], min_support)  # all unless none fits

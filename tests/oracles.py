@@ -8,9 +8,12 @@ below for the update (``merge_update_spec``) and the explorer
 (``patt_explorer_spec``). A few references are earlier
 versions of the code, kept because no brute force states their contract:
 
-- ``parse_reference`` and ``serialize_reference``, the store codec: the
-  contract is the exact bytes written and, for each refused document, the
-  line, message and element path of its first fault.
+- ``parse_reference``, the store reader: the contract is, for each refused
+  document, the line, message and element path of its first fault. It
+  accepts exactly one byte string per repository (fixed layout and
+  attribute order, numbers without leading zeros, display values checked
+  against ``two_dp``, only the escapes ``serialize`` writes), so reading
+  back what ``serialize`` wrote pins the writer's bytes too.
 - ``tokenize_reference`` and ``_ExtractorReference``, the lexer and the
   extractor: the contract is the abstraction of the Java subset itself,
   item by item.
@@ -20,8 +23,8 @@ versions of the code, kept because no brute force states their contract:
   states the exact maximum.
 - ``NAME_REFERENCE``, the item-name expression: the language it accepts is
   the contract.
-- ``search_reference`` and ``merge_update_reference``: the search tiers and
-  the object-level merge, each already a direct statement of its contract.
+- ``search_reference``: the search tiers, already a direct statement of
+  their contract.
 """
 
 from __future__ import annotations
@@ -60,22 +63,19 @@ from esdp.mining import (
     SequentialPattern,
 )
 from esdp.repository import (
-    _ATTR,
     _CONFIDENCE,
     _HEADER,
     _ITEM,
-    _NAME,
     _PATTERN,
     _SUPPORT,
     MinedRepository,
     _check_writable,
-    _esc,
-    _esc_attr,
     _expected,
     _pattern_violation,
     _unesc,
     _violation,
     make_repository,
+    serialize,
     two_dp,
 )
 
@@ -90,10 +90,6 @@ def all_subsequences(record) -> set[tuple]:
         for idxs in combinations(range(n), k):
             out.add(tuple(record[i] for i in idxs))
     return out
-
-
-def contains_brute(record, alpha) -> bool:
-    return tuple(alpha) in all_subsequences(record)
 
 
 def exhaustive_mine(records, min_support: int) -> dict[tuple, int]:
@@ -1225,50 +1221,6 @@ def extract_items_reference(source: str, file_label: str = "<memory>",
 
 # --- repository codec --------------------------------------------------------------
 
-def serialize_reference(repo: MinedRepository) -> bytes:
-    """The writer before its per-call line memo, kept verbatim as the
-    differential reference of ``esdp.repository.serialize``.
-
-    Canonical document bytes: UTF-8, LF, 2-space indent, fixed attribute order.
-
-    ValueError when the corpus label or the creation stamp holds a control
-    character, or an item name is empty, padded with whitespace or holds a
-    control character other than tab: the reader refuses each of these.
-    """
-    for value in (repo.corpus_label, repo.created_at):
-        if re.fullmatch(_ATTR, _esc_attr(value)) is None:
-            raise ValueError(f"repository metadata {value!r} holds a control character")
-    for name in {name for p in repo.patterns for _, name in p.elements}:
-        if re.fullmatch(_NAME, _esc(name)) is None or name.strip() != name:
-            raise ValueError(f"item name {name!r} is blank, padded or holds a control character")
-    out: list[str] = []
-    out.append(
-        f'<esdp-repository version="1" corpus="{_esc_attr(repo.corpus_label)}"'
-        f' created="{_esc_attr(repo.created_at)}"'
-        f' min-support="{repo.min_support_used}">'
-    )
-    if not repo.patterns:
-        out.append("  <patterns/>")
-    else:
-        out.append("  <patterns>")
-        for p in repo.patterns:
-            num, den, cden = p.support_count, p.db_size, p.prefix_count
-            out.append(f'    <pattern kind="{p.kind}" k="{p.k}">')
-            out.append(f'      <support num="{num}" den="{den}">{two_dp(num, den)}</support>')
-            out.append(f'      <confidence num="{num}" den="{cden}">'
-                       f'{two_dp(num, cden)}</confidence>')
-            out.append(f"      <ranking>{two_dp(p.k * num, den)}</ranking>")
-            out.append("      <sequence>")
-            for i, (kind, name) in enumerate(p.elements, start=1):
-                out.append(f'        <s i="{i}" kind="{kind}">{_esc(name)}</s>')
-            out.append("      </sequence>")
-            out.append("    </pattern>")
-        out.append("  </patterns>")
-    out.append("</esdp-repository>")
-    out.append("")
-    return "\n".join(out).encode("utf-8")
-
-
 # The reader compares a ranking line with the one text it may hold; the
 # reference matches it against this expression and then checks the value.
 _RANKING = re.compile("      <ranking>([^<]*)</ranking>")
@@ -1401,37 +1353,15 @@ def parse_reference(data: bytes) -> MinedRepository:
     )
 
 
-def merge_update_reference(existing: MinedRepository, fresh: Iterable[SequentialPattern],
-                           created_at: str | None = None,
-                           min_support_used: int | None = None) -> MinedRepository:
-    """The object-level merge before ``esdp.repository.merge_update`` spliced
-    store bytes, kept verbatim as its reference: ``serialize`` of this
-    result is what the update must write (see merge_update_spec).
-
-    Fold freshly mined patterns into a repository.
-
-    Patterns with identical element-lists take the fresh scores; new ones
-    are inserted; nothing is deleted. The result is re-sorted, keeps the
-    corpus label and carries updated metadata where given.
-    """
-    merged = {p.elements: p for p in existing.patterns}
-    for p in fresh:
-        merged[p.elements] = p
-    return make_repository(
-        merged.values(),
-        corpus_label=existing.corpus_label,
-        created_at=existing.created_at if created_at is None else created_at,
-        min_support_used=existing.min_support_used if min_support_used is None else min_support_used,
-    )
-
-
 def merge_update_spec(data: bytes, fresh: Iterable[SequentialPattern], created_at: str,
                       min_support_used: int) -> bytes:
     """What ``esdp.repository.merge_update`` writes for the store data, or
     the error it raises: the reader's refusal; else a stored pattern that
     does not sort after the one above it, at the line of its block; else a
-    fresh text that cannot be written. The store is written as serialized
-    from the object-level merge."""
+    fresh text that cannot be written. Else what ``serialize`` writes for
+    the stored patterns with the fresh ones folded in: a fresh element list
+    (of equal ones, the last) replaces a stored one or is added, the corpus
+    label is kept, and the stamp and min-support are those given."""
     stored = parse_reference(data)
     line = 3  # the first block's head; a block is k + 7 lines
     for idx in range(1, len(stored.patterns)):
@@ -1441,7 +1371,8 @@ def merge_update_spec(data: bytes, fresh: Iterable[SequentialPattern], created_a
             raise _pattern_violation(
                 line, f"pattern ranks above pattern[{idx}]: stored patterns must be in "
                 "ranking order", idx + 1)
-    fresh = list(fresh)
-    _check_writable((stored.corpus_label, created_at), {p.elements: p for p in fresh}.values())
-    return serialize_reference(
-        merge_update_reference(stored, fresh, created_at, min_support_used))
+    latest = {p.elements: p for p in fresh}
+    _check_writable((stored.corpus_label, created_at), latest.values())
+    merged = {p.elements: p for p in stored.patterns} | latest
+    return serialize(make_repository(merged.values(), stored.corpus_label, created_at,
+                                     min_support_used))

@@ -105,6 +105,9 @@ def test_bad_threshold_exits_2(corpus, capsys):
     # an extension starts with its dot
     (["extract", "--corpus", "c", "--ext", "java"], "--ext"),
     (["mine", "--corpus", "c", "--ext", "."], "--ext"),
+    # the threshold is given or found, and the cap bounds only the search
+    (["mine", "--corpus", "c", "--adaptive", "--min-support", "3"], "--min-support"),
+    (["update", "--corpus", "c", "--min-support", "3", "--max-patterns", "5"], "--max-patterns"),
 ])
 def test_usage_error_names_argument(argv, named, capsys):
     with pytest.raises(SystemExit) as err:
@@ -139,6 +142,12 @@ def test_update_merges(corpus, tmp_path, capsys):
     assert status == 0
     after = len(parse(repo_path.read_bytes()).patterns)
     assert after >= before
+    # the report names the threshold the store records
+    status, out = run(["update", "--adaptive", "--corpus", str(corpus), "--repo",
+                       str(repo_path)], capsys)
+    assert status == 0
+    assert out.startswith(f"updated {repo_path} with 31 fresh patterns at min-support 6 ")
+    assert parse(repo_path.read_bytes()).min_support_used == 6
 
 
 def test_groum_report(corpus, capsys):
@@ -342,6 +351,10 @@ def test_domain_error_exits_1(tmp_path, capsys):
                        "--pick", "1", "x.y();"], capsys)
     assert status == 1
     assert "FileNotFoundError" in out
+    missing = tmp_path / "no-such-corpus"
+    status, out = run(["mine", "--corpus", str(missing), "--repo", str(tmp_path / "r.xml")],
+                      capsys)
+    assert (status, out) == (1, f"FileNotFoundError: corpus path not found: {missing}\n")
 
 
 

@@ -297,8 +297,13 @@ def test_extract_items_raises_only_unparsable_source(body, nesting, depth):
             pass
 
 
-@pytest.mark.parametrize("opener, closer", [("if (a) {\n", "}\n"), ("{\n", "}\n"),
-                                            ("f(", ")"), ("(", ")")])
+@pytest.mark.parametrize("opener, closer", [
+    ("if (a) {\n", "}\n"), ("{\n", "}\n"), ("f(", ")"), ("(", ")"),
+    # the limit reached in a class body, in a call's arguments (a call is
+    # two levels and a parenthesis one, five a repeat, so here the arguments
+    # cross it first) and in an array initializer
+    ("class Q {\n", "}\n"), ("f(f((", ")))"), ("new int[][][] {{{", "}}}"),
+])
 def test_nesting_beyond_limit_names_line(opener, closer):
     depth = MAX_NESTING + 1
     source = "class K {\n  void m() {\n    " + opener * depth + "y();" + closer * depth + "\n  }\n}\n"

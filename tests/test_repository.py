@@ -42,10 +42,8 @@ from esdp.repository import (
 from esdp.transactions import build_sequence_db
 from oracles import (
     NAME_REFERENCE,
-    merge_update_reference,
     merge_update_spec,
     parse_reference,
-    serialize_reference,
 )
 
 FIG35_ELEMENTS = (
@@ -313,7 +311,7 @@ def test_single_byte_edits_rejected_or_canonical(repo, edits):
         _accepted_only_if_canonical(_edit(doc, *edit))
 
 
-# --- the per-call line memo against the reference codec --------------------------
+# --- the per-call line memo against the reference reader -------------------------
 
 def _agrees_with_reference(data: bytes) -> None:
     """parse returns what parse_reference returns, or raises its error."""
@@ -399,7 +397,8 @@ def test_parse_agrees_with_reference_on_edits_to_repeated_lines(repo, data):
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(repositories(), repetitive_repositories()))
 def test_serialize_agrees_with_reference(repo):
-    assert serialize(repo) == serialize_reference(repo)
+    # the reference reader accepts one byte string per repository
+    assert parse_reference(serialize(repo)) == repo
 
 
 def test_store_cut_inside_last_pattern_names_a_line():
@@ -574,7 +573,7 @@ def test_head_with_a_huge_k_is_refused_at_its_items(items, expected):
     assert peak < 1 << 20  # nothing in proportion to k
 
 
-# --- incremental update: the splice against the reference merge -------------------
+# --- incremental update: merges by case, idempotence and mined stores -------------
 
 def _update(data: bytes, fresh, created_at: str, min_support_used: int) -> bytes:
     """What merge_update writes for the store data."""
@@ -585,16 +584,16 @@ def _update(data: bytes, fresh, created_at: str, min_support_used: int) -> bytes
 
 def _merged(repo: MinedRepository, fresh, created_at: str = "u",
             min_support_used: int = 3) -> bytes:
-    """merge_update on the bytes of repo, which must equal what serialize
-    writes for the reference merge."""
-    data = _update(serialize(repo), fresh, created_at, min_support_used)
-    assert data == serialize(merge_update_reference(repo, fresh, created_at, min_support_used))
+    """merge_update on the bytes of repo, which must equal what
+    merge_update_spec writes for them."""
+    stored = serialize(repo)
+    data = _update(stored, fresh, created_at, min_support_used)
+    assert data == merge_update_spec(stored, fresh, created_at, min_support_used)
     return data
 
 
 def test_merge_with_nothing_is_identity():
     repo = make_repository([fig35_pattern()], "c", "t", 2)
-    assert merge_update_reference(repo, []) == repo
     assert _merged(repo, [], "t", 2) == serialize(repo)
     empty = make_repository([], "c", "t", 2)
     assert _merged(empty, [], "t", 2) == serialize(empty)
@@ -638,8 +637,6 @@ def test_merge_update_is_idempotent(repo, other, data):
         if repo.patterns else []
     rescored = [SequentialPattern(p.elements, 1, p.db_size + 1, 1) for p in stored]
     fresh = rescored + list(other.patterns)
-    once = merge_update_reference(repo, fresh)
-    assert merge_update_reference(once, fresh) == once
     once = _merged(repo, fresh)
     assert _update(once, fresh, "u", 3) == once
 

@@ -12,6 +12,7 @@ import pytest
 
 from conftest import write_fixture_corpus
 from esdp.cli import main
+from esdp.repository import parse
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from trace_layers import WRAPPED, Tracer  # noqa: E402
@@ -42,12 +43,13 @@ def test_traced_mine_and_query_count_the_store(tmp_path):
     # that both still read that way, and that the store read shows under
     # repository.parse_s. The traced `mine` shows time in the layers of its
     # write path: parsing the corpus, building the sequences and writing
-    # the store.
+    # the store, and counts the miner's patterns as len() of what it returns.
     corpus = write_fixture_corpus(tmp_path / "corpus")
     store = tmp_path / "store.xml"
     layers = _traced(["mine", "--corpus", str(corpus), "--min-support", "3",
                       "--repo", str(store)])
     assert layers["repository.store_bytes"] == store.stat().st_size > 0
+    assert layers["mining.patterns"] == len(parse(store.read_bytes()).patterns) > 0
     for layer in ("extractor.parse_s", "transactions.build_s", "repository.serialize_s"):
         assert layers[layer] > 0, layer
     layers = _traced(["query", "--repo", str(store), "--pick", "1",
