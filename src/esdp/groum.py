@@ -13,10 +13,13 @@ independent-occurrence frequency reaches the threshold. Two exact prunes
 spare work on candidates that cannot be frequent: a label group with fewer
 candidates than the threshold is dropped before any key is computed, and a
 class found infrequent is remembered, so its frequency is computed once.
-Repeated work is skipped without changing the output: the canonical key is
-computed once per labelled shape (labels and edges of a candidate in
-ascending node order), and occurrences that share no node are counted
-without a search.
+Repeated work is skipped without changing the output: a candidate whose
+node set was keyed before, into a class already decided (frequent or
+infrequent), is dropped before its label group is counted; the canonical
+key is computed once per labelled shape (labels and edges of a candidate
+in ascending node order), and a single node's key is written directly;
+occurrences that share no node are counted without a search; and the
+graph build gives each distinct action its label and tag once per call.
 """
 
 from __future__ import annotations
@@ -76,10 +79,14 @@ def build_groum(items: Sequence[SourceItem], markers: Sequence[ControlMarker] = 
     use between (data dependency) or b immediately follows a (usage order);
     transitive edges are omitted.
     """
-    entries: list[tuple[tuple[int, int], str, str | None]] = []
-    for it in items:
-        if it.kind in _ACTION_KINDS:
-            entries.append(((it.line, 1), *_action(it)))
+    actions = [(it.line, *_action(it)) for it in items if it.kind in _ACTION_KINDS]
+    return _groum(actions, markers, origin or (items[0].enclosing if items else ""))
+
+
+def _groum(actions: Sequence[tuple[int, str, str | None]],
+           markers: Sequence[ControlMarker], origin: str) -> Groum:
+    """build_groum's graph from each action's (line, label, tag)."""
+    entries = [((line, 1), label, tag) for line, label, tag in actions]
     entries += [((m.line, 0), m.label, None) for m in markers]
     entries.sort(key=lambda e: e[0])
 
@@ -94,21 +101,32 @@ def build_groum(items: Sequence[SourceItem], markers: Sequence[ControlMarker] = 
         if tag in last_use:
             edges.add((last_use[tag], i))
         last_use[tag] = i
-    return Groum(labels, frozenset(edges), origin=origin or (items[0].enclosing if items else ""))
+    return Groum(labels, frozenset(edges), origin=origin)
 
 
 def build_groums_for_methods(items: Sequence[SourceItem],
                              markers: Sequence[ControlMarker]) -> list[Groum]:
     """One groum per method block that holds at least one action item or
-    control region, in method path order."""
-    actions: dict[str, list[SourceItem]] = {}
+    control region, in method path order, each as build_groum gives it.
+
+    An action's label and tag depend only on its kind and name, or, for a
+    this(...) call, on its class, so _action runs once per distinct one in
+    a dict local to this call; one kept by the module would be shared by
+    every call in a process and grow with each corpus."""
+    labelled: dict[tuple[str, str], tuple[str, str | None]] = {}
+    actions: dict[str, list[tuple[int, str, str | None]]] = {}
     marks: dict[str, list[ControlMarker]] = {}
     for it in items:
-        if it.kind in _ACTION_KINDS and it.enclosing.endswith("()"):
-            actions.setdefault(it.enclosing, []).append(it)
+        kind, enclosing = it.kind, it.enclosing
+        if kind in _ACTION_KINDS and enclosing.endswith("()"):
+            key = (kind, enclosing.rpartition(".")[0] if kind == "CTI" else it.name)
+            action = labelled.get(key)
+            if action is None:
+                action = labelled[key] = _action(it)
+            actions.setdefault(enclosing, []).append((it.line, *action))
     for m in markers:
         marks.setdefault(m.enclosing, []).append(m)
-    return [build_groum(actions.get(path, ()), marks.get(path, ()), origin=path)
+    return [_groum(actions.get(path, ()), marks.get(path, ()), path)
             for path in sorted(actions.keys() | marks.keys())]
 
 
@@ -293,8 +311,10 @@ def patt_explorer(dataset: Sequence[Groum], sigma: int) -> list[GroumPattern]:
     canonical key and classes meeting the threshold recurse. Two exact
     prunes (see _explore) skip a label group with fewer than sigma
     candidates and remember, in a set local to this call, every class found
-    infrequent; canonical keys are memoized per labelled shape, also only
-    for this call (see _isomorphism_classes). Output holds one pattern per
+    infrequent; canonical keys are memoized per node set and per labelled
+    shape, also only for this call (see _isomorphism_classes), and a
+    candidate whose node set is keyed into a class already decided is
+    dropped before its label group is counted. Output holds one pattern per
     canonical key, ordered by (size, canonical key).
     """
     if sigma < 1:
@@ -314,9 +334,9 @@ def patt_explorer(dataset: Sequence[Groum], sigma: int) -> list[GroumPattern]:
         occs = unit_occs[label]
         freq = sum(len(v) for v in occs.values())
         if freq >= sigma:
-            gi = min(occs)
-            rep = induced_subgraph(hosts[gi].graph, next(iter(occs[gi])))
-            explored[canonical_form(rep)] = GroumPattern(rep, occs, freq, 1, True)
+            # a single node's canonical key and induced subgraph
+            rep = Groum((label,), frozenset(), hosts[min(occs)].graph.origin)
+            explored[(label,), ()] = GroumPattern(rep, occs, freq, 1, True)
             frequent.add(label)
     keys: dict[tuple[int, frozenset[int]], tuple] = {}
     shapes: dict[tuple, tuple] = {}
@@ -339,30 +359,41 @@ def _explore(pattern: GroumPattern, hosts: Sequence[_Host], frequent: set[str],
     disjoint-occurrence counts, so it is at most its number of distinct
     occurrences, and each class of a label group holds a subset of the
     group's distinct node sets: a group with fewer than sigma candidates
-    holds no frequent class and is skipped before any key is computed.
+    holds no frequent class and is skipped before any key is computed, and
+    one reached fewer than sigma times before its node sets are built.
     A class's occurrence list does not depend on the parent that reached
     it: explored holds every occurrence of each frequent pattern, an
     occurrence of P (+) y contains an occurrence of P, and
     _isomorphism_classes orders occurrences by sorted graph index and sorted
     node set. So the exact count, the greedy lower bound and the
     representative are the same from every parent, and a key in explored or
-    in rejected is already decided."""
-    # P (+) U for every frequent label U at once: each occurrence X extended
-    # by an adjacent node Y of that label, with all connecting edges
-    # (induced extension)
-    extensions: dict[str, dict[int, set[frozenset[int]]]] = {}
+    in rejected is already decided.
+
+    A candidate whose node set keys already holds, under such a decided
+    key, is dropped before its label group is counted, which keeps both
+    outcomes: the class it belongs to would be skipped after the partition,
+    every other class of the group keeps all of its occurrences, and the
+    group's count still bounds each of those classes' frequencies."""
+    # P (+) U for every frequent label U: each occurrence X extended by an
+    # adjacent node Y of that label, with all connecting edges (induced
+    # extension); first the (graph, X, Y) that reach each label
+    reached: dict[str, list[tuple[int, frozenset[int], int]]] = {}
     for gi, occs in pattern.occurrences.items():
         neighbors, labels = hosts[gi].neighbors, hosts[gi].graph.labels
         for occ in occs:
-            adjacent: set[int] = set()
-            for v in occ:
-                adjacent |= neighbors[v]
-            for y in adjacent - occ:
+            for y in set().union(*map(neighbors.__getitem__, occ)) - occ:
                 label = labels[y]
                 if label in frequent:
-                    extensions.setdefault(label, {}).setdefault(gi, set()).add(occ | {y})
-    for label in sorted(extensions):
-        group = extensions[label]
+                    reached.setdefault(label, []).append((gi, occ, y))
+    for label in sorted(reached):
+        if len(reached[label]) < sigma:  # at least as many as distinct node sets
+            continue
+        group: dict[int, set[frozenset[int]]] = {}
+        for gi, occ, y in reached[label]:
+            grown = occ | {y}
+            key = keys.get((gi, grown))
+            if key is None or key not in explored and key not in rejected:
+                group.setdefault(gi, set()).add(grown)
         if sum(len(s) for s in group.values()) < sigma:
             continue
         for key, occurrences in _isomorphism_classes(hosts, group, keys, shapes):

@@ -395,10 +395,11 @@ def test_oracle_equivalence_random_sample():
 
 def test_patt_explorer_leaves_no_garbage_cycles(fixture_corpus):
     items, markers = extract_corpus([str(fixture_corpus)], ".java")
-    dataset = build_groums_for_methods(items, markers)
     gc.collect()
     gc.disable()
     try:
+        dataset = build_groums_for_methods(items, markers)
+        assert gc.collect() == 0
         found = patt_explorer(dataset, 2)
         assert gc.collect() == 0
     finally:
@@ -424,17 +425,16 @@ def test_canonical_key_computed_once_per_shape(fixture_corpus, tmp_path, monkeyp
         calls.clear()
         monkeypatch.setattr(groum, "_isomorphism_classes", recording_classes)
         memoized = patt_explorer(dataset, sigma)
-        seeds = sum(p.size == 1 for p in memoized)  # keyed by canonical_form
         shapes = {shape_of(dataset[gi], occ) for gi, occ in candidates_seen}
         assert len(shapes) < len(candidates_seen)  # shapes repeat
-        assert len(calls) == len(shapes) + seeds
+        assert len(calls) == len(shapes)  # size-1 patterns are keyed without a call
 
         # fresh memos for every partition compute the repeated keys again
         calls.clear()
         monkeypatch.setattr(groum, "_isomorphism_classes",
                             lambda hosts, candidates, *memos: real_classes(hosts, candidates, {}, {}))
         unmemoized = patt_explorer(dataset, sigma)
-        assert len(calls) > len(shapes) + seeds
+        assert len(calls) > len(shapes)
         assert memoized == unmemoized
 
 
@@ -478,6 +478,37 @@ def test_patt_explorer_matches_reference_on_fixture(fixture_corpus, sigma):
     found = patt_explorer(dataset, sigma)
     assert found == patt_explorer_spec(dataset, sigma)
     assert any(p.size > 2 for p in found)
+
+
+def test_candidates_of_decided_classes_are_never_partitioned(monkeypatch):
+    # a->b->c twice: the parents a->b and b->c both reach {0, 1, 2}, and
+    # only the first to reach it partitions it
+    chain = graph_of(["a", "b", "c"], {(0, 1), (1, 2)})
+    dataset = [chain, chain]
+    decided: list = []  # patt_explorer's explored and rejected
+    received: list[tuple[int, frozenset[int]]] = []
+    real_explore, real_classes = groum._explore, groum._isomorphism_classes
+
+    def recording_explore(pattern, hosts, frequent, sigma, explored, rejected, *memos):
+        decided[:] = [explored, rejected]
+        return real_explore(pattern, hosts, frequent, sigma, explored, rejected, *memos)
+
+    def recording_classes(hosts, candidates, keys, shapes):
+        explored, rejected = decided
+        for gi, occs in candidates.items():
+            for occ in occs:
+                key = keys.get((gi, occ))
+                assert key not in explored and key not in rejected
+                received.append((gi, occ))
+        return real_classes(hosts, candidates, keys, shapes)
+
+    monkeypatch.setattr(groum, "_explore", recording_explore)
+    monkeypatch.setattr(groum, "_isomorphism_classes", recording_classes)
+    found = patt_explorer(dataset, 2)
+    assert found == patt_explorer_spec(dataset, 2)
+    assert [p.size for p in found] == [1, 1, 1, 2, 2, 3]
+    assert sorted(received) == sorted(
+        (gi, frozenset(occ)) for gi in (0, 1) for occ in ({0, 1}, {1, 2}, {0, 1, 2}))
 
 
 def test_label_groups_below_sigma_are_never_partitioned(monkeypatch):
@@ -563,6 +594,43 @@ def test_build_groums_for_methods_splits_blocks():
     assert [(g.origin, g.labels) for g in groums] == [
         ("c.java.C.a()", ("IF",)), ("c.java.C.b()", ("IF",)),
         ("c.java.C.m1()", ("Unknown.x", "Unknown.y")), ("c.java.C.m2()", ("Unknown.z",))]
+
+
+def test_build_groums_for_methods_labels_each_distinct_action_once(monkeypatch):
+    calls = []
+    real = groum._action
+    monkeypatch.setattr(groum, "_action", lambda item: calls.append(item) or real(item))
+    source = """package p;
+class A {
+    A() { this(1); }
+    void k(int n) { Conn c = new Conn(); c.open(); c.open(); }
+    void m() { Conn d = new Conn(); d.open(); d.close(); }
+}
+class B {
+    B() { this(2); }
+    void n() { super.g(); Log l = new Log(); l.open(); }
+}
+"""
+    items, markers = extract_items(source, "a.java")
+    groums = build_groums_for_methods(items, markers)
+    # this(int) in A and in B; Conn(), conn.open() and conn.close() in k and
+    # m; super.g(), Log() and log.open()
+    assert len(calls) == 8
+    assert [(g.origin, g.labels) for g in groums] == [
+        ("p.A.A()", ("A.<init>",)),
+        ("p.A.k()", ("Conn.<init>", "Conn.open", "Conn.open")),
+        ("p.A.m()", ("Conn.<init>", "Conn.open", "Conn.close")),
+        ("p.B.B()", ("B.<init>",)),
+        ("p.B.n()", ("Super.g", "Log.<init>", "Log.open"))]
+    # per call: another corpus, its this(int) in class C, gets what a fresh
+    # build of each method gives it
+    other = "package q;\nclass C { C() { this(0); } void m() { Log l = new Log(); l.open(); } }\n"
+    items, markers = extract_items(other, "q.java")
+    assert markers == []
+    fresh = [build_groum([it for it in items if it.enclosing == path], (), path)
+             for path in ("q.C.C()", "q.C.m()")]
+    assert fresh[0].labels == ("C.<init>",)
+    assert build_groums_for_methods(items, markers) == fresh
 
 
 def test_dump_format():
