@@ -341,8 +341,9 @@ def _positive_int(text: str) -> int:
 
 
 def _extension(text: str) -> str:
-    # an extension starts with its dot: "java" would also take Foojava
-    if len(text) < 2 or not text.startswith("."):
+    # an extension starts with its dot: "java" would also take Foojava; it
+    # ends a file name, so it holds no "/"
+    if len(text) < 2 or not text.startswith(".") or "/" in text:
         raise argparse.ArgumentTypeError(f"must be a '.' and a suffix, like .java, got {text!r}")
     return text
 

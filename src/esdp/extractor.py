@@ -1012,17 +1012,18 @@ def extract_items(source: str, file_label: str = "<memory>",
 def iter_source_files(corpus_dirs: Iterable[str | Path], ext: str = ".java") -> Iterator[Path]:
     """Recursively discover source files under the corpus directories,
     each directory's in sorted order; a root that is a file is taken when
-    its name ends in ext, as the walk of a directory takes it. A file
-    reached through more than one root (overlapping roots, or a link) is
-    yielded once, where it is first found; files are told apart as
+    its name ends in ext, as the walk of a directory takes it. ext is a
+    literal suffix, not a glob: ".ja*" takes only names ending in ".ja*".
+    A file reached through more than one root (overlapping roots, or a
+    link) is yielded once, where it is first found; files are told apart as
     ``os.path.samefile`` does, by device and inode."""
     seen: set[tuple[int, int]] = set()
     for root in corpus_dirs:
         root = Path(root)
         if root.is_file():
-            found = [root] if root.match(f"*{ext}") else []
+            found = [root] if root.name.endswith(ext) else []
         else:
-            found = sorted(p for p in root.rglob(f"*{ext}") if p.is_file())
+            found = sorted(p for p in root.rglob("*") if p.name.endswith(ext) and p.is_file())
         for path in found:
             stat = path.stat()
             if (stat.st_dev, stat.st_ino) not in seen:

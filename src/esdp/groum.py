@@ -9,17 +9,16 @@ time by extending every stored occurrence with an adjacent node of a
 frequent label, groups the candidates into isomorphism classes by one
 canonical key (colour refinement, then the smallest edge list over the
 orders the refinement leaves open), and keeps classes whose
-independent-occurrence frequency reaches the threshold. Two exact prunes
-spare work on candidates that cannot be frequent: a label group with fewer
-candidates than the threshold is dropped before any key is computed, and a
-class found infrequent is remembered, so its frequency is computed once.
-Repeated work is skipped without changing the output: a candidate whose
-node set was keyed before, into a class already decided (frequent or
-infrequent), is dropped before its label group is counted; the canonical
-key is computed once per labelled shape (labels and edges of a candidate
-in ascending node order), and a single node's key is written directly;
-occurrences that share no node are counted without a search; and the
-graph build gives each distinct action its label and tag once per call.
+independent-occurrence frequency reaches the threshold. A label group with
+fewer candidates than the threshold holds no frequent class and is dropped
+before any key is computed. Each node set is partitioned at most once per
+call: the first group to partition any occurrence of a class holds all of
+them, so a node set partitioned before is dropped and no class is decided
+twice. The canonical key is computed once per labelled shape (labels and
+edges of a candidate in ascending node order), and a single node's key is
+written directly; occurrences that share no node are counted without a
+search; and the graph build gives each distinct action its label and tag
+once per call.
 """
 
 from __future__ import annotations
@@ -308,14 +307,12 @@ def patt_explorer(dataset: Sequence[Groum], sigma: int) -> list[GroumPattern]:
     Growth is seeded with the frequent single-label patterns; each pattern's
     full occurrence set is extended by every adjacent node carrying a
     frequent label, candidates are partitioned into isomorphism classes by
-    canonical key and classes meeting the threshold recurse. Two exact
-    prunes (see _explore) skip a label group with fewer than sigma
-    candidates and remember, in a set local to this call, every class found
-    infrequent; canonical keys are memoized per node set and per labelled
-    shape, also only for this call (see _isomorphism_classes), and a
-    candidate whose node set is keyed into a class already decided is
-    dropped before its label group is counted. Output holds one pattern per
-    canonical key, ordered by (size, canonical key).
+    canonical key and classes meeting the threshold recurse. A label group
+    with fewer than sigma candidates is skipped, and each node set is
+    partitioned at most once per call (see _explore), recorded in a set
+    local to this call, as is the memo of canonical keys per labelled shape
+    (see _isomorphism_classes). Output holds one pattern per canonical key,
+    ordered by (size, canonical key).
     """
     if sigma < 1:
         raise InvalidThreshold(f"sigma must be >= 1, got {sigma}")
@@ -338,42 +335,38 @@ def patt_explorer(dataset: Sequence[Groum], sigma: int) -> list[GroumPattern]:
             rep = Groum((label,), frozenset(), hosts[min(occs)].graph.origin)
             explored[(label,), ()] = GroumPattern(rep, occs, freq, 1, True)
             frequent.add(label)
-    keys: dict[tuple[int, frozenset[int]], tuple] = {}
+    partitioned: set[tuple[int, frozenset[int]]] = set()
     shapes: dict[tuple, tuple] = {}
-    rejected: set[tuple] = set()
     for pattern in list(explored.values()):
-        _explore(pattern, hosts, frequent, sigma, explored, rejected, keys, shapes)
+        _explore(pattern, hosts, frequent, sigma, explored, partitioned, shapes)
     return [p for _, p in sorted(explored.items(), key=lambda kv: (kv[1].size, kv[0]))]
 
 
 def _explore(pattern: GroumPattern, hosts: Sequence[_Host], frequent: set[str],
-             sigma: int, explored: dict[tuple, GroumPattern], rejected: set[tuple],
-             keys: dict[tuple[int, frozenset[int]], tuple],
+             sigma: int, explored: dict[tuple, GroumPattern],
+             partitioned: set[tuple[int, frozenset[int]]],
              shapes: dict[tuple, tuple]) -> None:
     """Grow pattern depth first, labels in sorted order, adding every new
-    frequent class to explored and every infrequent one to rejected, under
-    its canonical key. keys and shapes are the memos of
-    _isomorphism_classes for this call.
+    frequent class to explored under its canonical key. partitioned holds
+    every (graph index, node set) handed to _isomorphism_classes in this
+    call, and shapes is that function's memo.
 
-    Both prunes are exact. A class's frequency is a sum of maximum
+    The prune is exact. A class's frequency is a sum of maximum
     disjoint-occurrence counts, so it is at most its number of distinct
     occurrences, and each class of a label group holds a subset of the
     group's distinct node sets: a group with fewer than sigma candidates
     holds no frequent class and is skipped before any key is computed, and
     one reached fewer than sigma times before its node sets are built.
-    A class's occurrence list does not depend on the parent that reached
-    it: explored holds every occurrence of each frequent pattern, an
-    occurrence of P (+) y contains an occurrence of P, and
-    _isomorphism_classes orders occurrences by sorted graph index and sorted
-    node set. So the exact count, the greedy lower bound and the
-    representative are the same from every parent, and a key in explored or
-    in rejected is already decided.
 
-    A candidate whose node set keys already holds, under such a decided
-    key, is dropped before its label group is counted, which keeps both
-    outcomes: the class it belongs to would be skipped after the partition,
-    every other class of the group keeps all of its occurrences, and the
-    group's count still bounds each of those classes' frequencies."""
+    Each node set is partitioned at most once per call, which is exact too.
+    An occurrence of a class K = P (+) y is an occurrence of P with one
+    adjacent node labelled y added, and explored holds every occurrence of
+    P, so the first group that partitions any of K's node sets holds all of
+    them, and _isomorphism_classes orders them by sorted graph index and
+    sorted node set: K's count, lower-bound flag and representative are
+    those of any parent. A node set partitioned before is dropped before
+    its label group is counted; every class of the group is then new, and
+    recursion only partitions larger node sets."""
     # P (+) U for every frequent label U: each occurrence X extended by an
     # adjacent node Y of that label, with all connecting edges (induced
     # extension); first the (graph, X, Y) that reach each label
@@ -391,40 +384,36 @@ def _explore(pattern: GroumPattern, hosts: Sequence[_Host], frequent: set[str],
         group: dict[int, set[frozenset[int]]] = {}
         for gi, occ, y in reached[label]:
             grown = occ | {y}
-            key = keys.get((gi, grown))
-            if key is None or key not in explored and key not in rejected:
+            if (gi, grown) not in partitioned:
                 group.setdefault(gi, set()).add(grown)
         if sum(len(s) for s in group.values()) < sigma:
             continue
-        for key, occurrences in _isomorphism_classes(hosts, group, keys, shapes):
-            if key in explored or key in rejected:
-                continue
+        partitioned.update((gi, occ) for gi, occs in group.items() for occ in occs)
+        for key, occurrences in _isomorphism_classes(hosts, group, shapes):
             freq, exact = frequency(occurrences)
             if freq < sigma:
-                rejected.add(key)
                 continue
             gi = next(iter(occurrences))
             rep = induced_subgraph(hosts[gi].graph, occurrences[gi][0])
             cls = GroumPattern(rep, occurrences, freq, len(rep.labels), exact)
             explored[key] = cls
-            _explore(cls, hosts, frequent, sigma, explored, rejected, keys, shapes)
+            _explore(cls, hosts, frequent, sigma, explored, partitioned, shapes)
 
 
 def _isomorphism_classes(hosts: Sequence[_Host],
                          candidates: dict[int, set[frozenset[int]]],
-                         keys: dict[tuple[int, frozenset[int]], tuple],
                          shapes: dict[tuple, tuple],
                          ) -> list[tuple[tuple, dict[int, list[frozenset[int]]]]]:
     """Partition candidate subgraphs into label-isomorphism classes: each
     canonical key with its occurrences, in first-seen order over sorted
     graph indexes and sorted node sets. The first occurrence of a class is
-    its representative.
+    its representative. patt_explorer hands each node set here at most once
+    per call (see _explore), so nothing is memoized per node set.
 
-    keys maps (graph index, node set) to its canonical key; on a miss the
-    key is looked up in shapes under the candidate's labelled shape, its
+    A candidate's key is looked up in shapes under its labelled shape, its
     labels in ascending node-id order and its edges as (position, position)
-    pairs, and computed by _canonical_key only when the shape is new. Both
-    memos are exact: two candidates with equal shapes are mapped onto each
+    pairs, and computed by _canonical_key only when the shape is new. The
+    memo is exact: two candidates with equal shapes are mapped onto each
     other by the position bijection, which keeps labels and edges, and the
     canonical key depends only on the labelled graph up to isomorphism, so
     the key of the shape is the key of every occurrence that has it."""
@@ -432,16 +421,13 @@ def _isomorphism_classes(hosts: Sequence[_Host],
     for gi in sorted(candidates):
         labels, successors = hosts[gi].graph.labels, hosts[gi].successors
         for nodes, occ in sorted([(sorted(occ), occ) for occ in candidates[gi]]):
-            key = keys.get((gi, occ))
+            position = {v: i for i, v in enumerate(nodes)}
+            shape = (tuple(map(labels.__getitem__, nodes)),
+                     tuple((i, position[b]) for i, a in enumerate(nodes)
+                           for b in successors[a] if b in position))
+            key = shapes.get(shape)
             if key is None:
-                position = {v: i for i, v in enumerate(nodes)}
-                shape = (tuple(map(labels.__getitem__, nodes)),
-                         tuple((i, position[b]) for i, a in enumerate(nodes)
-                               for b in successors[a] if b in position))
-                key = shapes.get(shape)
-                if key is None:
-                    key = shapes[shape] = _canonical_key(*shape)
-                keys[gi, occ] = key
+                key = shapes[shape] = _canonical_key(*shape)
             classes.setdefault(key, {}).setdefault(gi, []).append(occ)
     return list(classes.items())
 

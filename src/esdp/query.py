@@ -161,7 +161,9 @@ def _is_instance_receiver(recv: str) -> bool:
 def derive_bindings(elements: tuple[tuple[str, str], ...]) -> dict[str, str]:
     """Default variable->type bindings implied by a pattern's elements:
     every instance receiver (of a call or a field write) binds to its
-    upper-first type, every array access to a synthetic array variable."""
+    upper-first type, every array access to a synthetic array variable
+    named by its element type and one "Array" per dimension (int[][] ->
+    intArrayArray), so arrays of one element type keep distinct names."""
     bindings: dict[str, str] = {}
     for kind, name in elements:
         if kind in ("MI", "FA"):
@@ -169,7 +171,7 @@ def derive_bindings(elements: tuple[tuple[str, str], ...]) -> dict[str, str]:
             if _is_instance_receiver(recv):
                 bindings.setdefault(recv, upper_first(recv))
         elif kind == "AA" and name.endswith("[]") and not name.startswith("unknown"):
-            var = lower_camel(simple_name(name[:-2])) + "Array"
+            var = lower_camel(simple_name(name.replace("[]", ""))) + "Array" * name.count("[]")
             bindings.setdefault(var, name)
     return bindings
 

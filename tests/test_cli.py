@@ -108,6 +108,8 @@ def test_bad_threshold_exits_2(corpus, capsys):
     # the threshold is given or found, and the cap bounds only the search
     (["mine", "--corpus", "c", "--adaptive", "--min-support", "3"], "--min-support"),
     (["update", "--corpus", "c", "--min-support", "3", "--max-patterns", "5"], "--max-patterns"),
+    # an extension ends a file name
+    (["groum", "--corpus", "c", "--ext", ".d/x.java"], "--ext"),
 ])
 def test_usage_error_names_argument(argv, named, capsys):
     with pytest.raises(SystemExit) as err:
@@ -628,6 +630,21 @@ def test_ext_takes_a_file_root_as_it_takes_a_file_in_a_directory(tmp_path, capsy
     status, out = run(["extract", "--corpus", path, "--ext", ".src.java"], capsys)
     assert status == 0 and f"MI\tconn.open()\t{path}.K.run()\t1" in out.splitlines()
     assert run(["extract", "--corpus", str(tmp_path), "--ext", ".src.java"], capsys) == (0, out)
+
+
+def test_ext_is_a_literal_suffix_not_a_glob(tmp_path, capsys):
+    # ".ja*" names only files whose names end in ".ja*", whether the root is
+    # the directory or the file
+    for name in ("A.java", "B.jav", "C.ja*"):
+        (tmp_path / name).write_text("class K { void run(Conn c) { c.open(); } }\n")
+    star = str(tmp_path / "C.ja*")
+    status, out = run(["extract", "--corpus", str(tmp_path), "--ext", ".ja*"], capsys)
+    assert status == 0
+    assert [line for line in out.splitlines() if line.startswith("MI")] == [
+        f"MI\tconn.open()\t{star}.K.run()\t1"]
+    assert run(["extract", "--corpus", star, "--ext", ".ja*"], capsys) == (0, out)
+    assert run(["extract", "--corpus", str(tmp_path / "B.jav"), "--ext", ".ja*"],
+               capsys) == (0, "\n")
 
 
 def test_overlapping_corpus_roots_read_each_file_once(tmp_path, capsys, monkeypatch):

@@ -212,18 +212,18 @@ def test_occurrences_of_one_shape_share_a_class_and_a_key(monkeypatch):
     key = canonical_form(induced_subgraph(one, {0, 1}))
     calls = counting_canonical_key(monkeypatch)
     within = groum._isomorphism_classes(
-        hosts, {0: {frozenset({5, 7}), frozenset({0, 1})}}, {}, {})
+        hosts, {0: {frozenset({5, 7}), frozenset({0, 1})}}, {})
     assert within == [(key, {0: [frozenset({0, 1}), frozenset({5, 7})]})]
     assert len(calls) == 1  # one labelled shape
     calls.clear()
     across = groum._isomorphism_classes(
-        hosts[:1] * 2, {1: {frozenset({5, 7})}, 0: {frozenset({0, 1})}}, {}, {})
+        hosts[:1] * 2, {1: {frozenset({5, 7})}, 0: {frozenset({0, 1})}}, {})
     assert across == [(key, {0: [frozenset({0, 1})], 1: [frozenset({5, 7})]})]
     assert len(calls) == 1
     # the same class under another shape: b is numbered below a
     calls.clear()
     mixed = groum._isomorphism_classes(
-        hosts, {0: {frozenset({0, 1})}, 1: {frozenset({1, 3})}}, {}, {})
+        hosts, {0: {frozenset({0, 1})}, 1: {frozenset({1, 3})}}, {})
     assert mixed == [(key, {0: [frozenset({0, 1})], 1: [frozenset({1, 3})]})]
     assert len(calls) == 2
 
@@ -407,6 +407,13 @@ def test_patt_explorer_leaves_no_garbage_cycles(fixture_corpus):
     assert any(p.size > 2 for p in found)
 
 
+class Forgetful(dict):
+    """A memo that stores nothing."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
 def test_canonical_key_computed_once_per_shape(fixture_corpus, tmp_path, monkeypatch):
     """On the fixture and on the benchmark's corpus shape, where the same
     idioms give the same labelled shapes in many methods."""
@@ -418,9 +425,9 @@ def test_canonical_key_computed_once_per_shape(fixture_corpus, tmp_path, monkeyp
         dataset = build_groums_for_methods(items, markers)
         candidates_seen: set[tuple[int, frozenset[int]]] = set()
 
-        def recording_classes(hosts, candidates, *memos):
+        def recording_classes(hosts, candidates, *args):
             candidates_seen.update((gi, occ) for gi, occs in candidates.items() for occ in occs)
-            return real_classes(hosts, candidates, *memos)
+            return real_classes(hosts, candidates, *args)
 
         calls.clear()
         monkeypatch.setattr(groum, "_isomorphism_classes", recording_classes)
@@ -429,12 +436,21 @@ def test_canonical_key_computed_once_per_shape(fixture_corpus, tmp_path, monkeyp
         assert len(shapes) < len(candidates_seen)  # shapes repeat
         assert len(calls) == len(shapes)  # size-1 patterns are keyed without a call
 
-        # fresh memos for every partition compute the repeated keys again
+        # a shape's occurrences are one class's, all partitioned in one
+        # group, so a fresh memo for every partition computes no key again
         calls.clear()
         monkeypatch.setattr(groum, "_isomorphism_classes",
-                            lambda hosts, candidates, *memos: real_classes(hosts, candidates, {}, {}))
+                            lambda hosts, candidates, *args: real_classes(hosts, candidates, {}))
+        assert patt_explorer(dataset, sigma) == memoized
+        assert len(calls) == len(shapes)
+
+        # a memo that keeps nothing computes one key per candidate
+        calls.clear()
+        monkeypatch.setattr(groum, "_isomorphism_classes",
+                            lambda hosts, candidates, *args: real_classes(hosts, candidates,
+                                                                          Forgetful()))
         unmemoized = patt_explorer(dataset, sigma)
-        assert len(calls) > len(shapes)
+        assert len(calls) == len(candidates_seen) > len(shapes)
         assert memoized == unmemoized
 
 
@@ -480,35 +496,54 @@ def test_patt_explorer_matches_reference_on_fixture(fixture_corpus, sigma):
     assert any(p.size > 2 for p in found)
 
 
+def recording_partitions(monkeypatch) -> list[tuple[int, frozenset[int]]]:
+    """Patch groum._isomorphism_classes to record each (graph index, node
+    set) it receives; return the record."""
+    received: list[tuple[int, frozenset[int]]] = []
+    real = groum._isomorphism_classes
+
+    def recording(hosts, candidates, *args):
+        received.extend((gi, occ) for gi, occs in candidates.items() for occ in occs)
+        return real(hosts, candidates, *args)
+
+    monkeypatch.setattr(groum, "_isomorphism_classes", recording)
+    return received
+
+
 def test_candidates_of_decided_classes_are_never_partitioned(monkeypatch):
     # a->b->c twice: the parents a->b and b->c both reach {0, 1, 2}, and
     # only the first to reach it partitions it
     chain = graph_of(["a", "b", "c"], {(0, 1), (1, 2)})
     dataset = [chain, chain]
-    decided: list = []  # patt_explorer's explored and rejected
-    received: list[tuple[int, frozenset[int]]] = []
-    real_explore, real_classes = groum._explore, groum._isomorphism_classes
-
-    def recording_explore(pattern, hosts, frequent, sigma, explored, rejected, *memos):
-        decided[:] = [explored, rejected]
-        return real_explore(pattern, hosts, frequent, sigma, explored, rejected, *memos)
-
-    def recording_classes(hosts, candidates, keys, shapes):
-        explored, rejected = decided
-        for gi, occs in candidates.items():
-            for occ in occs:
-                key = keys.get((gi, occ))
-                assert key not in explored and key not in rejected
-                received.append((gi, occ))
-        return real_classes(hosts, candidates, keys, shapes)
-
-    monkeypatch.setattr(groum, "_explore", recording_explore)
-    monkeypatch.setattr(groum, "_isomorphism_classes", recording_classes)
+    received = recording_partitions(monkeypatch)
     found = patt_explorer(dataset, 2)
     assert found == patt_explorer_spec(dataset, 2)
     assert [p.size for p in found] == [1, 1, 1, 2, 2, 3]
+    assert len(received) == len(set(received))  # no node set reaches it twice
     assert sorted(received) == sorted(
         (gi, frozenset(occ)) for gi in (0, 1) for occ in ({0, 1}, {1, 2}, {0, 1, 2}))
+
+
+@settings(max_examples=150, deadline=None)
+@given(dataset=groum_datasets(), sigma=st.integers(1, 6))
+def test_each_node_set_is_partitioned_at_most_once(dataset, sigma):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        received = recording_partitions(monkeypatch)
+        found = patt_explorer(dataset, sigma)
+    assert len(received) == len(set(received))
+    assert found == patt_explorer_spec(dataset, sigma)
+
+
+@pytest.mark.parametrize("sigma", [3, 8])
+def test_each_node_set_is_partitioned_at_most_once_on_generated_corpus(
+        tmp_path, monkeypatch, sigma):
+    gen.generate_corpus(tmp_path, 3, files=12, methods=5)
+    items, markers = extract_corpus([str(tmp_path)], ".java")
+    dataset = build_groums_for_methods(items, markers)
+    received = recording_partitions(monkeypatch)
+    found = patt_explorer(dataset, sigma)
+    assert received and len(received) == len(set(received))
+    assert found == patt_explorer_spec(dataset, sigma)
 
 
 def test_label_groups_below_sigma_are_never_partitioned(monkeypatch):
@@ -518,9 +553,9 @@ def test_label_groups_below_sigma_are_never_partitioned(monkeypatch):
     partitioned: list[int] = []
     real = groum._isomorphism_classes
 
-    def recording(hosts, candidates, *memos):
+    def recording(hosts, candidates, *args):
         partitioned.append(sum(len(occs) for occs in candidates.values()))
-        return real(hosts, candidates, *memos)
+        return real(hosts, candidates, *args)
 
     monkeypatch.setattr(groum, "_isomorphism_classes", recording)
     found = patt_explorer(dataset, sigma)

@@ -261,7 +261,8 @@ _BODY_ITEMS = st.one_of(
     st.builds("CI {}({})".format, st.sampled_from(["Widget", "lib.Item"]), _ARGS),
     st.sampled_from(["VD int", "VD String", "VD Widget", "VD lib.Item", "VD Widget[]",
                      "ACD Runnable", "ACD lib.Item", "AC int[]", "AC Widget[]", "AC int[][]",
-                     "AA int[]", "AA Widget[]", "AA unknown[]"]),
+                     "AA int[]", "AA Widget[]", "AA int[][]", "AA Widget[][]",
+                     "AA unknown[]"]),
     st.builds("FA {}.{}".format, _RECEIVERS, st.sampled_from(["size", "LIMIT"])),
     st.builds("CTI this({})".format, _ARGS),
     st.builds("SCI super({})".format, _ARGS),
