@@ -310,9 +310,8 @@ def patt_explorer(dataset: Sequence[Groum], sigma: int) -> list[GroumPattern]:
     canonical key and classes meeting the threshold recurse. A label group
     with fewer than sigma candidates is skipped, and each node set is
     partitioned at most once per call (see _explore), recorded in a set
-    local to this call, as is the memo of canonical keys per labelled shape
-    (see _isomorphism_classes). Output holds one pattern per canonical key,
-    ordered by (size, canonical key).
+    local to this call. Output holds one pattern per canonical key, ordered
+    by (size, canonical key).
     """
     if sigma < 1:
         raise InvalidThreshold(f"sigma must be >= 1, got {sigma}")
@@ -336,20 +335,18 @@ def patt_explorer(dataset: Sequence[Groum], sigma: int) -> list[GroumPattern]:
             explored[(label,), ()] = GroumPattern(rep, occs, freq, 1, True)
             frequent.add(label)
     partitioned: set[tuple[int, frozenset[int]]] = set()
-    shapes: dict[tuple, tuple] = {}
     for pattern in list(explored.values()):
-        _explore(pattern, hosts, frequent, sigma, explored, partitioned, shapes)
+        _explore(pattern, hosts, frequent, sigma, explored, partitioned)
     return [p for _, p in sorted(explored.items(), key=lambda kv: (kv[1].size, kv[0]))]
 
 
 def _explore(pattern: GroumPattern, hosts: Sequence[_Host], frequent: set[str],
              sigma: int, explored: dict[tuple, GroumPattern],
-             partitioned: set[tuple[int, frozenset[int]]],
-             shapes: dict[tuple, tuple]) -> None:
+             partitioned: set[tuple[int, frozenset[int]]]) -> None:
     """Grow pattern depth first, labels in sorted order, adding every new
     frequent class to explored under its canonical key. partitioned holds
     every (graph index, node set) handed to _isomorphism_classes in this
-    call, and shapes is that function's memo.
+    call.
 
     The prune is exact. A class's frequency is a sum of maximum
     disjoint-occurrence counts, so it is at most its number of distinct
@@ -366,7 +363,9 @@ def _explore(pattern: GroumPattern, hosts: Sequence[_Host], frequent: set[str],
     sorted node set: K's count, lower-bound flag and representative are
     those of any parent. A node set partitioned before is dropped before
     its label group is counted; every class of the group is then new, and
-    recursion only partitions larger node sets."""
+    recursion only partitions larger node sets. A class's representative is
+    built from the labelled shape of its first occurrence, which is that
+    occurrence's induced subgraph."""
     # P (+) U for every frequent label U: each occurrence X extended by an
     # adjacent node Y of that label, with all connecting edges (induced
     # extension); first the (graph, X, Y) that reach each label
@@ -389,34 +388,37 @@ def _explore(pattern: GroumPattern, hosts: Sequence[_Host], frequent: set[str],
         if sum(len(s) for s in group.values()) < sigma:
             continue
         partitioned.update((gi, occ) for gi, occs in group.items() for occ in occs)
-        for key, occurrences in _isomorphism_classes(hosts, group, shapes):
+        for key, (labels, edges), occurrences in _isomorphism_classes(hosts, group):
             freq, exact = frequency(occurrences)
             if freq < sigma:
                 continue
-            gi = next(iter(occurrences))
-            rep = induced_subgraph(hosts[gi].graph, occurrences[gi][0])
-            cls = GroumPattern(rep, occurrences, freq, len(rep.labels), exact)
+            rep = Groum(labels, frozenset(edges), hosts[next(iter(occurrences))].graph.origin)
+            cls = GroumPattern(rep, occurrences, freq, len(labels), exact)
             explored[key] = cls
-            _explore(cls, hosts, frequent, sigma, explored, partitioned, shapes)
+            _explore(cls, hosts, frequent, sigma, explored, partitioned)
 
 
 def _isomorphism_classes(hosts: Sequence[_Host],
                          candidates: dict[int, set[frozenset[int]]],
-                         shapes: dict[tuple, tuple],
-                         ) -> list[tuple[tuple, dict[int, list[frozenset[int]]]]]:
+                         ) -> list[tuple[tuple, tuple, dict[int, list[frozenset[int]]]]]:
     """Partition candidate subgraphs into label-isomorphism classes: each
-    canonical key with its occurrences, in first-seen order over sorted
-    graph indexes and sorted node sets. The first occurrence of a class is
-    its representative. patt_explorer hands each node set here at most once
-    per call (see _explore), so nothing is memoized per node set.
+    canonical key with the labelled shape of its first occurrence and its
+    occurrences, in first-seen order over sorted graph indexes and sorted
+    node sets. The first occurrence of a class is its representative.
+    patt_explorer hands each node set here at most once per call (see
+    _explore), so nothing is memoized per node set.
 
-    A candidate's key is looked up in shapes under its labelled shape, its
-    labels in ascending node-id order and its edges as (position, position)
-    pairs, and computed by _canonical_key only when the shape is new. The
-    memo is exact: two candidates with equal shapes are mapped onto each
-    other by the position bijection, which keeps labels and edges, and the
+    A candidate's labelled shape is its labels in ascending node-id order
+    and its edges as (position, position) pairs: its induced subgraph. Its
+    key is computed by _canonical_key once per shape in a memo local to the
+    call; one shared by calls would never hit, since a shape's occurrences
+    are one class's and all of them are partitioned in one call. The memo
+    is exact: two candidates with equal shapes are mapped onto each other
+    by the position bijection, which keeps labels and edges, and the
     canonical key depends only on the labelled graph up to isomorphism, so
     the key of the shape is the key of every occurrence that has it."""
+    shapes: dict[tuple, tuple] = {}
+    firsts: dict[tuple, tuple] = {}
     classes: dict[tuple, dict[int, list[frozenset[int]]]] = {}
     for gi in sorted(candidates):
         labels, successors = hosts[gi].graph.labels, hosts[gi].successors
@@ -428,8 +430,9 @@ def _isomorphism_classes(hosts: Sequence[_Host],
             key = shapes.get(shape)
             if key is None:
                 key = shapes[shape] = _canonical_key(*shape)
+                firsts.setdefault(key, shape)
             classes.setdefault(key, {}).setdefault(gi, []).append(occ)
-    return list(classes.items())
+    return [(key, firsts[key], occurrences) for key, occurrences in classes.items()]
 
 
 # --- reporting -----------------------------------------------------------------

@@ -9,9 +9,10 @@ item sequence.
 
 from __future__ import annotations
 
+from itertools import takewhile
 from typing import TYPE_CHECKING, NamedTuple
 
-from .extractor import UnparsableSource, extract_items
+from .extractor import MODIFIERS, UnparsableSource, extract_items
 from .items import lower_camel, simple_name, upper_first
 from .mining import SequentialPattern
 from .repository import MinedRepository
@@ -19,7 +20,9 @@ from .repository import MinedRepository
 if TYPE_CHECKING:
     from fractions import Fraction
 
-_FIELD_MODIFIERS = ("private", "public", "protected", "static", "final")
+# A statement reads as a field declaration when one of its leading modifiers
+# is among these; "final" alone is legal on a local.
+_FIELD_MODIFIERS = frozenset(("private", "public", "protected", "static"))
 
 
 class UnparsableQuery(ValueError):
@@ -72,7 +75,7 @@ def abstract_query(statement: str, context: QueryContext | None = None) -> UserQ
         text += ";"
     head = "".join(f"import {imp};\n" for imp in context.imports) + "class Query {\n"
     tail = "}\n"
-    if text.split(None, 1)[0] not in _FIELD_MODIFIERS:
+    if _FIELD_MODIFIERS.isdisjoint(takewhile(MODIFIERS.__contains__, text.split())):
         # not a field-style statement: abstract inside a method
         head, tail = head + "void query() {\n", tail + "}\n"
     try:

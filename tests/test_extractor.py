@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import random
 import re
 import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, find, given, settings
+from hypothesis.errors import NoSuchExample
 from hypothesis import strategies as st
 
 from esdp import extractor
@@ -20,9 +22,10 @@ from esdp.extractor import (
 )
 from esdp.items import ITEM_KINDS
 from esdp.transactions import build_sequence_db
-from oracles import extract_items_reference, tokenize_reference
+from java_units import LABEL, SKIPPED, java_units
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import checks  # noqa: E402  the benchmark's checks against the generator's record
 import gen  # noqa: E402  the benchmark's seeded corpus generator
 
 FIG_311 = """
@@ -221,7 +224,7 @@ def test_duplicate_invocations_both_emitted():
     assert len(ticks) == 2
 
 
-# --- scanner against the character-at-a-time reference ---------------------------
+# --- scanner ---------------------------------------------------------------------
 
 # characters where regex classes and str predicates part ways ('²' is a digit
 # but not decimal, '½' numeric but neither, '一' a letter that is numeric,
@@ -236,30 +239,10 @@ _TEXT = st.one_of(st.text(), st.lists(st.one_of(_LEXEMES, st.text(max_size=2)),
                                       max_size=40).map("".join))
 
 
-def _token_rows(source):
-    """tokenize's lists as (kind, text, line, col) rows, the reference's form."""
-    tokens = tokenize(source)
-    return [(kind, text, *tokens.position(i))
-            for i, (kind, text) in enumerate(zip(tokens.kinds, tokens.texts))]
-
-
-def _lex(lexer, source):
-    try:
-        return lexer(source)
-    except UnparsableSource as exc:
-        return ("error", str(exc), exc.line, exc.column)
-
-
-@settings(max_examples=400, deadline=None)
-@given(_TEXT)
-@example("x\u00b2 = 1.\u00b2 + \u00b2$;")
-@example("int \u00bd;")
-@example("a\u00a0b")
-@example('s = "a\\\nb" /* c\n */ // d')
-@example("'\\")
-@example("x /* y")
-def test_tokenize_matches_reference(source):
-    assert _lex(_token_rows, source) == _lex(tokenize_reference, source)
+def test_tokenize_reads_each_operator_whole():
+    operators = "== != <= >= && || ++ -- += -= *= /= %= &= |= ^= -> ::".split()
+    tokens = tokenize("a " + " a ".join(operators) + " a")
+    assert tokens.texts[1:-1:2] == operators
 
 
 def test_tokenize_digit_classes():
@@ -417,6 +400,13 @@ def test_else_if_chain_reads_without_nesting():
     ("void m() { Été x = y; x.f(); }", [("MD", "m():void"), ("MI", "unknown.f()")]),
     ("void m() { $T x = y; _U w; x.f(); w.g(); }",
      [("MD", "m():void"), ("VD", "$T"), ("VD", "_U"), ("MI", "$T.f()"), ("MI", "_U.g()")]),
+    # initializers are skipped whole, and so is a member that names no type
+    ("static { a.run(); } { b.run(); } void m() { c.go(); }",
+     [("MD", "m():void"), ("MI", "unknown.go()")]),
+    ("Other() { x.run(); } int f;", [("FD", "int")]),
+    # a nested class's fields end with it; a parenthesized argument types as its content
+    ("B f; class N { C g; } void m(int i) { this.f.g((i)); }",
+     [("FD", "B"), ("TD", "N"), ("FD", "C"), ("MD", "m(int):void"), ("MI", "b.g(int)")]),
 ])
 def test_reader_items(body, expected):
     items, _ = extract_items("class A extends B { " + body + " }", "a.java")
@@ -512,42 +502,62 @@ def test_extract_items_tokenizes_through_the_module_global(monkeypatch, fixture_
     extractor.extract_corpus([fixture_corpus])
     sources = [p.read_text(encoding="utf-8") for p in paths]
     assert [source for source, _ in counted] == sources
-    assert [n for _, n in counted] == [len(tokenize_reference(s)) for s in sources]
+    assert [n for _, n in counted] == [len(tokenize(s).texts) for s in sources]
 
 
-# --- the parser against the parent extractor kept in oracles ----------------------
-
-def _extraction(extract, source):
-    try:
-        items, markers = extract(source, "k.java")
-    except UnparsableSource as exc:
-        return ("error", exc.message, exc.line, exc.column)
-    return ([(it.kind, it.name, it.enclosing, it.line) for it in items],
-            [(m.label, m.enclosing, m.line) for m in markers])
-
+# --- the parser against units written with their items ---------------------------
 
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(_TEXT, st.lists(_JAVA_LEXEMES, max_size=60).map("".join)),
-       st.sampled_from(_NESTINGS), st.integers(0, MAX_NESTING + 10))
-@example("{ } {\n{ } x", ("{", "}"), 0)  # the innermost brace left open is named
-@example("} {", ("{", "}"), 0)
-@example("if (a) {\n  b = \"c", ("{", "}"), 3)
-def test_extract_items_matches_reference(body, nesting, depth):
-    nested = nesting[0] * depth + body + nesting[1] * depth
-    for source in (body, "class K { void m() { " + nested + " } }",
-                   "class K {\n int[] g; B f;\n void m() {\n" + nested + "\n}\n}"):
-        assert _extraction(extract_items, source) == _extraction(extract_items_reference, source)
+@given(java_units())
+def test_extract_items_matches_the_generated_record(unit):
+    assert extract_items(unit.source, LABEL) == (unit.items, unit.markers)
 
 
-@pytest.mark.parametrize("corpus", ["fixture", "gen-seed1", "gen-seed2"])
-def test_extract_items_matches_reference_on_corpora(corpus, fixture_corpus, tmp_path):
-    if corpus == "fixture":
-        root = fixture_corpus
-    else:
-        root = tmp_path
-        gen.generate_corpus(root, int(corpus[-1]), files=6, methods=5)
-    paths = list(iter_source_files([root]))
-    assert paths
-    for path in paths:
-        source = path.read_text(encoding="utf-8")
-        assert _extraction(extract_items, source) == _extraction(extract_items_reference, source)
+def test_grammar_reaches_every_construct():
+    """One unit holds every item kind, both marker labels and every skipped
+    statement: a grammar that lost a construct fails here, naming it."""
+    everything = set(ITEM_KINDS) | {"IF", "LOOP"} | SKIPPED
+    reached = set()
+
+    def held(unit):
+        return {row[0] for row in unit.items + unit.markers} | unit.skipped
+
+    def holds_everything(constructs):
+        reached.update(constructs)
+        return constructs == everything
+
+    try:
+        find(java_units(min_choices=4096).map(held), holds_everything,
+             settings=settings(max_examples=200, database=None, phases=[Phase.generate]),
+             random=random.Random(0))
+    except NoSuchExample:
+        pytest.fail(f"never written: {sorted(everything - reached)}")
+
+
+# --- positions, limits and corpora -----------------------------------------------
+
+@pytest.mark.parametrize("source, message, line, column", [
+    ("{ } {\n{ } x", "unbalanced '{'", 1, 5),  # the innermost brace left open
+    ("} {", "unbalanced '}'", 1, 1),
+    ('if (a) {\n  b = "c', "unterminated string literal", 2, 7),
+])
+def test_error_names_its_message_and_position(source, message, line, column):
+    with pytest.raises(UnparsableSource) as err:
+        extract_items(source, "k.java")
+    assert (err.value.message, err.value.line, err.value.column) == (message, line, column)
+
+
+def test_nesting_limit_is_exact():
+    """A class declaration is one level, and the expressions of a method
+    read before it leave the count as they found it."""
+    head = "class K { void m() { f(g(1), (2)); x = h(3); } "
+    items, _ = extract_items(head + "class Q {" * (MAX_NESTING - 1) + "}" * MAX_NESTING)
+    assert len(items) == MAX_NESTING + 4
+    with pytest.raises(UnparsableSource, match=f"nesting deeper than {MAX_NESTING}"):
+        extract_items(head + "class Q {" * MAX_NESTING + "}" * (MAX_NESTING + 1))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_generated_corpus_extracts_to_its_record(seed, tmp_path):
+    record = gen.write_inputs(tmp_path, seed, files=6, methods=5)
+    assert checks.check_extraction(record["methods"], str(tmp_path / "corpus")) == []

@@ -210,22 +210,25 @@ def test_occurrences_of_one_shape_share_a_class_and_a_key(monkeypatch):
     two = graph_of(["c", "b", "c", "a"], {(3, 1)}, "h")
     hosts = [groum._Host.of(one), groum._Host.of(two)]
     key = canonical_form(induced_subgraph(one, {0, 1}))
+    a_to_b = (("a", "b"), ((0, 1),))  # the shape of induced_subgraph(one, {0, 1})
     calls = counting_canonical_key(monkeypatch)
-    within = groum._isomorphism_classes(
-        hosts, {0: {frozenset({5, 7}), frozenset({0, 1})}}, {})
-    assert within == [(key, {0: [frozenset({0, 1}), frozenset({5, 7})]})]
+    within = groum._isomorphism_classes(hosts, {0: {frozenset({5, 7}), frozenset({0, 1})}})
+    assert within == [(key, a_to_b, {0: [frozenset({0, 1}), frozenset({5, 7})]})]
     assert len(calls) == 1  # one labelled shape
     calls.clear()
     across = groum._isomorphism_classes(
-        hosts[:1] * 2, {1: {frozenset({5, 7})}, 0: {frozenset({0, 1})}}, {})
-    assert across == [(key, {0: [frozenset({0, 1})], 1: [frozenset({5, 7})]})]
+        hosts[:1] * 2, {1: {frozenset({5, 7})}, 0: {frozenset({0, 1})}})
+    assert across == [(key, a_to_b, {0: [frozenset({0, 1})], 1: [frozenset({5, 7})]})]
     assert len(calls) == 1
-    # the same class under another shape: b is numbered below a
+    # the same class under another shape: b is numbered below a, and the
+    # first occurrence's shape is kept
     calls.clear()
     mixed = groum._isomorphism_classes(
-        hosts, {0: {frozenset({0, 1})}, 1: {frozenset({1, 3})}}, {})
-    assert mixed == [(key, {0: [frozenset({0, 1})], 1: [frozenset({1, 3})]})]
+        hosts, {0: {frozenset({0, 1})}, 1: {frozenset({1, 3})}})
+    assert mixed == [(key, a_to_b, {0: [frozenset({0, 1})], 1: [frozenset({1, 3})]})]
     assert len(calls) == 2
+    flipped = groum._isomorphism_classes(hosts, {1: {frozenset({1, 3})}})
+    assert flipped == [(key, (("b", "a"), ((1, 0),)), {1: [frozenset({1, 3})]})]
 
 
 def test_independent_occurrences_examples():
@@ -407,13 +410,6 @@ def test_patt_explorer_leaves_no_garbage_cycles(fixture_corpus):
     assert any(p.size > 2 for p in found)
 
 
-class Forgetful(dict):
-    """A memo that stores nothing."""
-
-    def __setitem__(self, key, value):
-        pass
-
-
 def test_canonical_key_computed_once_per_shape(fixture_corpus, tmp_path, monkeypatch):
     """On the fixture and on the benchmark's corpus shape, where the same
     idioms give the same labelled shapes in many methods."""
@@ -425,33 +421,17 @@ def test_canonical_key_computed_once_per_shape(fixture_corpus, tmp_path, monkeyp
         dataset = build_groums_for_methods(items, markers)
         candidates_seen: set[tuple[int, frozenset[int]]] = set()
 
-        def recording_classes(hosts, candidates, *args):
+        def recording_classes(hosts, candidates):
             candidates_seen.update((gi, occ) for gi, occs in candidates.items() for occ in occs)
-            return real_classes(hosts, candidates, *args)
+            return real_classes(hosts, candidates)
 
         calls.clear()
         monkeypatch.setattr(groum, "_isomorphism_classes", recording_classes)
-        memoized = patt_explorer(dataset, sigma)
+        found = patt_explorer(dataset, sigma)
         shapes = {shape_of(dataset[gi], occ) for gi, occ in candidates_seen}
         assert len(shapes) < len(candidates_seen)  # shapes repeat
         assert len(calls) == len(shapes)  # size-1 patterns are keyed without a call
-
-        # a shape's occurrences are one class's, all partitioned in one
-        # group, so a fresh memo for every partition computes no key again
-        calls.clear()
-        monkeypatch.setattr(groum, "_isomorphism_classes",
-                            lambda hosts, candidates, *args: real_classes(hosts, candidates, {}))
-        assert patt_explorer(dataset, sigma) == memoized
-        assert len(calls) == len(shapes)
-
-        # a memo that keeps nothing computes one key per candidate
-        calls.clear()
-        monkeypatch.setattr(groum, "_isomorphism_classes",
-                            lambda hosts, candidates, *args: real_classes(hosts, candidates,
-                                                                          Forgetful()))
-        unmemoized = patt_explorer(dataset, sigma)
-        assert len(calls) == len(candidates_seen) > len(shapes)
-        assert memoized == unmemoized
+        assert found == patt_explorer_spec(dataset, sigma)
 
 
 @st.composite

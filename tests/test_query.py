@@ -78,6 +78,17 @@ def test_abstract_query_error_names_the_statement_position(statement, imports, m
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("statement, item", [
+    # "final" alone is legal on a local: read inside a method, as the corpus is
+    ("final Foo f = new Foo();", ("VD", "Foo")),
+    ("private final Foo f;", ("FD", "Foo")),
+    ("final static Foo F = x;", ("FD", "Foo")),
+    ("private Connection conn;", ("FD", "Connection")),
+])
+def test_field_style_needs_an_access_or_static_modifier(statement, item):
+    assert abstract_query(statement).item == item
+
+
 def test_identity_space_coherence():
     # statement-level constructs abstract to the items corpus extraction emits
     cases = [
