@@ -269,10 +269,8 @@ class _Extractor:
         self.emit("MI", f"{recv}.{method}({','.join(args)})", enclosing, start)
 
     def assign_field(self, recv: str, field: str, start: int, enclosing: str) -> str:
-        """Emit the write of recv.field, the cursor at its '=', and read the value."""
+        """Emit the write of recv.field; the cursor stays at its '='."""
         self.emit("FA", f"{recv}.{field}", enclosing, start)
-        self.i += 1
-        self.scan_expression(enclosing, _TO_EITHER)
         return "unknown"
 
     def index_array(self, arr_type: str | None, start: int, enclosing: str) -> str:
@@ -416,19 +414,13 @@ class _Extractor:
         if text in ("class", "interface", "enum"):
             self.parse_type_decl(class_path)
             return
-        if text == "{":  # instance/static initializer
-            self.skip_balanced("{", "}")
-            return
-        if text == ";":
-            self.i += 1
-            return
         if text == self.current_class() and texts[start + 1] == "(":  # constructor
             self.i += 1
             self.parse_method_rest(class_path, text, "", start)
             return
         type_text = self.parse_type_text()
         if not type_text or self.kinds[self.i] != "ident":
-            self.skip_to_statement_end()
+            self.skip_to_statement_end()  # an initializer block, ';' or no type
             return
         name = texts[self.i]
         self.i += 1
@@ -518,9 +510,9 @@ class _Extractor:
     # --- statements -----------------------------------------------------------
 
     def parse_block(self, enclosing: str) -> None:
+        """A block, the cursor at its '{'."""
         texts = self.texts
-        if texts[self.i] == "{":
-            self.i += 1
+        self.i += 1
         self.scopes.append({})
         while texts[self.i] not in ("}", ""):
             self.parse_statement(enclosing)
@@ -615,14 +607,11 @@ class _Extractor:
         # classic "init; cond; update" or enhanced "Type v : iterable"
         rtype = self.parse_local_type(enclosing)
         if rtype is not None and self.kinds[self.i] == "ident":
-            self.i += 1
-            name = self.texts[self.i - 1]
-            if self.accept(":"):  # for-each
+            name = self.advance()
+            if self.accept(":"):  # for-each: its iterable is read as a condition
                 self.bind(name, rtype)
-                self.scan_expression(enclosing, _CLOSERS)
-                self.accept(")")
-                return
-            self.parse_declarators(name, rtype, enclosing)
+            else:
+                self.parse_declarators(name, rtype, enclosing)
         self.scan_expression(enclosing, _TO_SEMICOLON)
         while self.accept(";"):
             self.scan_expression(enclosing, _TO_SEMICOLON)
@@ -997,8 +986,6 @@ def extract_items(source: str, file_label: str = "<memory>",
     abstracting a lone statement or a rendered skeleton outside its
     original file).
     """
-    if not source.strip():
-        return [], []
     tokens = tokenize(source)
     _check_braces(tokens)
     ex = _Extractor(tokens, file_label, context_vars)
