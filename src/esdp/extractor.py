@@ -6,6 +6,13 @@ to produce all 17 item kinds plus if/loop control markers. Anything else
 import-table lookup only: a simple type name imported as ``a.b.c.D`` is
 rendered ``c.D``; unknown names are kept as written.
 
+A '{' inside an expression opens a group read to its '}'. After '->' it is
+a lambda's block body, read as a block: its items join the enclosing
+method's, as an expression lambda's do, and a ``return`` in it has type
+``unknown``. Anywhere else (an array initializer, bare or after
+``new T[]``, or a switch expression's cases) it is read as an expression.
+An anonymous class body after ``new T(...)`` is skipped whole.
+
 The lexer is one regex ``findall`` over the source; its tokens are flat
 parallel lists (texts, kinds, start offsets), which the parser reads
 through one index. A token's line and column are computed from its start
@@ -68,9 +75,9 @@ _MULTI_PUNCT = (
 _SINGLE_PUNCT = "{}()[];,.<>=+-*%!&|^?:@~"  # and '/' when no '*' follows
 
 # Bound on the parse methods active at once (statements, expressions,
-# argument lists, type declarations, array initializers). Each takes at most
-# three Python frames, so deeper input ends in UnparsableSource well before
-# the interpreter's default recursion limit of 1000.
+# argument lists, type declarations). Each takes at most three Python
+# frames, so deeper input ends in UnparsableSource well before the
+# interpreter's default recursion limit of 1000.
 MAX_NESTING = 200
 
 _CONST_NAME_RE = re.compile(r"^[A-Z][A-Z0-9_]*$")
@@ -84,6 +91,20 @@ _TO_EITHER = _TO_SEMICOLON | _TO_COMMA
 # the type a literal reads as, keyed by token kind, or by text for a keyword
 _LITERAL_TYPES = {"str": "String", "char": "char", "true": "boolean", "false": "boolean",
                   "null": "null"}
+
+# a decimal literal's type by its last character, lower-cased
+_NUMBER_SUFFIXES = {"l": "long", "f": "float", "d": "double"}
+
+
+def _number_type(text: str) -> str:
+    """The type of a numeric literal: a hex or binary one is int, or long
+    with 'L'; a decimal one is long, float or double by its suffix, else
+    double with a point or an exponent, else int."""
+    text = text.lower()
+    if text.startswith(("0x", "0b")):
+        return "long" if text[-1] == "l" else "int"
+    return _NUMBER_SUFFIXES.get(text[-1]) or ("double" if "." in text or "e" in text else "int")
+
 
 _LEX_ERRORS = {
     "/*": "unterminated comment",
@@ -217,9 +238,9 @@ class _Extractor:
     index of the token its construct starts at; extract_items turns the
     rows into records, the lines of all their tokens found in one pass.
     Each parse method that nests (statements, expressions, argument lists,
-    type declarations, array initializers) counts itself in ``depth`` on
-    entry, raising ``nesting_error()`` past MAX_NESTING, and uncounts
-    itself on leaving; a raise abandons the whole parse.
+    type declarations) counts itself in ``depth`` on entry, raising
+    ``nesting_error()`` past MAX_NESTING, and uncounts itself on leaving; a
+    raise abandons the whole parse.
     """
 
     def __init__(self, tokens: Tokens, file_label: str,
@@ -579,7 +600,7 @@ class _Extractor:
             # a local class: its TD stands beside the method's class, not in
             # the method's sequence; its members are paths under the method
             self.parse_type_decl(enclosing, enclosing.rpartition(".")[0])
-        elif text in MODIFIERS:  # e.g. "final X x = ..."
+        elif text in MODIFIERS or text == "@":  # e.g. "final X x = ..." or "@A X x"
             self.skip_modifiers()
             self.parse_statement(enclosing)
         else:
@@ -605,6 +626,7 @@ class _Extractor:
 
     def parse_for_control(self, enclosing: str) -> None:
         # classic "init; cond; update" or enhanced "Type v : iterable"
+        self.skip_modifiers()
         rtype = self.parse_local_type(enclosing)
         if rtype is not None and self.kinds[self.i] == "ident":
             name = self.advance()
@@ -718,10 +740,20 @@ class _Extractor:
             elif text == "(":
                 # a cast's operand is the next primary this loop reads
                 ty = self.try_parse_cast() or self.parse_postfix(enclosing, self.parse_parens(enclosing))
+            elif text == "{":
+                if texts[i - 1] == "->":  # a lambda's block body; what it returns is unknown
+                    self.return_types.append("unknown")
+                    self.parse_block(enclosing)
+                    self.return_types.pop()
+                else:  # an array initializer, its ',' glue
+                    self.i = i + 1
+                    self.scan_expression(enclosing, _CLOSERS)
+                    self.accept("}")
+                ty = "unknown"
             else:
                 self.i = i + 1
                 if kind == "num":
-                    ty = "double" if "." in text or text[-1] in "dDfF" else "int"
+                    ty = _number_type(text)
                 else:
                     ty = _LITERAL_TYPES.get(text if kind == "kw" else kind)
                     if ty is None:
@@ -774,8 +806,6 @@ class _Extractor:
             # one '[]' per dimension: written in the type or given a size
             base = rtype + "[]" * self.parse_brackets(enclosing)
             self.emit("AC", base, enclosing, start)
-            if self.texts[self.i] == "{":
-                self.scan_braced_init(enclosing)
             return base
         args = self.parse_args(enclosing)
         if self.texts[self.i] == "{":
@@ -916,22 +946,6 @@ class _Extractor:
             self.i += 1
         self.depth -= 1
         return types
-
-    def scan_braced_init(self, enclosing: str) -> None:
-        self.depth += 1
-        if self.depth > MAX_NESTING:
-            raise self.nesting_error()
-        self.accept("{")
-        texts = self.texts
-        while texts[self.i] not in ("}", ""):
-            if texts[self.i] == "{":
-                self.scan_braced_init(enclosing)
-                continue
-            self.scan_expression(enclosing, _TO_COMMA)
-            if not self.accept(","):
-                break
-        self.accept("}")
-        self.depth -= 1
 
     # --- recovery -----------------------------------------------------------
 

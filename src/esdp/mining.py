@@ -40,10 +40,6 @@ class SequentialPattern(NamedTuple):
     def k(self) -> int:
         return len(self.elements)
 
-    @property
-    def kind(self) -> str:
-        return self.elements[0][0]
-
     def names(self) -> tuple[str, ...]:
         return tuple(name for _, name in self.elements)
 

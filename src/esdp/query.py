@@ -130,13 +130,10 @@ def search(q: UserQuery, repo: MinedRepository, top_n: int) -> list[Recommendati
 
 # --- skeleton rendering -------------------------------------------------------------
 
+# the types a literal reads as; any other is written as a cast
 _PLACEHOLDERS = {
     "int": "0",
-    "long": "0",
-    "short": "0",
-    "byte": "0",
     "double": "0.0",
-    "float": "0.0",
     "boolean": "true",
     "char": "'a'",
     "String": '""',
@@ -145,10 +142,11 @@ _PLACEHOLDERS = {
 
 
 def _placeholder(arg_type: str) -> str:
-    if arg_type in _PLACEHOLDERS:
-        return _PLACEHOLDERS[arg_type]
-    # reference type: cast-null keeps the type recoverable on re-extraction
-    return f"({arg_type}) null"
+    literal = _PLACEHOLDERS.get(arg_type)
+    if literal is not None:
+        return literal
+    # a cast keeps the type recoverable on re-extraction
+    return f"({arg_type}) {'0' if arg_type in ('long', 'short', 'byte', 'float') else 'null'}"
 
 
 def _split_call(name: str) -> tuple[str, list[str]]:

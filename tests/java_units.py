@@ -13,7 +13,16 @@ markers ``extract_items`` must return for it, by rules of its own, as
   ``f``'s type, and any other, or a chained call, as ``unknown``.
 * An argument types as its first operand: a literal, variable, creation or
   ``this`` as its type, an index as the element type, an upper-case constant
-  as int and anything else as unknown.
+  as int and anything else, a lambda among them, as unknown. A numeric
+  literal is int, or long with 'L' (``10L``); a hex one (``0xFF``) too; a
+  decimal one with a point or an exponent (``1e5``) is double, and float
+  with 'f' (``2.5f``).
+* A lambda's block body, written as an argument, records its items in the
+  method around it; a ``return`` in it names the type unknown. An array
+  initializer, bare in a declarator or after ``new T[]``, records the items
+  of its elements.
+* ``final`` and annotations on a local, a loop variable or a local class
+  give no item.
 * Items come in the order of the token each starts at, with its line: a type
   declaration at its name, a member or a local at its type, a call or a field
   write at its receiver (a chained call at its '.'), a creation at ``new``. A
@@ -46,7 +55,8 @@ _METHODS = ("run", "get", "open", "close", "put", "size")
 _UNBOUND = ("ctx", "mystery")  # lower-case names no declaration binds
 _CONSTANTS = ("MAX", "Lim.MAX_SIZE", "K_2")
 _OPERATORS = (" + ", " < ", " == ", " && ", " - ", " != ", " ? ")
-_LITERALS = (("0", "int"), ("42", "int"), ("1.5", "double"), ('"s"', "String"),
+_LITERALS = (("0", "int"), ("42", "int"), ("0xFF", "int"), ("10L", "long"), ("1.5", "double"),
+             ("1e5", "double"), ("2.5f", "float"), ('"s"', "String"),
              ('"a;{b}\\"c"', "String"), ("'c'", "char"), ("'{'", "char"),
              ("true", "boolean"), ("false", "boolean"), ("null", "null"))
 # the kinds of members, statements (at the innermost depth, those that nest
@@ -60,6 +70,7 @@ _SIMPLE = ("call", "call", "field", "array", "new")
 _WRITE_RECEIVERS = ("variable", "static", "unbound", "this", "this field", "super")
 _CALL_RECEIVERS = _WRITE_RECEIVERS + ("unqualified",)
 _CLASS_NESTING = 3  # classes nested in one another, local and anonymous ones included
+_LOCAL_MODIFIERS = ("final ", "@Ann ", '@SuppressWarnings("u") ')
 # what may stand between two tokens; a comment may hold braces and keywords
 _GAPS = (" ", " ", " ", "\n", "\n    ", " /* { class */ ", " // } if;\n")
 # statement templates: 'E' an expression, 'H' one without '{', 'B' a block or a
@@ -108,6 +119,7 @@ class _Writer:
         self.parts: list[str] = []
         self.at = self.count = self.silent = 0  # at: the offset of the next character
         self.no_braces = 0  # in a skipped statement's head, which holds no '{'
+        self.lambdas = 0  # block lambdas being written; one holds no other
         self.enc = LABEL
         # (at, kind, name, enc) of each item, (at, label, enc) of each marker
         self.rows, self.marks, self.skipped = [], [], set()
@@ -233,10 +245,9 @@ class _Writer:
                     frozenset(self.skipped))
 
     def type_decl(self, declared_in: str, depth: int, local: bool = False) -> None:
-        """A class or interface, its TD under declared_in; a local one takes no
-        annotation, which would start an expression."""
+        """A class or interface, its TD under declared_in."""
         interface = self.chance(2)
-        self.modifiers(("abstract ", "final ") if local else (
+        self.modifiers(("abstract ", "@Deprecated ") + _LOCAL_MODIFIERS if local else (
             "public ", "abstract ", "final ", "static ", "@Deprecated ", '@SuppressWarnings("x") '))
         name = self.fresh("Cls")
         path = f"{self.enc}.{name}"
@@ -280,7 +291,12 @@ class _Writer:
         for k, (name, dims) in enumerate(names):
             self.put(", " * (k > 0), name, "[]" * dims)
             self.scopes[-1][name] = rendered + "[]" * dims
-            self.template((" = ", "E") if self.chance(5) else (), 0)
+            array_dims = written.count("[]") + dims
+            if array_dims and self.chance(3):
+                self.put(" = ")
+                self.initializer(array_dims, 1)
+            else:
+                self.template((" = ", "E") if self.chance(5) else (), 0)
         self.put(";")
 
     def params(self) -> tuple[str, list[str]]:
@@ -370,7 +386,7 @@ class _Writer:
         if kind == "simple":
             self.simple_statement()
         elif kind == "declaration":
-            self.put("final " if self.chance(2) else "")
+            self.modifiers(_LOCAL_MODIFIERS)
             self.declarators(self.local_type(), "VD")
         elif kind == "return":
             self.item("RT", self.returns[-1])
@@ -392,10 +408,12 @@ class _Writer:
             with self.scope():  # its variables end with the loop
                 if kind == "foreach":
                     written, name = self.pick(("int", self.class_type())), self.fresh("e")
+                    self.modifiers(_LOCAL_MODIFIERS)
                     self.item("VD", self.render(written))
                     self.template((f"{written} {name} : ", "E"), 0)
                     self.scopes[-1][name] = self.render(written)
                 elif self.chance(7):
+                    self.modifiers(_LOCAL_MODIFIERS)
                     self.declarators(self.pick(("int", "long", self.class_type())), "VD")
                 else:
                     self.put(";")
@@ -449,9 +467,22 @@ class _Writer:
         types = []
         for k in range(self.upto(3) if depth > 0 else 0):
             self.put(self.pick((", ", ",\n        ")) if k else "")
-            types.append(self.expr(depth - 1))
+            if self.no_braces or self.lambdas or not self.chance(1):
+                types.append(self.expr(depth - 1))
+            else:
+                types.append(self.block_lambda())
         self.put(")")
         return types
+
+    def block_lambda(self) -> str:
+        """A lambda whose block body holds statements that nest none; its type."""
+        self.put(self.pick(("() -> ", f"{self.fresh('x')} -> ")))
+        self.lambdas += 1
+        self.returns.append("unknown")
+        self.block(1)
+        self.returns.pop()
+        self.lambdas -= 1
+        return "unknown"
 
     def operand(self, depth: int) -> str:
         kinds = ["literal", "literal", "variable", "variable", "constant", "unbound", "this"]
@@ -550,14 +581,19 @@ class _Writer:
         if kind == "sized array":
             sized = 1 + self.upto(dims - 1)
             self.template(("[", "E", "]") * sized + ("[]" * (dims - sized),), 0)
-        else:  # an initializer: '{' elements '}', nested once per dimension
-            self.put("[]" * dims, " ", "{" * dims)
-            for k in range(self.upto(2)):
-                self.put(", " * (k > 0))
-                self.expr(depth - 1)
-            self.put("}" * dims)
+        else:
+            self.put("[]" * dims, " ")
+            self.initializer(dims, depth)
         self.item("AC", self.render(written) + "[]" * dims, at=at)
         return self.render(written) + "[]" * dims
+
+    def initializer(self, dims: int, depth: int) -> None:
+        """An array initializer: '{' elements '}', nested once per dimension."""
+        self.put("{" * dims)
+        for k in range(self.upto(2)):
+            self.put(", " * (k > 0))
+            self.expr(depth - 1)
+        self.put("}" * dims)
 
 
 def java_units(min_choices: int = 256) -> st.SearchStrategy[Unit]:

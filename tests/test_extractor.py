@@ -304,6 +304,18 @@ def test_nesting_within_limit_parses():
     assert len(markers) == depth
 
 
+@pytest.mark.parametrize("source, kind, count", [
+    # siblings: each leaves the nesting count as it found it
+    ("class K { " + "class Q { } " * (3 * MAX_NESTING) + "}", "TD", 3 * MAX_NESTING + 1),
+    ("class K { int[][] a = {" + "{1}, " * (3 * MAX_NESTING) + "}; }", "FD", 1),
+    # a chain of field writes is one expression, not one level per write
+    ("class K { void m() { " + "a.b = " * 300 + "1; } }", "FA", 300),
+], ids=["member classes", "initializer groups", "field writes"])
+def test_siblings_parse_past_the_nesting_limit(source, kind, count):
+    items, _ = extract_items(source, "k.java")
+    assert sum(it.kind == kind for it in items) == count
+
+
 def test_else_if_chain_reads_without_nesting():
     branches = 3 * MAX_NESTING
     source = ("class K { void m() { if (a) x.f(); "
@@ -447,6 +459,41 @@ def test_items_emitted_out_of_token_order_keep_their_lines():
     # a '<' in a method body is still a comparison
     ("class G { boolean m(int a) { if (a < 3) { x.f(a); } return a < 3; } }",
      [("TD", "G"), ("MD", "m(int):boolean"), ("MI", "unknown.f(int)"), ("RT", "boolean")]),
+    # a '{' in an expression is read to its '}': what follows it is kept
+    ("class C { void m(X x) { int[] a = {1, 2}; x.f(); } void n(Y y) { y.g(); } }",
+     [("TD", "C"), ("MD", "m(X):void"), ("VD", "int[]"), ("MI", "x.f()"), ("MD", "n(Y):void"),
+      ("MI", "y.g()")]),
+    ("class C { int[] a = {1, 2}; void n(Y y) { y.g(); } }",
+     [("TD", "C"), ("FD", "int[]"), ("MD", "n(Y):void"), ("MI", "y.g()")]),
+    ("class C { void m(int[][] a, X x) { a = new int[][] {{1}, {2, x.f()}}; x.g(); } }",
+     [("TD", "C"), ("MD", "m(int[][],X):void"), ("AC", "int[][]"), ("MI", "x.f()"),
+      ("MI", "x.g()")]),
+    ("class C { void m() { int k = switch (x) { case 1 -> 2; default -> 3; }; y.h(); } }",
+     [("TD", "C"), ("MD", "m():void"), ("VD", "int"), ("MI", "unknown.h()")]),
+    # a lambda's block body gives its items to the method around it
+    ("class C { void m(List list, Y y) { list.forEach(x -> { y.g(); }); y.h(); } }",
+     [("TD", "C"), ("MD", "m(List,Y):void"), ("MI", "list.forEach(unknown)"), ("MI", "y.g()"),
+      ("MI", "y.h()")]),
+    ("class C { Runnable r = () -> { y.g(); }; void n(Y y) { y.g(); } }",
+     [("TD", "C"), ("FD", "Runnable"), ("MI", "unknown.g()"), ("MD", "n(Y):void"),
+      ("MI", "y.g()")]),
+    ("class C { Callable r = () -> { return 1; }; int m() { f(() -> { return 2; }); return 3; } }",
+     [("TD", "C"), ("FD", "Callable"), ("RT", "unknown"), ("MD", "m():int"),
+      ("MI", "c.f(unknown)"), ("RT", "unknown"), ("RT", "int")]),
+    # annotations and 'final' on locals, loop variables and local classes
+    ('class C { void m() { @SuppressWarnings("u") List l = f(); l.size(); } }',
+     [("TD", "C"), ("MD", "m():void"), ("VD", "List"), ("MI", "c.f()"), ("MI", "list.size()")]),
+    ("class C { void m() { @Ann class L { } } }", [("TD", "C"), ("MD", "m():void"), ("TD", "L")]),
+    ("class C { void m(List xs) { for (final A a : xs) { a.run(); } } }",
+     [("TD", "C"), ("MD", "m(List):void"), ("VD", "A"), ("MI", "a.run()")]),
+    ("class C { void m(List xs) { for (@Ann A a : xs) { a.run(); } } }",
+     [("TD", "C"), ("MD", "m(List):void"), ("VD", "A"), ("MI", "a.run()")]),
+    ("class C { void m() { for (final int i = 0; i < 3; i++) { f(i); } } }",
+     [("TD", "C"), ("MD", "m():void"), ("VD", "int"), ("MI", "c.f(int)")]),
+    # numeric literals: hex and binary int or long, decimal by suffix, point or exponent
+    ("class C { void m(X x) { x.f(0xFF, 0b1L, 10L, 1e5, 2.5f, 1.5, 3d, 1_000); } }",
+     [("TD", "C"), ("MD", "m(X):void"),
+      ("MI", "x.f(int,long,long,double,float,double,double,int)")]),
 ])
 def test_unit_items(source, expected):
     assert [it.identity for it in extract_items(source, "a.java")[0]] == expected

@@ -296,6 +296,17 @@ def test_skeleton_round_trip_of_every_body_kind(body, rtype, variables):
     assert extract_skeleton_items(skeleton, rec, q) == list(tail), skeleton
 
 
+@pytest.mark.parametrize("arg_type", ["int", "long", "short", "byte", "char", "boolean",
+                                      "float", "double", "String", "lib.Item"])
+def test_skeleton_round_trip_of_every_argument_type(arg_type):
+    """A placeholder argument extracts again as the type it stands for."""
+    p = pattern_of([("MD", "m():void"), ("MI", f"box.open({arg_type})")])
+    rec = Recommendation(p, 0)
+    q = UserQuery("", p.elements[0], QueryContext())
+    skeleton = render_skeleton(rec, q)
+    assert extract_skeleton_items(skeleton, rec, q) == [p.elements[1]], skeleton
+
+
 def test_render_skeleton_comments_kinds_without_a_statement():
     """A mined sequence holds its MD only as its head and no PD or ID; after
     the match, such an element of a hand-written store is a comment line."""
