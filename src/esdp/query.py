@@ -142,9 +142,8 @@ _PLACEHOLDERS = {
 
 
 def _placeholder(arg_type: str) -> str:
-    literal = _PLACEHOLDERS.get(arg_type)
-    if literal is not None:
-        return literal
+    if arg_type in _PLACEHOLDERS:
+        return _PLACEHOLDERS[arg_type]
     # a cast keeps the type recoverable on re-extraction
     return f"({arg_type}) {'0' if arg_type in ('long', 'short', 'byte', 'float') else 'null'}"
 
