@@ -75,7 +75,7 @@ _MULTI_PUNCT = (
 _SINGLE_PUNCT = "{}()[];,.<>=+-*%!&|^?:@~"  # and '/' when no '*' follows
 
 # Bound on the parse methods active at once (statements, expressions,
-# argument lists, type declarations). Each takes at most three Python
+# argument lists, type declarations). Each takes at most four Python
 # frames, so deeper input ends in UnparsableSource well before the
 # interpreter's default recursion limit of 1000.
 MAX_NESTING = 200
@@ -288,19 +288,6 @@ class _Extractor:
         """Read the argument list of recv.method(...) and emit the call."""
         args = self.parse_args(enclosing)
         self.emit("MI", f"{recv}.{method}({','.join(args)})", enclosing, start)
-
-    def assign_field(self, recv: str, field: str, start: int, enclosing: str) -> str:
-        """Emit the write of recv.field; the cursor stays at its '='."""
-        self.emit("FA", f"{recv}.{field}", enclosing, start)
-        return "unknown"
-
-    def index_array(self, arr_type: str | None, start: int, enclosing: str) -> str:
-        """Emit the access of an array of arr_type (None: not known), the
-        cursor at its first '[', and read the indexes and what follows."""
-        self.emit("AA", arr_type or "unknown[]", enclosing, start)
-        self.parse_brackets(enclosing)
-        elem = arr_type[:-2] if arr_type and arr_type.endswith("[]") else "unknown"
-        return self.parse_postfix(enclosing, elem)
 
     # --- scope / resolution -----------------------------------------------
 
@@ -718,8 +705,8 @@ class _Extractor:
     def scan_expression(self, enclosing: str, stops: frozenset[str]) -> str:
         """Emit items from an expression, consuming up to (not including) a
         token in stops: its terminators and the closers, _CLOSERS, at this
-        nesting level. Returns the classification of the first primary for
-        argument typing."""
+        nesting level. Returns the value type of its first primary with the
+        selectors after it, for argument typing."""
         self.depth += 1
         if self.depth > MAX_NESTING:
             raise self.nesting_error()
@@ -732,14 +719,15 @@ class _Extractor:
                 break
             kind = kinds[i]
             if kind == "ident":
-                ty = self.parse_name_chain(enclosing)
+                ty = self.parse_name(enclosing)
             elif text == "this" or text == "super":
-                ty = self.parse_this_chain(enclosing)
+                ty = self.parse_this(enclosing)
             elif text == "new":
-                ty = self.parse_creation(enclosing)
+                ty = self.parse_selectors(enclosing, -1, None, self.parse_creation(enclosing))
             elif text == "(":
                 # a cast's operand is the next primary this loop reads
-                ty = self.try_parse_cast() or self.parse_postfix(enclosing, self.parse_parens(enclosing))
+                ty = self.try_parse_cast() or self.parse_selectors(
+                    enclosing, -1, "unknown", self.parse_parens(enclosing))
             elif text == "{":
                 if texts[i - 1] == "->":  # a lambda's block body; what it returns is unknown
                     self.return_types.append("unknown")
@@ -749,7 +737,8 @@ class _Extractor:
                     self.i = i + 1
                     self.scan_expression(enclosing, _CLOSERS)
                     self.accept("}")
-                ty = "unknown"
+                first = first or "unknown"
+                continue
             else:
                 self.i = i + 1
                 if kind == "num":
@@ -758,6 +747,7 @@ class _Extractor:
                     ty = _LITERAL_TYPES.get(text if kind == "kw" else kind)
                     if ty is None:
                         continue  # operator or other glue
+                ty = self.parse_selectors(enclosing, i, None, ty)
             if first is None:
                 first = ty
         self.depth -= 1
@@ -815,118 +805,105 @@ class _Extractor:
         self.emit("CI", f"{rtype}({','.join(args)})", enclosing, start)
         return rtype
 
-    def parse_this_chain(self, enclosing: str) -> str:
-        """'this' or 'super' and its member chain. A member of this or super
-        names the enclosing class (or super) as receiver; a member reached
-        through a field of the enclosing class names the field's type, as
-        the same chain written without 'this.' does. The value of 'this.f'
-        is the declared type of field f, and an index into it an element of
-        that type; a longer chain reads 'unknown'."""
-        texts = self.texts
-        start = self.i
-        is_super = texts[start] == "super"
-        self.i += 1
-        if texts[self.i] != ".":
-            return "super" if is_super else self.current_class()
-        recv = "super" if is_super else lower_camel(self.current_class())
-        fields = self.class_fields[-1] if self.class_fields and not is_super else {}
-        field_type = None
-        while self.accept("."):
-            if texts[self.i] == "<":
-                self.i = self.generics_end(self.i)
-            if self.kinds[self.i] != "ident":
-                break
-            member = texts[self.i]
-            self.i += 1
-            if texts[self.i] == "(":
-                self.emit_call(recv, member, start, enclosing)
-                return self.parse_postfix(enclosing, "unknown")
-            if texts[self.i] == "=":
-                return self.assign_field(recv, member, start, enclosing)
-            field_type = fields.get(member)
-            recv = "unknown" if field_type is None else lower_camel(simple_name(field_type))
-            fields = {}
-        if texts[self.i] == "[":
-            return self.index_array(field_type, start, enclosing)
-        return field_type or "unknown"
-
-    def parse_name_chain(self, enclosing: str) -> str:
+    def parse_name(self, enclosing: str) -> str:
+        """A name primary and its selectors; their value type. A name called
+        is a method of the enclosing class, which is its receiver. A
+        variable renders as its type's receiver name. Any other name is read
+        with the dotted names after it that no call or '=' follows, as a
+        path. One imported name renders resolved; a path renders as written
+        once a segment is capitalized or when it is one name of an enclosing
+        class, else as ``unknown``. It reads as int if it ends in a CONSTANT."""
         texts, kinds = self.texts, self.kinds
         start = i = self.i
-        segments = [texts[i]]
+        name = texts[i]
+        if texts[i + 1] == "(":
+            self.i = i + 1
+            self.emit_call(lower_camel(self.current_class()), name, start, enclosing)
+            return self.parse_selectors(enclosing, -1, "unknown", "unknown")
         i += 1
-        while texts[i] == "." and kinds[i + 1] == "ident" and texts[i + 2] != "(":
-            segments.append(texts[i + 1])
+        while texts[i] == "." and kinds[i + 1] == "ident" and texts[i + 2] not in ("(", "="):
             i += 2
-        if texts[i] == ".":
-            j = i + 1
-            if texts[j] == "<":
-                j = self.generics_end(j)
-            if kinds[j] == "ident" and texts[j + 1] == "(":  # a call segment
-                self.i = j + 1
-                self.emit_call(self.render_receiver(segments), texts[j], start, enclosing)
-                return self.parse_postfix(enclosing, "unknown")
         self.i = i
-        if len(segments) == 1 and texts[i] == "(":
-            # unqualified call: instance method of the enclosing class
-            self.emit_call(lower_camel(self.current_class()), segments[0], start, enclosing)
-            return self.parse_postfix(enclosing, "unknown")
-        if texts[i] == "[":
-            arr_type = self.lookup(segments[0]) if len(segments) == 1 else None
-            return self.index_array(arr_type, start, enclosing)
-        if len(segments) > 1 and texts[i] == "=":
-            # dotted assignment target -> field access (write)
-            return self.assign_field(self.render_receiver(segments[:-1]), segments[-1],
-                                     start, enclosing)
-        return self.classify_name(segments)
+        var_type = self.lookup(name)
+        if i == start + 1:
+            if var_type is not None:
+                return self.parse_selectors(enclosing, start, None, var_type)
+            recv = self.imports.get(name) or (
+                name if name[0].isupper() or name in self.class_stack else "unknown")
+        else:
+            segments = texts[start:i:2]
+            recv = ".".join(segments) if var_type is None and any(
+                s[0].isupper() for s in segments) else "unknown"
+        return self.parse_selectors(enclosing, start, recv,
+                                    "int" if _CONST_NAME_RE.match(texts[i - 1]) else "unknown")
 
-    def parse_postfix(self, enclosing: str, current: str) -> str:
-        # member accesses and calls chained on an unknown intermediate value
+    def parse_this(self, enclosing: str) -> str:
+        """'this' or 'super' and its selectors; their value type. 'this' is
+        the enclosing class, and a field of it read first the field's
+        declared type; 'super' renders and reads as ``super``."""
+        texts = self.texts
+        start = i = self.i
+        self.i = i + 1
+        if texts[start] == "super":
+            return self.parse_selectors(enclosing, start, "super", "super")
+        if texts[i + 1] == "." and self.kinds[i + 2] == "ident" and texts[i + 3] not in ("(", "="):
+            self.i = i + 3
+            ty = self.class_fields[-1].get(texts[i + 2])
+            return self.parse_selectors(enclosing, start, None if ty else "unknown", ty or "unknown")
+        return self.parse_selectors(enclosing, start, lower_camel(self.current_class()),
+                                    self.current_class())
+
+    def parse_selectors(self, enclosing: str, at: int, recv: str | None, ty: str) -> str:
+        """The selectors after a primary whose value renders as receiver
+        recv (None: the receiver name of ty) and has type ty; the value type
+        of the whole. ``.m(args)`` emits an MI, ``.f =`` an FA (its '=' left
+        to the expression), ``.f`` reads a field and ``.class`` is a Class;
+        ``[...]`` and the groups right after it emit one AA of the value's
+        type, or of ``unknown[]`` when that is no array type, and have the
+        element type. After a selector the value renders as ``unknown`` and,
+        but for those two, has type ``unknown``. Items are emitted at at, the
+        primary's token, until the first call or index (at -1), and after
+        that at their selector's '.' or '['."""
         texts, kinds = self.texts, self.kinds
-        while texts[self.i] == ".":
-            dot = self.i
-            name = dot + 1
-            if texts[name] == "<":
-                name = self.generics_end(name)
-            if kinds[name] != "ident":
-                break
-            self.i = name + 1
-            if texts[self.i] == "(":
-                self.emit_call("unknown", texts[name], dot, enclosing)
-            current = "unknown"
-        return current
-
-    def render_receiver(self, segments: list[str]) -> str:
-        """Receiver rendering for invocations/field writes.
-
-        A declared variable renders as its type in lower camel; a known type
-        name renders as the (resolved) type for static access; anything else
-        is the deterministic fallback ``unknown``.
-        """
-        if len(segments) == 1:
-            name = segments[0]
-            var_type = self.lookup(name)
-            if var_type is not None:
-                recv = self.receivers.get(var_type)
+        while True:
+            i = self.i
+            text = texts[i]
+            if text == ".":
+                name = i + 1
+                if texts[name] == "<":
+                    name = self.generics_end(name)
+                member = texts[name]
+                if kinds[name] != "ident":
+                    if member != "class":
+                        return ty
+                    self.i = name + 1
+                    recv, ty = "unknown", "Class"
+                    continue
+                self.i = name + 1
+                after = texts[name + 1]
                 if recv is None:
-                    recv = self.receivers[var_type] = lower_camel(simple_name(var_type))
-                return recv
-            # a type name: imported (and resolved), enclosing or capitalized
-            imported = self.imports.get(name)
-            if imported is not None:
-                return imported
-            return name if name[0].isupper() or name in self.class_stack else "unknown"
-        if self.lookup(segments[0]) is None and any(s[0].isupper() for s in segments):
-            return ".".join(segments)
-        return "unknown"
+                    recv = self.receiver_of(ty)
+                if after == "(":
+                    self.emit_call(recv, member, i if at < 0 else at, enclosing)
+                    at = -1
+                elif after == "=":
+                    self.emit("FA", f"{recv}.{member}", enclosing, i if at < 0 else at)
+                recv = ty = "unknown"
+            elif text == "[":
+                self.emit("AA", ty if ty.endswith("[]") else "unknown[]", enclosing,
+                          i if at < 0 else at)
+                groups = self.parse_brackets(enclosing)
+                ty = ty[:-2 * groups] if ty.endswith("[]" * groups) else "unknown"
+                recv, at = "unknown", -1
+            else:
+                return ty
 
-    def classify_name(self, segments: list[str]) -> str:
-        if len(segments) == 1:
-            var_type = self.lookup(segments[0])
-            if var_type is not None:
-                return var_type
-        # CONSTANT or Type.CONSTANT convention: reads as an int-valued API constant
-        return "int" if _CONST_NAME_RE.match(segments[-1]) else "unknown"
+    def receiver_of(self, var_type: str) -> str:
+        """The receiver rendering of a value of var_type; computed once per type."""
+        recv = self.receivers.get(var_type)
+        if recv is None:
+            recv = self.receivers[var_type] = lower_camel(simple_name(var_type))
+        return recv
 
     def parse_args(self, enclosing: str) -> list[str]:
         texts = self.texts

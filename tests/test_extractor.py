@@ -334,7 +334,7 @@ def test_else_if_chain_reads_without_nesting():
     ("int k; void m() { this.k = 1; }", [("FD", "int"), ("MD", "m():void"), ("FA", "a.k")]),
     ("void m() { a.b.c = 1; }", [("MD", "m():void"), ("FA", "unknown.c")]),
     ("void m() { new B().c().d(); }",
-     [("MD", "m():void"), ("CI", "B()"), ("MI", "a.c()"), ("MI", "unknown.d()")]),
+     [("MD", "m():void"), ("CI", "B()"), ("MI", "b.c()"), ("MI", "unknown.d()")]),
     ("void m(X x) { (x).e(); }", [("MD", "m(X):void"), ("MI", "unknown.e()")]),
     ("void m() { ((Foo) y).z(); }", [("MD", "m():void"), ("MI", "unknown.z()")]),
     ("void m(C x) { f((A) (B) x); }", [("MD", "m(C):void"), ("MI", "a.f(A)")]),
