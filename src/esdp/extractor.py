@@ -6,12 +6,39 @@ to produce all 17 item kinds plus if/loop control markers. Anything else
 import-table lookup only: a simple type name imported as ``a.b.c.D`` is
 rendered ``c.D``; unknown names are kept as written.
 
+Each primary of an expression is read with the selectors after it, in one
+loop. A primary's value renders as a receiver and has a type:
+
+* a variable: its type's receiver name (``items.receiver_name``: the simple
+  name in lower camel case and one ``Array`` per dimension), and its type;
+* a name called, ``m(...)``: the enclosing class in lower camel case;
+* any other name, with the dotted names after it that no call or '='
+  follows: a path, rendered as written (one imported name resolved) once a
+  segment is capitalized or when it is one name of an enclosing class, and
+  else ``unknown``; it has type int if it ends in a CONSTANT;
+* ``this``: the enclosing class, and a field of it read first the field's
+  declared type; ``super``: ``super``;
+* a creation or a literal: its type; a parenthesized expression: its
+  content's type, rendered ``unknown``.
+
+Each selector then does one thing: ``.m(args)`` emits an MI, ``.f =`` an FA
+(the '=' left to the expression), ``.f`` reads a field, ``.class`` has type
+Class, and ``[...]`` with the groups right after it emits one AA of the
+value's type if that is an array type, else of ``unknown[]``, and has the
+element type. After a selector the value renders as ``unknown`` and, but for
+those two, has type ``unknown``. So an argument is typed by its whole chain.
+A ``var`` local has its initializer's value type, and a ``var`` loop
+variable ``unknown``.
+
 A '{' inside an expression opens a group read to its '}'. After '->' it is
 a lambda's block body, read as a block: its items join the enclosing
 method's, as an expression lambda's do, and a ``return`` in it has type
 ``unknown``. Anywhere else (an array initializer, bare or after
 ``new T[]``, or a switch expression's cases) it is read as an expression.
-An anonymous class body after ``new T(...)`` is skipped whole.
+An anonymous class body after ``new T(...)`` is skipped whole. A lambda's
+parameters are bound from its '->' to the end of the expression around it,
+each to its declared type or to ``unknown``, and a lambda has type
+``unknown``.
 
 The lexer is one regex ``findall`` over the source; its tokens are flat
 parallel lists (texts, kinds, start offsets), which the parser reads
@@ -30,7 +57,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .items import ControlMarker, SourceItem, lower_camel, simple_name
+from .items import ControlMarker, SourceItem, lower_camel, receiver_name
 
 
 class UnparsableSource(ValueError):
@@ -97,13 +124,14 @@ _NUMBER_SUFFIXES = {"l": "long", "f": "float", "d": "double"}
 
 
 def _number_type(text: str) -> str:
-    """The type of a numeric literal: a hex or binary one is int, or long
-    with 'L'; a decimal one is long, float or double by its suffix, else
-    double with a point or an exponent, else int."""
+    """The type of a numeric literal: a hex or binary integer is int, or
+    long with 'L'; any other is long, float or double by its suffix, else
+    double with a point or an exponent (a hex one's 'p'), else int."""
     text = text.lower()
-    if text.startswith(("0x", "0b")):
+    if text.startswith(("0x", "0b")) and "p" not in text:
         return "long" if text[-1] == "l" else "int"
-    return _NUMBER_SUFFIXES.get(text[-1]) or ("double" if "." in text or "e" in text else "int")
+    return _NUMBER_SUFFIXES.get(text[-1]) or (
+        "double" if "." in text or "e" in text or "p" in text else "int")
 
 
 _LEX_ERRORS = {
@@ -118,10 +146,10 @@ _SKIP = r"(?:[ \t\f\r\n]+|//[^\n]*|/\*[\s\S]*?\*/)*"
 _skip = re.compile(_SKIP).match
 
 # a token's kind by its first character, an ident when absent; then by its
-# text, a kw for a keyword
-_FIRST_KINDS = {**dict.fromkeys("0123456789", "num"),
-                **dict.fromkeys(_SINGLE_PUNCT + "/", "punct"), '"': "str", "'": "char"}
-_KEYWORD_KINDS = dict.fromkeys(KEYWORDS, "kw")
+# whole text, a kw for a keyword and punct for '.' (a number may start '.5')
+_FIRST_KINDS = {**dict.fromkeys(_SINGLE_PUNCT + "/", "punct"),
+                **dict.fromkeys("0123456789.", "num"), '"': "str", "'": "char"}
+_TEXT_KINDS = {**dict.fromkeys(KEYWORDS, "kw"), ".": "punct"}
 _BRACE_DELTAS = {"{": 1, "}": -1}
 
 
@@ -141,8 +169,14 @@ def _lexer(digits: str, non_digits: str) -> tuple:
     digit = rf"[\d{digits}]"
     pattern = re.compile("((?:(" + "|".join((
         rf"(?:[^\W\d{digits}{non_digits}]|\$)[\w$]*",
-        "|".join(map(re.escape, _MULTI_PUNCT)) + f"|[{re.escape(_SINGLE_PUNCT)}]|/(?!\\*)",
-        rf"{digit}(?:\w|\.(?={digit}))*",
+        # punctuation; a '.' before a digit starts a number
+        "|".join(map(re.escape, _MULTI_PUNCT))
+        + f"|[{re.escape(_SINGLE_PUNCT.replace('.', ''))}]|/(?!\\*)|\\.(?!{digit})",
+        # a number (JLS 3.10.1-2): a hex one may have a signed 'p' exponent,
+        # a decimal one a '.' before, inside or after its digits and a
+        # signed 'e' exponent
+        rf"0[xX][\w.]*(?:(?<=[pP])[+-]{digit}\w*)?",
+        rf"(?:{digit}\w*(?:\.\w*)?|\.{digit}\w*)(?:(?<=[eE])[+-]{digit}\w*)?",
         r'"[^"\\]*(?:\\[\s\S][^"\\]*)*"',
         r"'[^'\\]*(?:\\[\s\S][^'\\]*)*'",
     )) + rf")|/\*|[\s\S]){_SKIP})")
@@ -208,7 +242,7 @@ def tokenize(source: str) -> Tokens:
         text = "/*" if source.startswith("/*", at) else source[at]
         raise UnparsableSource(_LEX_ERRORS.get(text, f"illegal character {text!r}"),
                                *Tokens(source, texts, [], starts).position(bad))
-    kinds = list(map(_KEYWORD_KINDS.get, texts,
+    kinds = list(map(_TEXT_KINDS.get, texts,
                      map(first_kinds.get, map(itemgetter(0), texts), repeat("ident"))))
     texts.append("")
     kinds.append("eof")
@@ -431,14 +465,13 @@ class _Extractor:
             self.skip_to_statement_end()  # an initializer block, ';' or no type
             return
         name = texts[self.i]
-        self.i += 1
-        if texts[self.i] == "(":
+        if texts[self.i + 1] == "(":
+            self.i += 1
             self.parse_method_rest(class_path, name, type_text, start)
             return
         # field declaration: one item per statement, all declarators registered
-        rtype = self.resolve_type(type_text)
-        self.emit("FD", rtype + "[]" * self.declarator_dims(self.i), class_path, start)
-        self.parse_declarators(name, rtype, class_path)
+        self.parse_declarators("FD", start, self.resolve_type(type_text), class_path)
+        self.accept(";")
 
     def declarator_dims(self, i: int) -> int:
         """The number of C-style '[]' pairs at i, just after a declarator's
@@ -450,20 +483,30 @@ class _Extractor:
             i += 2
         return dims
 
-    def parse_declarators(self, name: str, rtype: str, enclosing: str) -> None:
-        """Bind each declarator, the cursor just after the first one's name,
-        to rtype with its own C-style dimensions; read the initializers."""
-        while True:
-            dims = self.declarator_dims(self.i)
-            self.i += 2 * dims
-            self.bind(name, rtype + "[]" * dims)
+    def parse_declarators(self, kind: str, start: int, rtype: str, enclosing: str) -> None:
+        """Emit the item of kind at start for a declaration of type rtype,
+        the cursor at its first declarator's name, naming that declarator's
+        type. Bind each declarator to rtype with its own C-style dimensions,
+        and read its initializer. A local declared ``var`` has its
+        initializer's value type, and unknown without one (in a for-each)."""
+        texts = self.texts
+        item = None
+        while self.kinds[self.i] == "ident":
+            name = texts[self.i]
+            dims = self.declarator_dims(self.i + 1)
+            self.i += 1 + 2 * dims
+            ty = "unknown" if rtype == "var" else rtype + "[]" * dims
+            self.bind(name, ty)
             if self.accept("="):
-                self.scan_expression(enclosing, _TO_EITHER)
-            if not (self.accept(",") and self.kinds[self.i] == "ident"):
+                value = self.scan_expression(enclosing, _TO_EITHER)
+                if rtype == "var":
+                    ty = value
+                    self.bind(name, ty)
+            if item is None:
+                item = ty
+            if not self.accept(","):
                 break
-            name = self.texts[self.i]
-            self.i += 1
-        self.accept(";")
+        self.emit(kind, rtype if item is None else item, enclosing, start)
 
     def parse_method_rest(self, class_path: str, name: str, return_type: str,
                           start: int) -> None:
@@ -498,6 +541,8 @@ class _Extractor:
                 self.advance()
                 continue
             rtype = self.resolve_type(type_text)
+            if texts[self.i] in (",", ")"):  # a lambda's parameter, named without a type
+                self.bind(type_text, "unknown")
             if texts[self.i] == ".":  # varargs '...': the parameter is an array
                 rtype += "[]"
                 while self.accept(".") and texts[self.i] == ".":
@@ -597,7 +642,8 @@ class _Extractor:
     def parse_local_statement(self, enclosing: str) -> None:
         """A local declaration or an expression statement."""
         texts = self.texts
-        rtype = self.parse_local_type(enclosing)
+        start = self.i
+        rtype = self.parse_local_type()
         if rtype is None:
             self.scan_expression(enclosing, _TO_SEMICOLON)
             # past ';', or past any other token to ensure progress on
@@ -605,31 +651,28 @@ class _Extractor:
             if texts[self.i] not in ("}", ""):
                 self.i += 1
         elif self.kinds[self.i] == "ident":
-            name = texts[self.i]
-            self.i += 1
-            self.parse_declarators(name, rtype, enclosing)
-        else:
+            self.parse_declarators("VD", start, rtype, enclosing)
+            self.accept(";")
+        else:  # a primitive type and no declarator
+            self.emit("VD", rtype, enclosing, start)
             self.skip_to_statement_end()
 
     def parse_for_control(self, enclosing: str) -> None:
         # classic "init; cond; update" or enhanced "Type v : iterable"
         self.skip_modifiers()
-        rtype = self.parse_local_type(enclosing)
-        if rtype is not None and self.kinds[self.i] == "ident":
-            name = self.advance()
-            if self.accept(":"):  # for-each: its iterable is read as a condition
-                self.bind(name, rtype)
-            else:
-                self.parse_declarators(name, rtype, enclosing)
+        start = self.i
+        rtype = self.parse_local_type()
+        if rtype is not None:
+            self.parse_declarators("VD", start, rtype, enclosing)
+            self.accept(":")  # for-each: its iterable is read as a condition
         self.scan_expression(enclosing, _TO_SEMICOLON)
         while self.accept(";"):
             self.scan_expression(enclosing, _TO_SEMICOLON)
         self.accept(")")
 
-    def parse_local_type(self, enclosing: str) -> str | None:
-        """Read the type of a local declaration and emit its VD, which names
-        the type of the first declarator; the type read, or None, the cursor
-        unmoved, when the statement is not a declaration."""
+    def parse_local_type(self) -> str | None:
+        """Read the type of a local declaration; the type, resolved, or
+        None, the cursor unmoved, when the statement is not a declaration."""
         texts, kinds = self.texts, self.kinds
         start = i = self.i
         text = texts[start]
@@ -650,10 +693,7 @@ class _Extractor:
             type_text = self.parse_type_text()
         else:
             return None
-        rtype = self.resolve_type(type_text)
-        dims = self.declarator_dims(self.i + 1) if self.kinds[self.i] == "ident" else 0
-        self.emit("VD", rtype + "[]" * dims, enclosing, start)
-        return rtype
+        return self.resolve_type(type_text)
 
     def parse_type_text(self) -> str:
         """Parse a type reference; returns '' (cursor unmoved) when absent."""
@@ -712,6 +752,7 @@ class _Extractor:
             raise self.nesting_error()
         texts, kinds = self.texts, self.kinds
         first: str | None = None
+        lambdas = 0  # the scopes of the lambda parameters bound here
         while True:
             i = self.i
             text = texts[i]
@@ -739,6 +780,12 @@ class _Extractor:
                     self.accept("}")
                 first = first or "unknown"
                 continue
+            elif text == "->":  # a lambda, of unknown type
+                self.i = i + 1
+                self.bind_lambda(i)
+                lambdas += 1
+                first = "unknown"
+                continue
             else:
                 self.i = i + 1
                 if kind == "num":
@@ -750,8 +797,30 @@ class _Extractor:
                 ty = self.parse_selectors(enclosing, i, None, ty)
             if first is None:
                 first = ty
+        if lambdas:
+            del self.scopes[-lambdas:]
         self.depth -= 1
         return first or "unknown"
+
+    def bind_lambda(self, arrow: int) -> None:
+        """Open a scope binding the parameters of the lambda whose '->' is at
+        arrow: each declared with a type to that type, any other to unknown."""
+        texts = self.texts
+        self.scopes.append({})
+        i = arrow - 1
+        if texts[i] != ")":
+            if self.kinds[i] == "ident":
+                self.bind(texts[i], "unknown")
+            return
+        depth = 0
+        while i > 0:  # back to the '(' of the parameter list
+            depth += (texts[i] == ")") - (texts[i] == "(")
+            if not depth:
+                break
+            i -= 1
+        cursor, self.i = self.i, i
+        self.parse_params()
+        self.i = cursor
 
     def parse_parens(self, enclosing: str) -> str:
         """Read '( expr )' if the cursor is at '('; the classification of expr."""
@@ -806,13 +875,8 @@ class _Extractor:
         return rtype
 
     def parse_name(self, enclosing: str) -> str:
-        """A name primary and its selectors; their value type. A name called
-        is a method of the enclosing class, which is its receiver. A
-        variable renders as its type's receiver name. Any other name is read
-        with the dotted names after it that no call or '=' follows, as a
-        path. One imported name renders resolved; a path renders as written
-        once a segment is capitalized or when it is one name of an enclosing
-        class, else as ``unknown``. It reads as int if it ends in a CONSTANT."""
+        """A name primary, as the module docstring says, and its selectors;
+        their value type."""
         texts, kinds = self.texts, self.kinds
         start = i = self.i
         name = texts[i]
@@ -838,9 +902,7 @@ class _Extractor:
                                     "int" if _CONST_NAME_RE.match(texts[i - 1]) else "unknown")
 
     def parse_this(self, enclosing: str) -> str:
-        """'this' or 'super' and its selectors; their value type. 'this' is
-        the enclosing class, and a field of it read first the field's
-        declared type; 'super' renders and reads as ``super``."""
+        """'this' or 'super' and its selectors; their value type."""
         texts = self.texts
         start = i = self.i
         self.i = i + 1
@@ -855,15 +917,10 @@ class _Extractor:
 
     def parse_selectors(self, enclosing: str, at: int, recv: str | None, ty: str) -> str:
         """The selectors after a primary whose value renders as receiver
-        recv (None: the receiver name of ty) and has type ty; the value type
-        of the whole. ``.m(args)`` emits an MI, ``.f =`` an FA (its '=' left
-        to the expression), ``.f`` reads a field and ``.class`` is a Class;
-        ``[...]`` and the groups right after it emit one AA of the value's
-        type, or of ``unknown[]`` when that is no array type, and have the
-        element type. After a selector the value renders as ``unknown`` and,
-        but for those two, has type ``unknown``. Items are emitted at at, the
-        primary's token, until the first call or index (at -1), and after
-        that at their selector's '.' or '['."""
+        recv (None: the receiver name of ty) and has type ty, read as the
+        module docstring says; the value type of the whole. Items are emitted
+        at at, the primary's token, until the first call or index (at -1),
+        and after that at their selector's '.' or '['."""
         texts, kinds = self.texts, self.kinds
         while True:
             i = self.i
@@ -902,7 +959,7 @@ class _Extractor:
         """The receiver rendering of a value of var_type; computed once per type."""
         recv = self.receivers.get(var_type)
         if recv is None:
-            recv = self.receivers[var_type] = lower_camel(simple_name(var_type))
+            recv = self.receivers[var_type] = receiver_name(var_type)
         return recv
 
     def parse_args(self, enclosing: str) -> list[str]:

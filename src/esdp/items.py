@@ -75,3 +75,10 @@ def upper_first(name: str) -> str:
 def simple_name(type_name: str) -> str:
     """Last dotted segment of a possibly qualified type name."""
     return type_name.rsplit(".", 1)[-1]
+
+
+def receiver_name(type_name: str) -> str:
+    """The variable a value of a type renders as, an identifier: its simple
+    name in lower camel case and one 'Array' per dimension, so
+    ``a.b.ASTParser`` -> ``aSTParser`` and ``int[][]`` -> ``intArrayArray``."""
+    return lower_camel(simple_name(type_name.replace("[]", ""))) + "Array" * type_name.count("[]")

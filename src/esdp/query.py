@@ -13,7 +13,7 @@ from itertools import takewhile
 from typing import TYPE_CHECKING, NamedTuple
 
 from .extractor import MODIFIERS, UnparsableSource, extract_items
-from .items import lower_camel, simple_name, upper_first
+from .items import receiver_name, simple_name, upper_first
 from .mining import SequentialPattern
 from .repository import MinedRepository
 
@@ -161,9 +161,9 @@ def _is_instance_receiver(recv: str) -> bool:
 def derive_bindings(elements: tuple[tuple[str, str], ...]) -> dict[str, str]:
     """Default variable->type bindings implied by a pattern's elements:
     every instance receiver (of a call or a field write) binds to its
-    upper-first type, every array access to a synthetic array variable
-    named by its element type and one "Array" per dimension (int[][] ->
-    intArrayArray), so arrays of one element type keep distinct names."""
+    upper-first type, every array access to the receiver name of its array
+    type (int[][] -> intArrayArray), so arrays of one element type keep
+    distinct names."""
     bindings: dict[str, str] = {}
     for kind, name in elements:
         if kind in ("MI", "FA"):
@@ -171,7 +171,7 @@ def derive_bindings(elements: tuple[tuple[str, str], ...]) -> dict[str, str]:
             if _is_instance_receiver(recv):
                 bindings.setdefault(recv, upper_first(recv))
         elif kind == "AA" and name.endswith("[]") and not name.startswith("unknown"):
-            var = lower_camel(simple_name(name.replace("[]", ""))) + "Array" * name.count("[]")
+            var = receiver_name(name)
             bindings.setdefault(var, name)
     return bindings
 
@@ -232,7 +232,7 @@ def render_skeleton(rec: Recommendation, q: UserQuery) -> str:
                 head = f"new {head}"
             lines.append(f"{head}({', '.join(map(_placeholder, args))});")
         elif kind in ("FD", "VD"):
-            var = lower_camel(simple_name(name.replace("[]", "")))
+            var = receiver_name(name)
             lines.append(f"{name} {var};")
             declared[var] = name
         elif kind == "ACD":

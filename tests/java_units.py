@@ -6,27 +6,36 @@ markers ``extract_items`` must return for it, by rules of its own, as
 * A type imported once (``import a.b.C;``) renders as ``b.C``, any other as
   written; generic arguments are dropped, and each ``[]`` or ``...`` adds a
   dimension.
-* A variable is known from its declaration on, in its block. A receiver
-  renders as its variable's type's simple name in lower camel case, or as
-  its type, resolved; an unqualified call and one through ``this.`` as the
-  class in lower camel case, ``super.`` as ``super``, ``this.f`` as field
-  ``f``'s type, and any other, or a chained call, as ``unknown``.
-* An argument types as its first operand: a literal, variable, creation or
-  ``this`` as its type, an index as the element type, an upper-case constant
-  as int and anything else, a lambda among them, as unknown. A numeric
-  literal is int, or long with 'L' (``10L``); a hex one (``0xFF``) too; a
-  decimal one with a point or an exponent (``1e5``) is double, and float
-  with 'f' (``2.5f``).
+* A variable is known from its declaration on, in its block; a ``var``
+  local has its initializer's type, and a ``var`` loop variable unknown. The
+  receiver name of a type is its simple name in lower camel case and one
+  ``Array`` per dimension. A receiver renders as its variable's type's
+  receiver name, or as its type, resolved; an unqualified call and one
+  through ``this.`` as the class in lower camel case, ``super.`` as
+  ``super``, ``this.f`` as field ``f``'s type, a creation or a string
+  literal as its type's receiver name, and any other, or a call or a
+  class literal, as ``unknown``.
+* An argument types as its first operand with what follows it: a literal,
+  variable, creation or ``this`` as its type, an index as the element type,
+  a class literal as Class, an upper-case constant as int and anything
+  else, a call or a lambda among them, as unknown. A numeric literal is
+  int, or long with 'L' (``10L``); a hex one (``0xFF``) too; a decimal one
+  with a point or an exponent (``1e5``, ``.5``, ``1.5e-3``) is double, and
+  float with 'f' (``2.5f``, ``1.f``), as is a hex one with a 'p' exponent
+  (``0x1p3``, ``0x1.8p-2f``).
 * A lambda's block body, written as an argument, records its items in the
-  method around it; a ``return`` in it names the type unknown. An array
-  initializer, bare in a declarator or after ``new T[]``, records the items
-  of its elements.
+  method around it; a ``return`` in it names the type unknown. Its
+  parameters, which may take a field's name, are of unknown type unless
+  declared with one, up to the end of the lambda. An array initializer,
+  bare in a declarator or after ``new T[]``, records the items of its
+  elements.
 * ``final`` and annotations on a local, a loop variable or a local class
   give no item.
 * Items come in the order of the token each starts at, with its line: a type
   declaration at its name, a member or a local at its type, a call or a field
-  write at its receiver (a chained call at its '.'), a creation at ``new``. A
-  local class's TD sits in the class of its method; its members run under it.
+  write at its receiver, a creation at ``new``, and a call, a field write or
+  an index after a call or a creation at its '.' or '['. A local class's TD
+  sits in the class of its method; its members run under it.
 * ``try``/``catch``/``finally``, ``switch``, ``throw`` and ``synchronized``
   statements, and anonymous class bodies, give no item and no marker.
 """
@@ -40,6 +49,12 @@ from hypothesis import strategies as st
 
 LABEL = "Gen.java"
 SKIPPED = frozenset("try catch finally switch throw synchronized".split())
+# the forms beside items, markers and skipped statements that a unit records
+# writing: the primaries selectors follow, and the locals and lambda
+# parameters bound by what they read
+FORMS = frozenset(("call on creation", "call on string", "field after call", "index after call",
+                   "class literal", "var local", "var loop variable", "shadowing lambda",
+                   "signed exponent", "hex exponent", "point at an end"))
 
 # simple name -> the two packages it may be imported from
 _PACKAGES = {
@@ -50,15 +65,20 @@ _PACKAGES = {
 _IMPORTABLE = sorted(_PACKAGES)
 _PLAIN = ("Widget", "Item", "String", "T")  # never imported
 _QUALIFIED = ("a.b.Qual", "java.util.Collections")
-_PRIMITIVES = ("int", "boolean", "double", "long", "char")
+_PRIMITIVES = ("int", "boolean", "double", "long", "char", "float")
 _METHODS = ("run", "get", "open", "close", "put", "size")
 _UNBOUND = ("ctx", "mystery")  # lower-case names no declaration binds
 _CONSTANTS = ("MAX", "Lim.MAX_SIZE", "K_2")
 _OPERATORS = (" + ", " < ", " == ", " && ", " - ", " != ", " ? ")
 _LITERALS = (("0", "int"), ("42", "int"), ("0xFF", "int"), ("10L", "long"), ("1.5", "double"),
-             ("1e5", "double"), ("2.5f", "float"), ('"s"', "String"),
+             ("1e5", "double"), ("2.5f", "float"), ("1.5e-3f", "float"), ("1e+5", "double"),
+             ("0x1p3", "double"), ("0x1.8p-2f", "float"), (".5", "double"), ("1.", "double"),
+             ("1.f", "float"), ('"s"', "String"),
              ('"a;{b}\\"c"', "String"), ("'c'", "char"), ("'{'", "char"),
-             ("true", "boolean"), ("false", "boolean"), ("null", "null"))
+             ("true", "boolean"), ("false", "boolean"), ("null", "null"))  # null last
+_LITERAL_FORMS = {"1.5e-3f": "signed exponent", "1e+5": "signed exponent",
+                  "0x1p3": "hex exponent", "0x1.8p-2f": "hex exponent",
+                  ".5": "point at an end", "1.": "point at an end", "1.f": "point at an end"}
 # the kinds of members, statements (at the innermost depth, those that nest
 # no statement), expression statements and receivers, each dealt from a deck
 _MEMBERS = ("method", "method", "field", "constructor", "constructor this",
@@ -67,8 +87,9 @@ _LEAF_STATEMENTS = ("simple", "simple", "declaration", "return")
 _STATEMENTS = _LEAF_STATEMENTS + ("if", "while", "do", "for", "foreach", "block", "class",
                                   "try", "switch", "throw", "synchronized")
 _SIMPLE = ("call", "call", "field", "array", "new")
-_WRITE_RECEIVERS = ("variable", "static", "unbound", "this", "this field", "super")
-_CALL_RECEIVERS = _WRITE_RECEIVERS + ("unqualified",)
+_RECEIVERS = ("variable", "static", "unbound", "this", "this field", "super")
+_WRITE_RECEIVERS = _RECEIVERS + ("call",)
+_CALL_RECEIVERS = _RECEIVERS + ("unqualified", "creation", "string")
 _CLASS_NESTING = 3  # classes nested in one another, local and anonymous ones included
 _LOCAL_MODIFIERS = ("final ", "@Ann ", '@SuppressWarnings("u") ')
 # what may stand between two tokens; a comment may hold braces and keywords
@@ -94,7 +115,8 @@ class Unit(NamedTuple):
     source: str
     items: list[tuple[str, str, str, int]]  # (kind, name, enclosing, line)
     markers: list[tuple[str, str, int]]  # (label, enclosing, line)
-    skipped: frozenset[str]  # skipped statement keywords written outside skipped text
+    # skipped statement keywords and FORMS written outside skipped text
+    written: frozenset[str]
 
 
 class _Class(NamedTuple):
@@ -103,8 +125,8 @@ class _Class(NamedTuple):
 
 
 def _receiver_name(ty: str) -> str:
-    simple = ty.rsplit(".", 1)[-1]
-    return simple[:1].lower() + simple[1:]
+    simple = ty.replace("[]", "").rsplit(".", 1)[-1]
+    return simple[:1].lower() + simple[1:] + "Array" * ty.count("[]")
 
 
 class _Writer:
@@ -122,7 +144,7 @@ class _Writer:
         self.lambdas = 0  # block lambdas being written; one holds no other
         self.enc = LABEL
         # (at, kind, name, enc) of each item, (at, label, enc) of each marker
-        self.rows, self.marks, self.skipped = [], [], set()
+        self.rows, self.marks, self.written = [], [], set()
         self.imports: dict[str, str] = {}  # simple name -> its rendering
         self.scopes: list[dict[str, str]] = []  # variable -> type
         self.classes: list[_Class] = []
@@ -171,6 +193,10 @@ class _Writer:
         if not self.silent:
             self.marks.append((self.at, label, self.enc))
 
+    def wrote(self, *forms: str) -> None:
+        if not self.silent:
+            self.written.update(forms)
+
     @contextmanager
     def scope(self, cls: str = "", enc: str = ""):
         """What the block binds, and the path its items are recorded under; a
@@ -193,11 +219,12 @@ class _Writer:
         return self.imports.get(base, base) + "[]" * written.count("[]")
 
     def variables(self, want: str = "") -> list[tuple[str, str]]:
-        """The variables in scope, (name, type) by name: all, or of a class or array type."""
+        """The variables in scope, (name, type) by name: all, or of an array
+        type, or of any type but a primitive one."""
         seen = {name: ty for scope in self.scopes for name, ty in scope.items()}
         return [(name, ty) for name, ty in sorted(seen.items())
                 if want != "array" or ty.endswith("[]")
-                if want != "object" or not (ty.endswith("[]") or ty in _PRIMITIVES)]
+                if want != "object" or ty not in _PRIMITIVES]
 
     def class_type(self) -> str:
         return self.pick(_IMPORTABLE + list(_PLAIN + _QUALIFIED)
@@ -242,7 +269,7 @@ class _Writer:
         rows = sorted(self.rows, key=lambda row: row[0])
         return Unit(source, [(kind, name, enc, line(at)) for at, kind, name, enc in rows],
                     [(label, enc, line(at)) for at, label, enc in self.marks],
-                    frozenset(self.skipped))
+                    frozenset(self.written))
 
     def type_decl(self, declared_in: str, depth: int, local: bool = False) -> None:
         """A class or interface, its TD under declared_in."""
@@ -387,7 +414,15 @@ class _Writer:
             self.simple_statement()
         elif kind == "declaration":
             self.modifiers(_LOCAL_MODIFIERS)
-            self.declarators(self.local_type(), "VD")
+            if self.chance(2):  # 'var name = value;', of the value's type
+                self.wrote("var local")
+                at, name = self.at, self.fresh("v")
+                self.put("var ", name, " = ")
+                ty = self.scopes[-1][name] = self.operand(1, True)
+                self.item("VD", ty, at=at)
+                self.put(";")
+            else:
+                self.declarators(self.local_type(), "VD")
         elif kind == "return":
             self.item("RT", self.returns[-1])
             self.template(("return ", "E", ";") if self.chance(6) else ("return;",), 0)
@@ -407,11 +442,14 @@ class _Writer:
             self.put("for (")
             with self.scope():  # its variables end with the loop
                 if kind == "foreach":
-                    written, name = self.pick(("int", self.class_type())), self.fresh("e")
+                    written, name = self.pick(("int", "var", self.class_type())), self.fresh("e")
+                    rendered = "unknown" if written == "var" else self.render(written)
+                    if written == "var":
+                        self.wrote("var loop variable")
                     self.modifiers(_LOCAL_MODIFIERS)
-                    self.item("VD", self.render(written))
+                    self.item("VD", rendered)
                     self.template((f"{written} {name} : ", "E"), 0)
-                    self.scopes[-1][name] = self.render(written)
+                    self.scopes[-1][name] = rendered
                 elif self.chance(7):
                     self.modifiers(_LOCAL_MODIFIERS)
                     self.declarators(self.pick(("int", "long", self.class_type())), "VD")
@@ -427,7 +465,7 @@ class _Writer:
         else:  # skipped whole: what it declares binds nothing
             form = self.pick(_SKIPPED_FORMS[kind])
             if not self.silent:
-                self.skipped |= SKIPPED.intersection(" ".join(form).split())
+                self.written |= SKIPPED.intersection(" ".join(form).split())
             self.silent += 1
             with self.scope():
                 self.template(form, depth)
@@ -440,10 +478,10 @@ class _Writer:
             self.call(2)
         elif kind == "field":
             # a write 'receiver.field = value': its FA names the receiver
-            written, rendered = self.receiver(_WRITE_RECEIVERS)
+            rendered, at = self.receiver(_WRITE_RECEIVERS, 1)
             field = self.pick(("count", "next", "value"))
-            self.item("FA", f"{rendered}.{field}")
-            self.template((f"{written}.{field} = ", "E"), 0)
+            self.item("FA", f"{rendered}.{field}", at=at)
+            self.template((f"{field} = ", "E"), 0)
         elif kind == "array":
             self.index(1)
             self.template(self.pick(((" = ", "E"), ("[", "E", "] = ", "E"))), 0)
@@ -475,18 +513,40 @@ class _Writer:
         return types
 
     def block_lambda(self) -> str:
-        """A lambda whose block body holds statements that nest none; its type."""
-        self.put(self.pick(("() -> ", f"{self.fresh('x')} -> ")))
-        self.lambdas += 1
-        self.returns.append("unknown")
-        self.block(1)
-        self.returns.pop()
-        self.lambdas -= 1
+        """A lambda whose block body holds statements that nest none; its
+        type. A parameter may take the name of a field, which it hides."""
+        fields = sorted(self.classes[-1].fields)
+        with self.scope():
+            names = [self.pick(fields) if fields and self.chance(3) else self.fresh("x")
+                     for _ in range(self.upto(2))]
+            if set(names) & set(fields):
+                self.wrote("shadowing lambda")
+            typed = len(names) == 1 and self.chance(3)
+            written = self.class_type() if typed else ""
+            for name in names:
+                self.scopes[-1][name] = self.render(written) if typed else "unknown"
+            if typed:
+                self.put(f"({written} {names[0]}) -> ")
+            else:
+                self.put(names[0] if len(names) == 1 and self.chance(5)
+                         else f"({', '.join(names)})", " -> ")
+            self.lambdas += 1
+            self.returns.append("unknown")
+            self.block(1)
+            self.returns.pop()
+            self.lambdas -= 1
         return "unknown"
 
-    def operand(self, depth: int) -> str:
-        kinds = ["literal", "literal", "variable", "variable", "constant", "unbound", "this"]
+    def operand(self, depth: int, initial: bool = False) -> str:
+        """An operand, and its type; a var local's initial value is neither
+        null nor a class literal."""
+        kinds = ["literal", "literal", "variable", "variable", "constant", "unbound", "this",
+                 "class"][:7 if initial else 8]
         kind = self.pick(kinds + ["call", "call", "new", "index"] * (depth > 0))
+        if kind == "class":
+            self.wrote("class literal")
+            self.put(self.pick(_IMPORTABLE + list(_PLAIN + _QUALIFIED)), ".class")
+            return "Class"
         if kind == "call":
             self.call(depth)
             return "unknown"
@@ -498,12 +558,21 @@ class _Writer:
                     else (self.pick(_CONSTANTS), "int") if kind == "constant"
                     else (self.pick(_UNBOUND), "unknown") if kind == "unbound"
                     else ("this", self.classes[-1].name) if kind == "this"
-                    else self.pick(_LITERALS))
+                    else self.pick(_LITERALS[:-1] if initial else _LITERALS))
+        if text in _LITERAL_FORMS:
+            self.wrote(_LITERAL_FORMS[text])
         self.put(text)
         return ty
 
     def index(self, depth: int) -> str:
-        """An index into an array, its AA naming the array's type; the element type."""
+        """An index into an array, its AA naming the array's type (after a
+        call, at its '[', an unknown array's); the element type."""
+        if depth > 0 and self.chance(2):
+            self.wrote("index after call")
+            self.call(depth - 1)
+            self.item("AA", "unknown[]")
+            self.template(("[", "E", "]"), 0)
+            return "unknown"
         arrays = self.variables("array")
         name, ty = self.pick(arrays) if arrays and self.chance(7) else (
             self.pick(_UNBOUND), "unknown[]")
@@ -511,34 +580,53 @@ class _Writer:
         self.template((f"{name}[", "E", "]"), 0)
         return ty[:-2]
 
-    def receiver(self, kinds: tuple) -> tuple[str, str]:
-        """A receiver chain as written, before its '.', and its rendering."""
-        kind, objects = self.deal(kinds), self.variables("object")
-        if kind == "variable" and objects:
-            name, ty = self.pick(objects)
-            return name, _receiver_name(ty)
-        if kind == "static":
+    def receiver(self, kinds: tuple, depth: int, call: bool = False) -> tuple[str, int]:
+        """Write a receiver chain and its '.' (for a call, maybe type
+        arguments after it); its rendering, and the offset of the item of
+        the member after it: the chain's, or after a call or a creation its
+        '.''s. An unqualified call's receiver writes nothing."""
+        at, kind, objects = self.at, self.deal(kinds), self.variables("object")
+        written, chained = "", False
+        if kind == "creation":
+            self.wrote("call on creation")
+            rendered, chained = _receiver_name(self.creation(depth, "class")), True
+        elif kind == "call":
+            self.wrote("field after call")
+            self.call(depth)
+            rendered, chained = "unknown", True
+        elif kind == "string":
+            self.wrote("call on string")
+            written, rendered = self.pick(('"s"', '"a;{b}\\"c"')), "string"
+        elif kind == "variable" and objects:
+            written, ty = self.pick(objects)
+            rendered = _receiver_name(ty)
+        elif kind == "static":
             written = self.pick(_IMPORTABLE + list(_PLAIN[:2] + _QUALIFIED)
                                 + [c.name for c in self.classes])
-            return written, self.imports.get(written, written)
-        if kind in ("unqualified", "this"):
-            return "" if kind == "unqualified" else "this", _receiver_name(self.classes[-1].name)
-        if kind == "super":
-            return "super", "super"
-        if kind == "this field":
-            fields = [(name, ty) for name, ty in objects if name in self.classes[-1].fields]
+            rendered = self.imports.get(written, written)
+        elif kind == "unqualified":
+            return _receiver_name(self.classes[-1].name), at
+        elif kind in ("this", "super"):
+            written = kind
+            rendered = "super" if kind == "super" else _receiver_name(self.classes[-1].name)
+        elif kind == "this field":
+            # the class's own fields, which no local or parameter hides
+            fields = [(name, ty) for name, ty in sorted(self.classes[-1].fields.items())
+                      if ty not in _PRIMITIVES]
             if fields and self.chance(7):
                 name, ty = self.pick(fields)
-                return f"this.{name}", _receiver_name(ty)
-            return f"this.{self.pick(_UNBOUND)}", "unknown"
-        return self.pick(_UNBOUND), "unknown"
+                written, rendered = f"this.{name}", _receiver_name(ty)
+            else:
+                written, rendered = f"this.{self.pick(_UNBOUND)}", "unknown"
+        else:
+            written, rendered = self.pick(_UNBOUND), "unknown"
+        self.put(written, "\n        " if self.chance(1) else "")  # the chain may break
+        at = self.at if chained else at
+        self.put(".", self.pick(("<T>", "<K, V>")) if call and self.chance(1) else "")
+        return rendered, at
 
     def call(self, depth: int) -> None:
-        at = self.at
-        written, rendered = self.receiver(_CALL_RECEIVERS)
-        if written:  # the chain may break before its '.'
-            self.put(written, "\n        ." if self.chance(1) else ".")
-            self.put(self.pick(("<T>", "<K, V>")) if self.chance(1) else "")
+        rendered, at = self.receiver(_CALL_RECEIVERS, depth, call=True)
         name = self.pick(_METHODS)
         self.put(name)
         types = self.args(depth)
@@ -550,11 +638,12 @@ class _Writer:
             types = self.args(depth - 1)
             self.item("MI", f"unknown.{name}({','.join(types)})", at=at)
 
-    def creation(self, depth: int) -> str:
+    def creation(self, depth: int, kind: str = "") -> str:
+        """A creation, of a class or an array, or of the kind given; its type."""
         at = self.at
-        if self.no_braces:
+        if not kind and self.no_braces:
             kind = self.pick(("class", "sized array"))
-        else:
+        elif not kind:
             kind = self.deal(("class", "class", "sized array", "anonymous", "initialized array"))
             if kind == "anonymous" and len(self.classes) >= _CLASS_NESTING:
                 kind = "class"

@@ -22,7 +22,7 @@ from esdp.extractor import (
 )
 from esdp.items import ITEM_KINDS
 from esdp.transactions import build_sequence_db
-from java_units import LABEL, SKIPPED, java_units
+from java_units import FORMS, LABEL, SKIPPED, java_units
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import checks  # noqa: E402  the benchmark's checks against the generator's record
@@ -243,6 +243,24 @@ def test_tokenize_reads_each_operator_whole():
     operators = "== != <= >= && || ++ -- += -= *= /= %= &= |= ^= -> ::".split()
     tokens = tokenize("a " + " a ".join(operators) + " a")
     assert tokens.texts[1:-1:2] == operators
+
+
+@pytest.mark.parametrize("source, tokens", [
+    # a signed exponent, a leading or trailing '.', a suffix after a '.'
+    ("1.5e-3f 1e+5 1E-2d 1. .5 1.f 2.e3",
+     [("num", t) for t in ("1.5e-3f", "1e+5", "1E-2d", "1.", ".5", "1.f", "2.e3")]),
+    # a hex one has a signed 'p' exponent, and only that
+    ("0x1p3 0x1.8P-2f 0x.8p1 0x1e+5",
+     [("num", "0x1p3"), ("num", "0x1.8P-2f"), ("num", "0x.8p1"), ("num", "0x1e"),
+      ("punct", "+"), ("num", "5")]),
+    # a '.' before no digit stays a '.'
+    ("a.b ... f(.5)",
+     [("ident", "a"), ("punct", "."), ("ident", "b")] + [("punct", ".")] * 3
+     + [("ident", "f"), ("punct", "("), ("num", ".5"), ("punct", ")")]),
+])
+def test_tokenize_reads_numeric_literals_whole(source, tokens):
+    read = tokenize(source)
+    assert list(zip(read.kinds, read.texts)) == tokens + [("eof", "")]
 
 
 def test_tokenize_digit_classes():
@@ -494,6 +512,46 @@ def test_items_emitted_out_of_token_order_keep_their_lines():
     ("class C { void m(X x) { x.f(0xFF, 0b1L, 10L, 1e5, 2.5f, 1.5, 3d, 1_000); } }",
      [("TD", "C"), ("MD", "m(X):void"),
       ("MI", "x.f(int,long,long,double,float,double,double,int)")]),
+    # a signed exponent and a hex 'p' exponent; a '.' may lead or end
+    ("class C { void m(X x) { x.f(1.5e-3f, 0x1p3, 1e+5); x.g(1., .5, 1.f, 0x1p3f); } }",
+     [("TD", "C"), ("MD", "m(X):void"), ("MI", "x.f(float,double,double)"),
+      ("MI", "x.g(double,double,float,float)")]),
+    # selectors after a creation, a literal, a class literal and a call
+    ("class C { void m() { new Foo().bar(); } }",
+     [("TD", "C"), ("MD", "m():void"), ("CI", "Foo()"), ("MI", "foo.bar()")]),
+    ('class C { void m() { "s".length(); } }',
+     [("TD", "C"), ("MD", "m():void"), ("MI", "string.length()")]),
+    ("class C { void m() { Foo.class.getName(); f(Foo.class); } }",
+     [("TD", "C"), ("MD", "m():void"), ("MI", "unknown.getName()"), ("MI", "c.f(Class)")]),
+    ("class C { void m() { a.b().c = 1; a.b()[0] = 1; } }",
+     [("TD", "C"), ("MD", "m():void"), ("MI", "unknown.b()"), ("FA", "unknown.c"),
+      ("MI", "unknown.b()"), ("AA", "unknown[]")]),
+    # an argument is typed by its whole chain
+    ("class C { void m() { g(new Foo().h()); } }",
+     [("TD", "C"), ("MD", "m():void"), ("MI", "c.g(unknown)"), ("CI", "Foo()"),
+      ("MI", "foo.h()")]),
+    # an index into a value of no array type accesses an unknown array
+    ("class C { B f; void m() { f[0] = 1; } }",
+     [("TD", "C"), ("FD", "B"), ("MD", "m():void"), ("AA", "unknown[]")]),
+    # a lambda's parameters shadow what they name up to the end of the
+    # expression, and a lambda argument types as unknown
+    ("class C { Conn x; void m() { f(x -> { x.run(); }); } }",
+     [("TD", "C"), ("FD", "Conn"), ("MD", "m():void"), ("MI", "c.f(unknown)"),
+      ("MI", "unknown.run()")]),
+    ("class C { Conn x; void m() { g((Conn c) -> c.open(), (a, x) -> x.go(a)); x.close(); } }",
+     [("TD", "C"), ("FD", "Conn"), ("MD", "m():void"), ("MI", "c.g(unknown,unknown)"),
+      ("MI", "conn.open()"), ("MI", "unknown.go(unknown)"), ("MI", "conn.close()")]),
+    # a receiver is an identifier: an array's names its element type and dimensions
+    ("class C { void m(String[] args) { int[][] a = null; a.clone(); args.toString(); } }",
+     [("TD", "C"), ("MD", "m(String[]):void"), ("VD", "int[][]"),
+      ("MI", "intArrayArray.clone()"), ("MI", "stringArray.toString()")]),
+    # a var local has its initializer's value type, a for-each one unknown
+    ("class C { void m(List xs) { var c = new Conn(); c.open(); for (var x : xs) x.run(); } }",
+     [("TD", "C"), ("MD", "m(List):void"), ("VD", "Conn"), ("CI", "Conn()"),
+      ("MI", "conn.open()"), ("VD", "unknown"), ("MI", "unknown.run()")]),
+    ('class C { void m() { var s = "a" + 1; s.trim(); var k = f(); k.g(); } }',
+     [("TD", "C"), ("MD", "m():void"), ("VD", "String"), ("MI", "string.trim()"),
+      ("VD", "unknown"), ("MI", "c.f()"), ("MI", "unknown.g()")]),
 ])
 def test_unit_items(source, expected):
     assert [it.identity for it in extract_items(source, "a.java")[0]] == expected
@@ -560,14 +618,32 @@ def test_extract_items_matches_the_generated_record(unit):
     assert extract_items(unit.source, LABEL) == (unit.items, unit.markers)
 
 
+_IDENTIFIER = r"(?!(?:{})\b)[A-Za-z_$][\w$]*".format(
+    "|".join(sorted(KEYWORDS - {"super"}, key=len, reverse=True)))
+_RECEIVER = re.compile(rf"{_IDENTIFIER}(?:\.{_IDENTIFIER})*")
+
+
+@settings(max_examples=100, deadline=None)
+@given(java_units())
+def test_every_receiver_is_an_identifier_path(unit):
+    """The receiver of every call and field write, rendered from a variable,
+    a type, a creation or a literal, is unknown, super or a dotted path of
+    Java identifiers: a skeleton can write it as a statement."""
+    for kind, name, _, _ in extract_items(unit.source, LABEL)[0]:
+        if kind in ("MI", "FA"):
+            receiver = name.partition("(")[0].rpartition(".")[0]
+            assert _RECEIVER.fullmatch(receiver), name
+
+
 def test_grammar_reaches_every_construct():
-    """One unit holds every item kind, both marker labels and every skipped
-    statement: a grammar that lost a construct fails here, naming it."""
-    everything = set(ITEM_KINDS) | {"IF", "LOOP"} | SKIPPED
+    """One unit holds every item kind, both marker labels, every skipped
+    statement and every recorded form: a grammar that lost a construct fails
+    here, naming it."""
+    everything = set(ITEM_KINDS) | {"IF", "LOOP"} | SKIPPED | FORMS
     reached = set()
 
     def held(unit):
-        return {row[0] for row in unit.items + unit.markers} | unit.skipped
+        return {row[0] for row in unit.items + unit.markers} | unit.written
 
     def holds_everything(constructs):
         reached.update(constructs)

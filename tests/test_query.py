@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import PLANTED_ELEMENTS
-from esdp.extractor import extract_corpus
+from esdp.extractor import extract_corpus, extract_items
 from esdp.mining import SequentialPattern, mine_prefixspan
 from esdp.query import (
     QueryContext,
@@ -253,6 +253,19 @@ def test_skeleton_round_trip_fixture_patterns(seed, min_support, queries, fixtur
                 skeleton = render_skeleton(rec, q)
                 got = extract_skeleton_items(skeleton, rec, q)
                 assert got == list(p.elements[offset + 1:]), (p.elements, offset, skeleton)
+
+
+def test_skeleton_round_trip_of_calls_on_arrays():
+    """A call on an array variable names a receiver that is an identifier,
+    so its skeleton extracts again as the pattern, at every offset."""
+    source = "class C { void m(String[] args) { int[][] a = null; a.clone(); args.toString(); } }"
+    elements = tuple(it.identity for it in extract_items(source)[0][1:])
+    assert elements[2:] == (("MI", "intArrayArray.clone()"), ("MI", "stringArray.toString()"))
+    for offset in range(len(elements)):
+        rec = Recommendation(pattern_of(elements), offset)
+        q = UserQuery("", elements[offset], QueryContext())
+        skeleton = render_skeleton(rec, q)
+        assert extract_skeleton_items(skeleton, rec, q) == list(elements[offset + 1:]), skeleton
 
 
 def test_derive_bindings():
