@@ -904,16 +904,16 @@ class _Extractor:
     def parse_this(self, enclosing: str) -> str:
         """'this' or 'super' and its selectors; their value type."""
         texts = self.texts
-        start = i = self.i
+        i = self.i
         self.i = i + 1
-        if texts[start] == "super":
-            return self.parse_selectors(enclosing, start, "super", "super")
+        if texts[i] == "super":
+            return self.parse_selectors(enclosing, i, "super", "super")
         if texts[i + 1] == "." and self.kinds[i + 2] == "ident" and texts[i + 3] not in ("(", "="):
             self.i = i + 3
             ty = self.class_fields[-1].get(texts[i + 2])
-            return self.parse_selectors(enclosing, start, None if ty else "unknown", ty or "unknown")
-        return self.parse_selectors(enclosing, start, lower_camel(self.current_class()),
-                                    self.current_class())
+            return self.parse_selectors(enclosing, i, None if ty else "unknown", ty or "unknown")
+        cls = self.current_class()
+        return self.parse_selectors(enclosing, i, lower_camel(cls), cls)
 
     def parse_selectors(self, enclosing: str, at: int, recv: str | None, ty: str) -> str:
         """The selectors after a primary whose value renders as receiver
