@@ -20,9 +20,9 @@ markers ``extract_items`` must return for it, by rules of its own, as
   a class literal as Class, an upper-case constant as int and anything
   else, a call or a lambda among them, as unknown. A numeric literal is
   int, or long with 'L' (``10L``); a hex one (``0xFF``) too; a decimal one
-  with a point or an exponent (``1e5``, ``.5``, ``1.5e-3``) is double, and
-  float with 'f' (``2.5f``, ``1.f``), as is a hex one with a 'p' exponent
-  (``0x1p3``, ``0x1.8p-2f``).
+  with a point or an exponent (``1e5``, ``.5``, ``1e+5``) is double, and
+  float with 'f' (``2.5f``, ``1.f``, ``1.5e-3f``); so is a hex one with a
+  'p' exponent (``0x1p3`` double, ``0x1.8p-2f`` float).
 * A lambda's block body, written as an argument, records its items in the
   method around it; a ``return`` in it names the type unknown. Its
   parameters, which may take a field's name, are of unknown type unless
